@@ -12,10 +12,9 @@ strongly convex synthetic tasks.
 from .analysis import (BoundSpec, OracleReport, RateFit, bound_formula,
                        convergence_bound, fit_rate, induction_constant,
                        rate_constant, recursion_envelope, run_oracle)
-from .channel import (FadingDraw, NoiseSpec, SnrMeasurement,
-                      add_effective_noise, analog_downlink_receive,
-                      analog_uplink_aggregate, diversity_combine,
-                      measure_global_snr)
+from .channel import (NoiseSpec, SnrMeasurement, add_effective_noise,
+                      analog_downlink_receive, analog_uplink_aggregate,
+                      diversity_combine, measure_global_snr)
 from .engine import (RoundTrace, RunConfig, RunResult, VirtualSequences,
                      aggregate, downlink_broadcast, local_train, run,
                      sample_clients, uplink_transmit)

@@ -66,23 +66,6 @@ def add_effective_noise(v, spec, rng):
     return v + sample_noise(spec, v.shape, rng)
 
 
-@dataclass(frozen=True)
-class FadingDraw:
-    """Large-scale pathloss plus per-element complex small-scale gains."""
-
-    pathloss_exponent: float
-    distance: float
-    small_scale: np.ndarray
-
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ConfigError("distance must be positive")
-
-    @property
-    def large_scale(self):
-        return self.distance ** (-self.pathloss_exponent / 2.0)
-
-
 def draw_fades(shape, rng, floor=INVERSION_FLOOR, max_retries=MAX_FADE_RETRIES):
     """Rayleigh small-scale gains with E|h|^2 = 1, redrawn above ``floor``.
 
@@ -90,21 +73,122 @@ def draw_fades(shape, rng, floor=INVERSION_FLOOR, max_retries=MAX_FADE_RETRIES):
     retransmission of that element).
     """
     gains = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+    retries = _redraw_deep_fades(gains, lambda n: rng.normal(size=n), floor,
+                                 max_retries)
+    return gains, retries
+
+
+def _redraw_deep_fades(gains, normal, floor, max_retries):
+    """Redraw the elements of ``gains`` below ``floor`` in place, in rounds.
+
+    ``normal(n)`` supplies the next ``n`` standard normals of the stream; each
+    round takes the real parts of all deep-faded elements, then their
+    imaginary parts.  Returns the number of element redraws.
+    """
     retries = 0
     mask = np.abs(gains) < floor
     attempts = 0
-    while np.any(mask):
+    while mask.any():
         attempts += 1
         if attempts > max_retries:
             raise ChannelError(
                 f"deep fade persisted beyond {max_retries} retransmissions")
         n_bad = int(mask.sum())
         retries += n_bad
-        redraw = (rng.normal(size=n_bad) + 1j * rng.normal(size=n_bad)) \
-            / math.sqrt(2.0)
+        redraw = (normal(n_bad) + 1j * normal(n_bad)) / math.sqrt(2.0)
         gains[mask] = redraw
         mask = np.abs(gains) < floor
-    return gains, retries
+    return retries
+
+
+# Copies checked for deep fades per vectorized pass; bounds the read-ahead.
+_COPY_CHUNK = 16
+
+
+class _NormalStream:
+    """Standard normals of ``rng`` read ahead in blocks, handed out in order.
+
+    ``Generator.normal(size=a)`` followed by ``normal(size=b)`` yields the same
+    values as ``standard_normal(a + b)``, so reading ahead does not change the
+    stream.  The read-ahead never exceeds what the caller will still take,
+    except on an error path, where :meth:`restore` rewinds ``rng``.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.state = rng.bit_generator.state
+        self.drawn = 0
+        self.buf = np.empty(0)
+        self.pos = 0
+
+    def take(self, n):
+        """The next ``n`` values of the stream."""
+        short = self.pos + n - self.buf.size
+        if short > 0:
+            fresh = self.rng.standard_normal(short)
+            self.drawn += short
+            self.buf = np.concatenate((self.buf[self.pos:], fresh)) \
+                if self.pos < self.buf.size else fresh
+            self.pos = 0
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def restore(self):
+        """Leave ``rng`` just past the values taken, as if none were read ahead."""
+        taken = self.drawn - (self.buf.size - self.pos)
+        self.rng.bit_generator.state = self.state
+        self.rng.standard_normal(taken)
+
+
+def _draw_copies(rng, fade_shape, noise_size, copies, floor, max_retries,
+                 keep_fades):
+    """Fades and receiver noise of ``copies`` independent receptions.
+
+    Draws what a loop of ``draw_fades(fade_shape, ...)`` followed by
+    ``rng.normal(size=noise_size)`` per copy draws, in the same stream order
+    and with the same deep-fade redraws, errors and generator position, but a
+    chunk of copies per numpy pass.  Returns ``(mags, noise, retries)``:
+    ``mags`` holds each copy's final ``|h|`` (``None`` unless ``keep_fades``)
+    and ``noise`` is ``(copies, noise_size)``.
+    """
+    n_fades = math.prod(fade_shape)
+    per_copy = 2 * n_fades + noise_size
+    mags = np.empty((copies, n_fades)) if keep_fades else None
+    noise = np.empty((copies, noise_size))
+    retries = 0
+    normals = _NormalStream(rng)
+    done = 0
+    try:
+        while done < copies:
+            m = min(_COPY_CHUNK, copies - done)
+            block = normals.take(m * per_copy).reshape(m, per_copy)
+            start = normals.pos - m * per_copy
+            gains = (block[:, :n_fades] + 1j * block[:, n_fades:2 * n_fades]) \
+                / math.sqrt(2.0)
+            chunk_mags = np.abs(gains)
+            deep = (chunk_mags < floor).any(axis=1)
+            # Copies before the first deep fade are final as drawn.
+            j = int(deep.argmax()) if deep.any() else m
+            if keep_fades:
+                mags[done:done + j] = chunk_mags[:j]
+            noise[done:done + j] = block[:j, 2 * n_fades:]
+            done += j
+            if j == m:
+                continue
+            # Replay the deep-faded copy: its redraws come right after its
+            # fades in the stream, which shifts every later copy.
+            normals.pos = start + j * per_copy + 2 * n_fades
+            faded = gains[j]
+            retries += _redraw_deep_fades(faded, normals.take, floor,
+                                          max_retries)
+            if keep_fades:
+                mags[done] = np.abs(faded)
+            noise[done] = normals.take(noise_size)
+            done += 1
+    except ChannelError:
+        normals.restore()
+        raise
+    return mags, noise, retries
 
 
 def analog_uplink_aggregate(models, power, rng, copies=1, distance=1.0,
@@ -116,12 +200,16 @@ def analog_uplink_aggregate(models, power, rng, copies=1, distance=1.0,
     ``sqrt(power)/K * sum_k models[k]`` plus unit-variance receiver noise; the
     returned vector is rescaled by ``1/sqrt(power)``, i.e. the client average
     plus noise of per-element variance ``1/(power * copies)``.  ``copies``
-    independent receptions are averaged.  ``noise_scale=0`` disables receiver
+    independent receptions are averaged.  Inversion cancels the fade exactly,
+    so ``distance`` and ``pathloss`` do not change the result; the fades only
+    decide deep-fade retransmissions.  ``noise_scale=0`` disables receiver
     noise (test hook).
 
+    Each copy draws its ``(K, d)`` fades, real then imaginary parts, with
+    their redraws, then its ``d`` noise values, from ``rng``.
+
     Returns ``(aggregate, info)`` with ``info['retries']`` counting deep-fade
-    retransmissions and ``info['peak_power']`` the largest instantaneous
-    transmit power used by any element.
+    retransmissions.
     """
     models = np.atleast_2d(np.asarray(models, dtype=np.float64))
     n_clients, dim = models.shape
@@ -130,22 +218,11 @@ def analog_uplink_aggregate(models, power, rng, copies=1, distance=1.0,
     if copies < 1:
         raise ConfigError("copies must be >= 1")
 
-    large_scale = distance ** (-pathloss / 2.0)
-    total_retries = 0
-    peak_power = 0.0
     mean = models.mean(axis=0)
-    received = []
-    for _ in range(copies):
-        gains, retries = draw_fades((n_clients, dim), rng, floor, max_retries)
-        total_retries += retries
-        # Inversion cancels the channel exactly; its cost shows up as the
-        # instantaneous power sqrt(power)/(large_scale*|h|) per element.
-        inst = power / (large_scale ** 2 * np.abs(gains) ** 2)
-        peak_power = max(peak_power, float(inst.max()))
-        noise = noise_scale * rng.normal(size=dim)
-        received.append(mean + noise / math.sqrt(power))
-    aggregate = diversity_combine(received)
-    return aggregate, {"retries": total_retries, "peak_power": peak_power}
+    _, noise, retries = _draw_copies(rng, (n_clients, dim), dim, copies,
+                                     floor, max_retries, keep_fades=False)
+    received = mean + noise_scale * noise / math.sqrt(power)
+    return diversity_combine(received), {"retries": retries}
 
 
 def analog_downlink_receive(v, power, rng, copies=1, distance=1.0,
@@ -157,7 +234,11 @@ def analog_downlink_receive(v, power, rng, copies=1, distance=1.0,
     inversion floor as the uplink), so copy q carries noise of per-element
     variance ``1/(power * distance**-pathloss * |h_q|^2)``.
 
-    Returns ``(estimate, info)``.
+    Each copy draws its fades, real then imaginary parts, with their redraws,
+    then its noise, from ``rng``.
+
+    Returns ``(estimate, info)`` with ``info['retries']`` counting deep-fade
+    retransmissions.
     """
     v = np.asarray(v, dtype=np.float64)
     if power <= 0:
@@ -165,22 +246,26 @@ def analog_downlink_receive(v, power, rng, copies=1, distance=1.0,
     if copies < 1:
         raise ConfigError("copies must be >= 1")
     gain2 = distance ** (-pathloss)
-    total_retries = 0
-    received = []
-    for _ in range(copies):
-        fades, retries = draw_fades(v.shape, rng, floor, max_retries)
-        total_retries += retries
-        noise_std = noise_scale / np.sqrt(power * gain2 * np.abs(fades) ** 2)
-        received.append(v + noise_std * rng.normal(size=v.shape))
-    return diversity_combine(received), {"retries": total_retries}
+    mags, noise, retries = _draw_copies(rng, v.shape, v.size, copies, floor,
+                                        max_retries, keep_fades=True)
+    noise_std = noise_scale / np.sqrt(power * gain2 * mags ** 2)
+    received = v + (noise_std * noise).reshape((copies,) + v.shape)
+    return diversity_combine(received), {"retries": retries}
 
 
 def diversity_combine(copies):
-    """Average independent receptions; noise variance drops by the copy count."""
-    copies = list(copies)
-    if not copies:
+    """Average independent receptions; noise variance drops by the copy count.
+
+    ``copies`` is a ``(copies, ...)`` array or a sequence of equal-shape
+    receptions.
+    """
+    if isinstance(copies, np.ndarray):
+        stack = copies.astype(np.float64, copy=False)
+    else:
+        copies = [np.asarray(c, dtype=np.float64) for c in copies]
+        stack = np.stack(copies) if copies else np.empty(0)
+    if len(stack) == 0:
         raise CombiningError("no copies to combine")
-    stack = np.stack([np.asarray(c, dtype=np.float64) for c in copies])
     return stack.mean(axis=0)
 
 

@@ -173,7 +173,16 @@ def _max_schedule_excess(experiment, result, rounds=None):
     return max(excesses) if excesses else 0.0
 
 
+def _check_overrides(args):
+    """Reject command-line overrides that the experiment file would reject."""
+    if args.replicas is not None and args.replicas < 1:
+        raise ConfigError("--replicas: must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed: must be >= 0")
+
+
 def cmd_run(args):
+    _check_overrides(args)
     experiment = load_experiment(args.config)
     if args.replicas is not None:
         experiment.replicas = args.replicas
@@ -370,6 +379,7 @@ def _theorem_reports(noise_scale, seed):
 
 
 def cmd_verify(args):
+    _check_overrides(args)
     reports = []
     if args.scope in ("lemmas", "all"):
         reports.extend(_lemma_reports(args.replicas, args.seed))
@@ -416,6 +426,7 @@ def _parse_values(text):
 
 
 def cmd_sweep(args):
+    _check_overrides(args)
     experiment = load_experiment(args.config)
     doc = experiment.to_dict()
     node, leaf = _axis_lookup(doc, args.axis)

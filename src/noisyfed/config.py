@@ -152,6 +152,8 @@ def parse_experiment(doc, source="<config>"):
         task_params = dict(task_node)
 
     _check_mapping(doc["run"], _RUN_KEYS, _RUN_REQUIRED, f"{source}.run")
+    if doc["run"].get("seed", 0) < 0:
+        raise ConfigError(f"{source}.run.seed: must be >= 0")
 
     policy_node = doc["policy"]
     _check_mapping(policy_node, {"name": str, "params": dict}, ("name",),

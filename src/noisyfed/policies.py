@@ -500,6 +500,9 @@ def build_policy(name, params, constants, n_clients, n_participants,
     if name == "diversity_t2":
         _reject_unknown(params, ("rho_uplink", "rho_downlink", "distance",
                                  "pathloss", "variance_scale"))
+        missing = [k for k in ("rho_uplink", "rho_downlink") if k not in params]
+        if missing:
+            raise ConfigError(f"policy {name!r} needs parameters {missing}")
         return DiversityPolicy(lr, n_clients, n_participants, **params)
     raise ConfigError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
 

@@ -1,12 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from noisyfed import (ChannelError, CombiningError, ConfigError, NoiseSpec,
-                      PolicyError, add_effective_noise,
+                      PolicyError, RunConfig, add_effective_noise,
                       analog_downlink_receive, analog_uplink_aggregate,
-                      diversity_combine, measure_global_snr)
+                      diversity_combine, measure_global_snr, run)
 from noisyfed.channel import draw_fades, sample_noise
 
 
@@ -101,6 +102,7 @@ def test_diversity_four_copies_quarter_variance(rng):
     copies = [rng.normal(size=100_000) for _ in range(4)]
     combined = diversity_combine(copies)
     assert abs(combined.var() - 0.25) <= 0.0125
+    assert np.array_equal(diversity_combine(np.stack(copies)), combined)
 
 
 def test_diversity_matches_power_scaling(rng):
@@ -119,6 +121,8 @@ def test_diversity_matches_power_scaling(rng):
 def test_diversity_empty_rejected():
     with pytest.raises(CombiningError):
         diversity_combine([])
+    with pytest.raises(CombiningError):
+        diversity_combine(np.empty((0, 3)))
 
 
 def test_downlink_receive_combining_reduces_noise(rng):
@@ -190,3 +194,152 @@ def test_mdt_noise_power_decomposes(rng):
     contribution = full.noise_power - ablated.noise_power
     expected = dim * n_clients * 0.16
     assert abs(contribution - expected) / expected <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# Byte identity of the analog layer's random-draw order.
+#
+# The golden digests were captured from the per-copy loop implementation
+# (``draw_fades`` then ``rng.normal`` for each copy), which the reference
+# functions below restate.  They pin outputs, retry counts, every
+# ``ChannelError`` message and where the generator is left afterwards.
+# ---------------------------------------------------------------------------
+
+GOLDEN_DOWNLINK = \
+    "e58b2cf714f6b8479dd650fa6e3cfc15afbe8155f9309c6ab90d4330d794a55c"
+GOLDEN_UPLINK = \
+    "f294ba7239affae77c04f9d737c03a236dc0575cd756ef956c564778f54fa872"
+GOLDEN_UPLINK_SILENT = \
+    "3f50cec29979efe39bac36e4f8774564fc19996408bf3d9cc614295498c577e2"
+GOLDEN_DIVERSITY_RUN = \
+    "468cccab196575bdecd9f75c59151e2a34b77782d1276d5df20e5b0a68267467"
+
+_GOLDEN_SEEDS = (0, 1, 2)
+_GOLDEN_FLOORS = (0.05, 0.5, 0.9)
+_GOLDEN_COPIES = range(1, 31)
+
+
+def _reference_downlink(v, power, rng, copies=1, distance=1.0, pathloss=2.0,
+                        floor=0.05, max_retries=10, noise_scale=1.0,
+                        noise_first=False):
+    gain2 = distance ** (-pathloss)
+    retries = 0
+    received = []
+    for _ in range(copies):
+        if noise_first:
+            noise = rng.normal(size=v.shape)
+        fades, r = draw_fades(v.shape, rng, floor, max_retries)
+        retries += r
+        if not noise_first:
+            noise = rng.normal(size=v.shape)
+        noise_std = noise_scale / np.sqrt(power * gain2 * np.abs(fades) ** 2)
+        received.append(v + noise_std * noise)
+    return diversity_combine(received), {"retries": retries}
+
+
+def _reference_uplink(models, power, rng, copies=1, floor=0.05,
+                      max_retries=10, noise_scale=1.0):
+    mean = models.mean(axis=0)
+    retries = 0
+    received = []
+    for _ in range(copies):
+        retries += draw_fades(models.shape, rng, floor, max_retries)[1]
+        noise = noise_scale * rng.normal(size=models.shape[1])
+        received.append(mean + noise / math.sqrt(power))
+    return diversity_combine(received), {"retries": retries}
+
+
+def _analog_digest(call):
+    """SHA-256 over a grid of seeds, floors and copy counts of ``call``."""
+    digest = hashlib.sha256()
+    for seed in _GOLDEN_SEEDS:
+        for floor in _GOLDEN_FLOORS:
+            for copies in _GOLDEN_COPIES:
+                rng = np.random.default_rng(seed * 1000 + copies)
+                try:
+                    out, info = call(rng, copies, floor)
+                    digest.update(out.tobytes())
+                    digest.update(str(info["retries"]).encode())
+                except ChannelError as exc:
+                    digest.update(f"ChannelError: {exc}".encode())
+                digest.update(rng.standard_normal(3).tobytes())
+    return digest.hexdigest()
+
+
+_DOWNLINK_V = np.random.default_rng(91).normal(size=9)
+_UPLINK_MODELS = np.random.default_rng(92).normal(size=(4, 9))
+
+
+def _downlink_digest(fn, **extra):
+    return _analog_digest(lambda rng, copies, floor: fn(
+        _DOWNLINK_V, 3.0, rng, copies=copies, distance=1.5, floor=floor,
+        **extra))
+
+
+def _uplink_digest(fn, **extra):
+    return _analog_digest(lambda rng, copies, floor: fn(
+        _UPLINK_MODELS, 3.0, rng, copies=copies, floor=floor, **extra))
+
+
+def _diversity_run_digest(task):
+    cfg = RunConfig(n_participants=3, rounds=200, local_epochs=2,
+                    batch_size=3, mode="MT", channel="analog_physical",
+                    policy_name="diversity_t2",
+                    policy_params={"rho_uplink": 10.0, "rho_downlink": 10.0},
+                    seed=10)
+    result = run(task, cfg)
+    digest = hashlib.sha256()
+    for trace in result.traces:
+        digest.update(repr(trace.as_row()).encode())
+    digest.update(result.final_model.tobytes())
+    digest.update(str(result.diagnostics["fade_retries"]).encode())
+    return digest.hexdigest()
+
+
+def test_analog_downlink_matches_golden():
+    assert _downlink_digest(analog_downlink_receive) == GOLDEN_DOWNLINK
+
+
+def test_analog_uplink_matches_golden():
+    assert _uplink_digest(analog_uplink_aggregate) == GOLDEN_UPLINK
+    assert _uplink_digest(analog_uplink_aggregate, noise_scale=0.0) \
+        == GOLDEN_UPLINK_SILENT
+
+
+def test_reference_loops_match_golden():
+    assert _downlink_digest(_reference_downlink) == GOLDEN_DOWNLINK
+    assert _uplink_digest(_reference_uplink) == GOLDEN_UPLINK
+
+
+def test_reordered_draws_fail_golden():
+    # Negative control: the same draws with each copy's noise taken before
+    # its fades must not reproduce the digest.
+    assert _downlink_digest(_reference_downlink, noise_first=True) \
+        != GOLDEN_DOWNLINK
+
+
+def test_golden_grid_covers_deep_fade_errors():
+    for fn, args in ((analog_downlink_receive, (_DOWNLINK_V,)),
+                     (analog_uplink_aggregate, (_UPLINK_MODELS,))):
+        with pytest.raises(ChannelError):
+            for copies in _GOLDEN_COPIES:
+                fn(*args, 3.0, np.random.default_rng(copies), copies=copies,
+                   floor=0.9)
+
+
+def test_deep_fade_error_leaves_generator_where_the_loop_does():
+    for seed in range(40):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        outcomes = []
+        for fn, rng in zip((analog_uplink_aggregate, _reference_uplink), rngs):
+            try:
+                outcomes.append(fn(_UPLINK_MODELS, 3.0, rng, copies=6,
+                                   floor=0.9, max_retries=8)[1]["retries"])
+            except ChannelError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_diversity_run_matches_golden(small_task):
+    assert _diversity_run_digest(small_task) == GOLDEN_DIVERSITY_RUN

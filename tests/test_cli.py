@@ -240,3 +240,41 @@ def test_load_experiment_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_experiment(path)
+
+
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_run_rejects_nonpositive_replica_override(tmp_path, capsys, replicas):
+    cfg = write_config(tmp_path, experiment_doc())
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--replicas", replicas, "--out", str(out)]) == 2
+    assert "error: --replicas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_negative_seed_override_is_usage_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, experiment_doc())
+    argv = {"run": ["run", cfg, "--out", str(tmp_path / "o")],
+            "sweep": ["sweep", cfg, "--axis", "run.rounds", "--values", "5",
+                      "--out", str(tmp_path / "o")],
+            "verify": ["verify", "lemmas"]}[command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "error: --seed" in capsys.readouterr().err
+
+
+def test_negative_config_seed_is_usage_error(tmp_path, capsys):
+    doc = experiment_doc()
+    doc["run"]["seed"] = -1
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "run.seed" in capsys.readouterr().err
+
+
+def test_diversity_policy_without_powers_is_usage_error(tmp_path, capsys):
+    doc = experiment_doc(policy={"name": "diversity_t2",
+                                 "params": {"rho_uplink": 2.0}})
+    doc["run"]["channel"] = "analog_physical"
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "error: policy 'diversity_t2' needs parameters ['rho_downlink']" \
+        in capsys.readouterr().err
