@@ -191,8 +191,8 @@ def _draw_copies(rng, fade_shape, noise_size, copies, floor, max_retries,
     return mags, noise, retries
 
 
-def analog_uplink_aggregate(models, power, rng, copies=1, distance=1.0,
-                            pathloss=2.0, floor=INVERSION_FLOOR,
+def analog_uplink_aggregate(models, power, rng, copies=1,
+                            floor=INVERSION_FLOOR,
                             max_retries=MAX_FADE_RETRIES, noise_scale=1.0):
     """Over-the-air sum of simultaneous uploads under channel inversion.
 
@@ -200,10 +200,9 @@ def analog_uplink_aggregate(models, power, rng, copies=1, distance=1.0,
     ``sqrt(power)/K * sum_k models[k]`` plus unit-variance receiver noise; the
     returned vector is rescaled by ``1/sqrt(power)``, i.e. the client average
     plus noise of per-element variance ``1/(power * copies)``.  ``copies``
-    independent receptions are averaged.  Inversion cancels the fade exactly,
-    so ``distance`` and ``pathloss`` do not change the result; the fades only
-    decide deep-fade retransmissions.  ``noise_scale=0`` disables receiver
-    noise (test hook).
+    independent receptions are averaged.  Inversion cancels the fade exactly
+    (pathloss included), so the fades only decide deep-fade retransmissions.
+    ``noise_scale=0`` disables receiver noise (test hook).
 
     Each copy draws its ``(K, d)`` fades, real then imaginary parts, with
     their redraws, then its ``d`` noise values, from ``rng``.

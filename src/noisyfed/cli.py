@@ -11,7 +11,7 @@ Subcommands:
   and total energy.
 
 Exit status is 0 iff everything requested passed; 1 on failed checks or
-diverged replicas; 2 on usage or configuration errors.
+diverged or failed replicas; 2 on usage or configuration errors.
 """
 
 import argparse
@@ -27,11 +27,11 @@ from . import analysis, traceio
 from .config import (BOUND_VARIANT_FOR_POLICY, load_experiment,
                      parse_experiment)
 from .engine import RunConfig, run
-from .errors import (ConfigError, DivergenceError, NoisyFedError,
-                     StatisticalPowerError)
+from .errors import (ChannelError, ConfigError, DivergenceError,
+                     NoisyFedError, StatisticalPowerError)
 from .policies import (LearningRateSchedule, build_policy, mt_full_noise,
                        mt_partial_noise)
-from .seeding import DOMAIN_ORACLE, stream
+from .seeding import DOMAIN_ORACLE, STREAM_LAYOUT, stream
 from .tasks import derive_constants, load_task, make_task
 
 
@@ -61,6 +61,7 @@ def resolved_config(experiment, cfg, result, replica):
         "experiment": doc,
         "replica": replica,
         "seed": cfg.seed,
+        "stream_layout": STREAM_LAYOUT,
         "policy": {"name": result.policy_name, "params": result.policy_params},
         "derived": {
             "mu": c.mu,
@@ -109,7 +110,9 @@ def _worker(payload):
     try:
         return replica, run(task, cfg), None
     except DivergenceError as exc:
-        return replica, None, str(exc)
+        return replica, None, {"kind": "divergence", "error": str(exc)}
+    except ChannelError as exc:
+        return replica, None, {"kind": "channel", "error": str(exc)}
 
 
 def _execute_replicas(experiment, base_seed, workers):
@@ -200,7 +203,7 @@ def cmd_run(args):
     first_resolved = None
     for replica, result, err in results:
         if err is not None:
-            diverged.append({"replica": replica, "error": err})
+            diverged.append({"replica": replica, **err})
             continue
         cfg = replica_config(experiment, replica, base_seed)
         resolved = resolved_config(experiment, cfg, result, replica)
@@ -212,7 +215,8 @@ def cmd_run(args):
                        "final_sq_dist": result.traces[-1].sq_dist,
                        "final_loss": result.traces[-1].loss,
                        "energy_uplink": result.energy_uplink,
-                       "energy_downlink": result.energy_downlink})
+                       "energy_downlink": result.energy_downlink,
+                       **result.diagnostics})
         sq_stack.append([tr.sq_dist for tr in result.traces])
         loss_stack.append([tr.loss for tr in result.traces])
         if rounds is None:
@@ -251,7 +255,8 @@ def cmd_run(args):
     for report in reports:
         print(report.line())
     if diverged:
-        print(f"[WARN] {len(diverged)} replica(s) diverged; see summary.json")
+        print(f"[WARN] {len(diverged)} replica(s) diverged or failed; "
+              "see summary.json")
     if sq_stack:
         print(f"completed {len(finals)}/{experiment.replicas} replicas; "
               f"mean final squared distance {summary['mean_final_sq_dist']:.6g}")

@@ -1,13 +1,21 @@
 """The federated-averaging-over-noisy-channels state machine.
 
 One run executes, per round: uniform client sampling, noisy downlink broadcast
-of the current global model, local mini-batch SGD at each sampled client,
-noisy uplink of either the full local model (``MT``) or its differential
-against the model the client just received (``MDT``), and server-side
-averaging.  Every stochastic component owns a seed-derived stream keyed by
-(domain, client, round), so traces are bit-reproducible, clients can be
-processed in any order, and training all clients while aggregating only the
-sampled ones yields exactly the same trajectory as sampling first.
+of the current global model, local mini-batch SGD at each recipient, noisy
+uplink of either the full local model (``MT``) or its differential against the
+model the client just received (``MDT``), and server-side averaging.  The
+recipients of a round are one ``(n, d)`` array, trained together.
+
+Randomness follows stream layout 2 (:mod:`noisyfed.seeding`).  Per round, one
+generator per domain draws a block with a row for each of the N clients,
+sampled or not: the effective-noise downlink and uplink each a unit-variance
+``(N, d)`` block, row k scaled to client k's variance (nothing is drawn when
+all are zero), and the batches an ``(E, N, D)`` block of uniforms, client k's
+batch at local step j being the ``B`` smallest of row ``[j-1, k]`` (a full
+batch draws nothing).  Client sampling and the analog fades keep streams
+keyed by (domain, client, round).  So traces are bit-reproducible, and
+training all clients but aggregating the sampled ones gives the same
+trajectory as sampling first.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
@@ -19,14 +27,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (NoiseSpec, add_effective_noise, analog_downlink_receive,
-                      analog_uplink_aggregate, measure_global_snr)
-from .errors import AggregationError, ConfigError, DivergenceError
+from .channel import (NOISE_DISTRIBUTIONS, NoiseSpec, add_effective_noise,
+                      analog_downlink_receive, analog_uplink_aggregate,
+                      measure_global_snr, sample_noise)
+from .errors import AggregationError, ConfigError, DivergenceError, PolicyError
 from .policies import build_policy, LearningRateSchedule, mdt_uplink_variance
 from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
                       DOMAIN_FADE_UPLINK, DOMAIN_SAMPLING, DOMAIN_UPLINK,
                       stream)
-from .tasks import derive_constants, stochastic_gradient
+from .tasks import derive_constants
 from .vectors import mean_of, squared_distance
 
 TRACE_COLUMNS = ("t", "sq_dist", "loss", "eta", "sigma2_ul", "zeta2_dl",
@@ -104,6 +113,11 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {TRANSMISSION_MODES}")
         if self.channel not in CHANNEL_LAYERS:
             raise ConfigError(f"channel must be one of {CHANNEL_LAYERS}")
+        if self.distribution not in NOISE_DISTRIBUTIONS:
+            raise ConfigError(
+                f"distribution must be one of {NOISE_DISTRIBUTIONS}")
+        if self.policy_name == "mdt_constant_snr" and self.mode != "MDT":
+            raise ConfigError("policy 'mdt_constant_snr' needs mode 'MDT'")
         if self.schedule_on not in SCHEDULE_TIMELINES:
             raise ConfigError(f"schedule_on must be one of {SCHEDULE_TIMELINES}")
         if self.divergence_factor <= 1:
@@ -162,37 +176,56 @@ def downlink_broadcast(w_global, recipients, variance_for, distribution, rng_for
     return out
 
 
-def local_train(w_start, task, client, n_steps, batch, lr, start_iter, rng,
-                record_iterates=False):
+def local_train(w_start, task, client, n_steps, batch, lr, start_iter, rng):
     """Run ``n_steps`` of mini-batch SGD from ``w_start`` on one client.
 
     The learning rate of local step j is ``lr.eta(start_iter + j)`` on the
-    extended per-iteration timeline.  A full batch uses the exact gradient and
+    extended per-iteration timeline.  Each step's batch is drawn uniformly
+    without replacement from ``rng``; a full batch uses the exact gradient and
     consumes no randomness.
     """
-    size = task.clients[client].size
-    batch = size if batch is None else batch
+    size = task.samples_per_client
+    if batch is not None and batch < 1:
+        raise ConfigError(f"batch must be in [1, {size}]")
+    batches = None if batch is None or batch >= size else np.array(
+        [[rng.choice(size, size=batch, replace=False)] for _ in range(n_steps)])
+    return train_clients(np.asarray(w_start, dtype=np.float64)[None], task,
+                         [client], n_steps, batches, lr, start_iter)[0]
+
+
+def train_clients(w_start, task, clients, n_steps, batches, lr, start_iter):
+    """Run ``n_steps`` of mini-batch SGD for several clients at once.
+
+    Row i of the ``(n, d)`` array ``w_start`` starts ``clients[i]``, which
+    may repeat.  ``batches`` holds each step's sample indices,
+    ``(n_steps, n, B)``, or is None for exact full-batch gradients.  A
+    :class:`DivergenceError` names the first row's client, in the order of
+    ``clients``, whose iterate became non-finite, and its first such step.
+    """
+    clients = np.asarray(clients)
+    rows = clients if batches is None else (clients[None, :, None], batches)
+    feats, targets = task.features[rows], task.targets[rows]
     w = np.array(w_start, dtype=np.float64, copy=True)
-    iterates = []
+    first_bad = np.zeros(len(clients), dtype=int)
     for j in range(1, n_steps + 1):
-        eta = lr.eta(start_iter + j)
-        if batch >= size:
-            grad = task.client_gradient(client, w)
-        else:
-            grad = stochastic_gradient(task, client, w, batch, rng)
-        w = w - eta * grad
-        if not np.all(np.isfinite(w)):
-            raise DivergenceError(
-                f"client {client}: non-finite iterate at local step {j}")
-        if record_iterates:
-            iterates.append(w.copy())
-    if record_iterates:
-        return w, iterates
+        a, y = (feats, targets) if batches is None \
+            else (feats[j - 1], targets[j - 1])
+        residual = (a @ w[:, :, None])[:, :, 0] - y
+        grad = (a.transpose(0, 2, 1) @ residual[:, :, None])[:, :, 0] \
+            / a.shape[1] + task.ridge * w
+        w = w - lr.eta(start_iter + j) * grad
+        if not np.isfinite(w).all():
+            # Non-finite is absorbing; keep only each row's first step.
+            first_bad[~np.isfinite(w).all(axis=1) & (first_bad == 0)] = j
+    if first_bad.any():
+        i = int(np.flatnonzero(first_bad)[0])
+        raise DivergenceError(f"client {clients[i]}: non-finite iterate at "
+                              f"local step {first_bad[i]}")
     return w
 
 
 def uplink_transmit(w_local, mode, w_prev_global, w_received, noise):
-    """Server-side reconstruction of one client's upload.
+    """Server-side reconstruction of uploads, one client or one row each.
 
     ``MT`` uploads the model itself; ``MDT`` uploads the differential against
     the model the client received this round, which the server adds back onto
@@ -227,6 +260,26 @@ def _schedule_indices(cfg, t):
     return t * e, max((t - 1) * e, 1)
 
 
+def _per_client(values, n_clients):
+    """A scalar or per-client schedule value as an ``(n_clients,)`` array."""
+    return np.broadcast_to(np.asarray(values, dtype=np.float64), (n_clients,))
+
+
+def _block_noise(seed, domain, t, distribution, n_clients, dim, rows,
+                 variances):
+    """Rows ``rows`` of round t's unit-variance ``(n_clients, dim)`` noise
+    block of ``domain``, row i scaled to per-element variance
+    ``variances[i]``.  If every variance is zero, nothing is drawn."""
+    variances = np.asarray(variances, dtype=np.float64)
+    if variances.min() < 0:
+        raise PolicyError("noise variance must be non-negative")
+    if not variances.any():
+        return np.zeros((len(variances), dim))
+    unit = sample_noise(NoiseSpec(1.0, distribution), (n_clients, dim),
+                        stream(seed, domain, t))
+    return unit[rows] * np.sqrt(variances)[:, None]
+
+
 def run(task, config, policy=None):
     """Execute a run and return its :class:`RunResult`.
 
@@ -242,6 +295,8 @@ def run(task, config, policy=None):
         else task.samples_per_client
     epochs = config.local_epochs
     seed = config.seed
+    distribution = config.distribution
+    effective = config.channel == "effective_noise"
 
     w_star = task.global_optimum()
     w0 = np.zeros(dim) if config.w0 is None \
@@ -249,8 +304,7 @@ def run(task, config, policy=None):
     if w0.shape != (dim,):
         raise ConfigError("w0 has the wrong dimension")
     initial_sq = squared_distance(w0, w_star)
-    start_dist = math.sqrt(initial_sq)
-    radius = config.trajectory_radius_factor * max(start_dist, 1.0)
+    radius = config.trajectory_radius_factor * max(math.sqrt(initial_sq), 1.0)
     constants = derive_constants(task, batch, radius)
     lr = LearningRateSchedule.from_constants(constants, epochs)
     if policy is None:
@@ -261,6 +315,7 @@ def run(task, config, policy=None):
     if record_virtual and n_participants != n_clients:
         raise ConfigError("virtual-sequence tracing requires full participation")
     train_all = config.virtual_all_clients or record_virtual
+    all_clients = np.arange(n_clients)
 
     # Divergence guard; floored so a start at the optimum still tolerates noise.
     guard = config.divergence_factor * max(initial_sq, 1.0)
@@ -274,113 +329,94 @@ def run(task, config, policy=None):
     mean_down_noises = []
     energy_ul = 0.0
     energy_dl = 0.0
-    max_iterate_dist = start_dist
+    max_iterate_sq = initial_sq
     fade_retries = 0
-
-    def downlink_variance(rp, k):
-        return rp.downlink_variance_for(k)
 
     for t in range(1, config.rounds + 1):
         idx_up, idx_down = _schedule_indices(config, t)
         rp_up = policy.round_params(idx_up)
         rp_down = rp_up if idx_down == idx_up else policy.round_params(idx_down)
 
-        selected = sample_clients(n_clients, n_participants,
-                                  stream(seed, DOMAIN_SAMPLING, 0, t))
+        # Full participation selects everyone; the sampling stream is
+        # separate, so not drawing it changes no other draw.
+        selected = all_clients if n_participants == n_clients else \
+            sample_clients(n_clients, n_participants,
+                           stream(seed, DOMAIN_SAMPLING, 0, t))
         sampled_sets.append(selected)
-        recipients = np.arange(n_clients) if train_all else selected
+        recipients = all_clients if train_all else selected
+        sel = selected if train_all else slice(None)   # rows of the sampled
+        zeta2 = _per_client(rp_down.downlink_variance, n_clients)[recipients]
 
         # (1) Downlink broadcast.
-        received = {}
-        down_noises = {}
-        if config.channel == "effective_noise":
-            delivered = downlink_broadcast(
-                w, recipients,
-                lambda k: downlink_variance(rp_down, k),
-                config.distribution,
-                lambda k: stream(seed, DOMAIN_DOWNLINK, int(k), t))
-            for k, (w_hat, noise) in delivered.items():
-                received[k] = w_hat
-                down_noises[k] = noise
+        if effective:
+            received = w + _block_noise(seed, DOMAIN_DOWNLINK, t, distribution,
+                                        n_clients, dim, recipients, zeta2)
         else:
-            for k in recipients:
-                k = int(k)
-                est, info = analog_downlink_receive(
+            received = np.empty((len(recipients), dim))
+            for i, k in enumerate(recipients):
+                received[i], info = analog_downlink_receive(
                     w, power=rp_down.rho_dl,
-                    rng=stream(seed, DOMAIN_FADE_DOWNLINK, k, t),
+                    rng=stream(seed, DOMAIN_FADE_DOWNLINK, int(k), t),
                     copies=rp_down.div_dl)
                 fade_retries += info["retries"]
-                received[k] = est
-                down_noises[k] = est - w
 
         # (2) Local mini-batch SGD.
-        local = {}
-        for k in recipients:
-            k = int(k)
-            max_iterate_dist = max(max_iterate_dist,
-                                   math.sqrt(squared_distance(received[k], w_star)))
-            w_local = local_train(received[k], task, k, epochs, batch, lr,
-                                  start_iter=(t - 1) * epochs,
-                                  rng=stream(seed, DOMAIN_BATCH, k, t))
-            local[k] = w_local
-            max_iterate_dist = max(max_iterate_dist,
-                                   math.sqrt(squared_distance(w_local, w_star)))
+        batches = None
+        if batch < task.samples_per_client:
+            u = stream(seed, DOMAIN_BATCH, t).random(
+                (epochs, n_clients, task.samples_per_client))
+            batches = np.argpartition(u[:, recipients], batch - 1,
+                                      axis=-1)[..., :batch]
+        local = train_clients(received, task, recipients, epochs, batches, lr,
+                              (t - 1) * epochs)
+        visited = np.concatenate((received, local)) - w_star
+        max_iterate_sq = max(max_iterate_sq,
+                             float(np.max(np.sum(visited * visited, axis=1))))
 
         # (3) Uplink transmission and (4) aggregation.
-        realized_sigma2 = []
-        if config.channel == "effective_noise":
-            uploads = []
-            up_noises = []
-            for k in selected:
-                k = int(k)
-                var = rp_up.uplink_variance_for(k)
-                if var is None:
-                    diff = local[k] - received[k]
-                    var = mdt_uplink_variance(diff, rp_up.snr_target)
-                realized_sigma2.append(var)
-                spec = NoiseSpec(variance=var, distribution=config.distribution)
-                rng_up = stream(seed, DOMAIN_UPLINK, k, t)
-                noise = add_effective_noise(np.zeros(dim), spec, rng_up) \
-                    if var > 0 else np.zeros(dim)
-                up_noises.append(noise)
-                uploads.append(uplink_transmit(local[k], config.mode, w,
-                                               received[k], noise))
-            w_next = aggregate(uploads)
-            mean_up_noises.append(np.mean(up_noises, axis=0))
+        if effective:
+            if rp_up.uplink_variance is None:
+                sigma2 = np.array([
+                    mdt_uplink_variance(diff, rp_up.snr_target)
+                    for diff in local[sel] - received[sel]])
+            else:
+                sigma2 = _per_client(rp_up.uplink_variance, n_clients)[selected]
+            up_noise = _block_noise(seed, DOMAIN_UPLINK, t, distribution,
+                                    n_clients, dim, selected, sigma2)
+            uploads = uplink_transmit(local[sel], config.mode, w,
+                                      received[sel], up_noise)
+            w_next = uploads.mean(axis=0)
+            mean_up_noises.append(up_noise.mean(axis=0))
         else:
-            payload = np.stack([
-                local[int(k)] if config.mode == "MT"
-                else local[int(k)] - received[int(k)]
-                for k in selected])
+            payload = local[sel] if config.mode == "MT" \
+                else local[sel] - received[sel]
             agg, info = analog_uplink_aggregate(
                 payload, power=rp_up.rho_ul,
                 rng=stream(seed, DOMAIN_FADE_UPLINK, 0, t),
                 copies=rp_up.div_ul)
             fade_retries += info["retries"]
             w_next = agg if config.mode == "MT" else w + agg
-            payload_mean = payload.mean(axis=0)
-            mean_up_noises.append(agg - payload_mean)
-            realized_sigma2.append(1.0 / (rp_up.rho_ul * rp_up.div_ul))
+            mean_up_noises.append(agg - payload.mean(axis=0))
+            sigma2 = 1.0 / (rp_up.rho_ul * rp_up.div_ul)
 
-        mean_down_noises.append(
-            np.mean([down_noises[int(k)] for k in recipients], axis=0))
+        mean_down_noises.append((received - w).mean(axis=0))
 
         # Realized global SNR from the simulation's ground truth.
-        signal_sum = np.sum([local[int(k)] for k in selected], axis=0)
+        signal_sum = local[sel].sum(axis=0)
         noise_sum = n_participants * w_next - signal_sum
         snr = measure_global_snr(signal_sum, noise_sum, config.mode)
 
         energy_ul += rp_up.energy_ul
         energy_dl += rp_down.energy_dl
-        sq = squared_distance(w_next, w_star)
+        sq = squared_distance(w_next, w_star) \
+            if np.all(np.isfinite(w_next)) else math.inf
         trace = RoundTrace(
             t=t,
             sq_dist=sq,
             loss=task.global_loss(w_next),
             eta=lr.eta((t - 1) * epochs + 1),
-            sigma2_ul=float(np.mean(realized_sigma2)),
-            zeta2_dl=float(np.mean([downlink_variance(rp_down, int(k))
-                                    for k in recipients])),
+            sigma2_ul=float(np.mean(sigma2)),
+            zeta2_dl=float(np.mean(zeta2)),
             rho_ul=rp_up.rho_ul,
             rho_dl=rp_down.rho_dl,
             div_ul=rp_up.div_ul,
@@ -391,39 +427,36 @@ def run(task, config, policy=None):
         traces.append(trace)
 
         if record_virtual:
-            all_local = np.stack([local[k] for k in range(n_clients)])
-            v_bar = all_local.mean(axis=0)
-            u_bar = np.mean([local[int(k)] for k in selected], axis=0)
             if pending_virtual is not None:
                 virtual.append(pending_virtual)
             pending_virtual = VirtualSequences(
-                round_index=t, v_bar=v_bar, u_bar=u_bar, p_bar=w_next.copy(),
+                round_index=t, v_bar=local.mean(axis=0),
+                u_bar=local[sel].mean(axis=0), p_bar=w_next.copy(),
                 w_bar=None)
             if virtual:
                 prev = virtual[-1]
                 virtual[-1] = replace(
                     prev, w_bar=prev.p_bar + mean_down_noises[-1])
 
-        if not np.all(np.isfinite(w_next)) or sq > guard:
+        if sq > guard:
             raise DivergenceError(
                 f"round {t}: squared distance {sq:.3e} exceeded the guard "
                 f"{guard:.3e}", traces=traces)
         w = w_next
 
     if record_virtual and pending_virtual is not None:
-        # Complete the last w_bar with a final virtual broadcast.
+        # Complete the last w_bar with a final virtual broadcast, drawn from
+        # round T+1's downlink block.
         t_final = config.rounds + 1
         _, idx_down = _schedule_indices(config, t_final)
         rp_final = policy.round_params(idx_down)
-        tail = downlink_broadcast(
-            w, np.arange(n_clients),
-            lambda k: downlink_variance(rp_final, k),
-            config.distribution,
-            lambda k: stream(seed, DOMAIN_DOWNLINK, int(k), t_final))
-        tail_mean = np.mean([noise for (_, noise) in tail.values()], axis=0)
+        tail = _block_noise(seed, DOMAIN_DOWNLINK, t_final, distribution,
+                            n_clients, dim, all_clients,
+                            _per_client(rp_final.downlink_variance, n_clients))
         virtual.append(replace(pending_virtual,
-                               w_bar=pending_virtual.p_bar + tail_mean))
+                               w_bar=pending_virtual.p_bar + tail.mean(axis=0)))
 
+    max_iterate_dist = math.sqrt(max_iterate_sq)
     diagnostics = {
         "max_iterate_distance": max_iterate_dist,
         "trajectory_radius": radius,

@@ -30,12 +30,6 @@ def db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)
 
 
-def linear_to_db(snr_linear):
-    if snr_linear <= 0:
-        raise PolicyError("linear SNR must be positive")
-    return 10.0 * math.log10(snr_linear)
-
-
 @dataclass(frozen=True)
 class LearningRateSchedule:
     """Inverse-time learning rate eta_t = 2 / (mu * (gamma + t)).
@@ -219,11 +213,6 @@ class RoundPolicy:
         if np.ndim(self.uplink_variance) == 0:
             return float(self.uplink_variance)
         return float(self.uplink_variance[client])
-
-    def downlink_variance_for(self, client):
-        if np.ndim(self.downlink_variance) == 0:
-            return float(self.downlink_variance)
-        return float(self.downlink_variance[client])
 
 
 class NoiseFreePolicy:

@@ -1,18 +1,24 @@
 """Deterministic, collision-free random streams.
 
 Every stochastic component of a run draws from its own generator, derived
-from ``(master seed, domain, client, round)``.  Client and round streams are
-therefore independent of execution order and of which clients happen to be
-sampled, which is what makes the all-clients-train / sampled-clients-train
+from the master seed, a domain and a key.  Under stream layout 2 the
+effective-noise downlink, the mini-batches and the effective-noise uplink are
+keyed by round: one generator per (domain, round) yields a block with a row
+for every client, sampled or not.  Client sampling and the analog fades keep
+per-client keys (client, round).  Rows belong to clients, not to execution
+order, which is what makes the all-clients-train / sampled-clients-train
 equivalence exact and lets replicas run in parallel without shared state.
 """
 
 import numpy as np
 
+#: Version of the mapping from seeds and keys to draws, written into every
+#: trace header.  Changing the layout changes traces.
+STREAM_LAYOUT = 2
+
 # Stream domains.  Values are part of the determinism contract: changing them
 # changes every trace.
 DOMAIN_SAMPLING = 0
-DOMAIN_INIT = 1
 DOMAIN_DOWNLINK = 2
 DOMAIN_BATCH = 3
 DOMAIN_UPLINK = 4
@@ -21,10 +27,14 @@ DOMAIN_FADE_DOWNLINK = 6
 DOMAIN_ORACLE = 7
 
 
-def stream(master_seed, domain, client=0, round_index=0):
-    """Return the generator owned by (domain, client, round) under a master seed."""
-    if master_seed < 0 or domain < 0 or client < 0 or round_index < 0:
+def stream(master_seed, domain, *key):
+    """Return the generator owned by ``(domain, *key)`` under a master seed.
+
+    ``key`` is ``(client, round)`` for a per-client stream or ``(round,)``
+    for a per-round block; keys of different lengths never collide.
+    """
+    if min(master_seed, domain, *key) < 0:
         raise ValueError("seed components must be non-negative")
     seq = np.random.SeedSequence(entropy=master_seed,
-                                 spawn_key=(domain, client, round_index))
+                                 spawn_key=(domain, *key))
     return np.random.default_rng(seq)

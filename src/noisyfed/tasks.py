@@ -62,6 +62,9 @@ class QuadraticTask:
             if c.features.shape[1] != dim:
                 raise TaskError("client feature dimension does not match task")
         self.clients = clients
+        # Stacked copies for batched local training: (N, D, d) and (N, D).
+        self.features = np.stack([c.features for c in clients])
+        self.targets = np.stack([c.targets for c in clients])
         self.ridge = float(ridge)
         self.dim = int(dim)
         self._check_strong_convexity()

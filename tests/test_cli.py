@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from noisyfed import ConfigError, make_task, save_task
+from noisyfed import ChannelError, ConfigError, make_task, run, save_task
+from noisyfed import cli
 from noisyfed.cli import main
 from noisyfed.config import load_experiment, parse_experiment
 from noisyfed.traceio import read_trace
@@ -80,6 +81,7 @@ def test_run_writes_traces_and_summary(tmp_path):
     assert files == ["mean_trace.csv", "summary.json", "trace_rep000.csv",
                      "trace_rep001.csv", "trace_rep002.csv"]
     config, rows = read_trace(out / "trace_rep000.csv")
+    assert config["stream_layout"] == 2
     assert config["derived"]["mu"] > 0
     assert config["derived"]["rate_constant"] > 0
     assert [r["t"] for r in rows] == list(range(1, 41))
@@ -124,6 +126,7 @@ def test_run_reports_divergence(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["diverged"]
+    assert all(d["kind"] == "divergence" for d in summary["diverged"])
 
 
 def test_run_invalid_config_exit_code(tmp_path):
@@ -277,4 +280,55 @@ def test_diversity_policy_without_powers_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "error: policy 'diversity_t2' needs parameters ['rho_downlink']" \
+        in capsys.readouterr().err
+
+
+def test_run_records_channel_failure_per_replica(tmp_path, monkeypatch,
+                                                 capsys):
+    # Replica 1 (seed 18) fails in the channel; the others complete.
+    def flaky_run(task, cfg):
+        if cfg.seed == 18:
+            raise ChannelError("deep fade persisted beyond 10 retransmissions")
+        return run(task, cfg)
+
+    monkeypatch.setattr(cli, "run", flaky_run)
+    doc = experiment_doc()
+    doc["checks"] = []
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"] == [
+        {"replica": 1, "kind": "channel",
+         "error": "deep fade persisted beyond 10 retransmissions"}]
+    assert summary["completed"] + len(summary["diverged"]) == doc["replicas"]
+    assert [r["replica"] for r in summary["replicas"]] == [0, 2]
+    assert not (out / "trace_rep001.csv").exists()
+    assert "[WARN] 1 replica(s) diverged or failed" in capsys.readouterr().out
+
+
+def test_summary_carries_replica_diagnostics(tmp_path):
+    doc = experiment_doc()
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    experiment = parse_experiment(doc)
+    task = cli.build_task(experiment)
+    for entry in summary["replicas"]:
+        result = run(task, cli.replica_config(experiment, entry["replica"],
+                                              17))
+        for key in ("max_iterate_distance", "trajectory_radius",
+                    "radius_exceeded", "fade_retries"):
+            assert entry[key] == result.diagnostics[key], key
+        assert entry["radius_exceeded"] == \
+            (entry["max_iterate_distance"] > entry["trajectory_radius"])
+
+
+def test_mdt_policy_with_model_upload_is_usage_error(tmp_path, capsys):
+    doc = experiment_doc(policy={"name": "mdt_constant_snr",
+                                 "params": {"snr_target": 10.0}})
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "error: policy 'mdt_constant_snr' needs mode 'MDT'" \
         in capsys.readouterr().err

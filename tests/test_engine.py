@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -8,8 +9,10 @@ from noisyfed import (ClientData, ConfigError, DivergenceError,
                       LearningRateSchedule, QuadraticTask, RunConfig,
                       aggregate, local_train, make_task, run, sample_clients,
                       uplink_transmit)
-from noisyfed.engine import downlink_broadcast
-from noisyfed.seeding import DOMAIN_DOWNLINK, stream
+from noisyfed import engine
+from noisyfed.engine import (CHANNEL_LAYERS, TRANSMISSION_MODES,
+                             downlink_broadcast, train_clients)
+from noisyfed.seeding import DOMAIN_DOWNLINK, DOMAIN_UPLINK, stream
 
 
 def test_sample_clients_full_set(rng):
@@ -313,3 +316,120 @@ def test_trace_rounds_strictly_increasing(small_task):
     result = run(small_task, cfg)
     ts = [tr.t for tr in result.traces]
     assert ts == list(range(1, 13))
+
+
+def test_run_config_rejects_meaningless_combinations():
+    with pytest.raises(ConfigError, match="needs mode 'MDT'"):
+        RunConfig(n_participants=3, rounds=5, mode="MT",
+                  policy_name="mdt_constant_snr")
+    with pytest.raises(ConfigError, match="distribution"):
+        RunConfig(n_participants=3, rounds=5, distribution="cauchy")
+
+
+# ---------------------------------------------------------------------------
+# Stream layout 2: one block per (domain, round) with a row for every client.
+#
+# The golden digest was captured when layout 2 was introduced.  It pins the
+# trace rows, final model and fade retries of short runs over every channel,
+# mode, noise distribution and participation level.
+# ---------------------------------------------------------------------------
+
+GOLDEN_LAYOUT_2 = \
+    "8a1a331fbecbc6fd4659a9c633963115a1fdf90294f7c4257c0185bcc307207f"
+
+
+def _layout_policy(channel, mode, participants):
+    if channel == "analog_physical":
+        return "power_t2", {}
+    if mode == "MDT":
+        return "mdt_constant_snr", {"snr_target": 5.0}
+    return ("mt_full" if participants == 6 else "mt_partial"), {}
+
+
+def _layout_digest(task):
+    digest = hashlib.sha256()
+    for channel in CHANNEL_LAYERS:
+        for mode in TRANSMISSION_MODES:
+            for distribution in ("gaussian", "uniform", "laplace"):
+                for participants in (6, 3):
+                    policy, params = _layout_policy(channel, mode,
+                                                    participants)
+                    result = run(task, RunConfig(
+                        n_participants=participants, rounds=12,
+                        local_epochs=2, batch_size=3, mode=mode,
+                        channel=channel, distribution=distribution,
+                        policy_name=policy, policy_params=params, seed=31))
+                    for trace in result.traces:
+                        digest.update(repr(trace.as_row()).encode())
+                    digest.update(result.final_model.tobytes())
+                    digest.update(
+                        str(result.diagnostics["fade_retries"]).encode())
+    return digest.hexdigest()
+
+
+def test_stream_layout_2_matches_golden(small_task):
+    assert _layout_digest(small_task) == GOLDEN_LAYOUT_2
+
+
+def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
+    # Negative control: drawing the downlink from the uplink's block and
+    # vice versa must not reproduce the digest.
+    monkeypatch.setattr(engine, "DOMAIN_DOWNLINK", DOMAIN_UPLINK)
+    monkeypatch.setattr(engine, "DOMAIN_UPLINK", DOMAIN_DOWNLINK)
+    assert _layout_digest(small_task) != GOLDEN_LAYOUT_2
+
+
+def test_batched_local_sgd_matches_per_client_loop(small_task,
+                                                   small_constants):
+    lr = LearningRateSchedule.from_constants(small_constants, 4)
+    rng = np.random.default_rng(8)
+    clients = np.array([0, 2, 3, 5])
+    starts = rng.normal(size=(4, small_task.dim))
+    batches = np.argpartition(rng.random((4, 4, 12)), 2, axis=-1)[..., :3]
+    sampled = train_clients(starts, small_task, clients, 4, batches, lr, 6)
+    full = train_clients(starts, small_task, clients, 4, None, lr, 6)
+    for i, k in enumerate(clients):
+        w_sampled = w_full = starts[i]
+        for j in range(1, 5):
+            eta = lr.eta(6 + j)
+            w_sampled = w_sampled - eta * small_task.sample_gradient(
+                k, w_sampled, batches[j - 1, i])
+            w_full = w_full - eta * small_task.client_gradient(k, w_full)
+        np.testing.assert_allclose(sampled[i], w_sampled, rtol=1e-13)
+        np.testing.assert_allclose(full[i], w_full, rtol=1e-13)
+
+    # local_train draws each step's batch with rng.choice, as before.
+    out = local_train(starts[0], small_task, 2, 4, 3, lr, 6,
+                      np.random.default_rng(9))
+    picks = np.random.default_rng(9)
+    w = starts[0]
+    for j in range(1, 5):
+        w = w - lr.eta(6 + j) * small_task.sample_gradient(
+            2, w, picks.choice(12, size=3, replace=False))
+    np.testing.assert_allclose(out, w, rtol=1e-13)
+    with pytest.raises(ConfigError):
+        local_train(starts[0], small_task, 2, 4, 0, lr, 6, picks)
+
+
+def _first_nonfinite_step(task, client, w, lr, n_steps):
+    for j in range(1, n_steps + 1):
+        w = w - lr.eta(j) * task.client_gradient(client, w)
+        if not np.all(np.isfinite(w)):
+            return j
+    return None
+
+
+def test_divergence_names_lowest_client_and_its_first_step(small_task):
+    # A learning rate far above 1/L multiplies the iterate by about 100 per
+    # step, so each start's magnitude sets when its client overflows.
+    lr = LearningRateSchedule(mu=1e-3, kappa=1.0, local_epochs=1)
+    clients = np.array([1, 3, 4])
+    starts = np.ones((3, small_task.dim)) * np.array([[1e250], [1e300], [1.0]])
+    with np.errstate(all="ignore"):
+        steps = [_first_nonfinite_step(small_task, k, starts[i], lr, 60)
+                 for i, k in enumerate(clients)]
+        assert steps[1] < steps[0] and steps[2] is None
+        with pytest.raises(DivergenceError) as excinfo:
+            train_clients(starts, small_task, clients, 60, None, lr, 0)
+    assert str(excinfo.value) == \
+        f"client 1: non-finite iterate at local step {steps[0]}"
