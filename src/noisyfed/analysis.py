@@ -12,7 +12,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import train_clients
 from .errors import ConfigError, StatisticalPowerError
 from .policies import LearningRateSchedule
 from .tasks import derive_constants
@@ -272,12 +271,25 @@ def client_sampling_oracle(models, n_participants, eta, local_epochs,
 
 def _train_replicas(task, client, starts, local_epochs, batch, lr, start_iter,
                     rng):
-    """Mini-batch SGD of one client over the replica rows of ``starts``."""
-    n_rep, size = len(starts), task.samples_per_client
-    picks = None if batch >= size else np.argpartition(
-        rng.random((local_epochs, n_rep, size)), batch - 1, axis=-1)[..., :batch]
-    return train_clients(starts, task, np.full(n_rep, client), local_epochs,
-                         picks, lr, start_iter)
+    """Vectorized mini-batch SGD over replica rows of ``starts`` (R, dim)."""
+    c = task.clients[client]
+    size = c.size
+    w = np.array(starts, dtype=np.float64, copy=True)
+    n_rep = w.shape[0]
+    for j in range(1, local_epochs + 1):
+        eta = lr.eta(start_iter + j)
+        if batch >= size:
+            resid = w @ c.features.T - c.targets[None, :]
+            grads = resid @ c.features / size + task.ridge * w
+        else:
+            picks = np.argpartition(rng.random((n_rep, size)), batch - 1,
+                                    axis=1)[:, :batch]
+            rows = c.features[picks]                       # (R, B, dim)
+            resid = np.einsum("rbd,rd->rb", rows, w) - c.targets[picks]
+            grads = np.einsum("rb,rbd->rd", resid, rows) / batch \
+                + task.ridge * w
+        w = w - eta * grads
+    return w
 
 
 def differential_upload_oracle(task, w_prev, n_participants, snr_target,
@@ -351,13 +363,26 @@ def sgd_one_step_oracle(task, state, lr, iter_index, batch, replicas, rng,
     _require_replicas(replicas)
     state = np.atleast_2d(np.asarray(state, dtype=np.float64))
     n_clients = state.shape[0]
+    dim = state.shape[1]
     w_star = constants.opt
     eta = lr.eta(iter_index)
 
     w_bar = state.mean(axis=0)
-    v_bar = sum(_train_replicas(task, k, np.tile(state[k], (replicas, 1)), 1,
-                                batch, lr, iter_index - 1, rng)
-                for k in range(n_clients)) / n_clients
+    mean_grads = np.zeros((replicas, dim))
+    for k in range(n_clients):
+        c = task.clients[k]
+        size = c.size
+        if batch >= size:
+            mean_grads += task.client_gradient(k, state[k])[None, :]
+        else:
+            picks = np.argpartition(rng.random((replicas, size)), batch - 1,
+                                    axis=1)[:, :batch]
+            rows = c.features[picks]
+            resid = np.einsum("rbd,d->rb", rows, state[k]) - c.targets[picks]
+            mean_grads += np.einsum("rb,rbd->rd", resid, rows) / batch \
+                + task.ridge * state[k][None, :]
+    mean_grads /= n_clients
+    v_bar = w_bar[None, :] - eta * mean_grads
     diff = v_bar - w_star[None, :]
     lhs_samples = np.einsum("rd,rd->r", diff, diff)
     estimate = float(lhs_samples.mean())

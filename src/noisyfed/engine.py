@@ -27,16 +27,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (NOISE_DISTRIBUTIONS, NoiseSpec, add_effective_noise,
-                      analog_downlink_receive, analog_uplink_aggregate,
-                      measure_global_snr, sample_noise)
+from .channel import (NOISE_DISTRIBUTIONS, NoiseSpec, analog_downlink_receive,
+                      analog_uplink_aggregate, measure_global_snr,
+                      sample_noise)
 from .errors import AggregationError, ConfigError, DivergenceError, PolicyError
 from .policies import build_policy, LearningRateSchedule, mdt_uplink_variance
 from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
                       DOMAIN_FADE_UPLINK, DOMAIN_SAMPLING, DOMAIN_UPLINK,
                       stream)
 from .tasks import derive_constants
-from .vectors import mean_of, squared_distance
+from .vectors import squared_distance
 
 TRACE_COLUMNS = ("t", "sq_dist", "loss", "eta", "sigma2_ul", "zeta2_dl",
                  "rho_ul", "rho_dl", "div_ul", "div_dl", "snr_global",
@@ -162,38 +162,7 @@ def sample_clients(n_clients, n_participants, rng):
     return np.sort(picked)
 
 
-def downlink_broadcast(w_global, recipients, variance_for, distribution, rng_for):
-    """Deliver the global model to each recipient over its own noisy link.
-
-    ``variance_for``/``rng_for`` map a client index to its noise variance and
-    generator.  Returns ``{client: (received, noise)}``.
-    """
-    out = {}
-    for k in recipients:
-        spec = NoiseSpec(variance=variance_for(k), distribution=distribution)
-        received = add_effective_noise(w_global, spec, rng_for(k))
-        out[int(k)] = (received, received - w_global)
-    return out
-
-
-def local_train(w_start, task, client, n_steps, batch, lr, start_iter, rng):
-    """Run ``n_steps`` of mini-batch SGD from ``w_start`` on one client.
-
-    The learning rate of local step j is ``lr.eta(start_iter + j)`` on the
-    extended per-iteration timeline.  Each step's batch is drawn uniformly
-    without replacement from ``rng``; a full batch uses the exact gradient and
-    consumes no randomness.
-    """
-    size = task.samples_per_client
-    if batch is not None and batch < 1:
-        raise ConfigError(f"batch must be in [1, {size}]")
-    batches = None if batch is None or batch >= size else np.array(
-        [[rng.choice(size, size=batch, replace=False)] for _ in range(n_steps)])
-    return train_clients(np.asarray(w_start, dtype=np.float64)[None], task,
-                         [client], n_steps, batches, lr, start_iter)[0]
-
-
-def train_clients(w_start, task, clients, n_steps, batches, lr, start_iter):
+def local_train(w_start, task, clients, n_steps, batches, lr, start_iter):
     """Run ``n_steps`` of mini-batch SGD for several clients at once.
 
     Row i of the ``(n, d)`` array ``w_start`` starts ``clients[i]``, which
@@ -243,12 +212,12 @@ def uplink_transmit(w_local, mode, w_prev_global, w_received, noise):
     raise ConfigError(f"unknown transmission mode {mode!r}")
 
 
-def aggregate(received):
-    """Plain average of the received models (equal dataset sizes)."""
-    received = list(received)
-    if not received:
+def aggregate(uploads):
+    """Plain average of the ``(n, d)`` uploads (equal dataset sizes)."""
+    uploads = np.asarray(uploads, dtype=np.float64)
+    if len(uploads) == 0:
         raise AggregationError("no received models to aggregate")
-    return mean_of(received)
+    return uploads.mean(axis=0)
 
 
 def _schedule_indices(cfg, t):
@@ -278,6 +247,16 @@ def _block_noise(seed, domain, t, distribution, n_clients, dim, rows,
     unit = sample_noise(NoiseSpec(1.0, distribution), (n_clients, dim),
                         stream(seed, domain, t))
     return unit[rows] * np.sqrt(variances)[:, None]
+
+
+def downlink_broadcast(w_global, seed, t, distribution, n_clients, recipients,
+                       variances):
+    """Round t's effective-noise broadcast of the global model: one received
+    row per recipient, perturbed by its row of the round's downlink block at
+    per-element variance ``variances[i]`` (zero gives an exact copy)."""
+    return w_global + _block_noise(seed, DOMAIN_DOWNLINK, t, distribution,
+                                   n_clients, len(w_global), recipients,
+                                   variances)
 
 
 def run(task, config, policy=None):
@@ -349,8 +328,8 @@ def run(task, config, policy=None):
 
         # (1) Downlink broadcast.
         if effective:
-            received = w + _block_noise(seed, DOMAIN_DOWNLINK, t, distribution,
-                                        n_clients, dim, recipients, zeta2)
+            received = downlink_broadcast(w, seed, t, distribution, n_clients,
+                                          recipients, zeta2)
         else:
             received = np.empty((len(recipients), dim))
             for i, k in enumerate(recipients):
@@ -361,14 +340,16 @@ def run(task, config, policy=None):
                 fade_retries += info["retries"]
 
         # (2) Local mini-batch SGD.
+        # Round t's (E, N, D) uniform block, read one (N, D) step at a time
+        # so that only one step's draws are held.
         batches = None
         if batch < task.samples_per_client:
-            u = stream(seed, DOMAIN_BATCH, t).random(
-                (epochs, n_clients, task.samples_per_client))
-            batches = np.argpartition(u[:, recipients], batch - 1,
-                                      axis=-1)[..., :batch]
-        local = train_clients(received, task, recipients, epochs, batches, lr,
-                              (t - 1) * epochs)
+            rng = stream(seed, DOMAIN_BATCH, t)
+            batches = np.array([np.argpartition(
+                rng.random((n_clients, task.samples_per_client))[recipients],
+                batch - 1, axis=-1)[:, :batch] for _ in range(epochs)])
+        local = local_train(received, task, recipients, epochs, batches, lr,
+                            (t - 1) * epochs)
         visited = np.concatenate((received, local)) - w_star
         max_iterate_sq = max(max_iterate_sq,
                              float(np.max(np.sum(visited * visited, axis=1))))
@@ -385,7 +366,7 @@ def run(task, config, policy=None):
                                     n_clients, dim, selected, sigma2)
             uploads = uplink_transmit(local[sel], config.mode, w,
                                       received[sel], up_noise)
-            w_next = uploads.mean(axis=0)
+            w_next = aggregate(uploads)
             mean_up_noises.append(up_noise.mean(axis=0))
         else:
             payload = local[sel] if config.mode == "MT" \

@@ -207,13 +207,6 @@ class RoundPolicy:
     energy_ul: float = 0.0
     energy_dl: float = 0.0
 
-    def uplink_variance_for(self, client):
-        if self.uplink_variance is None:
-            return None
-        if np.ndim(self.uplink_variance) == 0:
-            return float(self.uplink_variance)
-        return float(self.uplink_variance[client])
-
 
 class NoiseFreePolicy:
     """Ideal channels: zero noise in both directions, no modeled energy cost."""

@@ -61,10 +61,11 @@ class QuadraticTask:
         for c in clients:
             if c.features.shape[1] != dim:
                 raise TaskError("client feature dimension does not match task")
-        self.clients = clients
-        # Stacked copies for batched local training: (N, D, d) and (N, D).
+        # Stacked for batched local training, (N, D, d) and (N, D); each
+        # client's data is a view of them, so it is held once.
         self.features = np.stack([c.features for c in clients])
         self.targets = np.stack([c.targets for c in clients])
+        self.clients = tuple(map(ClientData, self.features, self.targets))
         self.ridge = float(ridge)
         self.dim = int(dim)
         self._check_strong_convexity()

@@ -5,14 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from noisyfed import (ClientData, ConfigError, DivergenceError,
-                      LearningRateSchedule, QuadraticTask, RunConfig,
-                      aggregate, local_train, make_task, run, sample_clients,
-                      uplink_transmit)
+from noisyfed import (AggregationError, ClientData, ConfigError,
+                      DivergenceError, LearningRateSchedule, QuadraticTask,
+                      RunConfig, aggregate, downlink_broadcast, local_train,
+                      make_task, run, sample_clients, uplink_transmit)
 from noisyfed import engine
-from noisyfed.engine import (CHANNEL_LAYERS, TRANSMISSION_MODES,
-                             downlink_broadcast, train_clients)
-from noisyfed.seeding import DOMAIN_DOWNLINK, DOMAIN_UPLINK, stream
+from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
+from noisyfed.seeding import DOMAIN_DOWNLINK, DOMAIN_UPLINK
 
 
 def test_sample_clients_full_set(rng):
@@ -48,28 +47,27 @@ def test_sample_clients_invalid():
 
 def test_downlink_noise_free_exact(rng):
     w = rng.normal(size=12)
-    out = downlink_broadcast(w, range(4), lambda k: 0.0, "gaussian",
-                             lambda k: np.random.default_rng(k))
-    for received, noise in out.values():
-        assert np.array_equal(received, w)
-        assert np.array_equal(noise, np.zeros(12))
+    out = downlink_broadcast(w, 0, 1, "gaussian", 4, np.arange(4),
+                             np.zeros(4))
+    assert np.array_equal(out, np.tile(w, (4, 1)))
+    # A zero-variance row is an exact copy even when others are noisy.
+    out = downlink_broadcast(w, 0, 1, "laplace", 4, np.arange(4),
+                             [0.0, 1.0, 0.0, 1.0])
+    assert np.array_equal(out[[0, 2]], np.tile(w, (2, 1)))
+    assert not np.any(out[[1, 3]] == w)
 
 
 def test_downlink_variance_matches_schedule():
     w = np.zeros(100_000)
     zeta2 = 0.3
-    out = downlink_broadcast(w, [0], lambda k: zeta2, "gaussian",
-                             lambda k: np.random.default_rng(77))
-    _, noise = out[0]
+    noise = downlink_broadcast(w, 77, 1, "gaussian", 1, [0], [zeta2])[0]
     assert abs(noise.var() - zeta2) / zeta2 <= 0.05
 
 
 def test_downlink_clients_independent():
     w = np.zeros(100_000)
-    out = downlink_broadcast(
-        w, [0, 1], lambda k: 1.0, "gaussian",
-        lambda k: stream(3, DOMAIN_DOWNLINK, k, 1))
-    corr = np.corrcoef(out[0][1], out[1][1])[0, 1]
+    out = downlink_broadcast(w, 3, 1, "gaussian", 2, [0, 1], [1.0, 1.0])
+    corr = np.corrcoef(out[0], out[1])[0, 1]
     assert abs(corr) < 0.02
 
 
@@ -81,7 +79,7 @@ def test_local_train_fixed_point():
         clients=[ClientData(features=features, targets=features @ w0)],
         ridge=0.0, dim=2)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
-    out = local_train(w0, task, 0, 5, None, lr, 0, np.random.default_rng(0))
+    out = local_train(w0[None], task, [0], 5, None, lr, 0)[0]
     assert np.allclose(out, w0, atol=1e-14)
 
 
@@ -93,7 +91,7 @@ def test_local_train_single_full_batch_step():
         ridge=0.1, dim=2)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
     w0 = np.array([0.3, -0.2])
-    out = local_train(w0, task, 0, 1, None, lr, 0, np.random.default_rng(0))
+    out = local_train(w0[None], task, [0], 1, None, lr, 0)[0]
     grad = features.T @ (features @ w0 - targets) / 2.0 + 0.1 * w0
     assert np.allclose(out, w0 - lr.eta(1) * grad, atol=1e-14)
 
@@ -106,7 +104,7 @@ def test_local_full_batch_descent_is_contraction():
     w = opt + 3.0
     dists = [float(np.sum((w - opt) ** 2))]
     for step in range(30):
-        w = local_train(w, task, 0, 1, None, lr, step, np.random.default_rng(0))
+        w = local_train(w[None], task, [0], 1, None, lr, step)[0]
         dists.append(float(np.sum((w - opt) ** 2)))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
@@ -151,6 +149,8 @@ def test_aggregate_matches_mean_oracle(rng):
     assert np.array_equal(aggregate([vectors[0]]), vectors[0])
     same = [vectors[1]] * 4
     assert np.allclose(aggregate(same), vectors[1], atol=1e-15)
+    with pytest.raises(AggregationError):
+        aggregate(np.empty((0, 9)))
 
 
 def test_degenerate_run_equals_plain_gradient_descent():
@@ -386,8 +386,8 @@ def test_batched_local_sgd_matches_per_client_loop(small_task,
     clients = np.array([0, 2, 3, 5])
     starts = rng.normal(size=(4, small_task.dim))
     batches = np.argpartition(rng.random((4, 4, 12)), 2, axis=-1)[..., :3]
-    sampled = train_clients(starts, small_task, clients, 4, batches, lr, 6)
-    full = train_clients(starts, small_task, clients, 4, None, lr, 6)
+    sampled = local_train(starts, small_task, clients, 4, batches, lr, 6)
+    full = local_train(starts, small_task, clients, 4, None, lr, 6)
     for i, k in enumerate(clients):
         w_sampled = w_full = starts[i]
         for j in range(1, 5):
@@ -397,18 +397,6 @@ def test_batched_local_sgd_matches_per_client_loop(small_task,
             w_full = w_full - eta * small_task.client_gradient(k, w_full)
         np.testing.assert_allclose(sampled[i], w_sampled, rtol=1e-13)
         np.testing.assert_allclose(full[i], w_full, rtol=1e-13)
-
-    # local_train draws each step's batch with rng.choice, as before.
-    out = local_train(starts[0], small_task, 2, 4, 3, lr, 6,
-                      np.random.default_rng(9))
-    picks = np.random.default_rng(9)
-    w = starts[0]
-    for j in range(1, 5):
-        w = w - lr.eta(6 + j) * small_task.sample_gradient(
-            2, w, picks.choice(12, size=3, replace=False))
-    np.testing.assert_allclose(out, w, rtol=1e-13)
-    with pytest.raises(ConfigError):
-        local_train(starts[0], small_task, 2, 4, 0, lr, 6, picks)
 
 
 def _first_nonfinite_step(task, client, w, lr, n_steps):
@@ -430,6 +418,6 @@ def test_divergence_names_lowest_client_and_its_first_step(small_task):
                  for i, k in enumerate(clients)]
         assert steps[1] < steps[0] and steps[2] is None
         with pytest.raises(DivergenceError) as excinfo:
-            train_clients(starts, small_task, clients, 60, None, lr, 0)
+            local_train(starts, small_task, clients, 60, None, lr, 0)
     assert str(excinfo.value) == \
         f"client 1: non-finite iterate at local step {steps[0]}"

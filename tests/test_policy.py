@@ -279,7 +279,7 @@ def test_weighted_full_policy_preserves_totals(small_constants):
                                                               rel=1e-12)
     assert float(np.sum(rp.downlink_variance)) == pytest.approx(total_down,
                                                                 rel=1e-12)
-    assert rp.uplink_variance_for(0) > rp.uplink_variance_for(5)
+    assert rp.uplink_variance[0] > rp.uplink_variance[5]
 
 
 def test_build_policy_rejects_unknown(small_constants):
