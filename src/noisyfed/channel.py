@@ -12,7 +12,10 @@ Two abstractions, matching how the rest of the package consumes them:
 
 Deep fades are handled by redrawing the fade (a retransmission) whenever the
 small-scale magnitude falls below the inversion floor; after ``max_retries``
-consecutive failures the transmission errors out.
+consecutive failures the transmission errors out.  Each analog call draws
+the fades of all its copies (and receivers) as one block with
+:func:`draw_fades`, which redraws the deep fades of the whole block in
+vectorized rounds, and then its receiver noise as one block.
 """
 
 import math
@@ -66,129 +69,42 @@ def add_effective_noise(v, spec, rng):
     return v + sample_noise(spec, v.shape, rng)
 
 
+def _rayleigh(size, rng):
+    """``|h|`` of ``size`` CN(0, 1) gains, the real parts drawn before the
+    imaginary parts, each in C order."""
+    mags = rng.standard_normal(size)
+    mags *= mags
+    imag = rng.standard_normal(size)
+    imag *= imag
+    mags += imag
+    mags *= 0.5
+    return np.sqrt(mags, out=mags)
+
+
 def draw_fades(shape, rng, floor=INVERSION_FLOOR, max_retries=MAX_FADE_RETRIES):
-    """Rayleigh small-scale gains with E|h|^2 = 1, redrawn above ``floor``.
+    """Rayleigh small-scale magnitudes ``|h|`` with E|h|^2 = 1, none below
+    ``floor``.
 
-    Returns ``(gains, retries)`` where ``retries`` counts redraws (each one a
-    retransmission of that element).
+    Deep fades (``|h| < floor``) are redrawn in rounds over all still-deep
+    elements, each round drawing their real parts, then their imaginary
+    parts, in C order; an element still deep after ``max_retries`` redraws
+    raises :class:`ChannelError`.  Returns ``(mags, retries)`` where ``retries``
+    counts element redraws (each one a retransmission of that element).
     """
-    gains = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
-    retries = _redraw_deep_fades(gains, lambda n: rng.normal(size=n), floor,
-                                 max_retries)
-    return gains, retries
-
-
-def _redraw_deep_fades(gains, normal, floor, max_retries):
-    """Redraw the elements of ``gains`` below ``floor`` in place, in rounds.
-
-    ``normal(n)`` supplies the next ``n`` standard normals of the stream; each
-    round takes the real parts of all deep-faded elements, then their
-    imaginary parts.  Returns the number of element redraws.
-    """
+    mags = _rayleigh(shape, rng)
+    flat = mags.reshape(-1)
+    deep = np.flatnonzero(flat < floor)
     retries = 0
-    mask = np.abs(gains) < floor
-    attempts = 0
-    while mask.any():
-        attempts += 1
-        if attempts > max_retries:
-            raise ChannelError(
-                f"deep fade persisted beyond {max_retries} retransmissions")
-        n_bad = int(mask.sum())
-        retries += n_bad
-        redraw = (normal(n_bad) + 1j * normal(n_bad)) / math.sqrt(2.0)
-        gains[mask] = redraw
-        mask = np.abs(gains) < floor
-    return retries
-
-
-# Copies checked for deep fades per vectorized pass; bounds the read-ahead.
-_COPY_CHUNK = 16
-
-
-class _NormalStream:
-    """Standard normals of ``rng`` read ahead in blocks, handed out in order.
-
-    ``Generator.normal(size=a)`` followed by ``normal(size=b)`` yields the same
-    values as ``standard_normal(a + b)``, so reading ahead does not change the
-    stream.  The read-ahead never exceeds what the caller will still take,
-    except on an error path, where :meth:`restore` rewinds ``rng``.
-    """
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.state = rng.bit_generator.state
-        self.drawn = 0
-        self.buf = np.empty(0)
-        self.pos = 0
-
-    def take(self, n):
-        """The next ``n`` values of the stream."""
-        short = self.pos + n - self.buf.size
-        if short > 0:
-            fresh = self.rng.standard_normal(short)
-            self.drawn += short
-            self.buf = np.concatenate((self.buf[self.pos:], fresh)) \
-                if self.pos < self.buf.size else fresh
-            self.pos = 0
-        self.pos += n
-        return self.buf[self.pos - n:self.pos]
-
-    def restore(self):
-        """Leave ``rng`` just past the values taken, as if none were read ahead."""
-        taken = self.drawn - (self.buf.size - self.pos)
-        self.rng.bit_generator.state = self.state
-        self.rng.standard_normal(taken)
-
-
-def _draw_copies(rng, fade_shape, noise_size, copies, floor, max_retries,
-                 keep_fades):
-    """Fades and receiver noise of ``copies`` independent receptions.
-
-    Draws what a loop of ``draw_fades(fade_shape, ...)`` followed by
-    ``rng.normal(size=noise_size)`` per copy draws, in the same stream order
-    and with the same deep-fade redraws, errors and generator position, but a
-    chunk of copies per numpy pass.  Returns ``(mags, noise, retries)``:
-    ``mags`` holds each copy's final ``|h|`` (``None`` unless ``keep_fades``)
-    and ``noise`` is ``(copies, noise_size)``.
-    """
-    n_fades = math.prod(fade_shape)
-    per_copy = 2 * n_fades + noise_size
-    mags = np.empty((copies, n_fades)) if keep_fades else None
-    noise = np.empty((copies, noise_size))
-    retries = 0
-    normals = _NormalStream(rng)
-    done = 0
-    try:
-        while done < copies:
-            m = min(_COPY_CHUNK, copies - done)
-            block = normals.take(m * per_copy).reshape(m, per_copy)
-            start = normals.pos - m * per_copy
-            gains = (block[:, :n_fades] + 1j * block[:, n_fades:2 * n_fades]) \
-                / math.sqrt(2.0)
-            chunk_mags = np.abs(gains)
-            deep = (chunk_mags < floor).any(axis=1)
-            # Copies before the first deep fade are final as drawn.
-            j = int(deep.argmax()) if deep.any() else m
-            if keep_fades:
-                mags[done:done + j] = chunk_mags[:j]
-            noise[done:done + j] = block[:j, 2 * n_fades:]
-            done += j
-            if j == m:
-                continue
-            # Replay the deep-faded copy: its redraws come right after its
-            # fades in the stream, which shifts every later copy.
-            normals.pos = start + j * per_copy + 2 * n_fades
-            faded = gains[j]
-            retries += _redraw_deep_fades(faded, normals.take, floor,
-                                          max_retries)
-            if keep_fades:
-                mags[done] = np.abs(faded)
-            noise[done] = normals.take(noise_size)
-            done += 1
-    except ChannelError:
-        normals.restore()
-        raise
-    return mags, noise, retries
+    for _ in range(max_retries):
+        if not deep.size:
+            break
+        retries += deep.size
+        flat[deep] = _rayleigh(deep.size, rng)
+        deep = deep[flat[deep] < floor]
+    if deep.size:
+        raise ChannelError(
+            f"deep fade persisted beyond {max_retries} retransmissions")
+    return mags, retries
 
 
 def analog_uplink_aggregate(models, power, rng, copies=1,
@@ -204,8 +120,8 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
     (pathloss included), so the fades only decide deep-fade retransmissions.
     ``noise_scale=0`` disables receiver noise (test hook).
 
-    Each copy draws its ``(K, d)`` fades, real then imaginary parts, with
-    their redraws, then its ``d`` noise values, from ``rng``.
+    Draws the ``(copies, K, d)`` fades with :func:`draw_fades`, then the
+    ``(copies, d)`` receiver noise, from ``rng``.
 
     Returns ``(aggregate, info)`` with ``info['retries']`` counting deep-fade
     retransmissions.
@@ -217,39 +133,42 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
     if copies < 1:
         raise ConfigError("copies must be >= 1")
 
-    mean = models.mean(axis=0)
-    _, noise, retries = _draw_copies(rng, (n_clients, dim), dim, copies,
-                                     floor, max_retries, keep_fades=False)
-    received = mean + noise_scale * noise / math.sqrt(power)
+    _, retries = draw_fades((copies, n_clients, dim), rng, floor, max_retries)
+    noise = rng.standard_normal((copies, dim))
+    received = models.mean(axis=0) + noise_scale * noise / math.sqrt(power)
     return diversity_combine(received), {"retries": retries}
 
 
-def analog_downlink_receive(v, power, rng, copies=1, distance=1.0,
-                            pathloss=2.0, floor=INVERSION_FLOOR,
+def analog_downlink_receive(v, power, rng, copies=1, receivers=1,
+                            distance=1.0, pathloss=2.0, floor=INVERSION_FLOOR,
                             max_retries=MAX_FADE_RETRIES, noise_scale=1.0):
-    """One client's reception of a broadcast, equalized per copy and combined.
+    """A broadcast of ``v`` as ``receivers`` clients each receive it: every
+    copy equalized by its known gain, the copies combined.
 
     The receiver divides each copy by its known complex gain (same truncated
     inversion floor as the uplink), so copy q carries noise of per-element
     variance ``1/(power * distance**-pathloss * |h_q|^2)``.
 
-    Each copy draws its fades, real then imaginary parts, with their redraws,
-    then its noise, from ``rng``.
+    Draws the ``(receivers, copies) + v.shape`` fades with
+    :func:`draw_fades`, then the noise of the same shape, from ``rng``.
 
-    Returns ``(estimate, info)`` with ``info['retries']`` counting deep-fade
-    retransmissions.
+    Returns ``(estimates, info)``: ``estimates`` has shape
+    ``(receivers,) + v.shape`` and ``info['retries']`` counts the deep-fade
+    retransmissions of all receivers.
     """
     v = np.asarray(v, dtype=np.float64)
     if power <= 0:
         raise PolicyError("transmit power must be positive")
     if copies < 1:
         raise ConfigError("copies must be >= 1")
-    gain2 = distance ** (-pathloss)
-    mags, noise, retries = _draw_copies(rng, v.shape, v.size, copies, floor,
-                                        max_retries, keep_fades=True)
-    noise_std = noise_scale / np.sqrt(power * gain2 * mags ** 2)
-    received = v + (noise_std * noise).reshape((copies,) + v.shape)
-    return diversity_combine(received), {"retries": retries}
+    shape = (receivers, copies) + v.shape
+    mags, retries = draw_fades(shape, rng, floor, max_retries)
+    received = rng.standard_normal(shape)
+    received *= noise_scale / math.sqrt(power * distance ** (-pathloss))
+    received /= mags
+    received += v
+    return diversity_combine(np.moveaxis(received, 1, 0)), \
+        {"retries": retries}
 
 
 def diversity_combine(copies):

@@ -6,16 +6,18 @@ uplink of either the full local model (``MT``) or its differential against the
 model the client just received (``MDT``), and server-side averaging.  The
 recipients of a round are one ``(n, d)`` array, trained together.
 
-Randomness follows stream layout 2 (:mod:`noisyfed.seeding`).  Per round, one
+Randomness follows stream layout 3 (:mod:`noisyfed.seeding`).  Per round, one
 generator per domain draws a block with a row for each of the N clients,
 sampled or not: the effective-noise downlink and uplink each a unit-variance
 ``(N, d)`` block, row k scaled to client k's variance (nothing is drawn when
-all are zero), and the batches an ``(E, N, D)`` block of uniforms, client k's
+all are zero), the batches an ``(E, N, D)`` block of uniforms, client k's
 batch at local step j being the ``B`` smallest of row ``[j-1, k]`` (a full
-batch draws nothing).  Client sampling and the analog fades keep streams
-keyed by (domain, client, round).  So traces are bit-reproducible, and
-training all clients but aggregating the sampled ones gives the same
-trajectory as sampling first.
+batch draws nothing), and the analog downlink the fades and noise of an
+``(N, copies, d)`` block.  The analog uplink draws one ``(copies, K, d)``
+fade block and its ``(copies, d)`` noise per round.  Client sampling keeps
+a stream keyed by (domain, client 0, round).  So traces are
+bit-reproducible, and training all clients but aggregating the sampled ones
+gives the same trajectory as sampling first.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
@@ -118,6 +120,11 @@ class RunConfig:
                 f"distribution must be one of {NOISE_DISTRIBUTIONS}")
         if self.policy_name == "mdt_constant_snr" and self.mode != "MDT":
             raise ConfigError("policy 'mdt_constant_snr' needs mode 'MDT'")
+        if self.channel == "analog_physical" \
+                and self.policy_params.get("weights") is not None:
+            # The analog layer sends every client at one power per round.
+            raise ConfigError(f"policy {self.policy_name!r} weights need "
+                              "channel 'effective_noise'")
         if self.schedule_on not in SCHEDULE_TIMELINES:
             raise ConfigError(f"schedule_on must be one of {SCHEDULE_TIMELINES}")
         if self.divergence_factor <= 1:
@@ -331,13 +338,12 @@ def run(task, config, policy=None):
             received = downlink_broadcast(w, seed, t, distribution, n_clients,
                                           recipients, zeta2)
         else:
-            received = np.empty((len(recipients), dim))
-            for i, k in enumerate(recipients):
-                received[i], info = analog_downlink_receive(
-                    w, power=rp_down.rho_dl,
-                    rng=stream(seed, DOMAIN_FADE_DOWNLINK, int(k), t),
-                    copies=rp_down.div_dl)
-                fade_retries += info["retries"]
+            received, info = analog_downlink_receive(
+                w, power=rp_down.rho_dl,
+                rng=stream(seed, DOMAIN_FADE_DOWNLINK, t),
+                copies=rp_down.div_dl, receivers=n_clients)
+            received = received[recipients]
+            fade_retries += info["retries"]
 
         # (2) Local mini-batch SGD.
         # Round t's (E, N, D) uniform block, read one (N, D) step at a time
@@ -373,7 +379,7 @@ def run(task, config, policy=None):
                 else local[sel] - received[sel]
             agg, info = analog_uplink_aggregate(
                 payload, power=rp_up.rho_ul,
-                rng=stream(seed, DOMAIN_FADE_UPLINK, 0, t),
+                rng=stream(seed, DOMAIN_FADE_UPLINK, t),
                 copies=rp_up.div_ul)
             fade_retries += info["retries"]
             w_next = agg if config.mode == "MT" else w + agg

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from noisyfed import (ChannelError, CombiningError, ConfigError, NoiseSpec,
                       PolicyError, RunConfig, add_effective_noise,
@@ -197,59 +198,75 @@ def test_mdt_noise_power_decomposes(rng):
 
 
 # ---------------------------------------------------------------------------
-# Byte identity of the analog layer's random-draw order.
+# Byte identity of the analog layer's random-draw order (stream layout 3).
 #
-# The golden digests were captured from the per-copy loop implementation
-# (``draw_fades`` then ``rng.normal`` for each copy), which the reference
-# functions below restate.  They pin outputs, retry counts, every
-# ``ChannelError`` message and where the generator is left afterwards.
-# ``GOLDEN_DIVERSITY_RUN`` pins a whole engine run, so it also depends on the
-# engine's stream layout; it was re-captured for stream layout 2, whose
-# per-round batch blocks and batched local SGD change the trajectory while
-# the analog fade streams stay per client.
+# The golden digests were captured when stream layout 3 was introduced: each
+# analog call draws the fades of all its receivers and copies as one block
+# with ``draw_fades``, deep fades redrawn in vectorized rounds, then its
+# receiver noise as one block.  The reference functions below restate that
+# order with a loop over receivers and copies.  The digests pin outputs,
+# retry counts, every ``ChannelError`` message and where the generator is
+# left afterwards.  ``GOLDEN_DIVERSITY_RUN`` pins a whole engine run, so it
+# also depends on the engine's stream layout.
 # ---------------------------------------------------------------------------
 
 GOLDEN_DOWNLINK = \
-    "e58b2cf714f6b8479dd650fa6e3cfc15afbe8155f9309c6ab90d4330d794a55c"
+    "ff9efe7feec4452d04b2678d5c771f402485855af0b1945ee85747e79dda1537"
 GOLDEN_UPLINK = \
-    "f294ba7239affae77c04f9d737c03a236dc0575cd756ef956c564778f54fa872"
+    "0874bad001ed0332c8399f096a8f9a1469d74b48e6a7b003ba291ebaa4cd9133"
 GOLDEN_UPLINK_SILENT = \
-    "3f50cec29979efe39bac36e4f8774564fc19996408bf3d9cc614295498c577e2"
+    "ddf48167f3bb49cd9662d42d58d18d97432be60ee52c74959c8b1124e7c3e335"
 GOLDEN_DIVERSITY_RUN = \
-    "20e096c18ebbfe3e15892620358d1704a77254bcac64643f8181a185452993ce"
+    "f4488954495a5b9c6faef3466044f0d58b2f416dd3e2d776d35c55df7541345f"
 
 _GOLDEN_SEEDS = (0, 1, 2)
 _GOLDEN_FLOORS = (0.05, 0.5, 0.9)
 _GOLDEN_COPIES = range(1, 31)
 
 
-def _reference_downlink(v, power, rng, copies=1, distance=1.0, pathloss=2.0,
-                        floor=0.05, max_retries=10, noise_scale=1.0,
-                        noise_first=False):
-    gain2 = distance ** (-pathloss)
+def _reference_fades(shape, rng, floor, max_retries):
+    """``draw_fades`` restated with complex gains and a boolean mask."""
+    gains = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        / math.sqrt(2.0)
     retries = 0
-    received = []
-    for _ in range(copies):
-        if noise_first:
-            noise = rng.normal(size=v.shape)
-        fades, r = draw_fades(v.shape, rng, floor, max_retries)
-        retries += r
-        if not noise_first:
-            noise = rng.normal(size=v.shape)
-        noise_std = noise_scale / np.sqrt(power * gain2 * np.abs(fades) ** 2)
-        received.append(v + noise_std * noise)
-    return diversity_combine(received), {"retries": retries}
+    for attempt in range(max_retries + 1):
+        deep = np.abs(gains) < floor
+        if not deep.any():
+            return np.abs(gains), retries
+        if attempt == max_retries:
+            raise ChannelError(
+                f"deep fade persisted beyond {max_retries} retransmissions")
+        n_deep = int(deep.sum())
+        retries += n_deep
+        gains[deep] = (rng.normal(size=n_deep)
+                       + 1j * rng.normal(size=n_deep)) / math.sqrt(2.0)
+
+
+def _reference_downlink(v, power, rng, copies=1, receivers=1, distance=1.0,
+                        pathloss=2.0, floor=0.05, max_retries=10,
+                        noise_scale=1.0, noise_first=False):
+    shape = (receivers, copies) + v.shape
+    if noise_first:
+        noise = rng.normal(size=shape)
+    mags, retries = draw_fades(shape, rng, floor, max_retries)
+    if not noise_first:
+        noise = rng.normal(size=shape)
+    scale = noise_scale / math.sqrt(power * distance ** (-pathloss))
+    estimates = np.stack([
+        diversity_combine([noise[r, q] * scale / mags[r, q] + v
+                           for q in range(copies)])
+        for r in range(receivers)])
+    return estimates, {"retries": retries}
 
 
 def _reference_uplink(models, power, rng, copies=1, floor=0.05,
                       max_retries=10, noise_scale=1.0):
+    retries = draw_fades((copies,) + models.shape, rng, floor,
+                         max_retries)[1]
+    noise = rng.normal(size=(copies, models.shape[1]))
     mean = models.mean(axis=0)
-    retries = 0
-    received = []
-    for _ in range(copies):
-        retries += draw_fades(models.shape, rng, floor, max_retries)[1]
-        noise = noise_scale * rng.normal(size=models.shape[1])
-        received.append(mean + noise / math.sqrt(power))
+    received = [mean + noise_scale * noise[q] / math.sqrt(power)
+                for q in range(copies)]
     return diversity_combine(received), {"retries": retries}
 
 
@@ -276,8 +293,8 @@ _UPLINK_MODELS = np.random.default_rng(92).normal(size=(4, 9))
 
 def _downlink_digest(fn, **extra):
     return _analog_digest(lambda rng, copies, floor: fn(
-        _DOWNLINK_V, 3.0, rng, copies=copies, distance=1.5, floor=floor,
-        **extra))
+        _DOWNLINK_V, 3.0, rng, copies=copies, receivers=3, distance=1.5,
+        floor=floor, **extra))
 
 
 def _uplink_digest(fn, **extra):
@@ -343,6 +360,44 @@ def test_deep_fade_error_leaves_generator_where_the_loop_does():
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_draw_fades_matches_complex_reference():
+    # Vectorized redraw rounds: real parts of every deep element, then their
+    # imaginary parts, until none is deep or the retries run out.
+    for seed in range(20):
+        for floor in (0.05, 0.5, 0.9):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            outcomes = []
+            for fn, rng in zip((draw_fades, _reference_fades), rngs):
+                try:
+                    outcomes.append(fn((3, 5, 7), rng, floor, 6))
+                except ChannelError as exc:
+                    outcomes.append(str(exc))
+            if isinstance(outcomes[0], str):
+                assert outcomes[0] == outcomes[1]
+            else:
+                np.testing.assert_allclose(outcomes[0][0], outcomes[1][0],
+                                           rtol=1e-14)
+                assert outcomes[0][1] == outcomes[1][1]
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("floor", [0.05, 0.5])
+def test_downlink_noise_and_retries_match_closed_form(floor):
+    # |h|^2 is Exp(1) redrawn below floor^2, so E[1/|h|^2] = E1(f^2) e^{f^2}
+    # and a draw is a redraw with probability 1 - e^{-f^2}.
+    power, distance, copies, receivers, dim = 4.0, 1.5, 3, 2000, 60
+    gain2 = distance ** -2.0
+    est, info = analog_downlink_receive(
+        np.zeros(dim), power, np.random.default_rng(77), copies=copies,
+        receivers=receivers, distance=distance, floor=floor)
+    predicted = special.exp1(floor ** 2) * math.exp(floor ** 2) \
+        / (power * gain2 * copies)
+    assert abs(est.var() / predicted - 1.0) <= 0.05
+    n_fades = receivers * copies * dim
+    redraw_rate = info["retries"] / (n_fades + info["retries"])
+    assert abs(redraw_rate / -math.expm1(-floor ** 2) - 1.0) <= 0.1
 
 
 def test_diversity_run_matches_golden(small_task):

@@ -81,7 +81,7 @@ def test_run_writes_traces_and_summary(tmp_path):
     assert files == ["mean_trace.csv", "summary.json", "trace_rep000.csv",
                      "trace_rep001.csv", "trace_rep002.csv"]
     config, rows = read_trace(out / "trace_rep000.csv")
-    assert config["stream_layout"] == 2
+    assert config["stream_layout"] == 3
     assert config["derived"]["mu"] > 0
     assert config["derived"]["rate_constant"] > 0
     assert [r["t"] for r in rows] == list(range(1, 41))
@@ -332,3 +332,18 @@ def test_mdt_policy_with_model_upload_is_usage_error(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "error: policy 'mdt_constant_snr' needs mode 'MDT'" \
         in capsys.readouterr().err
+
+
+def test_weighted_mt_full_on_analog_channel_is_usage_error(tmp_path, capsys):
+    doc = experiment_doc(policy={"name": "mt_full",
+                                 "params": {"weights": [2, 1, 1, 1, 1, 1]}})
+    doc["run"].update(n_participants=6, channel="analog_physical")
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "error: policy 'mt_full' weights need channel 'effective_noise'" \
+        in capsys.readouterr().err
+    # The same weights on the effective-noise channel still run.
+    doc["run"]["channel"] = "effective_noise"
+    doc["checks"] = []
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o2")]) == 0

@@ -11,7 +11,8 @@ from noisyfed import (AggregationError, ClientData, ConfigError,
                       make_task, run, sample_clients, uplink_transmit)
 from noisyfed import engine
 from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
-from noisyfed.seeding import DOMAIN_DOWNLINK, DOMAIN_UPLINK
+from noisyfed.seeding import (DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
+                              DOMAIN_FADE_UPLINK, DOMAIN_UPLINK, STREAM_LAYOUT)
 
 
 def test_sample_clients_full_set(rng):
@@ -194,6 +195,24 @@ def test_virtual_process_equivalence(small_task):
                    for x, y in zip(plain.traces, virtual.traces))
 
 
+def test_analog_virtual_process_equivalence(small_task):
+    # The analog downlink draws a row for every client, sampled or not, so
+    # training all clients changes no sampled client's reception.
+    for mode in TRANSMISSION_MODES:
+        kw = dict(n_participants=2, rounds=10, local_epochs=2, batch_size=3,
+                  mode=mode, channel="analog_physical",
+                  policy_name="diversity_t2",
+                  policy_params={"rho_uplink": 5.0, "rho_downlink": 5.0},
+                  seed=4)
+        plain = run(small_task, RunConfig(**kw))
+        virtual = run(small_task, RunConfig(**kw, virtual_all_clients=True))
+        assert np.array_equal(plain.final_model, virtual.final_model)
+        assert [(x.sq_dist, x.loss, x.snr_global) for x in plain.traces] \
+            == [(y.sq_dist, y.loss, y.snr_global) for y in virtual.traces]
+        assert plain.diagnostics["fade_retries"] \
+            == virtual.diagnostics["fade_retries"]
+
+
 def test_virtual_sequences_identities(small_task):
     cfg = RunConfig(n_participants=6, rounds=8, local_epochs=2, batch_size=3,
                     mode="MT", policy_name="mt_full", seed=13,
@@ -327,15 +346,16 @@ def test_run_config_rejects_meaningless_combinations():
 
 
 # ---------------------------------------------------------------------------
-# Stream layout 2: one block per (domain, round) with a row for every client.
+# Stream layout 3: one block per (domain, round) with a row for every client,
+# the analog fades included.
 #
-# The golden digest was captured when layout 2 was introduced.  It pins the
+# The golden digest was captured when layout 3 was introduced.  It pins the
 # trace rows, final model and fade retries of short runs over every channel,
 # mode, noise distribution and participation level.
 # ---------------------------------------------------------------------------
 
-GOLDEN_LAYOUT_2 = \
-    "8a1a331fbecbc6fd4659a9c633963115a1fdf90294f7c4257c0185bcc307207f"
+GOLDEN_LAYOUT_3 = \
+    "5becab04d920b47e01752f582b10603f30819723522ce73c57ab6947c2f3841e"
 
 
 def _layout_policy(channel, mode, participants):
@@ -367,8 +387,9 @@ def _layout_digest(task):
     return digest.hexdigest()
 
 
-def test_stream_layout_2_matches_golden(small_task):
-    assert _layout_digest(small_task) == GOLDEN_LAYOUT_2
+def test_stream_layout_3_matches_golden(small_task):
+    assert STREAM_LAYOUT == 3
+    assert _layout_digest(small_task) == GOLDEN_LAYOUT_3
 
 
 def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
@@ -376,7 +397,14 @@ def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
     # vice versa must not reproduce the digest.
     monkeypatch.setattr(engine, "DOMAIN_DOWNLINK", DOMAIN_UPLINK)
     monkeypatch.setattr(engine, "DOMAIN_UPLINK", DOMAIN_DOWNLINK)
-    assert _layout_digest(small_task) != GOLDEN_LAYOUT_2
+    assert _layout_digest(small_task) != GOLDEN_LAYOUT_3
+
+
+def test_swapped_fade_blocks_fail_layout_golden(small_task, monkeypatch):
+    # Negative control for the analog rows of the digest.
+    monkeypatch.setattr(engine, "DOMAIN_FADE_DOWNLINK", DOMAIN_FADE_UPLINK)
+    monkeypatch.setattr(engine, "DOMAIN_FADE_UPLINK", DOMAIN_FADE_DOWNLINK)
+    assert _layout_digest(small_task) != GOLDEN_LAYOUT_3
 
 
 def test_batched_local_sgd_matches_per_client_loop(small_task,
