@@ -12,10 +12,11 @@ Two abstractions, matching how the rest of the package consumes them:
 
 Deep fades are handled by redrawing the fade (a retransmission) whenever the
 small-scale magnitude falls below the inversion floor; after ``max_retries``
-consecutive failures the transmission errors out.  Each analog call draws
-the fades of all its copies (and receivers) as one block with
-:func:`draw_fades`, which redraws the deep fades of the whole block in
-vectorized rounds, and then its receiver noise as one block.
+consecutive failures the transmission errors out.  Under stream layout 4 a
+call draws only what its output depends on: the downlink the power gains
+``|h|^2`` (Exp(1)) of its whole block with :func:`draw_fades`, then one
+combined-noise normal per output element; the uplink, whose inversion
+cancels its fades, binomial deep-fade counts, then its combined noise.
 """
 
 import math
@@ -69,42 +70,30 @@ def add_effective_noise(v, spec, rng):
     return v + sample_noise(spec, v.shape, rng)
 
 
-def _rayleigh(size, rng):
-    """``|h|`` of ``size`` CN(0, 1) gains, the real parts drawn before the
-    imaginary parts, each in C order."""
-    mags = rng.standard_normal(size)
-    mags *= mags
-    imag = rng.standard_normal(size)
-    imag *= imag
-    mags += imag
-    mags *= 0.5
-    return np.sqrt(mags, out=mags)
-
-
 def draw_fades(shape, rng, floor=INVERSION_FLOOR, max_retries=MAX_FADE_RETRIES):
-    """Rayleigh small-scale magnitudes ``|h|`` with E|h|^2 = 1, none below
-    ``floor``.
+    """Rayleigh power gains ``|h|^2`` (Exp(1), one draw per element in C
+    order), none below ``floor**2``.
 
     Deep fades (``|h| < floor``) are redrawn in rounds over all still-deep
-    elements, each round drawing their real parts, then their imaginary
-    parts, in C order; an element still deep after ``max_retries`` redraws
-    raises :class:`ChannelError`.  Returns ``(mags, retries)`` where ``retries``
-    counts element redraws (each one a retransmission of that element).
+    elements, in C order; an element still deep after ``max_retries`` redraws
+    raises :class:`ChannelError`.  Returns ``(gains, retries)`` where
+    ``retries`` counts element redraws (each one a retransmission).
     """
-    mags = _rayleigh(shape, rng)
-    flat = mags.reshape(-1)
-    deep = np.flatnonzero(flat < floor)
+    gains = rng.standard_exponential(shape)
+    flat = gains.reshape(-1)
+    floor2 = floor * floor
+    deep = np.flatnonzero(flat < floor2)
     retries = 0
     for _ in range(max_retries):
         if not deep.size:
             break
         retries += deep.size
-        flat[deep] = _rayleigh(deep.size, rng)
-        deep = deep[flat[deep] < floor]
+        flat[deep] = rng.standard_exponential(deep.size)
+        deep = deep[flat[deep] < floor2]
     if deep.size:
         raise ChannelError(
             f"deep fade persisted beyond {max_retries} retransmissions")
-    return mags, retries
+    return gains, retries
 
 
 def analog_uplink_aggregate(models, power, rng, copies=1,
@@ -115,13 +104,14 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
     Every client pre-inverts its fade so each element arrives as
     ``sqrt(power)/K * sum_k models[k]`` plus unit-variance receiver noise; the
     returned vector is rescaled by ``1/sqrt(power)``, i.e. the client average
-    plus noise of per-element variance ``1/(power * copies)``.  ``copies``
-    independent receptions are averaged.  Inversion cancels the fade exactly
+    plus noise of per-element variance ``1/(power * copies)``: the mean of
+    ``copies`` independent receptions.  Inversion cancels the fade exactly
     (pathloss included), so the fades only decide deep-fade retransmissions.
     ``noise_scale=0`` disables receiver noise (test hook).
 
-    Draws the ``(copies, K, d)`` fades with :func:`draw_fades`, then the
-    ``(copies, d)`` receiver noise, from ``rng``.
+    Draws the deep-fade count of the ``copies * K * d`` fades, Binomial with
+    ``p = 1 - exp(-floor**2)``, then ``Binomial(deep, p)`` per redraw round,
+    then the ``(d,)`` combined noise.
 
     Returns ``(aggregate, info)`` with ``info['retries']`` counting deep-fade
     retransmissions.
@@ -133,24 +123,33 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
     if copies < 1:
         raise ConfigError("copies must be >= 1")
 
-    _, retries = draw_fades((copies, n_clients, dim), rng, floor, max_retries)
-    noise = rng.standard_normal((copies, dim))
-    received = models.mean(axis=0) + noise_scale * noise / math.sqrt(power)
-    return diversity_combine(received), {"retries": retries}
+    p_deep = -math.expm1(-floor * floor)
+    deep = rng.binomial(copies * n_clients * dim, p_deep)
+    retries = 0
+    for _ in range(max_retries):
+        if not deep:
+            break
+        retries += deep
+        deep = rng.binomial(deep, p_deep)
+    if deep:
+        raise ChannelError(
+            f"deep fade persisted beyond {max_retries} retransmissions")
+    noise = rng.standard_normal(dim)
+    noise *= noise_scale / math.sqrt(power * copies)
+    return models.mean(axis=0) + noise, {"retries": retries}
 
 
 def analog_downlink_receive(v, power, rng, copies=1, receivers=1,
                             distance=1.0, pathloss=2.0, floor=INVERSION_FLOOR,
                             max_retries=MAX_FADE_RETRIES, noise_scale=1.0):
     """A broadcast of ``v`` as ``receivers`` clients each receive it: every
-    copy equalized by its known gain, the copies combined.
+    copy equalized by its known gain, the copies averaged.
 
     The receiver divides each copy by its known complex gain (same truncated
     inversion floor as the uplink), so copy q carries noise of per-element
-    variance ``1/(power * distance**-pathloss * |h_q|^2)``.
-
-    Draws the ``(receivers, copies) + v.shape`` fades with
-    :func:`draw_fades`, then the noise of the same shape, from ``rng``.
+    variance ``1/(power * distance**-pathloss * |h_q|^2)``.  Draws the
+    ``(receivers, copies) + v.shape`` power gains with :func:`draw_fades`,
+    then one normal per element for the noise of the copies' mean.
 
     Returns ``(estimates, info)``: ``estimates`` has shape
     ``(receivers,) + v.shape`` and ``info['retries']`` counts the deep-fade
@@ -161,14 +160,11 @@ def analog_downlink_receive(v, power, rng, copies=1, receivers=1,
         raise PolicyError("transmit power must be positive")
     if copies < 1:
         raise ConfigError("copies must be >= 1")
-    shape = (receivers, copies) + v.shape
-    mags, retries = draw_fades(shape, rng, floor, max_retries)
-    received = rng.standard_normal(shape)
-    received *= noise_scale / math.sqrt(power * distance ** (-pathloss))
-    received /= mags
-    received += v
-    return diversity_combine(np.moveaxis(received, 1, 0)), \
-        {"retries": retries}
+    gains, retries = draw_fades((receivers, copies) + v.shape, rng, floor,
+                                max_retries)
+    std = np.sqrt(np.reciprocal(gains, out=gains).sum(axis=1))
+    std *= noise_scale / (copies * math.sqrt(power * distance ** (-pathloss)))
+    return v + std * rng.standard_normal(std.shape), {"retries": retries}
 
 
 def diversity_combine(copies):

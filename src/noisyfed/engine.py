@@ -6,18 +6,19 @@ uplink of either the full local model (``MT``) or its differential against the
 model the client just received (``MDT``), and server-side averaging.  The
 recipients of a round are one ``(n, d)`` array, trained together.
 
-Randomness follows stream layout 3 (:mod:`noisyfed.seeding`).  Per round, one
+Randomness follows stream layout 4 (:mod:`noisyfed.seeding`).  Per round, one
 generator per domain draws a block with a row for each of the N clients,
 sampled or not: the effective-noise downlink and uplink each a unit-variance
 ``(N, d)`` block, row k scaled to client k's variance (nothing is drawn when
 all are zero), the batches an ``(E, N, D)`` block of uniforms, client k's
 batch at local step j being the ``B`` smallest of row ``[j-1, k]`` (a full
-batch draws nothing), and the analog downlink the fades and noise of an
-``(N, copies, d)`` block.  The analog uplink draws one ``(copies, K, d)``
-fade block and its ``(copies, d)`` noise per round.  Client sampling keeps
-a stream keyed by (domain, client 0, round).  So traces are
-bit-reproducible, and training all clients but aggregating the sampled ones
-gives the same trajectory as sampling first.
+batch draws nothing), and the analog downlink the power gains of an
+``(N, copies, d)`` block and then an ``(N, d)`` block of combined noise.  The
+analog uplink draws the deep-fade counts of ``copies * K * d`` fades and one
+``(d,)`` combined noise per round.  Client sampling keeps a stream keyed by
+(domain, client 0, round).  So traces are bit-reproducible, and training all
+clients but aggregating the sampled ones gives the same trajectory as
+sampling first.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
@@ -403,7 +404,7 @@ def run(task, config, policy=None):
             loss=task.global_loss(w_next),
             eta=lr.eta((t - 1) * epochs + 1),
             sigma2_ul=float(np.mean(sigma2)),
-            zeta2_dl=float(np.mean(zeta2)),
+            zeta2_dl=float(np.mean(zeta2[sel])),
             rho_ul=rp_up.rho_ul,
             rho_dl=rp_down.rho_dl,
             div_ul=rp_up.div_ul,

@@ -1,13 +1,14 @@
 """Deterministic, collision-free random streams.
 
 Every stochastic component of a run draws from its own generator, derived
-from the master seed, a domain and a key.  Under stream layout 3 every domain
+from the master seed, a domain and a key.  Under stream layout 4 every domain
 but client sampling is keyed by round: one generator per (domain, round)
 yields a block with a row for every client, sampled or not.  That covers the
 effective-noise downlink and uplink, the mini-batches and the analog
-downlink fades, while the analog uplink draws one block for its over-the-air
-sum.  Client sampling keeps the key (client 0, round).  Rows belong to
-clients, not to execution order, which is what makes the all-clients-train /
+downlink (power gains, then combined noise), while the analog uplink draws
+the deep-fade counts and combined noise of its over-the-air sum.  Client
+sampling keeps the key (client 0, round).  Rows belong to clients, not to
+execution order, which is what makes the all-clients-train /
 sampled-clients-train equivalence exact and lets replicas run in parallel
 without shared state.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 #: Version of the mapping from seeds and keys to draws, written into every
 #: trace header.  Changing the layout changes traces.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 # Stream domains.  Values are part of the determinism contract: changing them
 # changes every trace.

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from noisyfed import (ChannelError, CombiningError, ConfigError, NoiseSpec,
                       PolicyError, RunConfig, add_effective_noise,
@@ -140,13 +140,18 @@ def test_downlink_receive_combining_reduces_noise(rng):
 
 
 def test_deep_fade_exhausts_retries(rng):
+    # At floor 10 a fade is deep with probability 1 - e^-100, so every
+    # redraw fails whatever the seed.
     with pytest.raises(ChannelError):
-        draw_fades((4, 4), rng, floor=0.999999, max_retries=3)
+        draw_fades((4, 4), rng, floor=10.0, max_retries=3)
+    with pytest.raises(ChannelError):
+        analog_uplink_aggregate(np.zeros((2, 4)), 1.0, rng, floor=10.0,
+                                max_retries=3)
 
 
 def test_fade_floor_enforced(rng):
     gains, retries = draw_fades((2000,), rng, floor=0.5)
-    assert np.all(np.abs(gains) >= 0.5)
+    assert np.all(np.sqrt(gains) >= 0.5)
     assert retries > 0
 
 
@@ -198,34 +203,43 @@ def test_mdt_noise_power_decomposes(rng):
 
 
 # ---------------------------------------------------------------------------
-# Byte identity of the analog layer's random-draw order (stream layout 3).
+# Byte identity of the analog layer's random-draw order (stream layout 4).
 #
-# The golden digests were captured when stream layout 3 was introduced: each
-# analog call draws the fades of all its receivers and copies as one block
-# with ``draw_fades``, deep fades redrawn in vectorized rounds, then its
-# receiver noise as one block.  The reference functions below restate that
-# order with a loop over receivers and copies.  The digests pin outputs,
-# retry counts, every ``ChannelError`` message and where the generator is
-# left afterwards.  ``GOLDEN_DIVERSITY_RUN`` pins a whole engine run, so it
-# also depends on the engine's stream layout.
+# The golden digests were captured when stream layout 4 was introduced: a
+# fade is its power gain |h|^2, one standard exponential; the downlink draws
+# the gains of all its receivers and copies as one block with
+# ``draw_fades``, deep fades redrawn in vectorized rounds, then one normal
+# per output element as the combined noise; the uplink draws binomial
+# deep-fade counts, then one normal per element.  The reference functions
+# below restate that order with loops over receivers and copies.  The
+# digests pin outputs, retry counts, every ``ChannelError`` message and
+# where the generator is left afterwards.  ``GOLDEN_DIVERSITY_RUN`` pins a
+# whole engine run, so it also depends on the engine's stream layout.
 # ---------------------------------------------------------------------------
 
 GOLDEN_DOWNLINK = \
-    "ff9efe7feec4452d04b2678d5c771f402485855af0b1945ee85747e79dda1537"
+    "33e929e5859de4c6f9a670f154f2adfd3b11fba5ade86ae77ec02efefb013638"
 GOLDEN_UPLINK = \
-    "0874bad001ed0332c8399f096a8f9a1469d74b48e6a7b003ba291ebaa4cd9133"
+    "3c7ef7446d5a9e07189f99d768df006ae56da1fa134d53c734be88126e9b382c"
 GOLDEN_UPLINK_SILENT = \
-    "ddf48167f3bb49cd9662d42d58d18d97432be60ee52c74959c8b1124e7c3e335"
+    "8c033485dc2c25f5ad344aef5926b357b1febfe0ed023d29f329d063481d0c5e"
 GOLDEN_DIVERSITY_RUN = \
-    "f4488954495a5b9c6faef3466044f0d58b2f416dd3e2d776d35c55df7541345f"
+    "e1bce59ca7f72fbfb21dfc0ac877cd94b5c728c715cc0c046978d5f40f606c7f"
 
 _GOLDEN_SEEDS = (0, 1, 2)
 _GOLDEN_FLOORS = (0.05, 0.5, 0.9)
 _GOLDEN_COPIES = range(1, 31)
 
 
-def _reference_fades(shape, rng, floor, max_retries):
-    """``draw_fades`` restated with complex gains and a boolean mask."""
+def _deep_fade_error(max_retries):
+    return ChannelError(
+        f"deep fade persisted beyond {max_retries} retransmissions")
+
+
+def _layout3_fades(shape, rng, floor, max_retries):
+    """Stream layout 3's element-wise process: complex gains from two
+    normals each, every deep one redrawn until none is or the retries run
+    out.  The reference for the distribution of layout 4's draws."""
     gains = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
         / math.sqrt(2.0)
     retries = 0
@@ -234,40 +248,64 @@ def _reference_fades(shape, rng, floor, max_retries):
         if not deep.any():
             return np.abs(gains), retries
         if attempt == max_retries:
-            raise ChannelError(
-                f"deep fade persisted beyond {max_retries} retransmissions")
+            raise _deep_fade_error(max_retries)
         n_deep = int(deep.sum())
         retries += n_deep
         gains[deep] = (rng.normal(size=n_deep)
                        + 1j * rng.normal(size=n_deep)) / math.sqrt(2.0)
 
 
+def _reference_fades(shape, rng, floor, max_retries):
+    """``draw_fades`` restated with a boolean mask over power gains."""
+    gains = rng.standard_exponential(shape)
+    retries = 0
+    for attempt in range(max_retries + 1):
+        deep = gains < floor * floor
+        if not deep.any():
+            return gains, retries
+        if attempt == max_retries:
+            raise _deep_fade_error(max_retries)
+        n_deep = int(deep.sum())
+        retries += n_deep
+        gains[deep] = rng.standard_exponential(n_deep)
+
+
 def _reference_downlink(v, power, rng, copies=1, receivers=1, distance=1.0,
                         pathloss=2.0, floor=0.05, max_retries=10,
                         noise_scale=1.0, noise_first=False):
-    shape = (receivers, copies) + v.shape
     if noise_first:
-        noise = rng.normal(size=shape)
-    mags, retries = draw_fades(shape, rng, floor, max_retries)
+        noise = rng.standard_normal((receivers,) + v.shape)
+    gains, retries = _reference_fades((receivers, copies) + v.shape, rng,
+                                      floor, max_retries)
     if not noise_first:
-        noise = rng.normal(size=shape)
-    scale = noise_scale / math.sqrt(power * distance ** (-pathloss))
-    estimates = np.stack([
-        diversity_combine([noise[r, q] * scale / mags[r, q] + v
-                           for q in range(copies)])
-        for r in range(receivers)])
-    return estimates, {"retries": retries}
+        noise = rng.standard_normal((receivers,) + v.shape)
+    scale = noise_scale / (copies * math.sqrt(power * distance ** (-pathloss)))
+    estimates = []
+    for r in range(receivers):
+        # Sum over copies of the equalized noise variances 1/|h_q|^2.
+        inverse = np.zeros(v.shape)
+        for q in range(copies):
+            inverse = inverse + 1.0 / gains[r, q]
+        estimates.append(noise[r] * (np.sqrt(inverse) * scale) + v)
+    return np.stack(estimates), {"retries": retries}
 
 
 def _reference_uplink(models, power, rng, copies=1, floor=0.05,
                       max_retries=10, noise_scale=1.0):
-    retries = draw_fades((copies,) + models.shape, rng, floor,
-                         max_retries)[1]
-    noise = rng.normal(size=(copies, models.shape[1]))
-    mean = models.mean(axis=0)
-    received = [mean + noise_scale * noise[q] / math.sqrt(power)
-                for q in range(copies)]
-    return diversity_combine(received), {"retries": retries}
+    p_deep = -math.expm1(-floor * floor)
+    deep = rng.binomial(copies * models.size, p_deep)
+    retries = 0
+    for attempt in range(max_retries + 1):
+        if deep == 0:
+            break
+        if attempt == max_retries:
+            raise _deep_fade_error(max_retries)
+        retries += deep
+        deep = rng.binomial(deep, p_deep)
+    noise = rng.standard_normal(models.shape[1])
+    return models.mean(axis=0) \
+        + noise * (noise_scale / math.sqrt(power * copies)), \
+        {"retries": retries}
 
 
 def _analog_digest(call):
@@ -362,9 +400,9 @@ def test_deep_fade_error_leaves_generator_where_the_loop_does():
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
-def test_draw_fades_matches_complex_reference():
-    # Vectorized redraw rounds: real parts of every deep element, then their
-    # imaginary parts, until none is deep or the retries run out.
+def test_draw_fades_matches_masked_reference():
+    # Vectorized redraw rounds: one exponential for every deep element, in
+    # C order, until none is deep or the retries run out.
     for seed in range(20):
         for floor in (0.05, 0.5, 0.9):
             rngs = [np.random.default_rng(seed) for _ in range(2)]
@@ -377,8 +415,7 @@ def test_draw_fades_matches_complex_reference():
             if isinstance(outcomes[0], str):
                 assert outcomes[0] == outcomes[1]
             else:
-                np.testing.assert_allclose(outcomes[0][0], outcomes[1][0],
-                                           rtol=1e-14)
+                np.testing.assert_array_equal(outcomes[0][0], outcomes[1][0])
                 assert outcomes[0][1] == outcomes[1][1]
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
@@ -398,6 +435,60 @@ def test_downlink_noise_and_retries_match_closed_form(floor):
     n_fades = receivers * copies * dim
     redraw_rate = info["retries"] / (n_fades + info["retries"])
     assert abs(redraw_rate / -math.expm1(-floor ** 2) - 1.0) <= 0.1
+
+
+def test_draw_fades_is_shifted_exponential():
+    # Exp(1) redrawn below f^2 is f^2 + Exp(1) by memorylessness, and so is
+    # layout 3's |h|^2 from two normals.
+    floor = 0.5
+    gains, _ = draw_fades((20_000,), np.random.default_rng(5), floor=floor)
+    mags, _ = _layout3_fades((20_000,), np.random.default_rng(6), floor, 10)
+    assert stats.kstest(gains - floor ** 2, "expon").pvalue > 0.01
+    assert stats.ks_2samp(gains, mags ** 2).pvalue > 0.01
+    # Negative control: the unshifted gains are not Exp(1).
+    assert stats.kstest(gains, "expon").pvalue < 1e-6
+
+
+def _mean_and_se(samples):
+    samples = np.asarray(samples, dtype=np.float64)
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
+
+
+def test_uplink_retries_match_layout_3_loop():
+    # Binomial deep-fade counts against the element-wise redraws they
+    # replace: the mean retries at f = 0.5 and the ChannelError rate at a
+    # floor where about half the calls fail, each within 4 standard errors.
+    calls = 2000
+    models = np.zeros((3, 5))
+    rng_new, rng_old = np.random.default_rng(41), np.random.default_rng(42)
+    new = [analog_uplink_aggregate(models, 3.0, rng_new, copies=2,
+                                   floor=0.5)[1]["retries"]
+           for _ in range(calls)]
+    old = [_layout3_fades((2, 3, 5), rng_old, 0.5, 10)[1]
+           for _ in range(calls)]
+    (m_new, se_new), (m_old, se_old) = _mean_and_se(new), _mean_and_se(old)
+    assert abs(m_new - m_old) <= 4 * math.hypot(se_new, se_old)
+    p_deep = -math.expm1(-0.25)
+    expected = 30 * sum(p_deep ** j for j in range(1, 11))
+    assert abs(m_new - expected) <= 4 * se_new
+
+    def fails(call):
+        try:
+            call()
+        except ChannelError:
+            return 1.0
+        return 0.0
+
+    models = np.zeros((2, 2))
+    new = [fails(lambda: analog_uplink_aggregate(models, 3.0, rng_new,
+                                                 floor=1.0, max_retries=3))
+           for _ in range(calls)]
+    old = [fails(lambda: _layout3_fades((1, 2, 2), rng_old, 1.0, 3))
+           for _ in range(calls)]
+    (m_new, se_new), (m_old, se_old) = _mean_and_se(new), _mean_and_se(old)
+    assert abs(m_new - m_old) <= 4 * math.hypot(se_new, se_old)
+    expected = 1.0 - (1.0 - (-math.expm1(-1.0)) ** 4) ** 4
+    assert abs(m_new - expected) <= 4 * se_new
 
 
 def test_diversity_run_matches_golden(small_task):

@@ -81,7 +81,7 @@ def test_run_writes_traces_and_summary(tmp_path):
     assert files == ["mean_trace.csv", "summary.json", "trace_rep000.csv",
                      "trace_rep001.csv", "trace_rep002.csv"]
     config, rows = read_trace(out / "trace_rep000.csv")
-    assert config["stream_layout"] == 3
+    assert config["stream_layout"] == 4
     assert config["derived"]["mu"] > 0
     assert config["derived"]["rate_constant"] > 0
     assert [r["t"] for r in rows] == list(range(1, 41))

@@ -182,8 +182,11 @@ def test_identical_seeds_identical_traces(small_task):
 
 def test_virtual_process_equivalence(small_task):
     # Training every client but aggregating only the sampled ones reproduces
-    # the sampled-only run exactly, for both transmission modes.
+    # the sampled-only run exactly, for both transmission modes and for a
+    # per-client schedule, every trace column included.
     for mode, policy, params in (("MT", "mt_partial", {}),
+                                 ("MT", "mt_full",
+                                  {"weights": [1, 2, 3, 4, 5, 6]}),
                                  ("MDT", "mdt_constant_snr",
                                   {"snr_target": 5.0})):
         kw = dict(n_participants=2, rounds=10, local_epochs=2, batch_size=3,
@@ -191,8 +194,8 @@ def test_virtual_process_equivalence(small_task):
         plain = run(small_task, RunConfig(**kw))
         virtual = run(small_task, RunConfig(**kw, virtual_all_clients=True))
         assert np.array_equal(plain.final_model, virtual.final_model)
-        assert all(x.sq_dist == y.sq_dist
-                   for x, y in zip(plain.traces, virtual.traces))
+        assert [x.as_row() for x in plain.traces] \
+            == [y.as_row() for y in virtual.traces]
 
 
 def test_analog_virtual_process_equivalence(small_task):
@@ -207,8 +210,8 @@ def test_analog_virtual_process_equivalence(small_task):
         plain = run(small_task, RunConfig(**kw))
         virtual = run(small_task, RunConfig(**kw, virtual_all_clients=True))
         assert np.array_equal(plain.final_model, virtual.final_model)
-        assert [(x.sq_dist, x.loss, x.snr_global) for x in plain.traces] \
-            == [(y.sq_dist, y.loss, y.snr_global) for y in virtual.traces]
+        assert [x.as_row() for x in plain.traces] \
+            == [y.as_row() for y in virtual.traces]
         assert plain.diagnostics["fade_retries"] \
             == virtual.diagnostics["fade_retries"]
 
@@ -346,34 +349,38 @@ def test_run_config_rejects_meaningless_combinations():
 
 
 # ---------------------------------------------------------------------------
-# Stream layout 3: one block per (domain, round) with a row for every client,
-# the analog fades included.
+# Stream layout 4: one block per (domain, round) with a row for every client,
+# the analog downlink included.
 #
-# The golden digest was captured when layout 3 was introduced.  It pins the
-# trace rows, final model and fade retries of short runs over every channel,
-# mode, noise distribution and participation level.
+# The digests pin the trace rows, final model and fade retries of short runs
+# over every mode, noise distribution and participation level, one digest per
+# channel layer.  Layout 4 changed only the analog draws: the effective-noise
+# digest was captured at layout 3 and must not move, while the analog digest
+# was captured when layout 4 was introduced.
 # ---------------------------------------------------------------------------
 
-GOLDEN_LAYOUT_3 = \
-    "5becab04d920b47e01752f582b10603f30819723522ce73c57ab6947c2f3841e"
+GOLDEN_EFFECTIVE_NOISE = \
+    "267b1beb062631cceb11786831f92d4251f692caf7b38c042db28267532e86f3"
+GOLDEN_ANALOG_LAYOUT_4 = \
+    "0255121621ddd0cb337aa99d974c0f3e22bbd7591f8684c3dab2ae2660eff391"
 
 
-def _layout_policy(channel, mode, participants):
+def _layout_policies(channel, mode, participants):
     if channel == "analog_physical":
-        return "power_t2", {}
+        return (("power_t2", {}),
+                ("diversity_t2", {"rho_uplink": 5.0, "rho_downlink": 5.0}))
     if mode == "MDT":
-        return "mdt_constant_snr", {"snr_target": 5.0}
-    return ("mt_full" if participants == 6 else "mt_partial"), {}
+        return (("mdt_constant_snr", {"snr_target": 5.0}),)
+    return (("mt_full" if participants == 6 else "mt_partial", {}),)
 
 
-def _layout_digest(task):
+def _layout_digest(task, channel):
     digest = hashlib.sha256()
-    for channel in CHANNEL_LAYERS:
-        for mode in TRANSMISSION_MODES:
-            for distribution in ("gaussian", "uniform", "laplace"):
-                for participants in (6, 3):
-                    policy, params = _layout_policy(channel, mode,
-                                                    participants)
+    for mode in TRANSMISSION_MODES:
+        for distribution in ("gaussian", "uniform", "laplace"):
+            for participants in (6, 3):
+                for policy, params in _layout_policies(channel, mode,
+                                                       participants):
                     result = run(task, RunConfig(
                         n_participants=participants, rounds=12,
                         local_epochs=2, batch_size=3, mode=mode,
@@ -387,9 +394,15 @@ def _layout_digest(task):
     return digest.hexdigest()
 
 
-def test_stream_layout_3_matches_golden(small_task):
-    assert STREAM_LAYOUT == 3
-    assert _layout_digest(small_task) == GOLDEN_LAYOUT_3
+def test_stream_layout_4_matches_golden(small_task):
+    assert STREAM_LAYOUT == 4
+    assert _layout_digest(small_task, "analog_physical") \
+        == GOLDEN_ANALOG_LAYOUT_4
+
+
+def test_effective_noise_draws_unchanged_since_layout_3(small_task):
+    assert _layout_digest(small_task, "effective_noise") \
+        == GOLDEN_EFFECTIVE_NOISE
 
 
 def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
@@ -397,14 +410,16 @@ def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
     # vice versa must not reproduce the digest.
     monkeypatch.setattr(engine, "DOMAIN_DOWNLINK", DOMAIN_UPLINK)
     monkeypatch.setattr(engine, "DOMAIN_UPLINK", DOMAIN_DOWNLINK)
-    assert _layout_digest(small_task) != GOLDEN_LAYOUT_3
+    assert _layout_digest(small_task, "effective_noise") \
+        != GOLDEN_EFFECTIVE_NOISE
 
 
 def test_swapped_fade_blocks_fail_layout_golden(small_task, monkeypatch):
-    # Negative control for the analog rows of the digest.
+    # Negative control for the analog digest.
     monkeypatch.setattr(engine, "DOMAIN_FADE_DOWNLINK", DOMAIN_FADE_UPLINK)
     monkeypatch.setattr(engine, "DOMAIN_FADE_UPLINK", DOMAIN_FADE_DOWNLINK)
-    assert _layout_digest(small_task) != GOLDEN_LAYOUT_3
+    assert _layout_digest(small_task, "analog_physical") \
+        != GOLDEN_ANALOG_LAYOUT_4
 
 
 def test_batched_local_sgd_matches_per_client_loop(small_task,
