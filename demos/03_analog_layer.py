@@ -9,8 +9,7 @@ power.
 
 import numpy as np
 
-from noisyfed import (analog_uplink_aggregate, diversity_combine,
-                      measure_global_snr)
+from noisyfed import analog_uplink_aggregate, measure_global_snr
 from noisyfed.channel import draw_fades
 
 rng = np.random.default_rng(42)
@@ -41,13 +40,12 @@ print(f"deep-fade retransmissions triggered: {retries} "
 print()
 gains, redraws = draw_fades((100_000,), rng, floor=0.3)
 print(f"with an exaggerated floor of 0.3: {redraws} redraws out of 100000, "
-      f"min |h| = {np.abs(gains).min():.3f}")
+      f"min |h| = {np.sqrt(gains).min():.3f}")
 
 print()
-base = np.zeros(100_000)
+base = np.zeros((1, 100_000))
 for p in (1, 2, 4, 8):
-    combined = diversity_combine([base + rng.normal(size=base.size)
-                                  for _ in range(p)])
+    combined, _ = analog_uplink_aggregate(base, 1.0, rng, copies=p)
     print(f"combining {p} unit-noise receptions -> variance {combined.var():.4f} "
           f"(expected {1 / p:.4f})")
 

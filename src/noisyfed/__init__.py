@@ -14,12 +14,12 @@ from .analysis import (BoundSpec, OracleReport, RateFit, bound_formula,
                        rate_constant, recursion_envelope, run_oracle)
 from .channel import (NoiseSpec, SnrMeasurement, add_effective_noise,
                       analog_downlink_receive, analog_uplink_aggregate,
-                      diversity_combine, measure_global_snr)
+                      measure_global_snr)
 from .engine import (RoundTrace, RunConfig, RunResult, VirtualSequences,
                      aggregate, downlink_broadcast, local_train, run,
                      sample_clients, uplink_transmit)
-from .errors import (AggregationError, ChannelError, CombiningError,
-                     ConfigError, DivergenceError, NoisyFedError, PolicyError,
+from .errors import (AggregationError, ChannelError, ConfigError,
+                     DivergenceError, NoisyFedError, PolicyError,
                      ScheduleError, StatisticalPowerError, TaskError)
 from .policies import (LearningRateSchedule, RoundPolicy, budget_split,
                        build_policy, diversity_orders, downlink_power,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelError, CombiningError, ConfigError, PolicyError
+from .errors import ChannelError, ConfigError, PolicyError
 
 NOISE_DISTRIBUTIONS = ("gaussian", "uniform", "laplace")
 
@@ -50,8 +50,6 @@ class NoiseSpec:
 
 def sample_noise(spec, size, rng):
     """Draw IID noise matching ``spec``'s variance exactly in expectation."""
-    if spec.variance == 0.0:
-        return np.zeros(size)
     std = math.sqrt(spec.variance)
     if spec.distribution == "gaussian":
         return rng.normal(0.0, std, size=size)
@@ -165,22 +163,6 @@ def analog_downlink_receive(v, power, rng, copies=1, receivers=1,
     std = np.sqrt(np.reciprocal(gains, out=gains).sum(axis=1))
     std *= noise_scale / (copies * math.sqrt(power * distance ** (-pathloss)))
     return v + std * rng.standard_normal(std.shape), {"retries": retries}
-
-
-def diversity_combine(copies):
-    """Average independent receptions; noise variance drops by the copy count.
-
-    ``copies`` is a ``(copies, ...)`` array or a sequence of equal-shape
-    receptions.
-    """
-    if isinstance(copies, np.ndarray):
-        stack = copies.astype(np.float64, copy=False)
-    else:
-        copies = [np.asarray(c, dtype=np.float64) for c in copies]
-        stack = np.stack(copies) if copies else np.empty(0)
-    if len(stack) == 0:
-        raise CombiningError("no copies to combine")
-    return stack.mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,15 @@ uplink of either the full local model (``MT``) or its differential against the
 model the client just received (``MDT``), and server-side averaging.  The
 recipients of a round are one ``(n, d)`` array, trained together.
 
-Randomness follows stream layout 4 (:mod:`noisyfed.seeding`).  Per round, one
-generator per domain draws a block with a row for each of the N clients,
-sampled or not: the effective-noise downlink and uplink each a unit-variance
-``(N, d)`` block, row k scaled to client k's variance (nothing is drawn when
-all are zero), the batches an ``(E, N, D)`` block of uniforms, client k's
-batch at local step j being the ``B`` smallest of row ``[j-1, k]`` (a full
-batch draws nothing), and the analog downlink the power gains of an
-``(N, copies, d)`` block and then an ``(N, d)`` block of combined noise.  The
-analog uplink draws the deep-fade counts of ``copies * K * d`` fades and one
-``(d,)`` combined noise per round.  Client sampling keeps a stream keyed by
-(domain, client 0, round).  So traces are bit-reproducible, and training all
-clients but aggregating the sampled ones gives the same trajectory as
-sampling first.
+Randomness follows stream layout 5 (:mod:`noisyfed.seeding`): round t draws
+the t-th block of its domain's stream, with a row for each of the N clients,
+sampled or not.  Effective noise is a unit-variance ``(N, d)`` block per
+direction, drawn every round and scaled row by row; the batches are ``B``
+uniforms per (local step, client), turned into indices by
+:func:`floyd_sample`.  Both are read ``ROUND_CHUNK`` rounds per call, which
+changes no draw; the analog layer and client sampling draw round by round.
+So traces are bit-reproducible, and training all clients but aggregating the
+sampled ones gives the same trajectory as sampling first.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
@@ -27,6 +23,7 @@ default, switchable to the aggregation-instant iteration index.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +37,9 @@ from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
                       stream)
 from .tasks import derive_constants
 from .vectors import squared_distance
+
+#: Rounds of effective-noise and batch blocks read per generator call.
+ROUND_CHUNK = 32
 
 TRACE_COLUMNS = ("t", "sq_dist", "loss", "eta", "sigma2_ul", "zeta2_dl",
                  "rho_ul", "rho_dl", "div_ul", "div_dl", "snr_global",
@@ -136,7 +136,8 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Everything observable from one run."""
+    """Everything observable from one run.  ``mean_uplink_noise`` and
+    ``mean_downlink_noise`` are empty unless ``record_virtual`` is on."""
 
     traces: list
     constants: object
@@ -170,35 +171,61 @@ def sample_clients(n_clients, n_participants, rng):
     return np.sort(picked)
 
 
-def local_train(w_start, task, clients, n_steps, batches, lr, start_iter):
-    """Run ``n_steps`` of mini-batch SGD for several clients at once.
-
-    Row i of the ``(n, d)`` array ``w_start`` starts ``clients[i]``, which
-    may repeat.  ``batches`` holds each step's sample indices,
-    ``(n_steps, n, B)``, or is None for exact full-batch gradients.  A
-    :class:`DivergenceError` names the first row's client, in the order of
-    ``clients``, whose iterate became non-finite, and its first such step.
+def floyd_sample(uniforms, population):
+    """B distinct indices of ``range(population)`` per row of the ``(..., B)``
+    uniforms, by Floyd's algorithm: for j = population - B .. population - 1,
+    the row's next uniform u gives ``r = floor(u * (j + 1))``, and the row
+    takes r, or j if it holds r already.  Every B-subset is equally likely.
     """
+    size = uniforms.shape[-1]
+    picks = np.empty(uniforms.shape, dtype=np.intp)
+    for i, j in enumerate(range(population - size, population)):
+        r = (uniforms[..., i] * (j + 1)).astype(np.intp)
+        taken = (picks[..., :i] == r[..., None]).any(axis=-1)
+        picks[..., i] = np.where(taken, j, r)
+    return picks
+
+
+def _sgd_steps(w_start, task, clients, batches, etas):
+    """Yield the ``(n, d)`` iterate after each step of :func:`local_train`."""
     clients = np.asarray(clients)
     rows = clients if batches is None else (clients[None, :, None], batches)
     feats, targets = task.features[rows], task.targets[rows]
     w = np.array(w_start, dtype=np.float64, copy=True)
-    first_bad = np.zeros(len(clients), dtype=int)
-    for j in range(1, n_steps + 1):
+    for j, eta in enumerate(etas):
         a, y = (feats, targets) if batches is None \
-            else (feats[j - 1], targets[j - 1])
+            else (feats[j], targets[j])
         residual = (a @ w[:, :, None])[:, :, 0] - y
         grad = (a.transpose(0, 2, 1) @ residual[:, :, None])[:, :, 0] \
             / a.shape[1] + task.ridge * w
-        w = w - lr.eta(start_iter + j) * grad
-        if not np.isfinite(w).all():
-            # Non-finite is absorbing; keep only each row's first step.
-            first_bad[~np.isfinite(w).all(axis=1) & (first_bad == 0)] = j
-    if first_bad.any():
-        i = int(np.flatnonzero(first_bad)[0])
-        raise DivergenceError(f"client {clients[i]}: non-finite iterate at "
-                              f"local step {first_bad[i]}")
-    return w
+        w = w - eta * grad
+        yield w
+
+
+def local_train(w_start, task, clients, batches, etas):
+    """Run one step of mini-batch SGD per rate in ``etas`` for several
+    clients at once.
+
+    Row i of the ``(n, d)`` array ``w_start`` starts ``clients[i]``, which
+    may repeat.  ``batches`` holds each step's sample indices,
+    ``(len(etas), n, B)``, or is None for exact full-batch gradients.  A
+    :class:`DivergenceError` names the first row's client, in the order of
+    ``clients``, whose iterate became non-finite, and its first such step.
+    """
+    w = w_start
+    for w in _sgd_steps(w_start, task, clients, batches, etas):
+        pass
+    bad = ~np.isfinite(w).all(axis=1)
+    if not bad.any():
+        return w
+    # Non-finite is absorbing, so the first bad row at the end is the one to
+    # name; replay the steps to find its first non-finite one.
+    i = int(np.argmax(bad))
+    step = next(j for j, w in enumerate(
+        _sgd_steps(w_start, task, clients, batches, etas), 1)
+        if not np.isfinite(w[i]).all())
+    raise DivergenceError(f"client {clients[i]}: non-finite iterate at "
+                          f"local step {step}")
 
 
 def uplink_transmit(w_local, mode, w_prev_global, w_received, noise):
@@ -237,34 +264,26 @@ def _schedule_indices(cfg, t):
     return t * e, max((t - 1) * e, 1)
 
 
-def _per_client(values, n_clients):
-    """A scalar or per-client schedule value as an ``(n_clients,)`` array."""
-    return np.broadcast_to(np.asarray(values, dtype=np.float64), (n_clients,))
+def _round_blocks(draw, rng, shape, rounds):
+    """Yield ``rounds`` consecutive ``shape`` blocks of ``draw(size, rng)``,
+    read ``ROUND_CHUNK`` rounds per call.  ``draw`` fills its array in C
+    order, so the chunk changes no value."""
+    for start in range(0, rounds, ROUND_CHUNK):
+        yield from draw((min(ROUND_CHUNK, rounds - start),) + shape, rng)
 
 
-def _block_noise(seed, domain, t, distribution, n_clients, dim, rows,
-                 variances):
-    """Rows ``rows`` of round t's unit-variance ``(n_clients, dim)`` noise
-    block of ``domain``, row i scaled to per-element variance
-    ``variances[i]``.  If every variance is zero, nothing is drawn."""
+def _scaled_noise(unit, variances):
+    """Unit-variance rows ``unit``, row i scaled to variance ``variances[i]``."""
     variances = np.asarray(variances, dtype=np.float64)
     if variances.min() < 0:
         raise PolicyError("noise variance must be non-negative")
-    if not variances.any():
-        return np.zeros((len(variances), dim))
-    unit = sample_noise(NoiseSpec(1.0, distribution), (n_clients, dim),
-                        stream(seed, domain, t))
-    return unit[rows] * np.sqrt(variances)[:, None]
+    return unit * np.sqrt(variances)[:, None]
 
 
-def downlink_broadcast(w_global, seed, t, distribution, n_clients, recipients,
-                       variances):
-    """Round t's effective-noise broadcast of the global model: one received
-    row per recipient, perturbed by its row of the round's downlink block at
-    per-element variance ``variances[i]`` (zero gives an exact copy)."""
-    return w_global + _block_noise(seed, DOMAIN_DOWNLINK, t, distribution,
-                                   n_clients, len(w_global), recipients,
-                                   variances)
+def downlink_broadcast(w_global, unit, variances):
+    """The global model as received through each row of unit-variance noise
+    ``unit``, row i scaled to variance ``variances[i]`` (0: an exact copy)."""
+    return w_global + _scaled_noise(unit, variances)
 
 
 def run(task, config, policy=None):
@@ -282,7 +301,6 @@ def run(task, config, policy=None):
         else task.samples_per_client
     epochs = config.local_epochs
     seed = config.seed
-    distribution = config.distribution
     effective = config.channel == "effective_noise"
 
     w_star = task.global_optimum()
@@ -303,6 +321,35 @@ def run(task, config, policy=None):
         raise ConfigError("virtual-sequence tracing requires full participation")
     train_all = config.virtual_all_clients or record_virtual
     all_clients = np.arange(n_clients)
+    rounds = config.rounds
+    etas = lr.etas(rounds * epochs).tolist()
+
+    # One generator per domain and run; only the domains the run uses.
+    if n_participants < n_clients:
+        sampling_rng = stream(seed, DOMAIN_SAMPLING)
+    if effective:
+        noise = partial(sample_noise, NoiseSpec(1.0, config.distribution))
+        # Block T+1 of the downlink completes the last virtual sequence.
+        down_blocks = _round_blocks(noise, stream(seed, DOMAIN_DOWNLINK),
+                                    (n_clients, dim), rounds + record_virtual)
+        up_blocks = _round_blocks(noise, stream(seed, DOMAIN_UPLINK),
+                                  (n_clients, dim), rounds)
+    else:
+        fade_dl_rng = stream(seed, DOMAIN_FADE_DOWNLINK)
+        fade_ul_rng = stream(seed, DOMAIN_FADE_UPLINK)
+    batch_blocks = None if batch == task.samples_per_client else _round_blocks(
+        lambda size, rng: floyd_sample(rng.random(size),
+                                       task.samples_per_client),
+        stream(seed, DOMAIN_BATCH), (epochs, n_clients, batch), rounds)
+
+    def broadcast(w, rp, rows):     # received rows, deep-fade retries
+        if effective:
+            zeta2 = np.full(n_clients, rp.downlink_variance)[rows]
+            return downlink_broadcast(w, next(down_blocks)[rows], zeta2), 0
+        received, info = analog_downlink_receive(
+            w, power=rp.rho_dl, rng=fade_dl_rng, copies=rp.div_dl,
+            receivers=n_clients)
+        return received[rows], info["retries"]
 
     # Divergence guard; floored so a start at the optimum still tolerates noise.
     guard = config.divergence_factor * max(initial_sq, 1.0)
@@ -310,8 +357,7 @@ def run(task, config, policy=None):
     w = w0.copy()
     traces = []
     sampled_sets = []
-    virtual = []
-    pending_virtual = None      # awaiting next round's downlink noise means
+    virtual = []                # w_bar filled in after the last round
     mean_up_noises = []
     mean_down_noises = []
     energy_ul = 0.0
@@ -319,7 +365,7 @@ def run(task, config, policy=None):
     max_iterate_sq = initial_sq
     fade_retries = 0
 
-    for t in range(1, config.rounds + 1):
+    for t in range(1, rounds + 1):
         idx_up, idx_down = _schedule_indices(config, t)
         rp_up = policy.round_params(idx_up)
         rp_down = rp_up if idx_down == idx_up else policy.round_params(idx_down)
@@ -327,36 +373,20 @@ def run(task, config, policy=None):
         # Full participation selects everyone; the sampling stream is
         # separate, so not drawing it changes no other draw.
         selected = all_clients if n_participants == n_clients else \
-            sample_clients(n_clients, n_participants,
-                           stream(seed, DOMAIN_SAMPLING, 0, t))
+            sample_clients(n_clients, n_participants, sampling_rng)
         sampled_sets.append(selected)
         recipients = all_clients if train_all else selected
         sel = selected if train_all else slice(None)   # rows of the sampled
-        zeta2 = _per_client(rp_down.downlink_variance, n_clients)[recipients]
 
         # (1) Downlink broadcast.
-        if effective:
-            received = downlink_broadcast(w, seed, t, distribution, n_clients,
-                                          recipients, zeta2)
-        else:
-            received, info = analog_downlink_receive(
-                w, power=rp_down.rho_dl,
-                rng=stream(seed, DOMAIN_FADE_DOWNLINK, t),
-                copies=rp_down.div_dl, receivers=n_clients)
-            received = received[recipients]
-            fade_retries += info["retries"]
+        received, retries = broadcast(w, rp_down, recipients)
+        fade_retries += retries
 
         # (2) Local mini-batch SGD.
-        # Round t's (E, N, D) uniform block, read one (N, D) step at a time
-        # so that only one step's draws are held.
-        batches = None
-        if batch < task.samples_per_client:
-            rng = stream(seed, DOMAIN_BATCH, t)
-            batches = np.array([np.argpartition(
-                rng.random((n_clients, task.samples_per_client))[recipients],
-                batch - 1, axis=-1)[:, :batch] for _ in range(epochs)])
-        local = local_train(received, task, recipients, epochs, batches, lr,
-                            (t - 1) * epochs)
+        batches = None if batch_blocks is None \
+            else next(batch_blocks)[:, recipients]
+        local = local_train(received, task, recipients, batches,
+                            etas[(t - 1) * epochs:t * epochs])
         visited = np.concatenate((received, local)) - w_star
         max_iterate_sq = max(max_iterate_sq,
                              float(np.max(np.sum(visited * visited, axis=1))))
@@ -368,26 +398,29 @@ def run(task, config, policy=None):
                     mdt_uplink_variance(diff, rp_up.snr_target)
                     for diff in local[sel] - received[sel]])
             else:
-                sigma2 = _per_client(rp_up.uplink_variance, n_clients)[selected]
-            up_noise = _block_noise(seed, DOMAIN_UPLINK, t, distribution,
-                                    n_clients, dim, selected, sigma2)
+                sigma2 = np.full(n_clients, rp_up.uplink_variance)[selected]
+            up_noise = _scaled_noise(next(up_blocks)[selected], sigma2)
             uploads = uplink_transmit(local[sel], config.mode, w,
                                       received[sel], up_noise)
             w_next = aggregate(uploads)
-            mean_up_noises.append(up_noise.mean(axis=0))
         else:
             payload = local[sel] if config.mode == "MT" \
                 else local[sel] - received[sel]
             agg, info = analog_uplink_aggregate(
-                payload, power=rp_up.rho_ul,
-                rng=stream(seed, DOMAIN_FADE_UPLINK, t),
+                payload, power=rp_up.rho_ul, rng=fade_ul_rng,
                 copies=rp_up.div_ul)
             fade_retries += info["retries"]
             w_next = agg if config.mode == "MT" else w + agg
-            mean_up_noises.append(agg - payload.mean(axis=0))
             sigma2 = 1.0 / (rp_up.rho_ul * rp_up.div_ul)
 
-        mean_down_noises.append((received - w).mean(axis=0))
+        if record_virtual:
+            mean_up_noises.append(up_noise.mean(axis=0) if effective
+                                  else agg - payload.mean(axis=0))
+            mean_down_noises.append((received - w).mean(axis=0))
+            virtual.append(VirtualSequences(
+                round_index=t, v_bar=local.mean(axis=0),
+                u_bar=local[sel].mean(axis=0), p_bar=w_next.copy(),
+                w_bar=None))
 
         # Realized global SNR from the simulation's ground truth.
         signal_sum = local[sel].sum(axis=0)
@@ -398,33 +431,21 @@ def run(task, config, policy=None):
         energy_dl += rp_down.energy_dl
         sq = squared_distance(w_next, w_star) \
             if np.all(np.isfinite(w_next)) else math.inf
-        trace = RoundTrace(
+        zeta2 = np.full(n_clients, rp_down.downlink_variance)[selected]
+        traces.append(RoundTrace(
             t=t,
             sq_dist=sq,
             loss=task.global_loss(w_next),
             eta=lr.eta((t - 1) * epochs + 1),
             sigma2_ul=float(np.mean(sigma2)),
-            zeta2_dl=float(np.mean(zeta2[sel])),
+            zeta2_dl=float(np.mean(zeta2)),
             rho_ul=rp_up.rho_ul,
             rho_dl=rp_down.rho_dl,
             div_ul=rp_up.div_ul,
             div_dl=rp_down.div_dl,
             snr_global=snr.ratio,
             energy_cum=energy_ul + energy_dl,
-        )
-        traces.append(trace)
-
-        if record_virtual:
-            if pending_virtual is not None:
-                virtual.append(pending_virtual)
-            pending_virtual = VirtualSequences(
-                round_index=t, v_bar=local.mean(axis=0),
-                u_bar=local[sel].mean(axis=0), p_bar=w_next.copy(),
-                w_bar=None)
-            if virtual:
-                prev = virtual[-1]
-                virtual[-1] = replace(
-                    prev, w_bar=prev.p_bar + mean_down_noises[-1])
+        ))
 
         if sq > guard:
             raise DivergenceError(
@@ -432,17 +453,13 @@ def run(task, config, policy=None):
                 f"{guard:.3e}", traces=traces)
         w = w_next
 
-    if record_virtual and pending_virtual is not None:
-        # Complete the last w_bar with a final virtual broadcast, drawn from
-        # round T+1's downlink block.
-        t_final = config.rounds + 1
-        _, idx_down = _schedule_indices(config, t_final)
-        rp_final = policy.round_params(idx_down)
-        tail = _block_noise(seed, DOMAIN_DOWNLINK, t_final, distribution,
-                            n_clients, dim, all_clients,
-                            _per_client(rp_final.downlink_variance, n_clients))
-        virtual.append(replace(pending_virtual,
-                               w_bar=pending_virtual.p_bar + tail.mean(axis=0)))
+    if record_virtual:
+        # Each w_bar adds the next broadcast's mean noise; the last one's is
+        # a final virtual broadcast, round T+1's.
+        _, idx_down = _schedule_indices(config, rounds + 1)
+        tail, _ = broadcast(w, policy.round_params(idx_down), all_clients)
+        virtual = [replace(v, w_bar=v.p_bar + noise) for v, noise in zip(
+            virtual, mean_down_noises[1:] + [(tail - w).mean(axis=0)])]
 
     max_iterate_dist = math.sqrt(max_iterate_sq)
     diagnostics = {

@@ -25,10 +25,6 @@ class ChannelError(NoisyFedError):
     """Channel simulation failure (e.g. deep fades exhausted all retries)."""
 
 
-class CombiningError(ChannelError):
-    """Diversity combining received no copies."""
-
-
 class AggregationError(NoisyFedError):
     """Server-side aggregation received an empty or inconsistent model set."""
 

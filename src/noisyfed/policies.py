@@ -64,6 +64,10 @@ class LearningRateSchedule:
             raise ConfigError("iteration index must be >= 1")
         return 2.0 / (self.mu * (self.gamma + t))
 
+    def etas(self, n_iters):
+        """eta_1 .. eta_n as one array, by the formula of :meth:`eta`."""
+        return 2.0 / (self.mu * (self.gamma + np.arange(1, n_iters + 1)))
+
 
 def _check_round(t, lr):
     if t < 1:

@@ -1,23 +1,22 @@
 """Deterministic, collision-free random streams.
 
 Every stochastic component of a run draws from its own generator, derived
-from the master seed, a domain and a key.  Under stream layout 4 every domain
-but client sampling is keyed by round: one generator per (domain, round)
-yields a block with a row for every client, sampled or not.  That covers the
-effective-noise downlink and uplink, the mini-batches and the analog
-downlink (power gains, then combined noise), while the analog uplink draws
-the deep-fade counts and combined noise of its over-the-air sum.  Client
-sampling keeps the key (client 0, round).  Rows belong to clients, not to
-execution order, which is what makes the all-clients-train /
-sampled-clients-train equivalence exact and lets replicas run in parallel
-without shared state.
+from the master seed, a domain and a key.  Under stream layout 5 a run keys
+one generator per domain by the domain alone, and round t draws the t-th
+consecutive block of its stream, with a row for every client, sampled or
+not: the effective-noise downlink and uplink, the mini-batches and the
+analog downlink.  The analog uplink draws its over-the-air sum and client
+sampling one subset per round.  Rows belong to clients, not to execution
+order, which is what makes the all-clients-train / sampled-clients-train
+equivalence exact and lets replicas run in parallel without shared state.
+The verification oracles keep their own longer keys.
 """
 
 import numpy as np
 
 #: Version of the mapping from seeds and keys to draws, written into every
 #: trace header.  Changing the layout changes traces.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 # Stream domains.  Values are part of the determinism contract: changing them
 # changes every trace.
@@ -33,8 +32,8 @@ DOMAIN_ORACLE = 7
 def stream(master_seed, domain, *key):
     """Return the generator owned by ``(domain, *key)`` under a master seed.
 
-    ``key`` is ``(client, round)`` for a per-client stream or ``(round,)``
-    for a per-round block; keys of different lengths never collide.
+    A run keys its streams by the domain alone and the oracles by
+    ``(epochs, check)``; keys of different lengths never collide.
     """
     if min(master_seed, domain, *key) < 0:
         raise ValueError("seed components must be non-negative")

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from noisyfed import ChannelError, ConfigError, make_task, run, save_task
@@ -81,7 +82,7 @@ def test_run_writes_traces_and_summary(tmp_path):
     assert files == ["mean_trace.csv", "summary.json", "trace_rep000.csv",
                      "trace_rep001.csv", "trace_rep002.csv"]
     config, rows = read_trace(out / "trace_rep000.csv")
-    assert config["stream_layout"] == 4
+    assert config["stream_layout"] == 5
     assert config["derived"]["mu"] > 0
     assert config["derived"]["rate_constant"] > 0
     assert [r["t"] for r in rows] == list(range(1, 41))
@@ -209,21 +210,34 @@ def test_sweep_snr_monotonicity(tmp_path):
     assert finals[0] >= finals[1] >= finals[2]
 
 
-def test_sweep_horizon_scales_inversely(tmp_path):
-    doc = experiment_doc(policy={"name": "mt_full", "params": {}})
+def _sweep_halving_ratio(tmp_path, policy):
+    """How much doubling the horizon divides the final distance: 2^-slope of
+    a least-squares line through log final distance against log horizon,
+    over a sweep of 100, 200 and 400 rounds, 36 replicas each."""
+    doc = experiment_doc(policy={"name": policy, "params": {}})
     doc["run"]["n_participants"] = 6
     doc["run"]["seed"] = 500
-    doc["replicas"] = 12
+    doc["replicas"] = 36
     doc["checks"] = []
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "sw"
+    cfg = write_config(tmp_path, doc, name=f"{policy}.json")
+    out = tmp_path / policy
     assert main(["sweep", cfg, "--axis", "run.rounds", "--values",
                  "100,200,400", "--out", str(out)]) == 0
-    rows = read_sweep_rows(out / "sweep.csv")
-    finals = [float(r.split(",")[1]) for r in rows]
+    rows = [r.split(",") for r in read_sweep_rows(out / "sweep.csv")]
+    horizons = np.log([float(r[0]) for r in rows])
+    finals = np.log([float(r[1]) for r in rows])
+    return 2.0 ** -np.polyfit(horizons, finals, 1)[0]
+
+
+def test_sweep_horizon_scales_inversely(tmp_path):
     # Final distance tracks 1/T: doubling the horizon roughly halves it.
-    assert abs(finals[0] / finals[1] - 2.0) <= 0.6
-    assert abs(finals[1] / finals[2] - 2.0) <= 0.6
+    assert abs(_sweep_halving_ratio(tmp_path, "mt_full") - 2.0) <= 0.6
+
+
+def test_sweep_horizon_check_fails_without_decaying_noise(tmp_path):
+    # Negative control: at a constant SNR the final distance does not fall
+    # as 1/T, so the same check must fail.
+    assert abs(_sweep_halving_ratio(tmp_path, "equal_power") - 2.0) > 0.6
 
 
 def test_sweep_non_numeric_axis_usage_error(tmp_path):

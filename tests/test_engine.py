@@ -1,18 +1,24 @@
 import hashlib
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from noisyfed import (AggregationError, ClientData, ConfigError,
                       DivergenceError, LearningRateSchedule, QuadraticTask,
                       RunConfig, aggregate, downlink_broadcast, local_train,
                       make_task, run, sample_clients, uplink_transmit)
-from noisyfed import engine
+from noisyfed import NoiseSpec, PolicyError, engine
+from noisyfed.channel import sample_noise
 from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
-from noisyfed.seeding import (DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
-                              DOMAIN_FADE_UPLINK, DOMAIN_UPLINK, STREAM_LAYOUT)
+from noisyfed.policies import NoiseFreePolicy, RoundPolicy
+from noisyfed.seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK,
+                              DOMAIN_FADE_DOWNLINK, DOMAIN_FADE_UPLINK,
+                              DOMAIN_SAMPLING, DOMAIN_UPLINK, STREAM_LAYOUT,
+                              stream)
 
 
 def test_sample_clients_full_set(rng):
@@ -46,14 +52,21 @@ def test_sample_clients_invalid():
         sample_clients(3, 4, np.random.default_rng(0))
 
 
+def _unit_blocks(seed, distribution, shape, rounds):
+    """A run's first ``rounds`` downlink blocks, as the engine reads them."""
+    draw = partial(sample_noise, NoiseSpec(1.0, distribution))
+    return list(engine._round_blocks(draw, stream(seed, DOMAIN_DOWNLINK),
+                                     shape, rounds))
+
+
 def test_downlink_noise_free_exact(rng):
     w = rng.normal(size=12)
-    out = downlink_broadcast(w, 0, 1, "gaussian", 4, np.arange(4),
-                             np.zeros(4))
+    unit = _unit_blocks(0, "gaussian", (4, 12), 1)[0]
+    out = downlink_broadcast(w, unit, np.zeros(4))
     assert np.array_equal(out, np.tile(w, (4, 1)))
     # A zero-variance row is an exact copy even when others are noisy.
-    out = downlink_broadcast(w, 0, 1, "laplace", 4, np.arange(4),
-                             [0.0, 1.0, 0.0, 1.0])
+    unit = _unit_blocks(0, "laplace", (4, 12), 1)[0]
+    out = downlink_broadcast(w, unit, [0.0, 1.0, 0.0, 1.0])
     assert np.array_equal(out[[0, 2]], np.tile(w, (2, 1)))
     assert not np.any(out[[1, 3]] == w)
 
@@ -61,15 +74,15 @@ def test_downlink_noise_free_exact(rng):
 def test_downlink_variance_matches_schedule():
     w = np.zeros(100_000)
     zeta2 = 0.3
-    noise = downlink_broadcast(w, 77, 1, "gaussian", 1, [0], [zeta2])[0]
+    unit = _unit_blocks(77, "gaussian", (1, w.size), 1)[0]
+    noise = downlink_broadcast(w, unit, [zeta2])[0]
     assert abs(noise.var() - zeta2) / zeta2 <= 0.05
 
 
 def test_downlink_clients_independent():
-    w = np.zeros(100_000)
-    out = downlink_broadcast(w, 3, 1, "gaussian", 2, [0, 1], [1.0, 1.0])
-    corr = np.corrcoef(out[0], out[1])[0, 1]
-    assert abs(corr) < 0.02
+    first, second = _unit_blocks(3, "gaussian", (2, 100_000), 2)
+    for a, b in ((first[0], first[1]), (first[0], second[0])):
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
 
 def test_local_train_fixed_point():
@@ -80,7 +93,7 @@ def test_local_train_fixed_point():
         clients=[ClientData(features=features, targets=features @ w0)],
         ridge=0.0, dim=2)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
-    out = local_train(w0[None], task, [0], 5, None, lr, 0)[0]
+    out = local_train(w0[None], task, [0], None, lr.etas(5))[0]
     assert np.allclose(out, w0, atol=1e-14)
 
 
@@ -92,7 +105,7 @@ def test_local_train_single_full_batch_step():
         ridge=0.1, dim=2)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
     w0 = np.array([0.3, -0.2])
-    out = local_train(w0[None], task, [0], 1, None, lr, 0)[0]
+    out = local_train(w0[None], task, [0], None, lr.etas(1))[0]
     grad = features.T @ (features @ w0 - targets) / 2.0 + 0.1 * w0
     assert np.allclose(out, w0 - lr.eta(1) * grad, atol=1e-14)
 
@@ -105,7 +118,8 @@ def test_local_full_batch_descent_is_contraction():
     w = opt + 3.0
     dists = [float(np.sum((w - opt) ** 2))]
     for step in range(30):
-        w = local_train(w[None], task, [0], 1, None, lr, step)[0]
+        w = local_train(w[None], task, [0], None,
+                        lr.etas(step + 1)[step:])[0]
         dists.append(float(np.sum((w - opt) ** 2)))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
@@ -178,6 +192,8 @@ def test_identical_seeds_identical_traces(small_task):
     b = run(small_task, RunConfig(**kw))
     assert all(x.as_row() == y.as_row() for x, y in zip(a.traces, b.traces))
     assert np.array_equal(a.final_model, b.final_model)
+    # Noise means are recorded only for virtual sequences.
+    assert a.mean_uplink_noise == [] and a.mean_downlink_noise == []
 
 
 def test_virtual_process_equivalence(small_task):
@@ -222,6 +238,7 @@ def test_virtual_sequences_identities(small_task):
                     record_virtual=True)
     result = run(small_task, cfg)
     assert len(result.virtual) == 8
+    assert len(result.mean_uplink_noise) == len(result.mean_downlink_noise) == 8
     for i, v in enumerate(result.virtual):
         # Full participation: the sampling-average equals the all-client
         # average, and the server model is exactly the noise-bearing average.
@@ -340,6 +357,62 @@ def test_trace_rounds_strictly_increasing(small_task):
     assert ts == list(range(1, 13))
 
 
+class _StubPolicy(NoiseFreePolicy):
+    def __init__(self, uplink_variance, downlink_variance):
+        self.variances = (uplink_variance, downlink_variance)
+
+    def round_params(self, t):
+        return RoundPolicy(*self.variances)
+
+
+@pytest.mark.parametrize("uplink, downlink", [(0.0, -1e-3), (-1e-3, 0.0)])
+def test_negative_noise_variance_is_policy_error(small_task, uplink,
+                                                 downlink):
+    cfg = RunConfig(n_participants=3, rounds=3, local_epochs=2, batch_size=3,
+                    seed=0)
+    with pytest.raises(PolicyError, match="must be non-negative"):
+        run(small_task, cfg, policy=_StubPolicy(uplink, downlink))
+
+
+def _subset_p_value(picks, population):
+    """Chi-square p-value of the rows' index sets against the uniform law
+    over all subsets of their size; a row that repeats an index falls in no
+    subset."""
+    subsets = list(combinations(range(population), picks.shape[1]))
+    masks = np.bitwise_or.reduce(1 << picks, axis=1)
+    counts = np.array([np.count_nonzero(masks == sum(1 << i for i in s))
+                       for s in subsets])
+    expected = len(picks) / len(subsets)
+    statistic = float(np.sum((counts - expected) ** 2) / expected)
+    return stats.chi2.sf(statistic, len(subsets) - 1)
+
+
+def _floyd_without_replacement_step(uniforms, population):
+    size = uniforms.shape[-1]
+    return np.stack([(uniforms[..., i] * (j + 1)).astype(np.intp)
+                     for i, j in enumerate(range(population - size,
+                                                 population))], axis=-1)
+
+
+def test_floyd_subsets_are_uniform():
+    uniforms = np.random.default_rng(17).random((40_000, 3))
+    assert _subset_p_value(engine.floyd_sample(uniforms, 6), 6) > 1e-3
+    # Negative control: keeping a repeated draw instead of taking j.
+    assert _subset_p_value(_floyd_without_replacement_step(uniforms, 6),
+                           6) < 1e-6
+
+
+def test_floyd_sample_gives_distinct_indices_in_range():
+    picks = engine.floyd_sample(
+        np.random.default_rng(3).random((5, 10, 4)), 40)
+    assert picks.shape == (5, 10, 4)
+    assert picks.min() >= 0 and picks.max() < 40
+    assert all(len(set(row)) == 4 for row in picks.reshape(-1, 4).tolist())
+    # Drawing the whole population returns a permutation of it.
+    full = engine.floyd_sample(np.random.default_rng(4).random((3, 12)), 12)
+    assert all(sorted(row) == list(range(12)) for row in full.tolist())
+
+
 def test_run_config_rejects_meaningless_combinations():
     with pytest.raises(ConfigError, match="needs mode 'MDT'"):
         RunConfig(n_participants=3, rounds=5, mode="MT",
@@ -349,20 +422,18 @@ def test_run_config_rejects_meaningless_combinations():
 
 
 # ---------------------------------------------------------------------------
-# Stream layout 4: one block per (domain, round) with a row for every client,
-# the analog downlink included.
+# Stream layout 5: one generator per domain and run, round t drawing the t-th
+# block of its domain's stream, with a row for every client.
 #
 # The digests pin the trace rows, final model and fade retries of short runs
 # over every mode, noise distribution and participation level, one digest per
-# channel layer.  Layout 4 changed only the analog draws: the effective-noise
-# digest was captured at layout 3 and must not move, while the analog digest
-# was captured when layout 4 was introduced.
+# channel layer.  Both were captured when layout 5 was introduced.
 # ---------------------------------------------------------------------------
 
 GOLDEN_EFFECTIVE_NOISE = \
-    "267b1beb062631cceb11786831f92d4251f692caf7b38c042db28267532e86f3"
-GOLDEN_ANALOG_LAYOUT_4 = \
-    "0255121621ddd0cb337aa99d974c0f3e22bbd7591f8684c3dab2ae2660eff391"
+    "c5b809b5e2059344e93b0aaa1be831265a68f1d15db2f61d139d1690e8e4a455"
+GOLDEN_ANALOG_LAYOUT_5 = \
+    "bf8d59e02be7185d434f07e2d750fcc6fc214a430d20e5138ba07d7e4b3799db"
 
 
 def _layout_policies(channel, mode, participants):
@@ -394,15 +465,58 @@ def _layout_digest(task, channel):
     return digest.hexdigest()
 
 
-def test_stream_layout_4_matches_golden(small_task):
-    assert STREAM_LAYOUT == 4
+def test_stream_layout_5_matches_golden(small_task):
+    assert STREAM_LAYOUT == 5
     assert _layout_digest(small_task, "analog_physical") \
-        == GOLDEN_ANALOG_LAYOUT_4
+        == GOLDEN_ANALOG_LAYOUT_5
 
 
-def test_effective_noise_draws_unchanged_since_layout_3(small_task):
+def test_effective_noise_matches_golden(small_task):
     assert _layout_digest(small_task, "effective_noise") \
         == GOLDEN_EFFECTIVE_NOISE
+
+
+@pytest.mark.parametrize("overrides, domains", [
+    ({}, {DOMAIN_DOWNLINK, DOMAIN_UPLINK, DOMAIN_BATCH}),
+    ({"n_participants": 3},
+     {DOMAIN_SAMPLING, DOMAIN_DOWNLINK, DOMAIN_UPLINK, DOMAIN_BATCH}),
+    ({"batch_size": None}, {DOMAIN_DOWNLINK, DOMAIN_UPLINK}),
+    ({"channel": "analog_physical", "policy_name": "power_t2"},
+     {DOMAIN_FADE_DOWNLINK, DOMAIN_FADE_UPLINK, DOMAIN_BATCH}),
+])
+def test_run_builds_one_generator_per_domain(small_task, monkeypatch,
+                                             overrides, domains):
+    keys = []
+
+    def recording_stream(seed, domain, *key):
+        keys.append((seed, domain, *key))
+        return stream(seed, domain, *key)
+
+    monkeypatch.setattr(engine, "stream", recording_stream)
+    kw = dict(n_participants=6, rounds=40, local_epochs=2, batch_size=3,
+              policy_name="mt_partial", seed=9)
+    run(small_task, RunConfig(**dict(kw, **overrides)))
+    assert sorted(keys) == sorted((9, domain) for domain in domains)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, engine.ROUND_CHUNK])
+def test_round_chunk_changes_no_draw(small_task, monkeypatch, chunk):
+    # Every block is contiguous in C order, so reading the noise and batch
+    # blocks a different number of rounds per call changes no draw, the
+    # extra downlink block of virtual-sequence recording included.
+    def virtual_w_bars():
+        result = run(small_task, RunConfig(
+            n_participants=6, rounds=13, local_epochs=2, batch_size=3,
+            policy_name="mt_full", seed=5, record_virtual=True))
+        return np.array([v.w_bar for v in result.virtual])
+
+    expected = virtual_w_bars()
+    monkeypatch.setattr(engine, "ROUND_CHUNK", chunk)
+    assert np.array_equal(virtual_w_bars(), expected)
+    assert _layout_digest(small_task, "effective_noise") \
+        == GOLDEN_EFFECTIVE_NOISE
+    assert _layout_digest(small_task, "analog_physical") \
+        == GOLDEN_ANALOG_LAYOUT_5
 
 
 def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
@@ -419,7 +533,7 @@ def test_swapped_fade_blocks_fail_layout_golden(small_task, monkeypatch):
     monkeypatch.setattr(engine, "DOMAIN_FADE_DOWNLINK", DOMAIN_FADE_UPLINK)
     monkeypatch.setattr(engine, "DOMAIN_FADE_UPLINK", DOMAIN_FADE_DOWNLINK)
     assert _layout_digest(small_task, "analog_physical") \
-        != GOLDEN_ANALOG_LAYOUT_4
+        != GOLDEN_ANALOG_LAYOUT_5
 
 
 def test_batched_local_sgd_matches_per_client_loop(small_task,
@@ -429,8 +543,9 @@ def test_batched_local_sgd_matches_per_client_loop(small_task,
     clients = np.array([0, 2, 3, 5])
     starts = rng.normal(size=(4, small_task.dim))
     batches = np.argpartition(rng.random((4, 4, 12)), 2, axis=-1)[..., :3]
-    sampled = local_train(starts, small_task, clients, 4, batches, lr, 6)
-    full = local_train(starts, small_task, clients, 4, None, lr, 6)
+    sampled = local_train(starts, small_task, clients, batches,
+                          lr.etas(10)[6:])
+    full = local_train(starts, small_task, clients, None, lr.etas(10)[6:])
     for i, k in enumerate(clients):
         w_sampled = w_full = starts[i]
         for j in range(1, 5):
@@ -461,6 +576,6 @@ def test_divergence_names_lowest_client_and_its_first_step(small_task):
                  for i, k in enumerate(clients)]
         assert steps[1] < steps[0] and steps[2] is None
         with pytest.raises(DivergenceError) as excinfo:
-            local_train(starts, small_task, clients, 60, None, lr, 0)
+            local_train(starts, small_task, clients, None, lr.etas(60))
     assert str(excinfo.value) == \
         f"client 1: non-finite iterate at local step {steps[0]}"

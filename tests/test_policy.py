@@ -26,6 +26,13 @@ def test_eta_hand_value(lr):
     assert lr.eta(1) == pytest.approx(2.0 / 9.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("mu, kappa, epochs", [(1.0, 1.0, 5), (0.37, 3.3, 2),
+                                                (2e-3, 41.7, 7)])
+def test_eta_array_is_bit_identical_to_eta(mu, kappa, epochs):
+    sched = LearningRateSchedule(mu=mu, kappa=kappa, local_epochs=epochs)
+    assert sched.etas(5000).tolist() == [sched.eta(t) for t in range(1, 5001)]
+
+
 def test_eta_decreases_to_zero(lr):
     values = [lr.eta(t) for t in range(1, 5000)]
     assert all(a > b for a, b in zip(values, values[1:]))
