@@ -28,7 +28,6 @@ from .policies import (LearningRateSchedule, RoundPolicy, budget_split,
                        reference_diversity_schedule, uplink_power)
 from .tasks import (ClientData, QuadraticTask, TaskConstants, derive_constants,
                     load_task, make_task, save_task, stochastic_gradient)
-from .vectors import (NormStats, denormalize, mean_of, normalize,
-                      squared_distance)
+from .vectors import mean_of, squared_distance
 
 __version__ = "0.1.0"

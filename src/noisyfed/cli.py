@@ -388,9 +388,12 @@ def cmd_verify(args):
     reports = []
     if args.scope in ("lemmas", "all"):
         reports.extend(_lemma_reports(args.replicas, args.seed))
+    lemmas = len(reports)
     if args.scope in ("theorems", "all"):
         reports.extend(_theorem_reports(args.noise_scale, args.seed))
-    for report in reports:
+    for i, report in enumerate(reports):
+        if i == lemmas:     # the bound_holds estimates run engine.run
+            print(f"stream layout {STREAM_LAYOUT}")
         print(report.line())
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")

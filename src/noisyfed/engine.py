@@ -4,7 +4,10 @@ One run executes, per round: uniform client sampling, noisy downlink broadcast
 of the current global model, local mini-batch SGD at each recipient, noisy
 uplink of either the full local model (``MT``) or its differential against the
 model the client just received (``MDT``), and server-side averaging.  The
-recipients of a round are one ``(n, d)`` array, trained together.
+recipients of a round are one ``(n, d)`` array, trained together.  The round
+loop only advances that state, checks the divergence guard and records what
+the observations need; the trace rows and the iterate-ball maximum are built
+from those records in bulk, with each round's own arithmetic.
 
 Randomness follows stream layout 5 (:mod:`noisyfed.seeding`): round t draws
 the t-th block of its domain's stream, with a row for each of the N clients,
@@ -28,8 +31,7 @@ from functools import partial
 import numpy as np
 
 from .channel import (NOISE_DISTRIBUTIONS, NoiseSpec, analog_downlink_receive,
-                      analog_uplink_aggregate, measure_global_snr,
-                      sample_noise)
+                      analog_uplink_aggregate, sample_noise)
 from .errors import AggregationError, ConfigError, DivergenceError, PolicyError
 from .policies import build_policy, LearningRateSchedule, mdt_uplink_variance
 from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
@@ -40,17 +42,23 @@ from .vectors import squared_distance
 
 #: Rounds of effective-noise and batch blocks read per generator call.
 ROUND_CHUNK = 32
+#: Rounds whose trace rows and iterate-ball maximum are built in one pass;
+#: few, so that the models they buffer stay small.
+TRACE_BLOCK = 8
 
 TRACE_COLUMNS = ("t", "sq_dist", "loss", "eta", "sigma2_ul", "zeta2_dl",
                  "rho_ul", "rho_dl", "div_ul", "div_dl", "snr_global",
                  "energy_cum")
+
+#: Types of a policy variance that holds one value per client.
+PER_CLIENT = (list, tuple, np.ndarray)
 
 TRANSMISSION_MODES = ("MT", "MDT")
 CHANNEL_LAYERS = ("effective_noise", "analog_physical")
 SCHEDULE_TIMELINES = ("round", "iteration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundTrace:
     """Observables recorded after each aggregation round."""
 
@@ -187,18 +195,26 @@ def floyd_sample(uniforms, population):
 
 
 def _sgd_steps(w_start, task, clients, batches, etas):
-    """Yield the ``(n, d)`` iterate after each step of :func:`local_train`."""
+    """Yield the ``(n, d)`` iterate after each step of :func:`local_train`;
+    one array, updated in place."""
     clients = np.asarray(clients)
     rows = clients if batches is None else (clients[None, :, None], batches)
     feats, targets = task.features[rows], task.targets[rows]
+    feats_t = feats.swapaxes(-1, -2)
     w = np.array(w_start, dtype=np.float64, copy=True)
+    n, size, dim = feats.shape[-3:]
+    predicted, residual = np.empty((n, size, 1)), np.empty((n, size))
+    grad3, (grad, ridge_w) = np.empty((n, dim, 1)), np.empty((2, n, dim))
+    w3, residual3 = w[:, :, None], residual[:, :, None]
     for j, eta in enumerate(etas):
-        a, y = (feats, targets) if batches is None \
-            else (feats[j], targets[j])
-        residual = (a @ w[:, :, None])[:, :, 0] - y
-        grad = (a.transpose(0, 2, 1) @ residual[:, :, None])[:, :, 0] \
-            / a.shape[1] + task.ridge * w
-        w = w - eta * grad
+        a, a_t, y = (feats, feats_t, targets) if batches is None \
+            else (feats[j], feats_t[j], targets[j])
+        np.matmul(a, w3, out=predicted)
+        np.subtract(predicted[:, :, 0], y, out=residual)
+        np.matmul(a_t, residual3, out=grad3)
+        np.divide(grad3[:, :, 0], size, out=grad)
+        np.add(grad, np.multiply(task.ridge, w, out=ridge_w), out=grad)
+        np.subtract(w, np.multiply(eta, grad, out=grad), out=w)
         yield w
 
 
@@ -252,7 +268,10 @@ def aggregate(uploads):
     uploads = np.asarray(uploads, dtype=np.float64)
     if len(uploads) == 0:
         raise AggregationError("no received models to aggregate")
-    return uploads.mean(axis=0)
+    # Bit for bit uploads.mean(axis=0), without its per-call overhead.
+    total = np.add.reduce(uploads, axis=0)
+    total /= len(uploads)
+    return total
 
 
 def _schedule_indices(cfg, t):
@@ -273,17 +292,61 @@ def _round_blocks(draw, rng, shape, rounds):
 
 
 def _scaled_noise(unit, variances):
-    """Unit-variance rows ``unit``, row i scaled to variance ``variances[i]``."""
-    variances = np.asarray(variances, dtype=np.float64)
-    if variances.min() < 0:
+    """Unit-variance rows ``unit`` scaled to variance ``variances``: one
+    scalar for every row, or one per row."""
+    per_row = isinstance(variances, PER_CLIENT)
+    if (np.min(variances) if per_row else variances) < 0:
         raise PolicyError("noise variance must be non-negative")
-    return unit * np.sqrt(variances)[:, None]
+    if per_row:
+        return unit * np.sqrt(np.asarray(variances, dtype=np.float64))[:, None]
+    return unit * math.sqrt(variances)
+
+
+def _rows(variance, rows):
+    """A policy's variance for the given clients; a scalar stays one."""
+    return np.asarray(variance, dtype=np.float64)[rows] \
+        if isinstance(variance, PER_CLIENT) else variance
+
+
+def _round_means(variances, n):
+    """``float(np.mean(np.full(n, v)))`` for every round's variance ``v``, a
+    scalar or an ``(n,)`` array, as one ``(T, n)`` mean: the same sums."""
+    block = np.array(variances, dtype=np.float64)
+    if block.ndim == 1:
+        block = np.repeat(block[:, None], n, axis=1)
+    return block.mean(axis=1).tolist()
 
 
 def downlink_broadcast(w_global, unit, variances):
     """The global model as received through each row of unit-variance noise
-    ``unit``, row i scaled to variance ``variances[i]`` (0: an exact copy)."""
+    ``unit``, scaled as :func:`_scaled_noise` does (0: an exact copy)."""
     return w_global + _scaled_noise(unit, variances)
+
+
+def _trace_rows(records, up_count, n_participants, etas):
+    """The :class:`RoundTrace` rows of a block of rounds that :func:`run`
+    recorded.  Every cell is what the round's own arithmetic gave, as a
+    Python ``int`` or ``float``."""
+    ts, params, sampled, up_variances, sq_dists, losses, signals, models, \
+        energies = zip(*records)
+    sigma2 = _round_means(up_variances, up_count)
+    zeta2 = _round_means([_rows(down.downlink_variance, rows)
+                          for (_, down), rows in zip(params, sampled)],
+                         n_participants)
+    signals = np.array(signals)
+    noises = n_participants * np.array(models) - signals
+    rows = []
+    for i, ((up, down), signal, noise) in enumerate(zip(params, signals,
+                                                          noises)):
+        noise_power = float(noise @ noise)
+        rows.append(RoundTrace(
+            t=ts[i], sq_dist=sq_dists[i], loss=losses[i], eta=etas[ts[i] - 1],
+            sigma2_ul=sigma2[i], zeta2_dl=zeta2[i], rho_ul=up.rho_ul,
+            rho_dl=down.rho_dl, div_ul=up.div_ul, div_dl=down.div_dl,
+            snr_global=math.inf if noise_power == 0.0
+            else float(signal @ signal) / noise_power,
+            energy_cum=energies[i]))
+    return rows
 
 
 def run(task, config, policy=None):
@@ -342,28 +405,44 @@ def run(task, config, policy=None):
                                        task.samples_per_client),
         stream(seed, DOMAIN_BATCH), (epochs, n_clients, batch), rounds)
 
+    def pick(block, rows, axis=0):  # no copy when every client is a row
+        return block if rows is all_clients else np.take(block, rows, axis)
+
     def broadcast(w, rp, rows):     # received rows, deep-fade retries
         if effective:
-            zeta2 = np.full(n_clients, rp.downlink_variance)[rows]
-            return downlink_broadcast(w, next(down_blocks)[rows], zeta2), 0
+            return downlink_broadcast(w, pick(next(down_blocks), rows),
+                                      _rows(rp.downlink_variance, rows)), 0
         received, info = analog_downlink_receive(
             w, power=rp.rho_dl, rng=fade_dl_rng, copies=rp.div_dl,
             receivers=n_clients)
-        return received[rows], info["retries"]
+        return pick(received, rows), info["retries"]
 
     # Divergence guard; floored so a start at the optimum still tolerates noise.
     guard = config.divergence_factor * max(initial_sq, 1.0)
 
+    # The loop advances the state and records what each round's trace row
+    # is built from: t, (uplink, downlink) parameters, sampled clients,
+    # uplink variance (one for the analog uplink's combined noise), squared
+    # distance, loss, sum of the sampled local models, aggregate, cumulative
+    # energy.  Each block of TRACE_BLOCK rounds becomes trace rows, and its
+    # received and local models (the ball) the iterate-ball maximum.
     w = w0.copy()
     traces = []
+    records = []
+    trace_rows = partial(_trace_rows, records,
+                         n_participants if effective else 1, n_participants,
+                         etas[::epochs])
     sampled_sets = []
     virtual = []                # w_bar filled in after the last round
     mean_up_noises = []
     mean_down_noises = []
     energy_ul = 0.0
     energy_dl = 0.0
-    max_iterate_sq = initial_sq
     fade_retries = 0
+    n_rows = n_clients if train_all else n_participants
+    span = min(TRACE_BLOCK, rounds)
+    ball = np.empty((span, 2 * n_rows, dim))
+    max_iterate_sq = initial_sq
 
     for t in range(1, rounds + 1):
         idx_up, idx_down = _schedule_indices(config, t)
@@ -382,14 +461,15 @@ def run(task, config, policy=None):
         received, retries = broadcast(w, rp_down, recipients)
         fade_retries += retries
 
-        # (2) Local mini-batch SGD.
-        batches = None if batch_blocks is None \
-            else next(batch_blocks)[:, recipients]
-        local = local_train(received, task, recipients, batches,
-                            etas[(t - 1) * epochs:t * epochs])
-        visited = np.concatenate((received, local)) - w_star
-        max_iterate_sq = max(max_iterate_sq,
-                             float(np.max(np.sum(visited * visited, axis=1))))
+        # (2) Local mini-batch SGD.  The batch block is not kept, since a
+        # view of it would hold its chunk through the next chunk's draw.
+        local = local_train(
+            received, task, recipients, None if batch_blocks is None
+            else pick(next(batch_blocks), recipients, axis=1),
+            etas[(t - 1) * epochs:t * epochs])
+        k = (t - 1) % span
+        ball[k, :n_rows] = received
+        ball[k, n_rows:] = local
 
         # (3) Uplink transmission and (4) aggregation.
         if effective:
@@ -398,8 +478,8 @@ def run(task, config, policy=None):
                     mdt_uplink_variance(diff, rp_up.snr_target)
                     for diff in local[sel] - received[sel]])
             else:
-                sigma2 = np.full(n_clients, rp_up.uplink_variance)[selected]
-            up_noise = _scaled_noise(next(up_blocks)[selected], sigma2)
+                sigma2 = _rows(rp_up.uplink_variance, selected)
+            up_noise = _scaled_noise(pick(next(up_blocks), selected), sigma2)
             uploads = uplink_transmit(local[sel], config.mode, w,
                                       received[sel], up_noise)
             w_next = aggregate(uploads)
@@ -422,31 +502,23 @@ def run(task, config, policy=None):
                 u_bar=local[sel].mean(axis=0), p_bar=w_next.copy(),
                 w_bar=None))
 
-        # Realized global SNR from the simulation's ground truth.
-        signal_sum = local[sel].sum(axis=0)
-        noise_sum = n_participants * w_next - signal_sum
-        snr = measure_global_snr(signal_sum, noise_sum, config.mode)
-
+        diff = w_next - w_star
+        sq = float(diff @ diff)
+        if math.isnan(sq):      # still trips the guard
+            sq = math.inf
         energy_ul += rp_up.energy_ul
         energy_dl += rp_down.energy_dl
-        sq = squared_distance(w_next, w_star) \
-            if np.all(np.isfinite(w_next)) else math.inf
-        zeta2 = np.full(n_clients, rp_down.downlink_variance)[selected]
-        traces.append(RoundTrace(
-            t=t,
-            sq_dist=sq,
-            loss=task.global_loss(w_next),
-            eta=lr.eta((t - 1) * epochs + 1),
-            sigma2_ul=float(np.mean(sigma2)),
-            zeta2_dl=float(np.mean(zeta2)),
-            rho_ul=rp_up.rho_ul,
-            rho_dl=rp_down.rho_dl,
-            div_ul=rp_up.div_ul,
-            div_dl=rp_down.div_dl,
-            snr_global=snr.ratio,
-            energy_cum=energy_ul + energy_dl,
-        ))
-
+        records.append((t, (rp_up, rp_down), selected, sigma2, sq,
+                        task.global_loss(w_next), local[sel].sum(axis=0),
+                        w_next, energy_ul + energy_dl))
+        if k == span - 1 or t == rounds or sq > guard:
+            visited = ball[:k + 1]
+            visited -= w_star
+            np.multiply(visited, visited, out=visited)
+            max_iterate_sq = max(max_iterate_sq,
+                                 float(np.max(np.sum(visited, axis=-1))))
+            traces += trace_rows()
+            records.clear()
         if sq > guard:
             raise DivergenceError(
                 f"round {t}: squared distance {sq:.3e} exceeded the guard "
@@ -462,25 +534,15 @@ def run(task, config, policy=None):
             virtual, mean_down_noises[1:] + [(tail - w).mean(axis=0)])]
 
     max_iterate_dist = math.sqrt(max_iterate_sq)
-    diagnostics = {
-        "max_iterate_distance": max_iterate_dist,
-        "trajectory_radius": radius,
-        "radius_exceeded": max_iterate_dist > radius,
-        "fade_retries": fade_retries,
-    }
+    diagnostics = {"max_iterate_distance": max_iterate_dist,
+                   "trajectory_radius": radius,
+                   "radius_exceeded": max_iterate_dist > radius,
+                   "fade_retries": fade_retries}
     return RunResult(
-        traces=traces,
-        constants=constants,
-        lr=lr,
-        sampled=sampled_sets,
-        virtual=virtual,
+        traces=traces, constants=constants, lr=lr,
+        sampled=sampled_sets, virtual=virtual,
         mean_uplink_noise=mean_up_noises,
-        mean_downlink_noise=mean_down_noises,
-        initial_model=w0,
-        final_model=w,
-        policy_name=getattr(policy, "name", config.policy_name),
-        policy_params=policy.params(),
-        energy_uplink=energy_ul,
-        energy_downlink=energy_dl,
-        diagnostics=diagnostics,
-    )
+        mean_downlink_noise=mean_down_noises, initial_model=w0,
+        final_model=w, policy_name=getattr(policy, "name", config.policy_name),
+        policy_params=policy.params(), energy_uplink=energy_ul,
+        energy_downlink=energy_dl, diagnostics=diagnostics)

@@ -36,12 +36,6 @@ def canonical_json(obj):
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -59,8 +53,8 @@ def write_trace(path, traces, resolved_config):
     """Write one replica's rounds plus the full resolved configuration."""
     lines = [f"# config: {canonical_json(resolved_config)}"]
     lines.append(",".join(TRACE_COLUMNS))
-    for trace in traces:
-        lines.append(",".join(_format_cell(v) for v in trace.as_row()))
+    # Rows hold Python ints and floats, whose repr is round-trip exact.
+    lines.extend(",".join(map(repr, trace.as_row())) for trace in traces)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -80,14 +74,9 @@ def read_trace(path):
             if header is None:
                 header = line.split(",")
                 continue
-            cells = line.split(",")
-            row = {}
-            for name, cell in zip(header, cells):
-                if name in ("t", "div_ul", "div_dl"):
-                    row[name] = int(cell)
-                else:
-                    row[name] = float(cell)
-            rows.append(row)
+            rows.append({name: (int if name in ("t", "div_ul", "div_dl")
+                                else float)(cell)
+                         for name, cell in zip(header, line.split(","))})
     return config, rows
 
 

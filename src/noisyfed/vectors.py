@@ -1,76 +1,22 @@
-"""Parameter-vector arithmetic, normalization, and distance accounting.
+"""Parameter-vector arithmetic and distance accounting.
 
 Model vectors are plain 1-D float64 numpy arrays.  All operations here are
 pure; everything downstream (channels, engine, analysis) builds on them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AggregationError, ConfigError
 
 
-def as_model_vector(values, dim=None):
-    """Coerce to a 1-D float64 array, checking dimension and finiteness."""
+def as_model_vector(values):
+    """Coerce to a 1-D float64 array, checking finiteness."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ConfigError(f"model vector must be 1-D, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ConfigError(f"expected dimension {dim}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise ConfigError("model vector contains non-finite entries")
     return v
-
-
-def _check_same_length(a, b, what="vectors"):
-    if a.shape != b.shape:
-        raise ConfigError(f"{what} have mismatched shapes {a.shape} vs {b.shape}")
-
-
-@dataclass(frozen=True)
-class NormStats:
-    """Per-coordinate affine statistics used to map models to unit-power signals."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        mean = as_model_vector(self.mean)
-        scale = as_model_vector(self.scale)
-        _check_same_length(mean, scale, "normalization statistics")
-        if np.any(scale <= 0.0):
-            raise ConfigError("normalization scale must be strictly positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-
-    @classmethod
-    def from_rows(cls, rows, scale_floor=1.0):
-        """Empirical per-coordinate mean/std over a stack of model vectors.
-
-        Coordinates with (near-)zero spread fall back to ``scale_floor`` so the
-        transform stays invertible; with a single row this degenerates to pure
-        centering.
-        """
-        m = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        mean = m.mean(axis=0)
-        std = m.std(axis=0)
-        scale = np.where(std > 1e-12, std, scale_floor)
-        return cls(mean=mean, scale=scale)
-
-
-def normalize(v, stats):
-    """(v - mean) / scale, coordinatewise."""
-    v = as_model_vector(v)
-    _check_same_length(v, stats.mean)
-    return (v - stats.mean) / stats.scale
-
-
-def denormalize(v, stats):
-    """Inverse of :func:`normalize`."""
-    v = as_model_vector(v)
-    _check_same_length(v, stats.mean)
-    return v * stats.scale + stats.mean
 
 
 def mean_of(vectors):
@@ -88,6 +34,7 @@ def squared_distance(a, b):
     """Sum of squared coordinatewise differences."""
     a = as_model_vector(a)
     b = as_model_vector(b)
-    _check_same_length(a, b)
+    if a.shape != b.shape:
+        raise ConfigError(f"vectors have mismatched shapes {a.shape} vs {b.shape}")
     diff = a - b
     return float(diff @ diff)

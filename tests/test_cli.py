@@ -8,6 +8,7 @@ from noisyfed import ChannelError, ConfigError, make_task, run, save_task
 from noisyfed import cli
 from noisyfed.cli import main
 from noisyfed.config import load_experiment, parse_experiment
+from noisyfed.seeding import STREAM_LAYOUT
 from noisyfed.traceio import read_trace
 
 
@@ -154,6 +155,14 @@ def test_verify_theorems_negative_control(capsys):
     assert main(["verify", "theorems", "--noise-scale", "2.0"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] schedule_admissible" in out
+    # The stream layout is named once, before the engine-run estimates, and
+    # the tally stays last.
+    lines = out.splitlines()
+    assert lines.count(f"stream layout {STREAM_LAYOUT}") == 1
+    first_bound = next(i for i, line in enumerate(lines)
+                       if "bound_holds[" in line)
+    assert lines.index(f"stream layout {STREAM_LAYOUT}") < first_bound
+    assert lines[-1].endswith(" checks passed")
 
 
 def test_verify_rejects_tiny_replica_count():

@@ -287,7 +287,9 @@ def test_divergence_guard_aborts_with_partial_trace(small_task):
                     divergence_factor=100.0)
     with pytest.raises(DivergenceError) as excinfo:
         run(small_task, cfg)
-    assert len(excinfo.value.traces) >= 1
+    # One row per round up to the one that tripped the guard.
+    tripped = int(str(excinfo.value).split()[1].rstrip(":"))
+    assert [tr.t for tr in excinfo.value.traces] == list(range(1, tripped + 1))
 
 
 def test_mdt_residual_is_model_plus_upload_minus_downlink_noise(small_task):
@@ -374,6 +376,19 @@ def test_negative_noise_variance_is_policy_error(small_task, uplink,
         run(small_task, cfg, policy=_StubPolicy(uplink, downlink))
 
 
+def test_nan_aggregate_trips_divergence_guard(small_task):
+    # Infinite uplink noise of both signs makes the round-1 aggregate NaN;
+    # its squared distance must read as infinite so the guard still trips.
+    cfg = RunConfig(n_participants=6, rounds=5, local_epochs=2, batch_size=3,
+                    seed=0)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DivergenceError, match="^round 1: ") as excinfo:
+        run(small_task, cfg, policy=_StubPolicy(math.inf, 0.0))
+    traces = excinfo.value.traces
+    assert [tr.t for tr in traces] == [1]
+    assert traces[0].sq_dist == math.inf
+
+
 def _subset_p_value(picks, population):
     """Chi-square p-value of the rows' index sets against the uniform law
     over all subsets of their size; a row that repeats an index falls in no
@@ -434,6 +449,14 @@ GOLDEN_EFFECTIVE_NOISE = \
     "c5b809b5e2059344e93b0aaa1be831265a68f1d15db2f61d139d1690e8e4a455"
 GOLDEN_ANALOG_LAYOUT_5 = \
     "bf8d59e02be7185d434f07e2d750fcc6fc214a430d20e5138ba07d7e4b3799db"
+# max_iterate_distance, trajectory_radius, radius_exceeded and fade_retries
+# of the same runs, captured before the iterate ball was reduced in blocks.
+GOLDEN_DIAGNOSTICS = {
+    "effective_noise":
+        "e56b8db7b5dcb65d34ce899b82280a0fe529e1d349668caf8e4ccf001a74a361",
+    "analog_physical":
+        "2daf8045f6aeb3292a49e449c20c579a396936082c4fb76371d55c70c22621c3",
+}
 
 
 def _layout_policies(channel, mode, participants):
@@ -445,23 +468,33 @@ def _layout_policies(channel, mode, participants):
     return (("mt_full" if participants == 6 else "mt_partial", {}),)
 
 
-def _layout_digest(task, channel):
-    digest = hashlib.sha256()
+def _layout_results(task, channel):
     for mode in TRANSMISSION_MODES:
         for distribution in ("gaussian", "uniform", "laplace"):
             for participants in (6, 3):
                 for policy, params in _layout_policies(channel, mode,
                                                        participants):
-                    result = run(task, RunConfig(
+                    yield run(task, RunConfig(
                         n_participants=participants, rounds=12,
                         local_epochs=2, batch_size=3, mode=mode,
                         channel=channel, distribution=distribution,
                         policy_name=policy, policy_params=params, seed=31))
-                    for trace in result.traces:
-                        digest.update(repr(trace.as_row()).encode())
-                    digest.update(result.final_model.tobytes())
-                    digest.update(
-                        str(result.diagnostics["fade_retries"]).encode())
+
+
+def _layout_digest(task, channel):
+    digest = hashlib.sha256()
+    for result in _layout_results(task, channel):
+        for trace in result.traces:
+            digest.update(repr(trace.as_row()).encode())
+        digest.update(result.final_model.tobytes())
+        digest.update(str(result.diagnostics["fade_retries"]).encode())
+    return digest.hexdigest()
+
+
+def _diagnostics_digest(task, channel):
+    digest = hashlib.sha256()
+    for result in _layout_results(task, channel):
+        digest.update(repr(sorted(result.diagnostics.items())).encode())
     return digest.hexdigest()
 
 
@@ -474,6 +507,12 @@ def test_stream_layout_5_matches_golden(small_task):
 def test_effective_noise_matches_golden(small_task):
     assert _layout_digest(small_task, "effective_noise") \
         == GOLDEN_EFFECTIVE_NOISE
+
+
+@pytest.mark.parametrize("channel", CHANNEL_LAYERS)
+def test_layout_run_diagnostics_match_golden(small_task, channel):
+    assert _diagnostics_digest(small_task, channel) \
+        == GOLDEN_DIAGNOSTICS[channel]
 
 
 @pytest.mark.parametrize("overrides, domains", [
@@ -517,6 +556,20 @@ def test_round_chunk_changes_no_draw(small_task, monkeypatch, chunk):
         == GOLDEN_EFFECTIVE_NOISE
     assert _layout_digest(small_task, "analog_physical") \
         == GOLDEN_ANALOG_LAYOUT_5
+
+
+@pytest.mark.parametrize("block", [1, 5, 12])
+def test_trace_block_changes_no_output(small_task, monkeypatch, block):
+    # Trace rows and the iterate-ball maximum are built per block of rounds
+    # (12 rounds: one block per run); the block size must change neither.
+    monkeypatch.setattr(engine, "TRACE_BLOCK", block)
+    assert _layout_digest(small_task, "effective_noise") \
+        == GOLDEN_EFFECTIVE_NOISE
+    assert _layout_digest(small_task, "analog_physical") \
+        == GOLDEN_ANALOG_LAYOUT_5
+    for channel in CHANNEL_LAYERS:
+        assert _diagnostics_digest(small_task, channel) \
+            == GOLDEN_DIAGNOSTICS[channel]
 
 
 def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):

@@ -3,74 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisyfed import (AggregationError, ConfigError, NormStats, denormalize,
-                      mean_of, normalize, squared_distance)
+from noisyfed import AggregationError, ConfigError, mean_of, squared_distance
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
-
-
-def stats(mean, scale):
-    return NormStats(mean=np.array(mean, dtype=float),
-                     scale=np.array(scale, dtype=float))
-
-
-def test_normalize_centering_at_own_mean():
-    out = normalize(np.array([2.0, 4.0]), stats([2, 4], [1, 1]))
-    assert np.array_equal(out, np.zeros(2))
-
-
-def test_normalize_hand_value():
-    out = normalize(np.array([3.0, -1.0]), stats([1, 1], [2, 2]))
-    assert np.array_equal(out, np.array([1.0, -1.0]))
-
-
-def test_denormalize_zero_input():
-    out = denormalize(np.zeros(2), stats([5, 6], [3, 3]))
-    assert np.array_equal(out, np.array([5.0, 6.0]))
-
-
-def test_denormalize_hand_value():
-    out = denormalize(np.array([1.0, -1.0]), stats([1, 1], [2, 2]))
-    assert np.array_equal(out, np.array([3.0, -1.0]))
-
-
-def test_round_trip_many_random_vectors(rng):
-    for _ in range(100):
-        dim = int(rng.integers(1, 30))
-        s = stats(rng.normal(size=dim), rng.uniform(0.1, 5.0, size=dim))
-        v = rng.normal(scale=10.0, size=dim)
-        back = denormalize(normalize(v, s), s)
-        assert np.max(np.abs(back - v)) <= 1e-12 * max(1.0, np.abs(v).max())
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=8),
-       st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=8,
-                max_size=8))
-@settings(max_examples=50, deadline=None)
-def test_round_trip_property(values, scales):
-    dim = len(values)
-    s = stats(np.arange(dim, dtype=float), scales[:dim])
-    v = np.array(values)
-    back = denormalize(normalize(v, s), s)
-    assert np.max(np.abs(back - v)) <= 1e-9 * max(1.0, np.abs(v).max())
-
-
-def test_normalize_dimension_mismatch():
-    with pytest.raises(ConfigError):
-        normalize(np.zeros(3), stats([0, 0], [1, 1]))
-
-
-def test_scale_must_be_positive():
-    with pytest.raises(ConfigError):
-        stats([0.0], [0.0])
-
-
-def test_from_rows_floors_degenerate_scale():
-    s = NormStats.from_rows([[1.0, 2.0], [1.0, 4.0]])
-    assert s.scale[0] == 1.0          # no spread in the first coordinate
-    assert s.scale[1] == pytest.approx(1.0)  # std of {2, 4}
-    assert np.array_equal(s.mean, [1.0, 3.0])
 
 
 def test_mean_of_singleton():
