@@ -16,8 +16,8 @@ from .channel import (NoiseSpec, SnrMeasurement, add_effective_noise,
                       analog_downlink_receive, analog_uplink_aggregate,
                       measure_global_snr)
 from .engine import (RoundTrace, RunConfig, RunResult, VirtualSequences,
-                     aggregate, downlink_broadcast, local_train, run,
-                     sample_clients, uplink_transmit)
+                     aggregate, downlink_broadcast, local_steps,
+                     local_train, run, sample_clients, uplink_transmit)
 from .errors import (AggregationError, ChannelError, ConfigError,
                      DivergenceError, NoisyFedError, PolicyError,
                      ScheduleError, StatisticalPowerError, TaskError)

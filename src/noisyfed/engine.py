@@ -4,20 +4,21 @@ One run executes, per round: uniform client sampling, noisy downlink broadcast
 of the current global model, local mini-batch SGD at each recipient, noisy
 uplink of either the full local model (``MT``) or its differential against the
 model the client just received (``MDT``), and server-side averaging.  The
-recipients of a round are one ``(n, d)`` array, trained together.  The round
-loop only advances that state, checks the divergence guard and records what
-the observations need; the trace rows and the iterate-ball maximum are built
-from those records in bulk, with each round's own arithmetic.
+recipients of a round are one ``(n, d)`` array, trained together.  Rounds run
+in blocks of ``BLOCK``: what a block needs that does not depend on the iterate
+is prepared first, its rounds only advance the state and check the divergence
+guard, and its trace rows and iterate-ball maximum are built at its end, each
+row from its own round alone, so the block size changes no output.
 
-Randomness follows stream layout 5 (:mod:`noisyfed.seeding`): round t draws
-the t-th block of its domain's stream, with a row for each of the N clients,
-sampled or not.  Effective noise is a unit-variance ``(N, d)`` block per
-direction, drawn every round and scaled row by row; the batches are ``B``
+Randomness follows stream layout 6 (:mod:`noisyfed.seeding`), which draws what
+layout 5 drew and only rounds local SGD and the loss and SNR columns
+differently: round t reads the t-th block of its domain's stream, with a row
+for each of the N clients, sampled or not.  Effective noise is a unit-variance
+``(N, d)`` block per direction, scaled row by row; the batches are ``B``
 uniforms per (local step, client), turned into indices by
-:func:`floyd_sample`.  Both are read ``ROUND_CHUNK`` rounds per call, which
-changes no draw; the analog layer and client sampling draw round by round.
-So traces are bit-reproducible, and training all clients but aggregating the
-sampled ones gives the same trajectory as sampling first.
+:func:`floyd_sample`; the analog layer and client sampling draw round by
+round.  So training all clients but aggregating the sampled ones gives the
+same trajectory as sampling first.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
@@ -25,6 +26,8 @@ default, switchable to the aggregation-instant iteration index.
 """
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -40,15 +43,15 @@ from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
 from .tasks import derive_constants
 from .vectors import squared_distance
 
-#: Rounds of effective-noise and batch blocks read per generator call.
-ROUND_CHUNK = 32
-#: Rounds whose trace rows and iterate-ball maximum are built in one pass;
-#: few, so that the models they buffer stay small.
-TRACE_BLOCK = 8
+#: Rounds prepared, and later traced, together; few, so that what a block
+#: buffers stays small.
+BLOCK = 8
 
 TRACE_COLUMNS = ("t", "sq_dist", "loss", "eta", "sigma2_ul", "zeta2_dl",
                  "rho_ul", "rho_dl", "div_ul", "div_dl", "snr_global",
                  "energy_cum")
+
+_trace_row = operator.attrgetter(*TRACE_COLUMNS)
 
 #: Types of a policy variance that holds one value per client.
 PER_CLIENT = (list, tuple, np.ndarray)
@@ -76,7 +79,7 @@ class RoundTrace:
     energy_cum: float
 
     def as_row(self):
-        return tuple(getattr(self, name) for name in TRACE_COLUMNS)
+        return _trace_row(self)
 
 
 @dataclass(frozen=True)
@@ -186,62 +189,100 @@ def floyd_sample(uniforms, population):
     takes r, or j if it holds r already.  Every B-subset is equally likely.
     """
     size = uniforms.shape[-1]
-    picks = np.empty(uniforms.shape, dtype=np.intp)
+    picks = np.empty((size,) + uniforms.shape[:-1], dtype=np.intp)
     for i, j in enumerate(range(population - size, population)):
-        r = (uniforms[..., i] * (j + 1)).astype(np.intp)
-        taken = (picks[..., :i] == r[..., None]).any(axis=-1)
-        picks[..., i] = np.where(taken, j, r)
-    return picks
+        np.multiply(uniforms[..., i], j + 1, out=picks[i], casting="unsafe")
+        if i:
+            np.copyto(picks[i], j, where=(picks[:i] == picks[i]).any(axis=0))
+    return np.moveaxis(picks, 0, -1)
 
 
-def _sgd_steps(w_start, task, clients, batches, etas):
-    """Yield the ``(n, d)`` iterate after each step of :func:`local_train`;
-    one array, updated in place."""
-    clients = np.asarray(clients)
-    rows = clients if batches is None else (clients[None, :, None], batches)
-    feats, targets = task.features[rows], task.targets[rows]
-    feats_t = feats.swapaxes(-1, -2)
+#: One round's local SGD as :func:`local_steps` prepares it: the client of
+#: each row and, per step, the batch features ``(n, B, d)`` and targets, both
+#: scaled by the root of the step's rate over the batch size, the rate left to
+#: apply (None once the scaled data hold it) and ``1 - eta * ridge``.
+LocalSteps = namedtuple("LocalSteps", "clients feats targets rates keeps")
+
+
+def local_steps(task, clients, batches, etas, out=None):
+    """Prepare one step of mini-batch SGD per rate in ``etas`` for the
+    clients of the rows (which may repeat), for :func:`local_train`.
+
+    ``batches`` holds each step's sample indices, ``(len(etas), n, B)``, or
+    is None for exact full-batch gradients, whose data every step shares.
+    With a leading round axis on all three, ``(R, n)``, ``(R, E, n, B)`` and
+    ``(R, E)``, the rounds are gathered in one pass into a list of one
+    :class:`LocalSteps` each.  ``out``, an array of the gathered features'
+    shape with R rounds or more, takes them instead of a new one.
+    """
+    clients, etas = np.asarray(clients), np.asarray(etas, dtype=np.float64)
+    per_round = etas.ndim == 2
+    if not per_round:
+        clients, etas = clients[None], etas[None]
+        batches = None if batches is None else np.asarray(batches)[None]
+    samples, dim = task.features.shape[1:]
+    rows = clients[..., None] * samples + np.arange(samples) \
+        if batches is None else clients[:, None, :, None] * samples + batches
+    # One flat take costs less than indexing the (N, D, d) stack.
+    feats = task.features.reshape(-1, dim).take(
+        rows, axis=0, out=None if out is None else out[:len(etas)])
+    targets = task.targets.reshape(-1).take(rows)
+    if batches is None:     # shared by every step; the rate is applied apart
+        scale, rates = np.sqrt(1.0 / samples), etas.tolist()
+    else:
+        scale = np.sqrt(etas / rows.shape[-1])[..., None, None]
+        rates = [[None] * etas.shape[1]] * len(etas)
+    targets *= scale
+    feats *= scale[..., None]
+    if batches is None:
+        feats, targets = (np.broadcast_to(a[:, None], etas.shape + a.shape[1:])
+                          for a in (feats, targets))
+    steps = list(map(LocalSteps, clients, feats, targets, rates,
+                     (1.0 - etas * task.ridge).tolist()))
+    return steps if per_round else steps[0]
+
+
+def _sgd_steps(w_start, steps):
+    """Yield the ``(n, d)`` iterate after each of the prepared ``steps``;
+    one array, updated in place: ``w * keep - (a @ w - y) @ a`` with ``a``
+    and ``y`` scaled by the root of the step's rate over the batch size."""
     w = np.array(w_start, dtype=np.float64, copy=True)
-    n, size, dim = feats.shape[-3:]
-    predicted, residual = np.empty((n, size, 1)), np.empty((n, size))
-    grad3, (grad, ridge_w) = np.empty((n, dim, 1)), np.empty((2, n, dim))
-    w3, residual3 = w[:, :, None], residual[:, :, None]
-    for j, eta in enumerate(etas):
-        a, a_t, y = (feats, feats_t, targets) if batches is None \
-            else (feats[j], feats_t[j], targets[j])
+    n, size, dim = steps.feats.shape[-3:]
+    predicted, residual = np.empty((n, size, 1)), np.empty((n, 1, size))
+    grad = np.empty((n, 1, dim))
+    w3, predicted2, residual2, grad2 = \
+        w[:, :, None], predicted[:, :, 0], residual[:, 0], grad[:, 0]
+    for a, y, rate, keep in zip(*steps[1:]):
         np.matmul(a, w3, out=predicted)
-        np.subtract(predicted[:, :, 0], y, out=residual)
-        np.matmul(a_t, residual3, out=grad3)
-        np.divide(grad3[:, :, 0], size, out=grad)
-        np.add(grad, np.multiply(task.ridge, w, out=ridge_w), out=grad)
-        np.subtract(w, np.multiply(eta, grad, out=grad), out=w)
+        np.subtract(predicted2, y, out=residual2)
+        np.matmul(residual, a, out=grad)
+        if rate is not None:
+            grad *= rate
+        w *= keep
+        w -= grad2
         yield w
 
 
-def local_train(w_start, task, clients, batches, etas):
-    """Run one step of mini-batch SGD per rate in ``etas`` for several
-    clients at once.
+def local_train(w_start, steps):
+    """Run the prepared :class:`LocalSteps` from the ``(n, d)`` array
+    ``w_start``, row i starting ``steps.clients[i]``.
 
-    Row i of the ``(n, d)`` array ``w_start`` starts ``clients[i]``, which
-    may repeat.  ``batches`` holds each step's sample indices,
-    ``(len(etas), n, B)``, or is None for exact full-batch gradients.  A
-    :class:`DivergenceError` names the first row's client, in the order of
-    ``clients``, whose iterate became non-finite, and its first such step.
+    A :class:`DivergenceError` names the first row's client, in the order of
+    ``steps.clients``, whose iterate became non-finite, and its first such
+    step.
     """
     w = w_start
-    for w in _sgd_steps(w_start, task, clients, batches, etas):
+    for w in _sgd_steps(w_start, steps):
         pass
-    bad = ~np.isfinite(w).all(axis=1)
-    if not bad.any():
+    if np.isfinite(w).all():
         return w
     # Non-finite is absorbing, so the first bad row at the end is the one to
     # name; replay the steps to find its first non-finite one.
-    i = int(np.argmax(bad))
-    step = next(j for j, w in enumerate(
-        _sgd_steps(w_start, task, clients, batches, etas), 1)
-        if not np.isfinite(w[i]).all())
-    raise DivergenceError(f"client {clients[i]}: non-finite iterate at "
-                          f"local step {step}")
+    i = int(np.argmax(~np.isfinite(w).all(axis=1)))
+    step = next(j for j, w in enumerate(_sgd_steps(w_start, steps), 1)
+                if not np.isfinite(w[i]).all())
+    raise DivergenceError(f"client {steps.clients[i]}: non-finite iterate "
+                          f"at local step {step}")
 
 
 def uplink_transmit(w_local, mode, w_prev_global, w_received, noise):
@@ -283,23 +324,15 @@ def _schedule_indices(cfg, t):
     return t * e, max((t - 1) * e, 1)
 
 
-def _round_blocks(draw, rng, shape, rounds):
-    """Yield ``rounds`` consecutive ``shape`` blocks of ``draw(size, rng)``,
-    read ``ROUND_CHUNK`` rounds per call.  ``draw`` fills its array in C
-    order, so the chunk changes no value."""
-    for start in range(0, rounds, ROUND_CHUNK):
-        yield from draw((min(ROUND_CHUNK, rounds - start),) + shape, rng)
-
-
 def _scaled_noise(unit, variances):
-    """Unit-variance rows ``unit`` scaled to variance ``variances``: one
-    scalar for every row, or one per row."""
-    per_row = isinstance(variances, PER_CLIENT)
-    if (np.min(variances) if per_row else variances) < 0:
+    """Unit-variance rows ``unit``, ``(n, d)`` or a block of rounds
+    ``(R, n, d)``, scaled to ``variances``: per round one scalar for every
+    row or one per row."""
+    stds = np.array(variances, dtype=np.float64)
+    if stds.min() < 0:
         raise PolicyError("noise variance must be non-negative")
-    if per_row:
-        return unit * np.sqrt(np.asarray(variances, dtype=np.float64))[:, None]
-    return unit * math.sqrt(variances)
+    np.sqrt(stds, out=stds)
+    return unit * stds.reshape(unit.shape[:-2] + (-1, 1))
 
 
 def _rows(variance, rows):
@@ -314,7 +347,7 @@ def _round_means(variances, n):
     block = np.array(variances, dtype=np.float64)
     if block.ndim == 1:
         block = np.repeat(block[:, None], n, axis=1)
-    return block.mean(axis=1).tolist()
+    return (np.add.reduce(block, axis=1) / n).tolist()   # mean, bit for bit
 
 
 def downlink_broadcast(w_global, unit, variances):
@@ -323,28 +356,32 @@ def downlink_broadcast(w_global, unit, variances):
     return w_global + _scaled_noise(unit, variances)
 
 
-def _trace_rows(records, up_count, n_participants, etas):
+def _trace_rows(task, records, up_count, n_participants, etas):
     """The :class:`RoundTrace` rows of a block of rounds that :func:`run`
-    recorded.  Every cell is what the round's own arithmetic gave, as a
-    Python ``int`` or ``float``."""
-    ts, params, sampled, up_variances, sq_dists, losses, signals, models, \
+    recorded, as Python ``int`` and ``float`` cells.  The loss and SNR
+    columns are computed for the whole block, each row from its own round
+    alone."""
+    ts, params, sampled, up_variances, sq_dists, signals, models, \
         energies = zip(*records)
     sigma2 = _round_means(up_variances, up_count)
     zeta2 = _round_means([_rows(down.downlink_variance, rows)
                           for (_, down), rows in zip(params, sampled)],
                          n_participants)
-    signals = np.array(signals)
-    noises = n_participants * np.array(models) - signals
+    signals, models = np.array(signals), np.array(models)
+    losses = task.global_losses(models).tolist()
+    pairs = np.stack([signals, n_participants * models - signals])
+    # Each row's power by its own product, whatever the block's size.
+    powers = np.matmul(pairs[:, :, None, :], pairs[..., None])[..., 0, 0]
     rows = []
-    for i, ((up, down), signal, noise) in enumerate(zip(params, signals,
-                                                          noises)):
-        noise_power = float(noise @ noise)
+    for i, ((up, down), signal_power, noise_power) in enumerate(zip(
+            params, *powers.tolist())):
         rows.append(RoundTrace(
-            t=ts[i], sq_dist=sq_dists[i], loss=losses[i], eta=etas[ts[i] - 1],
+            t=ts[i], sq_dist=sq_dists[i], loss=losses[i],
+            eta=float(etas[ts[i] - 1, 0]),
             sigma2_ul=sigma2[i], zeta2_dl=zeta2[i], rho_ul=up.rho_ul,
             rho_dl=down.rho_dl, div_ul=up.div_ul, div_dl=down.div_dl,
             snr_global=math.inf if noise_power == 0.0
-            else float(signal @ signal) / noise_power,
+            else signal_power / noise_power,
             energy_cum=energies[i]))
     return rows
 
@@ -383,153 +420,182 @@ def run(task, config, policy=None):
     if record_virtual and n_participants != n_clients:
         raise ConfigError("virtual-sequence tracing requires full participation")
     train_all = config.virtual_all_clients or record_virtual
+    everyone = n_participants == n_clients
     all_clients = np.arange(n_clients)
     rounds = config.rounds
-    etas = lr.etas(rounds * epochs).tolist()
+    etas = lr.etas(rounds * epochs).reshape(rounds, epochs)
 
     # One generator per domain and run; only the domains the run uses.
-    if n_participants < n_clients:
+    if not everyone:
         sampling_rng = stream(seed, DOMAIN_SAMPLING)
     if effective:
-        noise = partial(sample_noise, NoiseSpec(1.0, config.distribution))
-        # Block T+1 of the downlink completes the last virtual sequence.
-        down_blocks = _round_blocks(noise, stream(seed, DOMAIN_DOWNLINK),
-                                    (n_clients, dim), rounds + record_virtual)
-        up_blocks = _round_blocks(noise, stream(seed, DOMAIN_UPLINK),
-                                  (n_clients, dim), rounds)
+        unit = partial(sample_noise, NoiseSpec(1.0, config.distribution))
+        down_rng = stream(seed, DOMAIN_DOWNLINK)
+        up_rng = stream(seed, DOMAIN_UPLINK)
     else:
         fade_dl_rng = stream(seed, DOMAIN_FADE_DOWNLINK)
         fade_ul_rng = stream(seed, DOMAIN_FADE_UPLINK)
-    batch_blocks = None if batch == task.samples_per_client else _round_blocks(
-        lambda size, rng: floyd_sample(rng.random(size),
-                                       task.samples_per_client),
-        stream(seed, DOMAIN_BATCH), (epochs, n_clients, batch), rounds)
+    batch_rng = None if batch == task.samples_per_client \
+        else stream(seed, DOMAIN_BATCH)
 
-    def pick(block, rows, axis=0):  # no copy when every client is a row
-        return block if rows is all_clients else np.take(block, rows, axis)
-
-    def broadcast(w, rp, rows):     # received rows, deep-fade retries
-        if effective:
-            return downlink_broadcast(w, pick(next(down_blocks), rows),
-                                      _rows(rp.downlink_variance, rows)), 0
+    def analog_broadcast(w, rp, rows):  # received rows, deep-fade retries
         received, info = analog_downlink_receive(
             w, power=rp.rho_dl, rng=fade_dl_rng, copies=rp.div_dl,
-            receivers=n_clients)
-        return pick(received, rows), info["retries"]
+            receivers=n_clients, distance=getattr(policy, "distance", 1.0),
+            pathloss=getattr(policy, "pathloss", 2.0))
+        return received if rows is None else received[rows], info["retries"]
+
+    def pick(block, rows):          # each round's rows; None: all, no copy
+        if rows is None:
+            return block
+        index = np.expand_dims(rows, tuple(range(1, block.ndim - 2)) + (-1,))
+        return np.take_along_axis(block, index, -2)
 
     # Divergence guard; floored so a start at the optimum still tolerates noise.
     guard = config.divergence_factor * max(initial_sq, 1.0)
 
-    # The loop advances the state and records what each round's trace row
-    # is built from: t, (uplink, downlink) parameters, sampled clients,
+    # Rounds run in blocks of BLOCK.  What a block needs that does not
+    # depend on the iterate is prepared first: round parameters, client
+    # selections, scaled noise and local-SGD inputs.  Its rounds then only
+    # advance the state and record what their trace rows are built from at
+    # the block's end: t, (uplink, downlink) parameters, sampled clients,
     # uplink variance (one for the analog uplink's combined noise), squared
-    # distance, loss, sum of the sampled local models, aggregate, cumulative
-    # energy.  Each block of TRACE_BLOCK rounds becomes trace rows, and its
-    # received and local models (the ball) the iterate-ball maximum.
+    # distance, sum of the sampled local models, aggregate and cumulative
+    # energy.  The received and local models (the ball) give the
+    # iterate-ball maximum.
     w = w0.copy()
-    traces = []
-    records = []
-    trace_rows = partial(_trace_rows, records,
-                         n_participants if effective else 1, n_participants,
-                         etas[::epochs])
-    sampled_sets = []
-    virtual = []                # w_bar filled in after the last round
-    mean_up_noises = []
-    mean_down_noises = []
-    energy_ul = 0.0
-    energy_dl = 0.0
+    traces, sampled_sets, virtual, mean_up_noises, mean_down_noises = \
+        [], [], [], [], []
+    energy_ul = energy_dl = 0.0
     fade_retries = 0
     n_rows = n_clients if train_all else n_participants
-    span = min(TRACE_BLOCK, rounds)
+    span = min(BLOCK, rounds)
     ball = np.empty((span, 2 * n_rows, dim))
+    # The features of a block's local steps.
+    step_buffer = np.empty((span,) + ((n_rows, task.samples_per_client)
+                                      if batch_rng is None
+                                      else (epochs, n_rows, batch)) + (dim,))
     max_iterate_sq = initial_sq
+    sq = 0.0
 
-    for t in range(1, rounds + 1):
-        idx_up, idx_down = _schedule_indices(config, t)
-        rp_up = policy.round_params(idx_up)
-        rp_down = rp_up if idx_down == idx_up else policy.round_params(idx_down)
-
+    for start in range(0, rounds, BLOCK):
+        ts = range(start + 1, min(start + BLOCK, rounds) + 1)
+        params = []
+        for t in ts:
+            idx_up, idx_down = _schedule_indices(config, t)
+            rp_up = policy.round_params(idx_up)
+            params.append((rp_up, rp_up if idx_down == idx_up
+                           else policy.round_params(idx_down)))
         # Full participation selects everyone; the sampling stream is
         # separate, so not drawing it changes no other draw.
-        selected = all_clients if n_participants == n_clients else \
-            sample_clients(n_clients, n_participants, sampling_rng)
-        sampled_sets.append(selected)
-        recipients = all_clients if train_all else selected
-        sel = selected if train_all else slice(None)   # rows of the sampled
-
-        # (1) Downlink broadcast.
-        received, retries = broadcast(w, rp_down, recipients)
-        fade_retries += retries
-
-        # (2) Local mini-batch SGD.  The batch block is not kept, since a
-        # view of it would hold its chunk through the next chunk's draw.
-        local = local_train(
-            received, task, recipients, None if batch_blocks is None
-            else pick(next(batch_blocks), recipients, axis=1),
-            etas[(t - 1) * epochs:t * epochs])
-        k = (t - 1) % span
-        ball[k, :n_rows] = received
-        ball[k, n_rows:] = local
-
-        # (3) Uplink transmission and (4) aggregation.
+        selected = [all_clients if everyone else
+                    sample_clients(n_clients, n_participants, sampling_rng)
+                    for _ in ts]
+        sampled_sets += selected
+        picked = None if everyone else np.array(selected)
+        recipients = None if train_all else picked
+        rows = np.broadcast_to(all_clients, (len(ts), n_clients)) \
+            if recipients is None else recipients
+        shape = (len(ts), n_clients, dim)
         if effective:
-            if rp_up.uplink_variance is None:
-                sigma2 = np.array([
-                    mdt_uplink_variance(diff, rp_up.snr_target)
-                    for diff in local[sel] - received[sel]])
+            down_noise = _scaled_noise(
+                pick(unit(shape, down_rng), recipients),
+                [_rows(down.downlink_variance, r)
+                 for (_, down), r in zip(params, rows)])
+            up_noise = pick(unit(shape, up_rng), picked)
+            mdt = params[0][0].uplink_variance is None
+            if not mdt:     # else scaled round by round, by the models
+                up_variances = [_rows(up.uplink_variance, chosen)
+                                for (up, _), chosen in zip(params, selected)]
+                up_noise = _scaled_noise(up_noise, up_variances)
+        batches = None if batch_rng is None else pick(floyd_sample(
+            batch_rng.random((len(ts), epochs, n_clients, batch)),
+            task.samples_per_client), recipients)
+        steps = local_steps(task, rows, batches, etas[start:ts[-1]],
+                            step_buffer)
+
+        records = []
+        for i, t in enumerate(ts):
+            rp_up, rp_down = params[i]
+            # Rows of the sampled clients among the recipients.
+            sel = selected[i] if train_all and not everyone else slice(None)
+
+            # (1) Downlink broadcast, received into the ball.
+            received = ball[i, :n_rows]
+            if effective:
+                np.add(w, down_noise[i], out=received)
             else:
-                sigma2 = _rows(rp_up.uplink_variance, selected)
-            up_noise = _scaled_noise(pick(next(up_blocks), selected), sigma2)
-            uploads = uplink_transmit(local[sel], config.mode, w,
-                                      received[sel], up_noise)
-            w_next = aggregate(uploads)
-        else:
-            payload = local[sel] if config.mode == "MT" \
-                else local[sel] - received[sel]
-            agg, info = analog_uplink_aggregate(
-                payload, power=rp_up.rho_ul, rng=fade_ul_rng,
-                copies=rp_up.div_ul)
-            fade_retries += info["retries"]
-            w_next = agg if config.mode == "MT" else w + agg
-            sigma2 = 1.0 / (rp_up.rho_ul * rp_up.div_ul)
+                received[:], retries = analog_broadcast(
+                    w, rp_down, None if recipients is None else recipients[i])
+                fade_retries += retries
 
-        if record_virtual:
-            mean_up_noises.append(up_noise.mean(axis=0) if effective
-                                  else agg - payload.mean(axis=0))
-            mean_down_noises.append((received - w).mean(axis=0))
-            virtual.append(VirtualSequences(
-                round_index=t, v_bar=local.mean(axis=0),
-                u_bar=local[sel].mean(axis=0), p_bar=w_next.copy(),
-                w_bar=None))
+            # (2) Local mini-batch SGD.
+            local = ball[i, n_rows:] = local_train(received, steps[i])
+            sent = local[sel]
 
-        diff = w_next - w_star
-        sq = float(diff @ diff)
-        if math.isnan(sq):      # still trips the guard
-            sq = math.inf
-        energy_ul += rp_up.energy_ul
-        energy_dl += rp_down.energy_dl
-        records.append((t, (rp_up, rp_down), selected, sigma2, sq,
-                        task.global_loss(w_next), local[sel].sum(axis=0),
-                        w_next, energy_ul + energy_dl))
-        if k == span - 1 or t == rounds or sq > guard:
-            visited = ball[:k + 1]
-            visited -= w_star
-            np.multiply(visited, visited, out=visited)
-            max_iterate_sq = max(max_iterate_sq,
-                                 float(np.max(np.sum(visited, axis=-1))))
-            traces += trace_rows()
-            records.clear()
+            # (3) Uplink transmission and (4) aggregation.
+            if effective:
+                noise = up_noise[i]
+                if mdt:
+                    sigma2 = np.array([
+                        mdt_uplink_variance(diff, rp_up.snr_target)
+                        for diff in sent - received[sel]])
+                    noise = _scaled_noise(noise, sigma2)
+                else:
+                    sigma2 = up_variances[i]
+                w_next = aggregate(uplink_transmit(sent, config.mode, w,
+                                                   received[sel], noise))
+            else:
+                payload = sent if config.mode == "MT" \
+                    else sent - received[sel]
+                agg, info = analog_uplink_aggregate(
+                    payload, power=rp_up.rho_ul, rng=fade_ul_rng,
+                    copies=rp_up.div_ul)
+                fade_retries += info["retries"]
+                w_next = agg if config.mode == "MT" else w + agg
+                sigma2 = 1.0 / (rp_up.rho_ul * rp_up.div_ul)
+
+            if record_virtual:
+                mean_up_noises.append(noise.mean(axis=0) if effective
+                                      else agg - payload.mean(axis=0))
+                mean_down_noises.append((received - w).mean(axis=0))
+                virtual.append(VirtualSequences(
+                    round_index=t, v_bar=local.mean(axis=0),
+                    u_bar=sent.mean(axis=0), p_bar=w_next.copy(),
+                    w_bar=None))
+
+            diff = w_next - w_star
+            sq = float(diff @ diff)
+            if math.isnan(sq):      # still trips the guard
+                sq = math.inf
+            energy_ul += rp_up.energy_ul
+            energy_dl += rp_down.energy_dl
+            records.append((t, params[i], selected[i], sigma2, sq,
+                            sent.sum(axis=0), w_next, energy_ul + energy_dl))
+            if sq > guard:
+                break
+            w = w_next
+
+        visited = ball[:len(records)]
+        visited -= w_star
+        np.multiply(visited, visited, out=visited)
+        max_iterate_sq = max(max_iterate_sq,
+                             float(np.max(np.sum(visited, axis=-1))))
+        traces += _trace_rows(task, records, n_participants if effective
+                              else 1, n_participants, etas)
         if sq > guard:
             raise DivergenceError(
                 f"round {t}: squared distance {sq:.3e} exceeded the guard "
                 f"{guard:.3e}", traces=traces)
-        w = w_next
 
     if record_virtual:
         # Each w_bar adds the next broadcast's mean noise; the last one's is
         # a final virtual broadcast, round T+1's.
         _, idx_down = _schedule_indices(config, rounds + 1)
-        tail, _ = broadcast(w, policy.round_params(idx_down), all_clients)
+        rp_tail = policy.round_params(idx_down)
+        tail = downlink_broadcast(w, unit((n_clients, dim), down_rng),
+                                  rp_tail.downlink_variance) if effective \
+            else analog_broadcast(w, rp_tail, None)[0]
         virtual = [replace(v, w_bar=v.p_bar + noise) for v, noise in zip(
             virtual, mean_down_noises[1:] + [(tail - w).mean(axis=0)])]
 

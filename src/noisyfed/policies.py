@@ -263,6 +263,14 @@ class _ScheduledPolicy:
     def _base_params(self):
         return {"variance_scale": self.variance_scale}
 
+    def schedule_excess(self, t):
+        """Relative excess over the sampled-client upload schedule."""
+        cap_up, cap_down = mt_partial_noise(t, self.n_clients,
+                                            self.n_participants, self.lr)
+        rp = self.round_params(t)
+        return max(float(rp.uplink_variance) / cap_up,
+                   float(rp.downlink_variance) / cap_down) - 1.0
+
 
 class MtFullNoisePolicy(_ScheduledPolicy):
     """Equality instantiation of the full-participation upload schedule,
@@ -331,13 +339,6 @@ class MtPartialNoisePolicy(_ScheduledPolicy):
                            rho_ul=1.0 / sigma2, rho_dl=1.0 / zeta2,
                            energy_ul=1.0 / sigma2, energy_dl=1.0 / zeta2)
 
-    def schedule_excess(self, t):
-        cap_up, cap_down = mt_partial_noise(t, self.n_clients,
-                                            self.n_participants, self.lr)
-        rp = self.round_params(t)
-        return max(float(rp.uplink_variance) / cap_up,
-                   float(rp.downlink_variance) / cap_down) - 1.0
-
 
 class MdtConstantSnrPolicy(_ScheduledPolicy):
     """Constant uplink receive SNR on differentials; scheduled downlink noise."""
@@ -402,13 +403,6 @@ class PowerControlPolicy(_ScheduledPolicy):
                            rho_ul=rho_ul, rho_dl=rho_dl,
                            energy_ul=rho_ul, energy_dl=rho_dl)
 
-    def schedule_excess(self, t):
-        cap_up, cap_down = mt_partial_noise(t, self.n_clients,
-                                            self.n_participants, self.lr)
-        rp = self.round_params(t)
-        return max(float(rp.uplink_variance) / cap_up,
-                   float(rp.downlink_variance) / cap_down) - 1.0
-
 
 class DiversityPolicy(_ScheduledPolicy):
     """Fixed per-shot power; t^2 SNR growth comes from integer numbers of
@@ -447,13 +441,6 @@ class DiversityPolicy(_ScheduledPolicy):
             energy_ul=self.rho_uplink * div_ul,
             energy_dl=self.rho_downlink * div_dl,
         )
-
-    def schedule_excess(self, t):
-        cap_up, cap_down = mt_partial_noise(t, self.n_clients,
-                                            self.n_participants, self.lr)
-        rp = self.round_params(t)
-        return max(float(rp.uplink_variance) / cap_up,
-                   float(rp.downlink_variance) / cap_down) - 1.0
 
 
 POLICY_NAMES = ("noise_free", "equal_power", "power_t2", "diversity_t2",

@@ -16,7 +16,7 @@ import numpy as np
 
 #: Version of the mapping from seeds and keys to draws, written into every
 #: trace header.  Changing the layout changes traces.
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 # Stream domains.  Values are part of the determinism contract: changing them
 # changes every trace.

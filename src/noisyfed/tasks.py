@@ -119,6 +119,15 @@ class QuadraticTask:
         return float(0.5 * np.vdot(residual, residual) / residual.size
                      + 0.5 * self.ridge * (w @ w))
 
+    def global_losses(self, ws):
+        """:meth:`global_loss` at each row of ``ws``, by stacked products,
+        so that a row's value does not depend on the others."""
+        residual = np.matmul(self.features.reshape(-1, self.dim),
+                             ws[:, :, None])[:, :, 0] - self.targets.ravel()
+        squares = (residual[:, None] @ residual[:, :, None])[:, 0, 0]
+        return 0.5 * squares / residual.shape[1] \
+            + 0.5 * self.ridge * (ws[:, None] @ ws[:, :, None])[:, 0, 0]
+
     def _linear_term(self, k):
         c = self.clients[k]
         return c.features.T @ c.targets / c.size

@@ -195,7 +195,7 @@ def test_mdt_noise_power_decomposes(rng):
 # digests pin outputs, retry counts, every ``ChannelError`` message and
 # where the generator is left afterwards.  ``GOLDEN_DIVERSITY_RUN`` pins a
 # whole engine run, so it also depends on the engine's stream layout; it was
-# captured at layout 5.
+# captured at layout 6.
 # ---------------------------------------------------------------------------
 
 GOLDEN_DOWNLINK = \
@@ -205,7 +205,7 @@ GOLDEN_UPLINK = \
 GOLDEN_UPLINK_SILENT = \
     "8c033485dc2c25f5ad344aef5926b357b1febfe0ed023d29f329d063481d0c5e"
 GOLDEN_DIVERSITY_RUN = \
-    "ff40a7f355090d111089822d30b0b120737c2851e9260ded498e0f6cc5085a6a"
+    "4ff1470feab6a51a33f534b531ea9ddbc6849a0d55b376a26ca8b21f4b5845d6"
 
 _GOLDEN_SEEDS = (0, 1, 2)
 _GOLDEN_FLOORS = (0.05, 0.5, 0.9)

@@ -8,7 +8,6 @@ from noisyfed import ChannelError, ConfigError, make_task, run, save_task
 from noisyfed import cli
 from noisyfed.cli import main
 from noisyfed.config import load_experiment, parse_experiment
-from noisyfed.seeding import STREAM_LAYOUT
 from noisyfed.traceio import read_trace
 
 
@@ -83,7 +82,7 @@ def test_run_writes_traces_and_summary(tmp_path):
     assert files == ["mean_trace.csv", "summary.json", "trace_rep000.csv",
                      "trace_rep001.csv", "trace_rep002.csv"]
     config, rows = read_trace(out / "trace_rep000.csv")
-    assert config["stream_layout"] == 5
+    assert config["stream_layout"] == 6
     assert config["derived"]["mu"] > 0
     assert config["derived"]["rate_constant"] > 0
     assert [r["t"] for r in rows] == list(range(1, 41))
@@ -158,10 +157,10 @@ def test_verify_theorems_negative_control(capsys):
     # The stream layout is named once, before the engine-run estimates, and
     # the tally stays last.
     lines = out.splitlines()
-    assert lines.count(f"stream layout {STREAM_LAYOUT}") == 1
+    assert lines.count("stream layout 6") == 1
     first_bound = next(i for i, line in enumerate(lines)
                        if "bound_holds[" in line)
-    assert lines.index(f"stream layout {STREAM_LAYOUT}") < first_bound
+    assert lines.index("stream layout 6") < first_bound
     assert lines[-1].endswith(" checks passed")
 
 

@@ -1,7 +1,8 @@
 import hashlib
+import json
 import math
-from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from scipy import stats
 
 from noisyfed import (AggregationError, ClientData, ConfigError,
                       DivergenceError, LearningRateSchedule, QuadraticTask,
-                      RunConfig, aggregate, downlink_broadcast, local_train,
-                      make_task, run, sample_clients, uplink_transmit)
+                      RunConfig, aggregate, downlink_broadcast, local_steps,
+                      local_train, make_task, run, sample_clients,
+                      uplink_transmit)
 from noisyfed import NoiseSpec, PolicyError, engine
 from noisyfed.channel import sample_noise
 from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
@@ -54,9 +56,8 @@ def test_sample_clients_invalid():
 
 def _unit_blocks(seed, distribution, shape, rounds):
     """A run's first ``rounds`` downlink blocks, as the engine reads them."""
-    draw = partial(sample_noise, NoiseSpec(1.0, distribution))
-    return list(engine._round_blocks(draw, stream(seed, DOMAIN_DOWNLINK),
-                                     shape, rounds))
+    return sample_noise(NoiseSpec(1.0, distribution), (rounds,) + shape,
+                        stream(seed, DOMAIN_DOWNLINK))
 
 
 def test_downlink_noise_free_exact(rng):
@@ -93,7 +94,7 @@ def test_local_train_fixed_point():
         clients=[ClientData(features=features, targets=features @ w0)],
         ridge=0.0, dim=2)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
-    out = local_train(w0[None], task, [0], None, lr.etas(5))[0]
+    out = local_train(w0[None], local_steps(task, [0], None, lr.etas(5)))[0]
     assert np.allclose(out, w0, atol=1e-14)
 
 
@@ -105,7 +106,7 @@ def test_local_train_single_full_batch_step():
         ridge=0.1, dim=2)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
     w0 = np.array([0.3, -0.2])
-    out = local_train(w0[None], task, [0], None, lr.etas(1))[0]
+    out = local_train(w0[None], local_steps(task, [0], None, lr.etas(1)))[0]
     grad = features.T @ (features @ w0 - targets) / 2.0 + 0.1 * w0
     assert np.allclose(out, w0 - lr.eta(1) * grad, atol=1e-14)
 
@@ -118,8 +119,8 @@ def test_local_full_batch_descent_is_contraction():
     w = opt + 3.0
     dists = [float(np.sum((w - opt) ** 2))]
     for step in range(30):
-        w = local_train(w[None], task, [0], None,
-                        lr.etas(step + 1)[step:])[0]
+        w = local_train(w[None], local_steps(task, [0], None,
+                                             lr.etas(step + 1)[step:]))[0]
         dists.append(float(np.sum((w - opt) ** 2)))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
@@ -342,6 +343,24 @@ def test_analog_diversity_run_uses_integer_orders(small_task):
     assert result.traces[-1].sq_dist < result.traces[0].sq_dist
 
 
+def test_analog_downlink_pathloss_cancels_power_t2_compensation(small_task):
+    # power_t2 raises its downlink power by distance**pathloss and the analog
+    # downlink loses exactly that, so at distance 2 the run is bit for bit
+    # the run at distance 1, with 4 times the power.
+    def analog(distance):
+        return run(small_task, RunConfig(
+            n_participants=3, rounds=12, local_epochs=2, batch_size=3,
+            channel="analog_physical", policy_name="power_t2",
+            policy_params={"distance": distance}, seed=7))
+
+    near, far = analog(1.0), analog(2.0)
+    assert np.array_equal(far.final_model, near.final_model)
+    for a, b in zip(near.traces, far.traces, strict=True):
+        assert (b.sq_dist, b.loss, b.snr_global, b.zeta2_dl) \
+            == (a.sq_dist, a.loss, a.snr_global, a.zeta2_dl)
+        assert b.rho_dl == 4.0 * a.rho_dl
+
+
 def test_energy_accumulates_monotonically(small_task):
     cfg = RunConfig(n_participants=3, rounds=20, local_epochs=2, batch_size=3,
                     mode="MT", policy_name="power_t2", seed=1)
@@ -437,20 +456,21 @@ def test_run_config_rejects_meaningless_combinations():
 
 
 # ---------------------------------------------------------------------------
-# Stream layout 5: one generator per domain and run, round t drawing the t-th
-# block of its domain's stream, with a row for every client.
+# Stream layout 6: one generator per domain and run, round t drawing the t-th
+# block of its domain's stream, with a row for every client; the draws of
+# layout 5, with local SGD and the loss and SNR columns rounded differently.
 #
 # The digests pin the trace rows, final model and fade retries of short runs
 # over every mode, noise distribution and participation level, one digest per
-# channel layer.  Both were captured when layout 5 was introduced.
+# channel layer.  Both were captured when layout 6 was introduced.
 # ---------------------------------------------------------------------------
 
 GOLDEN_EFFECTIVE_NOISE = \
-    "c5b809b5e2059344e93b0aaa1be831265a68f1d15db2f61d139d1690e8e4a455"
-GOLDEN_ANALOG_LAYOUT_5 = \
-    "bf8d59e02be7185d434f07e2d750fcc6fc214a430d20e5138ba07d7e4b3799db"
+    "08819739b5011e5bc73186c8b595c3b3808190af6baee861d756b555b50a3dc5"
+GOLDEN_ANALOG_LAYOUT_6 = \
+    "5e932105cd2c04aca21053f1047258f1d84304c1acbace52bb09ec8aec5c6f83"
 # max_iterate_distance, trajectory_radius, radius_exceeded and fade_retries
-# of the same runs, captured before the iterate ball was reduced in blocks.
+# of the same runs, the same at layouts 5 and 6.
 GOLDEN_DIAGNOSTICS = {
     "effective_noise":
         "e56b8db7b5dcb65d34ce899b82280a0fe529e1d349668caf8e4ccf001a74a361",
@@ -498,10 +518,10 @@ def _diagnostics_digest(task, channel):
     return digest.hexdigest()
 
 
-def test_stream_layout_5_matches_golden(small_task):
-    assert STREAM_LAYOUT == 5
+def test_stream_layout_6_matches_golden(small_task):
+    assert STREAM_LAYOUT == 6
     assert _layout_digest(small_task, "analog_physical") \
-        == GOLDEN_ANALOG_LAYOUT_5
+        == GOLDEN_ANALOG_LAYOUT_6
 
 
 def test_effective_noise_matches_golden(small_task):
@@ -538,11 +558,13 @@ def test_run_builds_one_generator_per_domain(small_task, monkeypatch,
     assert sorted(keys) == sorted((9, domain) for domain in domains)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, engine.ROUND_CHUNK])
-def test_round_chunk_changes_no_draw(small_task, monkeypatch, chunk):
-    # Every block is contiguous in C order, so reading the noise and batch
-    # blocks a different number of rounds per call changes no draw, the
-    # extra downlink block of virtual-sequence recording included.
+@pytest.mark.parametrize("block", [1, 5, 7, 12, 32])
+def test_trace_block_changes_no_output(small_task, monkeypatch, block):
+    # Every noise and batch block is contiguous in C order, so drawing a
+    # block of rounds per call changes no draw, the extra downlink block of
+    # virtual-sequence recording included; and the local-SGD inputs, trace
+    # rows and iterate-ball maximum of a round do not depend on which block
+    # it is in (12 rounds: one block per layout run at 12 and 32).
     def virtual_w_bars():
         result = run(small_task, RunConfig(
             n_participants=6, rounds=13, local_epochs=2, batch_size=3,
@@ -550,26 +572,64 @@ def test_round_chunk_changes_no_draw(small_task, monkeypatch, chunk):
         return np.array([v.w_bar for v in result.virtual])
 
     expected = virtual_w_bars()
-    monkeypatch.setattr(engine, "ROUND_CHUNK", chunk)
+    monkeypatch.setattr(engine, "BLOCK", block)
     assert np.array_equal(virtual_w_bars(), expected)
     assert _layout_digest(small_task, "effective_noise") \
         == GOLDEN_EFFECTIVE_NOISE
     assert _layout_digest(small_task, "analog_physical") \
-        == GOLDEN_ANALOG_LAYOUT_5
-
-
-@pytest.mark.parametrize("block", [1, 5, 12])
-def test_trace_block_changes_no_output(small_task, monkeypatch, block):
-    # Trace rows and the iterate-ball maximum are built per block of rounds
-    # (12 rounds: one block per run); the block size must change neither.
-    monkeypatch.setattr(engine, "TRACE_BLOCK", block)
-    assert _layout_digest(small_task, "effective_noise") \
-        == GOLDEN_EFFECTIVE_NOISE
-    assert _layout_digest(small_task, "analog_physical") \
-        == GOLDEN_ANALOG_LAYOUT_5
+        == GOLDEN_ANALOG_LAYOUT_6
     for channel in CHANNEL_LAYERS:
         assert _diagnostics_digest(small_task, channel) \
             == GOLDEN_DIAGNOSTICS[channel]
+
+
+# Every layout run's trace rows, final model and diagnostics at stream layout
+# 5, the layout before the local-SGD rounding changed.
+LAYOUT_5_RUNS = Path(__file__).parent / "data" / "layout5_runs.json"
+# What is computed from the models, which layout 6 rounds differently; the
+# MDT uplink variance follows the local models.
+ROUNDED = {"sq_dist", "loss", "snr_global", "sigma2_ul", "final_model"}
+
+
+def _layout_5_mismatches(task):
+    """What a layout run at this layout does differently from layout 5
+    beyond rounding: ``(channel, run, field)`` of every field that moved by
+    more than ``rtol=1e-10``, or at all if the models do not set it."""
+    reference = json.loads(LAYOUT_5_RUNS.read_text(encoding="utf-8"))
+    columns = reference["columns"]
+    mismatches = []
+    for channel in CHANNEL_LAYERS:
+        for k, (old, result) in enumerate(zip(
+                reference["runs"][channel], _layout_results(task, channel),
+                strict=True)):
+            fields = [("final_model", old["final_model"],
+                       result.final_model.tolist())]
+            fields += [(name, old["diagnostics"][name], value)
+                       for name, value in result.diagnostics.items()]
+            fields += [(name, list(column), [getattr(tr, name)
+                                             for tr in result.traces])
+                       for name, column in zip(columns, zip(*old["rows"]))]
+            for name, before, after in fields:
+                same = np.allclose(before, after, rtol=1e-10, atol=0.0) \
+                    if name in ROUNDED else before == after
+                if not same:
+                    mismatches.append((channel, k, name))
+    return mismatches
+
+
+def test_layout_6_changes_only_rounding(small_task):
+    assert _layout_5_mismatches(small_task) == []
+
+
+def test_swapped_noise_blocks_change_more_than_rounding(small_task,
+                                                        monkeypatch):
+    # Negative control: drawing each direction's noise from the other's
+    # stream moves the rounded columns far beyond rounding.
+    monkeypatch.setattr(engine, "DOMAIN_DOWNLINK", DOMAIN_UPLINK)
+    monkeypatch.setattr(engine, "DOMAIN_UPLINK", DOMAIN_DOWNLINK)
+    moved = {name for channel, _, name in _layout_5_mismatches(small_task)
+             if channel == "effective_noise"}
+    assert {"sq_dist", "loss", "final_model"} <= moved
 
 
 def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
@@ -586,7 +646,7 @@ def test_swapped_fade_blocks_fail_layout_golden(small_task, monkeypatch):
     monkeypatch.setattr(engine, "DOMAIN_FADE_DOWNLINK", DOMAIN_FADE_UPLINK)
     monkeypatch.setattr(engine, "DOMAIN_FADE_UPLINK", DOMAIN_FADE_DOWNLINK)
     assert _layout_digest(small_task, "analog_physical") \
-        != GOLDEN_ANALOG_LAYOUT_5
+        != GOLDEN_ANALOG_LAYOUT_6
 
 
 def test_batched_local_sgd_matches_per_client_loop(small_task,
@@ -596,9 +656,10 @@ def test_batched_local_sgd_matches_per_client_loop(small_task,
     clients = np.array([0, 2, 3, 5])
     starts = rng.normal(size=(4, small_task.dim))
     batches = np.argpartition(rng.random((4, 4, 12)), 2, axis=-1)[..., :3]
-    sampled = local_train(starts, small_task, clients, batches,
-                          lr.etas(10)[6:])
-    full = local_train(starts, small_task, clients, None, lr.etas(10)[6:])
+    sampled = local_train(starts, local_steps(small_task, clients, batches,
+                                              lr.etas(10)[6:]))
+    full = local_train(starts, local_steps(small_task, clients, None,
+                                           lr.etas(10)[6:]))
     for i, k in enumerate(clients):
         w_sampled = w_full = starts[i]
         for j in range(1, 5):
@@ -629,6 +690,7 @@ def test_divergence_names_lowest_client_and_its_first_step(small_task):
                  for i, k in enumerate(clients)]
         assert steps[1] < steps[0] and steps[2] is None
         with pytest.raises(DivergenceError) as excinfo:
-            local_train(starts, small_task, clients, None, lr.etas(60))
+            local_train(starts, local_steps(small_task, clients, None,
+                                            lr.etas(60)))
     assert str(excinfo.value) == \
         f"client 1: non-finite iterate at local step {steps[0]}"

@@ -8,9 +8,9 @@ from noisyfed import RunConfig, run
 from noisyfed.traceio import read_trace, write_trace
 
 # SHA-256 of the whole trace file (config line, header and rows) of one run
-# per channel layer, captured before the trace columns were assembled after
-# the round loop.  The effective run covers per-client weights, the analog
-# run partial participation with diversity orders under differential upload.
+# per channel layer, captured at stream layout 6.  The effective run covers
+# per-client weights, the analog run partial participation with diversity
+# orders under differential upload.
 RUNS = {
     "effective_noise": dict(
         n_participants=6, mode="MT", distribution="uniform",
@@ -22,9 +22,9 @@ RUNS = {
 }
 GOLDEN_TRACE_BYTES = {
     "effective_noise":
-        "94528f207f8e6769eda979f9c9d3a303be5ce102e8bc04a02157faf5c14f6458",
+        "99c6c12c2c9e6ed9b8adbad0cf3784564c54365372801afe8b454e8cdbaab3e3",
     "analog_physical":
-        "6357529d41d1ef7aee161df84ae4fe4fcb39b0bb75632a73daf12e36cfe52d6e",
+        "0a81976ac71c3b8790cdfdbfc018f6a555da7461e8d942b4a22cd1aa32b79d08",
 }
 
 
