@@ -558,15 +558,14 @@ def test_run_builds_one_generator_per_domain(small_task, monkeypatch,
     assert sorted(keys) == sorted((9, domain) for domain in domains)
 
 
-@pytest.mark.parametrize("block", [1, 5, 7, 12, 32])
-def test_trace_block_changes_no_output(small_task, monkeypatch, block):
+def _assert_block_changes_nothing(task, monkeypatch, block):
     # Every noise and batch block is contiguous in C order, so drawing a
     # block of rounds per call changes no draw, the extra downlink block of
     # virtual-sequence recording included; and the local-SGD inputs, trace
     # rows and iterate-ball maximum of a round do not depend on which block
     # it is in (12 rounds: one block per layout run at 12 and 32).
     def virtual_w_bars():
-        result = run(small_task, RunConfig(
+        result = run(task, RunConfig(
             n_participants=6, rounds=13, local_epochs=2, batch_size=3,
             policy_name="mt_full", seed=5, record_virtual=True))
         return np.array([v.w_bar for v in result.virtual])
@@ -574,13 +573,25 @@ def test_trace_block_changes_no_output(small_task, monkeypatch, block):
     expected = virtual_w_bars()
     monkeypatch.setattr(engine, "BLOCK", block)
     assert np.array_equal(virtual_w_bars(), expected)
-    assert _layout_digest(small_task, "effective_noise") \
-        == GOLDEN_EFFECTIVE_NOISE
-    assert _layout_digest(small_task, "analog_physical") \
-        == GOLDEN_ANALOG_LAYOUT_6
+    assert _layout_digest(task, "effective_noise") == GOLDEN_EFFECTIVE_NOISE
+    assert _layout_digest(task, "analog_physical") == GOLDEN_ANALOG_LAYOUT_6
     for channel in CHANNEL_LAYERS:
-        assert _diagnostics_digest(small_task, channel) \
+        assert _diagnostics_digest(task, channel) \
             == GOLDEN_DIAGNOSTICS[channel]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32])
+def test_round_chunk_changes_no_draw(small_task, monkeypatch, chunk):
+    # Draw blocks that split the 13-round virtual run (its T+1 downlink
+    # block crosses a block edge at 1 and 7) or hold it whole (32).
+    _assert_block_changes_nothing(small_task, monkeypatch, chunk)
+
+
+@pytest.mark.parametrize("block", [1, 5, 12])
+def test_trace_block_changes_no_output(small_task, monkeypatch, block):
+    # Trace blocks that split the 12-round layout runs evenly (1), leave a
+    # partial last block (5) or hold a run whole (12).
+    _assert_block_changes_nothing(small_task, monkeypatch, block)
 
 
 # Every layout run's trace rows, final model and diagnostics at stream layout
