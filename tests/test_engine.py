@@ -477,6 +477,16 @@ GOLDEN_DIAGNOSTICS = {
     "analog_physical":
         "2daf8045f6aeb3292a49e449c20c579a396936082c4fb76371d55c70c22621c3",
 }
+# Every valid (mode, policy) of each channel layer, crossed with K in {6, 3}
+# (mt_full only at K = N), both schedule timelines and both batch kinds:
+# 12-round runs at seed 31, hashed as the layout digests are.  Captured at
+# stream layout 6 before the round loop was split into channel classes.
+GOLDEN_CONFIGS = {
+    "effective_noise":
+        "4ef2104b8bc6b4f613e2b50bfc8a8face9fa4419c091cfc9da8886f69afd0010",
+    "analog_physical":
+        "3ee0c96a00ec4fbbd6b7a17ac7ff2277bfbe7f330838009c16ffade31d6af355",
+}
 
 
 def _layout_policies(channel, mode, participants):
@@ -501,14 +511,52 @@ def _layout_results(task, channel):
                         policy_name=policy, policy_params=params, seed=31))
 
 
-def _layout_digest(task, channel):
+def _results_digest(results):
     digest = hashlib.sha256()
-    for result in _layout_results(task, channel):
+    for result in results:
         for trace in result.traces:
             digest.update(repr(trace.as_row()).encode())
         digest.update(result.final_model.tobytes())
         digest.update(str(result.diagnostics["fade_retries"]).encode())
     return digest.hexdigest()
+
+
+def _layout_digest(task, channel):
+    return _results_digest(_layout_results(task, channel))
+
+
+def _config_policies(channel, mode, participants):
+    """Every valid (policy, params) of a channel, mode and participation."""
+    policies = [("noise_free", {}), ("equal_power", {"snr_db": 10.0})]
+    if participants == 6:       # mt_full needs every client
+        policies.append(("mt_full", {}))
+        if channel == "effective_noise":
+            policies.append(("mt_full", {"weights": [1, 2, 3, 4, 5, 6]}))
+    policies.append(("mt_partial", {}))
+    if mode == "MDT":
+        policies.append(("mdt_constant_snr", {}))
+    return policies + [("power_t2", {}),
+                       ("diversity_t2",
+                        {"rho_uplink": 5.0, "rho_downlink": 5.0})]
+
+
+def _config_results(task, channel):
+    for mode in TRANSMISSION_MODES:
+        for participants in (6, 3):
+            for schedule_on in ("round", "iteration"):
+                for batch_size in (3, None):
+                    for policy, params in _config_policies(channel, mode,
+                                                           participants):
+                        yield run(task, RunConfig(
+                            n_participants=participants, rounds=12,
+                            local_epochs=2, batch_size=batch_size, mode=mode,
+                            channel=channel, policy_name=policy,
+                            policy_params=params, schedule_on=schedule_on,
+                            seed=31))
+
+
+def _configs_digest(task, channel):
+    return _results_digest(_config_results(task, channel))
 
 
 def _diagnostics_digest(task, channel):
@@ -527,6 +575,11 @@ def test_stream_layout_6_matches_golden(small_task):
 def test_effective_noise_matches_golden(small_task):
     assert _layout_digest(small_task, "effective_noise") \
         == GOLDEN_EFFECTIVE_NOISE
+
+
+@pytest.mark.parametrize("channel", CHANNEL_LAYERS)
+def test_every_valid_config_matches_golden(small_task, channel):
+    assert _configs_digest(small_task, channel) == GOLDEN_CONFIGS[channel]
 
 
 @pytest.mark.parametrize("channel", CHANNEL_LAYERS)
@@ -578,6 +631,7 @@ def _assert_block_changes_nothing(task, monkeypatch, block):
     for channel in CHANNEL_LAYERS:
         assert _diagnostics_digest(task, channel) \
             == GOLDEN_DIAGNOSTICS[channel]
+        assert _configs_digest(task, channel) == GOLDEN_CONFIGS[channel]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 32])
@@ -650,6 +704,8 @@ def test_swapped_noise_blocks_fail_layout_golden(small_task, monkeypatch):
     monkeypatch.setattr(engine, "DOMAIN_UPLINK", DOMAIN_DOWNLINK)
     assert _layout_digest(small_task, "effective_noise") \
         != GOLDEN_EFFECTIVE_NOISE
+    assert _configs_digest(small_task, "effective_noise") \
+        != GOLDEN_CONFIGS["effective_noise"]
 
 
 def test_swapped_fade_blocks_fail_layout_golden(small_task, monkeypatch):
@@ -658,6 +714,8 @@ def test_swapped_fade_blocks_fail_layout_golden(small_task, monkeypatch):
     monkeypatch.setattr(engine, "DOMAIN_FADE_UPLINK", DOMAIN_FADE_DOWNLINK)
     assert _layout_digest(small_task, "analog_physical") \
         != GOLDEN_ANALOG_LAYOUT_6
+    assert _configs_digest(small_task, "analog_physical") \
+        != GOLDEN_CONFIGS["analog_physical"]
 
 
 def test_batched_local_sgd_matches_per_client_loop(small_task,
