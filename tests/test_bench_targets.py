@@ -40,18 +40,40 @@ def test_removed_target_is_unresolved(tracer, monkeypatch):
     assert _unresolved(tracer) == ["engine.aggregate"]
 
 
-def test_traced_run_reports_finite_metrics(tracer, small_task):
+def _traced_run(tracer, task, **overrides):
+    """Summary and result of one traced run; checks what every run shows."""
     spans = tracer.Tracer()
     spans.install()
     try:
         # Looked up after install, where the wrapper sits.
-        engine.run(small_task, RunConfig(
-            n_participants=3, rounds=5, local_epochs=2, batch_size=3,
-            policy_name="mt_partial", seed=1))
+        result = engine.run(task, RunConfig(
+            n_participants=3, local_epochs=2, batch_size=3, **overrides))
     finally:
         spans.uninstall()
     summary = spans.summary()
     assert not spans.absent and not spans.broken
     assert all(math.isfinite(value) for value in summary.values())
     assert summary["engine.run.calls"] == 1
-    assert summary["engine.local_train.calls"] == 5
+    assert summary["engine.local_train.calls"] == overrides["rounds"]
+    return summary, result
+
+
+def test_traced_run_reports_finite_metrics(tracer, small_task):
+    summary, _ = _traced_run(tracer, small_task, policy_name="mt_partial",
+                             rounds=5, seed=1)
+    # The effective-noise layer makes no analog call.
+    assert summary["channel.diversity_copies"] == 0
+
+
+@pytest.mark.parametrize("mode", ["MT", "MDT"])
+def test_traced_analog_run_reports_finite_metrics(tracer, small_task, mode):
+    summary, result = _traced_run(
+        tracer, small_task, mode=mode, channel="analog_physical",
+        policy_name="diversity_t2",
+        policy_params={"rho_uplink": 5.0, "rho_downlink": 5.0}, rounds=12,
+        seed=4)
+    # The channel hooks read each analog call's copies and retries.
+    assert summary["channel.diversity_copies"] == sum(
+        tr.div_ul + tr.div_dl for tr in result.traces)
+    assert summary["channel.fade_retries"] \
+        == result.diagnostics["fade_retries"]
