@@ -15,9 +15,9 @@ from .analysis import (BoundSpec, OracleReport, RateFit, bound_formula,
 from .channel import (NoiseSpec, SnrMeasurement, add_effective_noise,
                       analog_downlink_receive, analog_uplink_aggregate,
                       measure_global_snr)
-from .engine import (RoundTrace, RunConfig, RunResult, VirtualSequences,
-                     aggregate, downlink_broadcast, local_steps,
-                     local_train, run, sample_clients, uplink_transmit)
+from .engine import (RoundTrace, RunConfig, RunResult, aggregate,
+                     downlink_broadcast, local_steps, local_train, run,
+                     sample_clients, uplink_transmit)
 from .errors import (AggregationError, ChannelError, ConfigError,
                      DivergenceError, NoisyFedError, PolicyError,
                      ScheduleError, StatisticalPowerError, TaskError)

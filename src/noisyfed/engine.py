@@ -3,22 +3,22 @@
 One run executes, per round: uniform client sampling, noisy downlink broadcast
 of the current global model, local mini-batch SGD at each recipient, noisy
 uplink of either the full local model (``MT``) or its differential against the
-model the client just received (``MDT``), and server-side averaging.  The
+model the client just received (``MDT``), and server-side averaging.  One
+round loop serves both channel layers, each behind one class that holds its
+streams and noise: :class:`EffectiveNoise` and :class:`Analog`.  The
 recipients of a round are one ``(n, d)`` array, trained together.  Rounds run
 in blocks of ``BLOCK``: what a block needs that does not depend on the iterate
 is prepared first, its rounds only advance the state and check the divergence
 guard, and its trace rows and iterate-ball maximum are built at its end, each
 row from its own round alone, so the block size changes no output.
 
-Randomness follows stream layout 6 (:mod:`noisyfed.seeding`), which draws what
-layout 5 drew and only rounds local SGD and the loss and SNR columns
-differently: round t reads the t-th block of its domain's stream, with a row
-for each of the N clients, sampled or not.  Effective noise is a unit-variance
-``(N, d)`` block per direction, scaled row by row; the batches are ``B``
-uniforms per (local step, client), turned into indices by
-:func:`floyd_sample`; the analog layer and client sampling draw round by
-round.  So training all clients but aggregating the sampled ones gives the
-same trajectory as sampling first.
+Randomness follows stream layout 6 (:mod:`noisyfed.seeding`): round t reads
+the t-th block of its domain's stream, with a row for each of the N clients,
+sampled or not.  Effective noise is a unit-variance ``(N, d)`` block per
+direction, scaled row by row; the batches are ``B`` uniforms per (local step,
+client), turned into indices by :func:`floyd_sample`; the analog layer and
+client sampling draw round by round.  So training all clients but aggregating
+the sampled ones gives the same trajectory as sampling first.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
@@ -28,7 +28,7 @@ default, switchable to the aggregation-instant iteration index.
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -52,9 +52,6 @@ TRACE_COLUMNS = ("t", "sq_dist", "loss", "eta", "sigma2_ul", "zeta2_dl",
                  "energy_cum")
 
 _trace_row = operator.attrgetter(*TRACE_COLUMNS)
-
-#: Types of a policy variance that holds one value per client.
-PER_CLIENT = (list, tuple, np.ndarray)
 
 TRANSMISSION_MODES = ("MT", "MDT")
 CHANNEL_LAYERS = ("effective_noise", "analog_physical")
@@ -82,23 +79,6 @@ class RoundTrace:
         return _trace_row(self)
 
 
-@dataclass(frozen=True)
-class VirtualSequences:
-    """Averaged trajectories at one aggregation instant (full participation).
-
-    ``p_bar`` coincides with the server's global model; ``w_bar`` adds the mean
-    of the next broadcast's downlink noises; ``u_bar`` strips the uplink noise
-    and ``v_bar`` averages the raw local models (equal to ``u_bar`` under full
-    participation).
-    """
-
-    round_index: int
-    v_bar: np.ndarray
-    u_bar: np.ndarray
-    p_bar: np.ndarray
-    w_bar: np.ndarray
-
-
 @dataclass
 class RunConfig:
     """Complete description of one experiment (policy given by name+params)."""
@@ -115,7 +95,6 @@ class RunConfig:
     policy_params: dict = field(default_factory=dict)
     w0: object = None               # None = zero vector
     schedule_on: str = "round"
-    record_virtual: bool = False
     virtual_all_clients: bool = False
     divergence_factor: float = 1e6
     trajectory_radius_factor: float = 2.0
@@ -147,16 +126,12 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Everything observable from one run.  ``mean_uplink_noise`` and
-    ``mean_downlink_noise`` are empty unless ``record_virtual`` is on."""
+    """Everything observable from one run: a trace row per round, the
+    models, the energies spent and the trajectory's diagnostics."""
 
     traces: list
     constants: object
     lr: LearningRateSchedule
-    sampled: list
-    virtual: list
-    mean_uplink_noise: list
-    mean_downlink_noise: list
     initial_model: np.ndarray
     final_model: np.ndarray
     policy_name: str
@@ -315,15 +290,6 @@ def aggregate(uploads):
     return total
 
 
-def _schedule_indices(cfg, t):
-    """(uplink, downlink) schedule indices for round t under the configured
-    timeline."""
-    if cfg.schedule_on == "round":
-        return t, t
-    e = cfg.local_epochs
-    return t * e, max((t - 1) * e, 1)
-
-
 def _scaled_noise(unit, variances):
     """Unit-variance rows ``unit``, ``(n, d)`` or a block of rounds
     ``(R, n, d)``, scaled to ``variances``: per round one scalar for every
@@ -336,9 +302,19 @@ def _scaled_noise(unit, variances):
 
 
 def _rows(variance, rows):
-    """A policy's variance for the given clients; a scalar stays one."""
+    """A policy's variance for the given clients, if it holds one per client
+    (a list, tuple or array); a scalar stays one."""
     return np.asarray(variance, dtype=np.float64)[rows] \
-        if isinstance(variance, PER_CLIENT) else variance
+        if isinstance(variance, (list, tuple, np.ndarray)) else variance
+
+
+def _pick(block, rows):
+    """Each round's sorted ``rows`` ``(R, n)`` of a block with a row per
+    client on its second-to-last axis; all of them without a copy."""
+    if rows.shape[-1] == block.shape[-2]:
+        return block
+    index = np.expand_dims(rows, tuple(range(1, block.ndim - 2)) + (-1,))
+    return np.take_along_axis(block, index, -2)
 
 
 def _round_means(variances, n):
@@ -386,6 +362,90 @@ def _trace_rows(task, records, up_count, n_participants, etas):
     return rows
 
 
+# A channel layer: per block, ``prepare(params, recipients, sampled)`` takes
+# each round's (uplink, downlink) :class:`RoundPolicy` pair and rows; per
+# round i, ``downlink(i, w, rp, rows, out)`` writes what ``rows`` receive into
+# ``out``, ``uplink(i, rp, w, sent, received)`` returns the next global model
+# and the uplink variance, traced as its mean over ``up_rows`` rows.
+
+class EffectiveNoise:
+    """Additive noise of the policy's variances: per direction and round a
+    unit-variance ``(N, d)`` block, scaled row by row when the block is
+    prepared; MDT's uplink round by round, by the differentials sent."""
+
+    retries = 0
+
+    def __init__(self, config, policy, task):
+        self.unit = partial(sample_noise, NoiseSpec(1.0, config.distribution))
+        self.down_rng = stream(config.seed, DOMAIN_DOWNLINK)
+        self.up_rng = stream(config.seed, DOMAIN_UPLINK)
+        self.mode = config.mode
+        self.shape = (task.n_clients, task.dim)
+        self.up_rows = config.n_participants
+
+    def prepare(self, params, recipients, sampled):
+        shape = (len(params),) + self.shape
+        self.down_noise = _scaled_noise(
+            _pick(self.unit(shape, self.down_rng), recipients),
+            [_rows(down.downlink_variance, rows)
+             for (_, down), rows in zip(params, recipients)])
+        self.up_noise = _pick(self.unit(shape, self.up_rng), sampled)
+        self.up_variances = None    # MDT: scaled round by round
+        if params[0][0].uplink_variance is not None:
+            self.up_variances = [_rows(up.uplink_variance, rows)
+                                 for (up, _), rows in zip(params, sampled)]
+            self.up_noise = _scaled_noise(self.up_noise, self.up_variances)
+
+    def downlink(self, i, w, rp, rows, out):
+        np.add(w, self.down_noise[i], out=out)
+
+    def uplink(self, i, rp, w, sent, received):
+        noise = self.up_noise[i]
+        if self.up_variances is None:
+            sigma2 = np.array([mdt_uplink_variance(diff, rp.snr_target)
+                               for diff in sent - received])
+            noise = _scaled_noise(noise, sigma2)
+        else:
+            sigma2 = self.up_variances[i]
+        return aggregate(uplink_transmit(sent, self.mode, w, received,
+                                         noise)), sigma2
+
+
+class Analog:
+    """Fading channels drawn round by round: equalized downlink copies, an
+    over-the-air uplink sum under channel inversion with one combined noise,
+    and ``retries``, the count of deep-fade retransmissions."""
+
+    up_rows = 1
+
+    def __init__(self, config, policy, task):
+        self.down_rng = stream(config.seed, DOMAIN_FADE_DOWNLINK)
+        self.up_rng = stream(config.seed, DOMAIN_FADE_UPLINK)
+        self.mt = config.mode == "MT"
+        self.receivers = task.n_clients
+        self.distance = getattr(policy, "distance", 1.0)
+        self.pathloss = getattr(policy, "pathloss", 2.0)
+        self.retries = 0
+
+    def prepare(self, params, recipients, sampled):
+        """Nothing: how much the fades draw depends on the data."""
+
+    def downlink(self, i, w, rp, rows, out):
+        received, info = analog_downlink_receive(
+            w, power=rp.rho_dl, rng=self.down_rng, copies=rp.div_dl,
+            receivers=self.receivers, distance=self.distance,
+            pathloss=self.pathloss)
+        received.take(rows, axis=0, out=out)
+        self.retries += info["retries"]
+
+    def uplink(self, i, rp, w, sent, received):
+        agg, info = analog_uplink_aggregate(
+            sent if self.mt else sent - received, power=rp.rho_ul,
+            rng=self.up_rng, copies=rp.div_ul)
+        self.retries += info["retries"]
+        return agg if self.mt else w + agg, 1.0 / (rp.rho_ul * rp.div_ul)
+
+
 def run(task, config, policy=None):
     """Execute a run and return its :class:`RunResult`.
 
@@ -400,8 +460,6 @@ def run(task, config, policy=None):
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
     epochs = config.local_epochs
-    seed = config.seed
-    effective = config.channel == "effective_noise"
 
     w_star = task.global_optimum()
     w0 = np.zeros(dim) if config.w0 is None \
@@ -416,153 +474,83 @@ def run(task, config, policy=None):
         policy = build_policy(config.policy_name, config.policy_params,
                               constants, n_clients, n_participants, epochs)
 
-    record_virtual = config.record_virtual
-    if record_virtual and n_participants != n_clients:
-        raise ConfigError("virtual-sequence tracing requires full participation")
-    train_all = config.virtual_all_clients or record_virtual
+    # Schedules index rounds, or iterations: the uplink's aggregation at tE
+    # and the downlink's broadcast at (t-1)E, at least 1.
+    per_round = config.schedule_on == "round"
+    train_all = config.virtual_all_clients
     everyone = n_participants == n_clients
-    all_clients = np.arange(n_clients)
+    n_rows = n_clients if train_all else n_participants
     rounds = config.rounds
     etas = lr.etas(rounds * epochs).reshape(rounds, epochs)
 
     # One generator per domain and run; only the domains the run uses.
     if not everyone:
-        sampling_rng = stream(seed, DOMAIN_SAMPLING)
-    if effective:
-        unit = partial(sample_noise, NoiseSpec(1.0, config.distribution))
-        down_rng = stream(seed, DOMAIN_DOWNLINK)
-        up_rng = stream(seed, DOMAIN_UPLINK)
-    else:
-        fade_dl_rng = stream(seed, DOMAIN_FADE_DOWNLINK)
-        fade_ul_rng = stream(seed, DOMAIN_FADE_UPLINK)
+        sampling_rng = stream(config.seed, DOMAIN_SAMPLING)
+    channel = (EffectiveNoise if config.channel == "effective_noise"
+               else Analog)(config, policy, task)
     batch_rng = None if batch == task.samples_per_client \
-        else stream(seed, DOMAIN_BATCH)
-
-    def analog_broadcast(w, rp, rows):  # received rows, deep-fade retries
-        received, info = analog_downlink_receive(
-            w, power=rp.rho_dl, rng=fade_dl_rng, copies=rp.div_dl,
-            receivers=n_clients, distance=getattr(policy, "distance", 1.0),
-            pathloss=getattr(policy, "pathloss", 2.0))
-        return received if rows is None else received[rows], info["retries"]
-
-    def pick(block, rows):          # each round's rows; None: all, no copy
-        if rows is None:
-            return block
-        index = np.expand_dims(rows, tuple(range(1, block.ndim - 2)) + (-1,))
-        return np.take_along_axis(block, index, -2)
+        else stream(config.seed, DOMAIN_BATCH)
 
     # Divergence guard; floored so a start at the optimum still tolerates noise.
     guard = config.divergence_factor * max(initial_sq, 1.0)
 
     # Rounds run in blocks of BLOCK.  What a block needs that does not
     # depend on the iterate is prepared first: round parameters, client
-    # selections, scaled noise and local-SGD inputs.  Its rounds then only
-    # advance the state and record what their trace rows are built from at
-    # the block's end: t, (uplink, downlink) parameters, sampled clients,
-    # uplink variance (one for the analog uplink's combined noise), squared
-    # distance, sum of the sampled local models, aggregate and cumulative
-    # energy.  The received and local models (the ball) give the
+    # selections, the channel's noise and local-SGD inputs.  Its rounds then
+    # only advance the state and record what the block's trace rows are
+    # built from; the received and local models (the ball) give the
     # iterate-ball maximum.
     w = w0.copy()
-    traces, sampled_sets, virtual, mean_up_noises, mean_down_noises = \
-        [], [], [], [], []
+    traces = []
     energy_ul = energy_dl = 0.0
-    fade_retries = 0
-    n_rows = n_clients if train_all else n_participants
     span = min(BLOCK, rounds)
+    every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_rows, dim))
     # The features of a block's local steps.
     step_buffer = np.empty((span,) + ((n_rows, task.samples_per_client)
                                       if batch_rng is None
                                       else (epochs, n_rows, batch)) + (dim,))
     max_iterate_sq = initial_sq
-    sq = 0.0
 
     for start in range(0, rounds, BLOCK):
         ts = range(start + 1, min(start + BLOCK, rounds) + 1)
         params = []
         for t in ts:
-            idx_up, idx_down = _schedule_indices(config, t)
-            rp_up = policy.round_params(idx_up)
-            params.append((rp_up, rp_up if idx_down == idx_up
-                           else policy.round_params(idx_down)))
-        # Full participation selects everyone; the sampling stream is
-        # separate, so not drawing it changes no other draw.
-        selected = [all_clients if everyone else
-                    sample_clients(n_clients, n_participants, sampling_rng)
-                    for _ in ts]
-        sampled_sets += selected
-        picked = None if everyone else np.array(selected)
-        recipients = None if train_all else picked
-        rows = np.broadcast_to(all_clients, (len(ts), n_clients)) \
-            if recipients is None else recipients
-        shape = (len(ts), n_clients, dim)
-        if effective:
-            down_noise = _scaled_noise(
-                pick(unit(shape, down_rng), recipients),
-                [_rows(down.downlink_variance, r)
-                 for (_, down), r in zip(params, rows)])
-            up_noise = pick(unit(shape, up_rng), picked)
-            mdt = params[0][0].uplink_variance is None
-            if not mdt:     # else scaled round by round, by the models
-                up_variances = [_rows(up.uplink_variance, chosen)
-                                for (up, _), chosen in zip(params, selected)]
-                up_noise = _scaled_noise(up_noise, up_variances)
-        batches = None if batch_rng is None else pick(floyd_sample(
+            up, down = (t, t) if per_round \
+                else (t * epochs, max((t - 1) * epochs, 1))
+            rp_up = policy.round_params(up)
+            params.append((rp_up, rp_up if down == up
+                           else policy.round_params(down)))
+        # Each round's sampled clients and trained rows: full participation
+        # draws no selection, and the sampling stream is separate, so not
+        # drawing it changes no other draw.
+        sampled = every[:len(ts)] if everyone else np.array(
+            [sample_clients(n_clients, n_participants, sampling_rng)
+             for _ in ts])
+        recipients = every[:len(ts)] if train_all else sampled
+        channel.prepare(params, recipients, sampled)
+        batches = None if batch_rng is None else _pick(floyd_sample(
             batch_rng.random((len(ts), epochs, n_clients, batch)),
             task.samples_per_client), recipients)
-        steps = local_steps(task, rows, batches, etas[start:ts[-1]],
+        steps = local_steps(task, recipients, batches, etas[start:ts[-1]],
                             step_buffer)
 
         records = []
         for i, t in enumerate(ts):
             rp_up, rp_down = params[i]
             # Rows of the sampled clients among the recipients.
-            sel = selected[i] if train_all and not everyone else slice(None)
+            sel = slice(None) if n_rows == n_participants else sampled[i]
 
             # (1) Downlink broadcast, received into the ball.
             received = ball[i, :n_rows]
-            if effective:
-                np.add(w, down_noise[i], out=received)
-            else:
-                received[:], retries = analog_broadcast(
-                    w, rp_down, None if recipients is None else recipients[i])
-                fade_retries += retries
+            channel.downlink(i, w, rp_down, recipients[i], received)
 
             # (2) Local mini-batch SGD.
             local = ball[i, n_rows:] = local_train(received, steps[i])
             sent = local[sel]
 
             # (3) Uplink transmission and (4) aggregation.
-            if effective:
-                noise = up_noise[i]
-                if mdt:
-                    sigma2 = np.array([
-                        mdt_uplink_variance(diff, rp_up.snr_target)
-                        for diff in sent - received[sel]])
-                    noise = _scaled_noise(noise, sigma2)
-                else:
-                    sigma2 = up_variances[i]
-                w_next = aggregate(uplink_transmit(sent, config.mode, w,
-                                                   received[sel], noise))
-            else:
-                payload = sent if config.mode == "MT" \
-                    else sent - received[sel]
-                agg, info = analog_uplink_aggregate(
-                    payload, power=rp_up.rho_ul, rng=fade_ul_rng,
-                    copies=rp_up.div_ul)
-                fade_retries += info["retries"]
-                w_next = agg if config.mode == "MT" else w + agg
-                sigma2 = 1.0 / (rp_up.rho_ul * rp_up.div_ul)
-
-            if record_virtual:
-                mean_up_noises.append(noise.mean(axis=0) if effective
-                                      else agg - payload.mean(axis=0))
-                mean_down_noises.append((received - w).mean(axis=0))
-                virtual.append(VirtualSequences(
-                    round_index=t, v_bar=local.mean(axis=0),
-                    u_bar=sent.mean(axis=0), p_bar=w_next.copy(),
-                    w_bar=None))
+            w_next, sigma2 = channel.uplink(i, rp_up, w, sent, received[sel])
 
             diff = w_next - w_star
             sq = float(diff @ diff)
@@ -570,7 +558,7 @@ def run(task, config, policy=None):
                 sq = math.inf
             energy_ul += rp_up.energy_ul
             energy_dl += rp_down.energy_dl
-            records.append((t, params[i], selected[i], sigma2, sq,
+            records.append((t, params[i], sampled[i], sigma2, sq,
                             sent.sum(axis=0), w_next, energy_ul + energy_dl))
             if sq > guard:
                 break
@@ -581,34 +569,20 @@ def run(task, config, policy=None):
         np.multiply(visited, visited, out=visited)
         max_iterate_sq = max(max_iterate_sq,
                              float(np.max(np.sum(visited, axis=-1))))
-        traces += _trace_rows(task, records, n_participants if effective
-                              else 1, n_participants, etas)
+        traces += _trace_rows(task, records, channel.up_rows, n_participants,
+                              etas)
         if sq > guard:
             raise DivergenceError(
                 f"round {t}: squared distance {sq:.3e} exceeded the guard "
                 f"{guard:.3e}", traces=traces)
 
-    if record_virtual:
-        # Each w_bar adds the next broadcast's mean noise; the last one's is
-        # a final virtual broadcast, round T+1's.
-        _, idx_down = _schedule_indices(config, rounds + 1)
-        rp_tail = policy.round_params(idx_down)
-        tail = downlink_broadcast(w, unit((n_clients, dim), down_rng),
-                                  rp_tail.downlink_variance) if effective \
-            else analog_broadcast(w, rp_tail, None)[0]
-        virtual = [replace(v, w_bar=v.p_bar + noise) for v, noise in zip(
-            virtual, mean_down_noises[1:] + [(tail - w).mean(axis=0)])]
-
     max_iterate_dist = math.sqrt(max_iterate_sq)
-    diagnostics = {"max_iterate_distance": max_iterate_dist,
-                   "trajectory_radius": radius,
-                   "radius_exceeded": max_iterate_dist > radius,
-                   "fade_retries": fade_retries}
     return RunResult(
-        traces=traces, constants=constants, lr=lr,
-        sampled=sampled_sets, virtual=virtual,
-        mean_uplink_noise=mean_up_noises,
-        mean_downlink_noise=mean_down_noises, initial_model=w0,
+        traces=traces, constants=constants, lr=lr, initial_model=w0,
         final_model=w, policy_name=getattr(policy, "name", config.policy_name),
         policy_params=policy.params(), energy_uplink=energy_ul,
-        energy_downlink=energy_dl, diagnostics=diagnostics)
+        energy_downlink=energy_dl,
+        diagnostics={"max_iterate_distance": max_iterate_dist,
+                     "trajectory_radius": radius,
+                     "radius_exceeded": max_iterate_dist > radius,
+                     "fade_retries": channel.retries})

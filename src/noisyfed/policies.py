@@ -460,6 +460,9 @@ def build_policy(name, params, constants, n_clients, n_participants,
     lr = LearningRateSchedule.from_constants(constants, local_epochs)
     if name == "mt_full":
         _reject_unknown(params, ("weights", "variance_scale"))
+        if n_participants < n_clients:
+            raise ConfigError(f"policy 'mt_full' needs every client "
+                              f"({n_clients}) to take part; use 'mt_partial'")
         return MtFullNoisePolicy(lr, n_clients, **params)
     if name == "mt_partial":
         _reject_unknown(params, ("variance_scale",))

@@ -356,6 +356,15 @@ def test_mdt_policy_with_model_upload_is_usage_error(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_mt_full_with_partial_participation_is_usage_error(tmp_path, capsys):
+    # mt_full schedules the noise of every client; K < N would ignore K.
+    doc = experiment_doc(policy={"name": "mt_full", "params": {}})
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "error: policy 'mt_full' needs every client (6) to take part; " \
+        "use 'mt_partial'" in capsys.readouterr().err
+
+
 def test_weighted_mt_full_on_analog_channel_is_usage_error(tmp_path, capsys):
     doc = experiment_doc(policy={"name": "mt_full",
                                  "params": {"weights": [2, 1, 1, 1, 1, 1]}})

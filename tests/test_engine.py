@@ -193,17 +193,13 @@ def test_identical_seeds_identical_traces(small_task):
     b = run(small_task, RunConfig(**kw))
     assert all(x.as_row() == y.as_row() for x, y in zip(a.traces, b.traces))
     assert np.array_equal(a.final_model, b.final_model)
-    # Noise means are recorded only for virtual sequences.
-    assert a.mean_uplink_noise == [] and a.mean_downlink_noise == []
 
 
 def test_virtual_process_equivalence(small_task):
     # Training every client but aggregating only the sampled ones reproduces
-    # the sampled-only run exactly, for both transmission modes and for a
-    # per-client schedule, every trace column included.
+    # the sampled-only run exactly, for both transmission modes, every trace
+    # column included.
     for mode, policy, params in (("MT", "mt_partial", {}),
-                                 ("MT", "mt_full",
-                                  {"weights": [1, 2, 3, 4, 5, 6]}),
                                  ("MDT", "mdt_constant_snr",
                                   {"snr_target": 5.0})):
         kw = dict(n_participants=2, rounds=10, local_epochs=2, batch_size=3,
@@ -233,54 +229,6 @@ def test_analog_virtual_process_equivalence(small_task):
             == virtual.diagnostics["fade_retries"]
 
 
-def test_virtual_sequences_identities(small_task):
-    cfg = RunConfig(n_participants=6, rounds=8, local_epochs=2, batch_size=3,
-                    mode="MT", policy_name="mt_full", seed=13,
-                    record_virtual=True)
-    result = run(small_task, cfg)
-    assert len(result.virtual) == 8
-    assert len(result.mean_uplink_noise) == len(result.mean_downlink_noise) == 8
-    for i, v in enumerate(result.virtual):
-        # Full participation: the sampling-average equals the all-client
-        # average, and the server model is exactly the noise-bearing average.
-        assert np.allclose(v.u_bar, v.v_bar, atol=1e-12)
-        assert np.allclose(v.u_bar - v.p_bar, -result.mean_uplink_noise[i],
-                           atol=1e-12)
-        if i + 1 < len(result.virtual):
-            next_down = result.mean_downlink_noise[i + 1]
-            assert np.allclose(v.w_bar - v.p_bar, next_down, atol=1e-12)
-
-
-def test_virtual_p_bar_is_global_model(small_task):
-    cfg = RunConfig(n_participants=6, rounds=6, local_epochs=2, batch_size=3,
-                    mode="MT", policy_name="mt_full", seed=3,
-                    record_virtual=True)
-    result = run(small_task, cfg)
-    # Recompute the traced distances from p_bar: identical means p_bar == w_t.
-    opt = result.constants.opt
-    for v, tr in zip(result.virtual, result.traces):
-        assert float(np.sum((v.p_bar - opt) ** 2)) == pytest.approx(
-            tr.sq_dist, abs=1e-12)
-
-
-def test_virtual_sequences_coincide_without_noise(small_task):
-    cfg = RunConfig(n_participants=6, rounds=5, local_epochs=2, batch_size=3,
-                    mode="MT", policy_name="noise_free", seed=8,
-                    record_virtual=True)
-    result = run(small_task, cfg)
-    for v in result.virtual:
-        assert np.allclose(v.v_bar, v.u_bar, atol=1e-14)
-        assert np.allclose(v.u_bar, v.p_bar, atol=1e-14)
-        assert np.allclose(v.p_bar, v.w_bar, atol=1e-14)
-
-
-def test_virtual_recording_requires_full_participation(small_task):
-    with pytest.raises(ConfigError):
-        run(small_task, RunConfig(n_participants=2, rounds=3,
-                                  policy_name="noise_free",
-                                  record_virtual=True))
-
-
 def test_divergence_guard_aborts_with_partial_trace(small_task):
     cfg = RunConfig(n_participants=3, rounds=50, local_epochs=2, batch_size=3,
                     mode="MT", policy_name="equal_power",
@@ -291,20 +239,6 @@ def test_divergence_guard_aborts_with_partial_trace(small_task):
     # One row per round up to the one that tripped the guard.
     tripped = int(str(excinfo.value).split()[1].rstrip(":"))
     assert [tr.t for tr in excinfo.value.traces] == list(range(1, tripped + 1))
-
-
-def test_mdt_residual_is_model_plus_upload_minus_downlink_noise(small_task):
-    # In the noiseless-uplink limit the reconstruction differs from the local
-    # model by exactly the injected downlink noise (per-round check).
-    cfg = RunConfig(n_participants=6, rounds=4, local_epochs=2, batch_size=3,
-                    mode="MDT", policy_name="mdt_constant_snr",
-                    policy_params={"snr_target": 1e12}, seed=5,
-                    record_virtual=True)
-    result = run(small_task, cfg)
-    for i, v in enumerate(result.virtual):
-        gap = v.u_bar - v.p_bar
-        expected = result.mean_downlink_noise[i] - result.mean_uplink_noise[i]
-        assert np.allclose(gap, expected, atol=1e-10)
 
 
 def test_schedule_on_iteration_timeline(small_task):
@@ -613,19 +547,10 @@ def test_run_builds_one_generator_per_domain(small_task, monkeypatch,
 
 def _assert_block_changes_nothing(task, monkeypatch, block):
     # Every noise and batch block is contiguous in C order, so drawing a
-    # block of rounds per call changes no draw, the extra downlink block of
-    # virtual-sequence recording included; and the local-SGD inputs, trace
-    # rows and iterate-ball maximum of a round do not depend on which block
-    # it is in (12 rounds: one block per layout run at 12 and 32).
-    def virtual_w_bars():
-        result = run(task, RunConfig(
-            n_participants=6, rounds=13, local_epochs=2, batch_size=3,
-            policy_name="mt_full", seed=5, record_virtual=True))
-        return np.array([v.w_bar for v in result.virtual])
-
-    expected = virtual_w_bars()
+    # block of rounds per call changes no draw; and the local-SGD inputs,
+    # trace rows and iterate-ball maximum of a round do not depend on which
+    # block it is in (12 rounds: one block per run at 12 and 32).
     monkeypatch.setattr(engine, "BLOCK", block)
-    assert np.array_equal(virtual_w_bars(), expected)
     assert _layout_digest(task, "effective_noise") == GOLDEN_EFFECTIVE_NOISE
     assert _layout_digest(task, "analog_physical") == GOLDEN_ANALOG_LAYOUT_6
     for channel in CHANNEL_LAYERS:
@@ -636,8 +561,8 @@ def _assert_block_changes_nothing(task, monkeypatch, block):
 
 @pytest.mark.parametrize("chunk", [1, 7, 32])
 def test_round_chunk_changes_no_draw(small_task, monkeypatch, chunk):
-    # Draw blocks that split the 13-round virtual run (its T+1 downlink
-    # block crosses a block edge at 1 and 7) or hold it whole (32).
+    # Draw blocks that split the 12-round runs unevenly (7), round by round
+    # (1) or hold them whole (32).
     _assert_block_changes_nothing(small_task, monkeypatch, chunk)
 
 

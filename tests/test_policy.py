@@ -266,10 +266,13 @@ def test_policy_round_params_and_excess(small_constants):
                          ("power_t2", {}),
                          ("diversity_t2", {"rho_uplink": 5.0,
                                            "rho_downlink": 5.0})):
-        policy = build_policy(name, params, small_constants, n, k, epochs)
+        # mt_full schedules every client.
+        sampled = n if name == "mt_full" else k
+        policy = build_policy(name, params, small_constants, n, sampled,
+                              epochs)
         assert max(policy.schedule_excess(t) for t in range(1, 100)) <= 1e-9
         louder = build_policy(name, dict(params, variance_scale=2.0),
-                              small_constants, n, k, epochs)
+                              small_constants, n, sampled, epochs)
         if name != "diversity_t2":
             assert max(louder.schedule_excess(t)
                        for t in range(1, 100)) > 0.5
