@@ -102,26 +102,33 @@ def _bound_spec(experiment, result, variant):
     )
 
 
-def _worker(payload):
-    doc, replica, base_seed = payload
+def _run_replicas(payload):
+    """Run the given replicas of an experiment document on one task."""
+    doc, replicas, base_seed = payload
     experiment = parse_experiment(doc)
     task = build_task(experiment)
-    cfg = replica_config(experiment, replica, base_seed)
-    try:
-        return replica, run(task, cfg), None
-    except DivergenceError as exc:
-        return replica, None, {"kind": "divergence", "error": str(exc)}
-    except ChannelError as exc:
-        return replica, None, {"kind": "channel", "error": str(exc)}
+    results = []
+    for replica in replicas:
+        try:
+            result, error = run(task, replica_config(
+                experiment, replica, base_seed)), None
+        except DivergenceError as exc:
+            result, error = None, {"kind": "divergence", "error": str(exc)}
+        except ChannelError as exc:
+            result, error = None, {"kind": "channel", "error": str(exc)}
+        results.append((replica, result, error))
+    return results
 
 
 def _execute_replicas(experiment, base_seed, workers):
-    payloads = [(experiment.to_dict(), i, base_seed)
-                for i in range(experiment.replicas)]
-    if workers <= 1:
-        return [_worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sorted(pool.map(_worker, payloads), key=lambda r: r[0])
+    # One task per worker, which runs every workers-th replica on it.
+    shares = [(experiment.to_dict(), range(i, experiment.replicas, workers),
+               base_seed) for i in range(min(workers, experiment.replicas))]
+    if workers == 1:
+        return _run_replicas(shares[0])
+    with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+        return sorted((r for share in pool.map(_run_replicas, shares)
+                       for r in share), key=lambda r: r[0])
 
 
 def _evaluate_checks(experiment, results, rounds, mean_sq):
@@ -182,6 +189,8 @@ def _check_overrides(args):
         raise ConfigError("--replicas: must be >= 1")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed: must be >= 0")
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError("--workers: must be >= 1")
 
 
 def cmd_run(args):

@@ -7,10 +7,11 @@ model the client just received (``MDT``), and server-side averaging.  One
 round loop serves both channel layers, each behind one class that holds its
 streams and noise: :class:`EffectiveNoise` and :class:`Analog`.  The
 recipients of a round are one ``(n, d)`` array, trained together.  Rounds run
-in blocks of ``BLOCK``: what a block needs that does not depend on the iterate
-is prepared first, its rounds only advance the state and check the divergence
-guard, and its trace rows and iterate-ball maximum are built at its end, each
-row from its own round alone, so the block size changes no output.
+in blocks of ``BLOCK`` (32): what a block needs that does not depend on the
+iterate is prepared first, local SGD's inputs and work buffers included, its
+rounds only advance the state and check the divergence guard, and its trace
+rows (named tuples) and iterate-ball maximum are built at its end, each row
+from its own round alone, so the block size changes no output.
 
 Randomness follows stream layout 6 (:mod:`noisyfed.seeding`): round t reads
 the t-th block of its domain's stream, with a row for each of the N clients,
@@ -26,10 +27,11 @@ default, switchable to the aggregation-instant iteration index.
 """
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,24 +45,18 @@ from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
 from .tasks import derive_constants
 from .vectors import squared_distance
 
-#: Rounds prepared, and later traced, together; few, so that what a block
-#: buffers stays small.
-BLOCK = 8
-
-TRACE_COLUMNS = ("t", "sq_dist", "loss", "eta", "sigma2_ul", "zeta2_dl",
-                 "rho_ul", "rho_dl", "div_ul", "div_dl", "snr_global",
-                 "energy_cum")
-
-_trace_row = operator.attrgetter(*TRACE_COLUMNS)
+#: Rounds prepared, and later traced, together; few enough that a block's
+#: gathered batch features stay in cache.
+BLOCK = 32
 
 TRANSMISSION_MODES = ("MT", "MDT")
 CHANNEL_LAYERS = ("effective_noise", "analog_physical")
 SCHEDULE_TIMELINES = ("round", "iteration")
 
 
-@dataclass(frozen=True, slots=True)
-class RoundTrace:
-    """Observables recorded after each aggregation round."""
+class RoundTrace(NamedTuple):
+    """Observables recorded after each aggregation round, in the order of
+    the trace file's columns."""
 
     t: int
     sq_dist: float
@@ -76,7 +72,10 @@ class RoundTrace:
     energy_cum: float
 
     def as_row(self):
-        return _trace_row(self)
+        return tuple(self)
+
+
+TRACE_COLUMNS = RoundTrace._fields
 
 
 @dataclass
@@ -144,10 +143,6 @@ class RunResult:
     def sq_dists(self):
         return np.array([tr.sq_dist for tr in self.traces])
 
-    @property
-    def rounds(self):
-        return np.array([tr.t for tr in self.traces])
-
 
 def sample_clients(n_clients, n_participants, rng):
     """Uniform without-replacement subset of clients, returned sorted."""
@@ -175,8 +170,10 @@ def floyd_sample(uniforms, population):
 #: One round's local SGD as :func:`local_steps` prepares it: the client of
 #: each row and, per step, the batch features ``(n, B, d)`` and targets, both
 #: scaled by the root of the step's rate over the batch size, the rate left to
-#: apply (None once the scaled data hold it) and ``1 - eta * ridge``.
-LocalSteps = namedtuple("LocalSteps", "clients feats targets rates keeps")
+#: apply (None once the scaled data hold it) and ``1 - eta * ridge``; and the
+#: work buffers a step writes, shared by the rounds prepared together.
+LocalSteps = namedtuple("LocalSteps",
+                        "clients feats targets rates keeps work")
 
 
 def local_steps(task, clients, batches, etas, out=None):
@@ -212,22 +209,23 @@ def local_steps(task, clients, batches, etas, out=None):
     if batches is None:
         feats, targets = (np.broadcast_to(a[:, None], etas.shape + a.shape[1:])
                           for a in (feats, targets))
+    n, size, dim = feats.shape[-3:]
+    p, r, g = map(np.empty, ((n, size, 1), (n, 1, size), (n, 1, dim)))
+    work = (p, p[:, :, 0], r, r[:, 0], g, g[:, 0])
     steps = list(map(LocalSteps, clients, feats, targets, rates,
-                     (1.0 - etas * task.ridge).tolist()))
+                     (1.0 - etas * task.ridge).tolist(), repeat(work)))
     return steps if per_round else steps[0]
 
 
-def _sgd_steps(w_start, steps):
-    """Yield the ``(n, d)`` iterate after each of the prepared ``steps``;
-    one array, updated in place: ``w * keep - (a @ w - y) @ a`` with ``a``
-    and ``y`` scaled by the root of the step's rate over the batch size."""
+def _sgd(w_start, steps, watch=None):
+    """The ``(n, d)`` iterate after the prepared ``steps``, each one
+    ``w * keep - (a @ w - y) @ a`` in place (``a``, ``y`` scaled by the root
+    of the step's rate over the batch size); with ``watch``, a row, instead
+    the first step (from 1) that leaves that row non-finite."""
     w = np.array(w_start, dtype=np.float64, copy=True)
-    n, size, dim = steps.feats.shape[-3:]
-    predicted, residual = np.empty((n, size, 1)), np.empty((n, 1, size))
-    grad = np.empty((n, 1, dim))
-    w3, predicted2, residual2, grad2 = \
-        w[:, :, None], predicted[:, :, 0], residual[:, 0], grad[:, 0]
-    for a, y, rate, keep in zip(*steps[1:]):
+    w3 = w[:, :, None]
+    predicted, predicted2, residual, residual2, grad, grad2 = steps.work
+    for step, (a, y, rate, keep) in enumerate(zip(*steps[1:5]), 1):
         np.matmul(a, w3, out=predicted)
         np.subtract(predicted2, y, out=residual2)
         np.matmul(residual, a, out=grad)
@@ -235,7 +233,9 @@ def _sgd_steps(w_start, steps):
             grad *= rate
         w *= keep
         w -= grad2
-        yield w
+        if watch is not None and not np.isfinite(w[watch]).all():
+            return step
+    return w
 
 
 def local_train(w_start, steps):
@@ -246,18 +246,14 @@ def local_train(w_start, steps):
     ``steps.clients``, whose iterate became non-finite, and its first such
     step.
     """
-    w = w_start
-    for w in _sgd_steps(w_start, steps):
-        pass
+    w = _sgd(w_start, steps)
     if np.isfinite(w).all():
         return w
     # Non-finite is absorbing, so the first bad row at the end is the one to
     # name; replay the steps to find its first non-finite one.
     i = int(np.argmax(~np.isfinite(w).all(axis=1)))
-    step = next(j for j, w in enumerate(_sgd_steps(w_start, steps), 1)
-                if not np.isfinite(w[i]).all())
     raise DivergenceError(f"client {steps.clients[i]}: non-finite iterate "
-                          f"at local step {step}")
+                          f"at local step {_sgd(w_start, steps, watch=i)}")
 
 
 def uplink_transmit(w_local, mode, w_prev_global, w_received, noise):
@@ -334,9 +330,9 @@ def downlink_broadcast(w_global, unit, variances):
 
 def _trace_rows(task, records, up_count, n_participants, etas):
     """The :class:`RoundTrace` rows of a block of rounds that :func:`run`
-    recorded, as Python ``int`` and ``float`` cells.  The loss and SNR
-    columns are computed for the whole block, each row from its own round
-    alone."""
+    recorded, as Python ``int`` and ``float`` cells; ``etas`` lists each
+    round's first rate.  The loss and SNR columns are computed for the whole
+    block, each row from its own round alone."""
     ts, params, sampled, up_variances, sq_dists, signals, models, \
         energies = zip(*records)
     sigma2 = _round_means(up_variances, up_count)
@@ -348,18 +344,14 @@ def _trace_rows(task, records, up_count, n_participants, etas):
     pairs = np.stack([signals, n_participants * models - signals])
     # Each row's power by its own product, whatever the block's size.
     powers = np.matmul(pairs[:, :, None, :], pairs[..., None])[..., 0, 0]
-    rows = []
-    for i, ((up, down), signal_power, noise_power) in enumerate(zip(
-            params, *powers.tolist())):
-        rows.append(RoundTrace(
-            t=ts[i], sq_dist=sq_dists[i], loss=losses[i],
-            eta=float(etas[ts[i] - 1, 0]),
-            sigma2_ul=sigma2[i], zeta2_dl=zeta2[i], rho_ul=up.rho_ul,
-            rho_dl=down.rho_dl, div_ul=up.div_ul, div_dl=down.div_dl,
-            snr_global=math.inf if noise_power == 0.0
-            else signal_power / noise_power,
-            energy_cum=energies[i]))
-    return rows
+    snrs = [math.inf if noise == 0.0 else signal / noise
+            for signal, noise in zip(*powers.tolist())]
+    return [RoundTrace(t, sq_dist, loss, etas[t - 1], sigma2_ul, zeta2_dl,
+                       up.rho_ul, down.rho_dl, up.div_ul, down.div_dl, snr,
+                       energy)
+            for t, sq_dist, loss, sigma2_ul, zeta2_dl, (up, down), snr, energy
+            in zip(ts, sq_dists, losses, sigma2, zeta2, params, snrs,
+                   energies)]
 
 
 # A channel layer: per block, ``prepare(params, recipients, sampled)`` takes
@@ -482,6 +474,7 @@ def run(task, config, policy=None):
     n_rows = n_clients if train_all else n_participants
     rounds = config.rounds
     etas = lr.etas(rounds * epochs).reshape(rounds, epochs)
+    first_etas = etas[:, 0].tolist()
 
     # One generator per domain and run; only the domains the run uses.
     if not everyone:
@@ -570,7 +563,7 @@ def run(task, config, policy=None):
         max_iterate_sq = max(max_iterate_sq,
                              float(np.max(np.sum(visited, axis=-1))))
         traces += _trace_rows(task, records, channel.up_rows, n_participants,
-                              etas)
+                              first_etas)
         if sq > guard:
             raise DivergenceError(
                 f"round {t}: squared distance {sq:.3e} exceeded the guard "

@@ -68,17 +68,13 @@ class QuadraticTask:
         self.clients = tuple(map(ClientData, self.features, self.targets))
         self.ridge = float(ridge)
         self.dim = int(dim)
-        self._check_strong_convexity()
-
-    def _check_strong_convexity(self):
         # With ridge == 0 a rank-deficient design breaks strong convexity.
         if self.ridge == 0.0:
-            for k in range(self.n_clients):
-                eigs = np.linalg.eigvalsh(self._data_hessian(k))
-                if eigs[0] <= 1e-10:
-                    raise TaskError(
-                        f"client {k}: data Hessian is rank deficient and ridge is 0"
-                    )
+            eigs = np.linalg.eigvalsh(self._data_hessians())
+            deficient = np.flatnonzero(eigs[:, 0] <= 1e-10)
+            if deficient.size:
+                raise TaskError(f"client {deficient[0]}: data Hessian is rank "
+                                "deficient and ridge is 0")
 
     @property
     def n_clients(self):
@@ -88,31 +84,46 @@ class QuadraticTask:
     def samples_per_client(self):
         return self.clients[0].size
 
-    def _data_hessian(self, k):
-        a = self.clients[k].features
-        return (a.T @ a) / a.shape[0]
+    # Each client's value is computed by the products its own (D, d) block
+    # would use, stacked over clients, and sums over clients run in order.
 
-    def client_hessian(self, k):
-        return self._data_hessian(k) + self.ridge * np.eye(self.dim)
+    def _data_hessians(self):
+        """Every client's ``A^T A / D``, ``(N, d, d)``."""
+        a = self.features
+        return np.matmul(a.transpose(0, 2, 1), a) / a.shape[1]
 
-    def global_hessian(self):
-        h = sum(self._data_hessian(k) for k in range(self.n_clients))
-        return h / self.n_clients + self.ridge * np.eye(self.dim)
+    def _residuals(self, w):
+        """Every client's ``A w - y``, ``(N, D)``, at ``w`` or at its own
+        row of an ``(N, d)`` array."""
+        return np.matmul(self.features, w[..., None])[..., 0] - self.targets
+
+    def _transposed_products(self, v):
+        """Every client's ``A^T v / D`` for its row of the ``(N, D)`` ``v``."""
+        a = self.features
+        return np.matmul(a.transpose(0, 2, 1), v[..., None])[..., 0] \
+            / a.shape[1]
+
+    def client_gradients(self, w):
+        """Every client's gradient at ``w``, ``(N, d)``."""
+        return self._transposed_products(self._residuals(w)) + self.ridge * w
 
     def client_gradient(self, k, w):
-        c = self.clients[k]
-        residual = c.features @ w - c.targets
-        return c.features.T @ residual / c.size + self.ridge * w
-
-    def client_loss(self, k, w):
-        c = self.clients[k]
-        residual = c.features @ w - c.targets
-        return float(0.5 * residual @ residual / c.size
-                     + 0.5 * self.ridge * (w @ w))
+        return self.client_gradients(w)[k]
 
     def global_gradient(self, w):
-        g = sum(self.client_gradient(k, w) for k in range(self.n_clients))
-        return g / self.n_clients
+        return np.add.reduce(self.client_gradients(w)) / self.n_clients
+
+    def client_losses(self, w):
+        """Every client's loss, ``(N,)``, at ``w`` or at its own row of an
+        ``(N, d)`` array."""
+        residual = self._residuals(w)
+        w = np.broadcast_to(w, (self.n_clients, self.dim))
+        squares = ((0.5 * residual[:, None]) @ residual[..., None])[:, 0, 0]
+        return squares / residual.shape[1] \
+            + 0.5 * self.ridge * (w[:, None] @ w[..., None])[:, 0, 0]
+
+    def client_loss(self, k, w):
+        return float(self.client_losses(w)[k])
 
     def global_loss(self, w):
         residual = self.features @ w - self.targets
@@ -128,16 +139,21 @@ class QuadraticTask:
         return 0.5 * squares / residual.shape[1] \
             + 0.5 * self.ridge * (ws[:, None] @ ws[:, :, None])[:, 0, 0]
 
-    def _linear_term(self, k):
-        c = self.clients[k]
-        return c.features.T @ c.targets / c.size
+    def client_optima(self):
+        """Every client's optimum, ``(N, d)``."""
+        hessians = self._data_hessians() + self.ridge * np.eye(self.dim)
+        return np.linalg.solve(hessians, self._transposed_products(
+            self.targets)[..., None])[..., 0]
 
     def client_optimum(self, k):
-        return np.linalg.solve(self.client_hessian(k), self._linear_term(k))
+        return self.client_optima()[k]
 
     def global_optimum(self):
-        b = sum(self._linear_term(k) for k in range(self.n_clients)) / self.n_clients
-        return np.linalg.solve(self.global_hessian(), b)
+        hessian = np.add.reduce(self._data_hessians()) / self.n_clients \
+            + self.ridge * np.eye(self.dim)
+        b = np.add.reduce(self._transposed_products(self.targets)) \
+            / self.n_clients
+        return np.linalg.solve(hessian, b)
 
     def sample_gradient(self, k, w, indices):
         """Gradient of F_k restricted to the given sample rows (plus ridge)."""
@@ -196,51 +212,34 @@ def make_task(n_clients, dim, samples_per_client, heterogeneity=1.0, ridge=0.1,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(101,)))
     base = rng.normal(size=dim)
-    clients = []
-    for _ in range(n_clients):
-        gauss = rng.normal(size=(samples_per_client, dim))
-        q, _ = np.linalg.qr(gauss)                       # orthonormal columns
-        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        spect = rng.uniform(lo, hi, size=dim)
-        features = q @ np.diag(np.sqrt(samples_per_client * spect)) @ rot.T
-        shift = rng.normal(size=dim) / np.sqrt(dim)
-        w_gen = base + heterogeneity * shift
-        targets = features @ w_gen + noise_std * rng.normal(size=samples_per_client)
-        clients.append(ClientData(features=features, targets=targets))
-    return QuadraticTask(clients=clients, ridge=ridge, dim=dim)
+    # Drawn client by client, then built for all clients at once.
+    gauss, rot, spect, shift, noise = map(np.array, zip(*[
+        (rng.normal(size=(samples_per_client, dim)),
+         rng.normal(size=(dim, dim)), rng.uniform(lo, hi, size=dim),
+         rng.normal(size=dim), rng.normal(size=samples_per_client))
+        for _ in range(n_clients)]))
+    q = np.linalg.qr(gauss)[0]                           # orthonormal columns
+    rot = np.linalg.qr(rot)[0]
+    features = (q * np.sqrt(samples_per_client * spect)[:, None]) \
+        @ rot.transpose(0, 2, 1)
+    w_gen = base + heterogeneity * (shift / np.sqrt(dim))
+    targets = np.matmul(features, w_gen[..., None])[..., 0] + noise_std * noise
+    return QuadraticTask(map(ClientData, features, targets), ridge=ridge,
+                         dim=dim)
 
 
 def minibatch_gradient_variance(task, k, w, batch):
-    """Exact E||g_batch - grad F_k||^2 at w for without-replacement batches."""
-    c = task.clients[k]
-    size = c.size
+    """Exact E||g_batch - grad F_k||^2 at w for without-replacement batches;
+    every client's, as an ``(N,)`` array, for ``k=None``."""
+    size = task.samples_per_client
     if not 1 <= batch <= size:
         raise ConfigError(f"batch must be in [1, {size}]")
-    if batch == size:
-        return 0.0
-    grads = c.features * (c.features @ w - c.targets)[:, None] \
-        + task.ridge * w[None, :]
-    center = grads.mean(axis=0)
-    pop_var = float(np.sum((grads - center) ** 2)) / size
+    grads = task.features * task._residuals(w)[..., None] + task.ridge * w
+    center = grads.mean(axis=1)
+    pop_var = np.sum((grads - center[:, None]) ** 2, axis=(1, 2)) / size
     # Variance of a simple-random-sample mean, finite population of size D.
-    return pop_var * (size - batch) / (batch * (size - 1))
-
-
-def _gradient_norm_bound(task, w_star, radius):
-    """sup over the radius-ball of the worst per-sample gradient norm, squared.
-
-    A batch gradient is a mean of per-sample gradients, so this dominates
-    E||grad F_k(w, batch)||^2 anywhere in the ball.
-    """
-    worst = 0.0
-    for k in range(task.n_clients):
-        c = task.clients[k]
-        row_norms = np.linalg.norm(c.features, axis=1)
-        residuals = np.abs(c.features @ w_star - c.targets)
-        per_sample = row_norms * (residuals + radius * row_norms) \
-            + task.ridge * (np.linalg.norm(w_star) + radius)
-        worst = max(worst, float(per_sample.max()))
-    return worst ** 2
+    variances = pop_var * (size - batch) / (batch * (size - 1))
+    return variances if k is None else float(variances[k])
 
 
 def derive_constants(task, batch, trajectory_radius):
@@ -250,40 +249,37 @@ def derive_constants(task, batch, trajectory_radius):
     if not 1 <= batch <= task.samples_per_client:
         raise ConfigError("batch exceeds the smallest client dataset")
 
-    mins, maxes = [], []
-    for k in range(task.n_clients):
-        eigs = np.linalg.eigvalsh(task._data_hessian(k))
-        if eigs[0] + task.ridge <= 0:
-            raise TaskError(f"client {k}: Hessian not positive definite")
-        mins.append(eigs[0])
-        maxes.append(eigs[-1])
-    mu = task.ridge + min(mins)
-    lipschitz = task.ridge + max(maxes)
+    eigs = np.linalg.eigvalsh(task._data_hessians())
+    indefinite = np.flatnonzero(eigs[:, 0] + task.ridge <= 0)
+    if indefinite.size:
+        raise TaskError(f"client {indefinite[0]}: Hessian not positive definite")
+    mu = task.ridge + eigs[:, 0].min()
+    lipschitz = task.ridge + eigs[:, -1].max()
 
     w_star = task.global_optimum()
     grad_norm = float(np.linalg.norm(task.global_gradient(w_star)))
     if grad_norm > _GRAD_TOL_AT_OPT:
         raise TaskError(f"global optimum residual gradient {grad_norm:.2e} too large")
     f_star = task.global_loss(w_star)
-    client_minima = [task.client_loss(k, task.client_optimum(k))
-                     for k in range(task.n_clients)]
-    gamma_noniid = max(0.0, f_star - float(np.mean(client_minima)))
+    gamma_noniid = max(0.0, f_star - float(np.mean(
+        task.client_losses(task.client_optima()))))
 
-    sgd_var = tuple(minibatch_gradient_variance(task, k, w_star, batch)
-                    for k in range(task.n_clients))
-    grad_bound = _gradient_norm_bound(task, w_star, trajectory_radius)
+    sgd_var = tuple(minibatch_gradient_variance(task, None, w_star,
+                                                batch).tolist())
+    # The worst per-sample gradient norm over the trajectory ball, squared: a
+    # batch gradient is a mean of per-sample ones, so this dominates
+    # E||grad F_k(w, batch)||^2 anywhere in the ball.
+    row_norms = np.linalg.norm(task.features, axis=-1)
+    per_sample = row_norms * (np.abs(task._residuals(w_star))
+                              + trajectory_radius * row_norms) \
+        + task.ridge * (np.linalg.norm(w_star) + trajectory_radius)
+    grad_bound = float(per_sample.max()) ** 2
 
     return TaskConstants(
-        mu=float(mu),
-        lipschitz=float(lipschitz),
-        kappa=float(lipschitz / mu),
-        gamma_noniid=float(gamma_noniid),
-        sgd_var=sgd_var,
-        grad_bound=float(grad_bound),
-        opt=w_star,
-        opt_value=float(f_star),
-        trajectory_radius=float(trajectory_radius),
-    )
+        mu=float(mu), lipschitz=float(lipschitz), kappa=float(lipschitz / mu),
+        gamma_noniid=float(gamma_noniid), sgd_var=sgd_var,
+        grad_bound=grad_bound, opt=w_star, opt_value=float(f_star),
+        trajectory_radius=float(trajectory_radius))
 
 
 def stochastic_gradient(task, k, w, batch, rng):

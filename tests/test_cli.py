@@ -106,6 +106,19 @@ def test_run_byte_identical_and_worker_invariant(tmp_path):
         assert a == (out3 / name).read_bytes()
 
 
+def test_one_worker_builds_the_task_once_per_family(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_make_task(**params):
+        calls.append(params)
+        return make_task(**params)
+
+    monkeypatch.setattr(cli, "make_task", counting_make_task)
+    cfg = write_config(tmp_path, experiment_doc())
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_run_with_task_file(tmp_path):
     task = make_task(n_clients=4, dim=3, samples_per_client=6, seed=1)
     task_path = tmp_path / "task.json"
@@ -273,6 +286,19 @@ def test_run_rejects_nonpositive_replica_override(tmp_path, capsys, replicas):
     out = tmp_path / "out"
     assert main(["run", cfg, "--replicas", replicas, "--out", str(out)]) == 2
     assert "error: --replicas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_nonpositive_workers_is_usage_error(tmp_path, capsys, command,
+                                            workers):
+    cfg = write_config(tmp_path, experiment_doc())
+    out = tmp_path / "out"
+    argv = {"run": ["run", cfg],
+            "sweep": ["sweep", cfg, "--axis", "run.rounds", "--values", "5"]}
+    assert main(argv[command] + ["--workers", workers, "--out", str(out)]) == 2
+    assert "error: --workers" in capsys.readouterr().err
     assert not out.exists()
 
 

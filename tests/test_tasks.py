@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy import optimize
 from noisyfed import (ClientData, ConfigError, QuadraticTask, TaskError,
                       derive_constants, load_task, make_task, save_task,
                       stochastic_gradient)
+from noisyfed.cli import _verify_task
 from noisyfed.tasks import minibatch_gradient_variance
 
 
@@ -210,3 +213,91 @@ def test_save_load_round_trip(tmp_path, small_task):
     for ca, cb in zip(loaded.clients, small_task.clients):
         assert np.array_equal(ca.features, cb.features)
         assert np.array_equal(ca.targets, cb.targets)
+
+
+# SHA-256 of each task's make_task arrays and of every derive_constants field,
+# captured before the task build and the constants were stacked over clients.
+# The verify task is also the tests' small task.
+TASK_FULL = dict(n_clients=10, dim=20, samples_per_client=40,
+                 heterogeneity=1.0, ridge=0.05, noise_std=32.0, seed=7)
+# name -> (task, batch, trajectory radius of its constants)
+PINNED_TASKS = {
+    "verify": (_verify_task, 3, 8.0),
+    "full": (lambda: make_task(**TASK_FULL), 4, 16.0),
+    "partial": (lambda: make_task(**dict(TASK_FULL, n_clients=50, seed=11)),
+                4, 16.0),
+}
+GOLDEN_TASK_ARRAYS = {
+    "verify":
+        "f9e1119c4bfabb20d34dd0ad0b0d7fc896d01d1412e083ba2aa12c21cebceedf",
+    "full":
+        "73581a150b3b149fdb5918cc3fabe40a168108a8b8409b44d457c905b923d86d",
+    "partial":
+        "c065af408724ce499863b6d9fc4ff43af48a495832a055899a97f04745690042",
+}
+GOLDEN_TASK_CONSTANTS = {
+    "verify":
+        "f6e2142b47929a8cf65b425a4a58431e9a55a675c40ff8da0aca3b3a7085cc07",
+    "full":
+        "d7d5e1b14d198bdd56fbd542575d363b26b8ddbe2a339e9583497d51b87d9692",
+    "partial":
+        "687d73b82e271021ea12f7ef60ca11fe4e1cfb69d8639bfd0920169fd527790a",
+}
+
+
+def _arrays_digest(task):
+    digest = hashlib.sha256()
+    for array in (task.features, task.targets):
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _constants_digest(constants):
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(constants):
+        value = np.asarray(getattr(constants, field.name)).tolist()
+        digest.update(f"{field.name}={value!r};".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TASKS))
+def test_task_arrays_and_constants_match_golden(name):
+    build, batch, radius = PINNED_TASKS[name]
+    task = build()
+    assert _arrays_digest(task) == GOLDEN_TASK_ARRAYS[name]
+    assert _constants_digest(derive_constants(task, batch, radius)) \
+        == GOLDEN_TASK_CONSTANTS[name]
+
+
+def test_small_task_is_the_verify_task(small_task):
+    assert _arrays_digest(small_task) == GOLDEN_TASK_ARRAYS["verify"]
+
+
+class _RotFirst:
+    """A generator that gives the first client its ``rot`` normals before
+    its ``gauss`` block, and every other draw as drawn."""
+
+    def __init__(self, rng, samples, dim):
+        self.rng, self.samples, self.dim = rng, samples, dim
+        self.held = None
+
+    def normal(self, *args, size=None, **kwargs):
+        if size == (self.samples, self.dim) and self.held is None:
+            self.held = self.rng.normal(size=(self.dim, self.dim))
+            return self.rng.normal(size=size)
+        if size == (self.dim, self.dim) and self.held is not False:
+            held, self.held = self.held, False
+            return held
+        return self.rng.normal(*args, size=size, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_rot_drawn_before_gauss_fails_task_golden(monkeypatch):
+    # Negative control: one client's draws taken in another order.
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RotFirst(
+        default_rng(seed), TASK_FULL["samples_per_client"], TASK_FULL["dim"]))
+    assert _arrays_digest(make_task(**TASK_FULL)) != GOLDEN_TASK_ARRAYS["full"]

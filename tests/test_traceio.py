@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +54,7 @@ def test_trace_file_bytes_match_golden(small_task, tmp_path, channel):
 def test_numpy_scalar_cell_fails_trace_bytes_golden(small_task, tmp_path):
     # Negative control: a cell that leaks as np.float64 reprs differently.
     result = _run(small_task, "effective_noise")
-    result.traces[4] = replace(result.traces[4],
-                               loss=np.float64(result.traces[4].loss))
+    result.traces[4] = result.traces[4]._replace(
+        loss=np.float64(result.traces[4].loss))
     assert _trace_sha256(tmp_path / "trace.csv", result) \
         != GOLDEN_TRACE_BYTES["effective_noise"]
