@@ -13,11 +13,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, StatisticalPowerError
-from .policies import LearningRateSchedule
+from .policies import PRESETS, LearningRateSchedule
 from .tasks import derive_constants
 from .vectors import squared_distance
 
-BOUND_VARIANTS = ("mt_full", "mt_partial", "mdt_constant_snr")
+#: The presets whose schedule carries its own bound.
+BOUND_VARIANTS = tuple(name for name, preset in PRESETS.items()
+                       if preset.bound == name)
 
 _MIN_MC_REPLICAS = 10_000
 _EXHAUSTIVE_SUBSET_LIMIT = 10_000

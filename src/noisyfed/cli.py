@@ -16,6 +16,7 @@ diverged or failed replicas; 2 on usage or configuration errors.
 
 import argparse
 import copy
+import functools
 import math
 import os
 import sys
@@ -24,13 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analysis, traceio
-from .config import (BOUND_VARIANT_FOR_POLICY, load_experiment,
-                     parse_experiment)
+from .config import load_experiment, parse_experiment
 from .engine import RunConfig, run
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
-from .policies import (LearningRateSchedule, build_policy, mt_full_noise,
-                       mt_partial_noise)
+from .policies import (PRESETS, LearningRateSchedule, build_policy,
+                       mt_full_noise, mt_partial_noise)
 from .seeding import DOMAIN_ORACLE, STREAM_LAYOUT, stream
 from .tasks import derive_constants, load_task, make_task
 
@@ -77,7 +77,7 @@ def resolved_config(experiment, cfg, result, replica):
             "initial_gap": float(np.sum((result.initial_model - c.opt) ** 2)),
         },
     }
-    variant = BOUND_VARIANT_FOR_POLICY.get(experiment.policy_name)
+    variant = PRESETS[experiment.policy_name].bound
     if variant is not None:
         spec = _bound_spec(experiment, result, variant)
         resolved["derived"]["rate_constant"] = analysis.rate_constant(spec)
@@ -88,8 +88,6 @@ def resolved_config(experiment, cfg, result, replica):
 def _bound_spec(experiment, result, variant):
     c = result.constants
     gap = float(np.sum((result.initial_model - c.opt) ** 2))
-    snr = result.policy_params.get("snr_target") \
-        if variant == "mdt_constant_snr" else None
     return analysis.BoundSpec(
         variant=variant,
         constants=c,
@@ -98,7 +96,7 @@ def _bound_spec(experiment, result, variant):
         n_participants=experiment.run["n_participants"],
         dim=result.initial_model.size,
         initial_gap=gap,
-        snr_target=snr,
+        snr_target=result.policy_params.get("snr_target"),
     )
 
 
@@ -144,8 +142,8 @@ def _evaluate_checks(experiment, results, rounds, mean_sq):
                 detail="no completed replicas"))
             continue
         if kind == "bound":
-            variant = BOUND_VARIANT_FOR_POLICY[experiment.policy_name]
-            spec = _bound_spec(experiment, first, variant)
+            spec = _bound_spec(experiment, first,
+                               PRESETS[experiment.policy_name].bound)
             bounds = np.array([analysis.convergence_bound(int(t), spec)
                                for t in rounds])
             ratio = float(np.max(mean_sq / bounds))
@@ -172,13 +170,13 @@ def _evaluate_checks(experiment, results, rounds, mean_sq):
     return reports
 
 
-def _max_schedule_excess(experiment, result, rounds=None):
-    total = rounds or experiment.run["rounds"]
+def _max_schedule_excess(experiment, result):
     policy = build_policy(experiment.policy_name, experiment.policy_params,
                           result.constants, len(result.constants.sgd_var),
                           experiment.run["n_participants"],
                           experiment.run.get("local_epochs", 1))
-    excesses = [policy.schedule_excess(t) for t in range(1, total + 1)]
+    excesses = [policy.schedule_excess(t)
+                 for t in range(1, experiment.run["rounds"] + 1)]
     excesses = [e for e in excesses if e is not None]
     return max(excesses) if excesses else 0.0
 
@@ -350,15 +348,12 @@ def _theorem_reports(noise_scale, seed):
         estimate=max(ident_full, ident_part), reference=0.0, tolerance=1e-9,
         detail="schedule(t+1) vs squared learning rate identity"))
 
-    for name, mode, params, variant in (
-            ("mt_full", "MT", {}, "mt_full"),
-            ("mt_partial", "MT", {}, "mt_partial"),
-            ("mdt_constant_snr", "MDT", {"snr_target": 10.0},
-             "mdt_constant_snr")):
-        participants = n_clients if name == "mt_full" else n_participants
-        policy_params = dict(params)
-        if noise_scale != 1.0:
-            policy_params["variance_scale"] = noise_scale
+    # The presets whose schedule carries its own bound, at their defaults.
+    for name in analysis.BOUND_VARIANTS:
+        preset = PRESETS[name]
+        participants = n_clients if preset.every_client else n_participants
+        policy_params = {} if noise_scale == 1.0 \
+            else {"variance_scale": noise_scale}
         policy = build_policy(name, policy_params, constants, n_clients,
                               participants, epochs)
         excess = max(policy.schedule_excess(t) for t in range(1, rounds + 1))
@@ -371,7 +366,8 @@ def _theorem_reports(noise_scale, seed):
         gap = None
         for s in range(5):
             cfg = RunConfig(n_participants=participants, rounds=rounds,
-                            local_epochs=epochs, batch_size=3, mode=mode,
+                            local_epochs=epochs, batch_size=3,
+                            mode=preset.mode or "MT",
                             policy_name=name, policy_params=policy_params,
                             seed=seed + 100 + s)
             result = run(task, cfg)
@@ -379,9 +375,9 @@ def _theorem_reports(noise_scale, seed):
             gap = float(np.sum((result.initial_model - constants.opt) ** 2))
         mean_sq = np.mean(sq, axis=0)
         spec = analysis.BoundSpec(
-            variant=variant, constants=constants, local_epochs=epochs,
+            variant=preset.bound, constants=constants, local_epochs=epochs,
             n_clients=n_clients, n_participants=participants, dim=task.dim,
-            initial_gap=gap, snr_target=params.get("snr_target"))
+            initial_gap=gap, snr_target=policy.params().get("snr_target"))
         bounds = np.array([analysis.convergence_bound(t, spec)
                            for t in range(1, rounds + 1)])
         ratio = float(np.max(mean_sq / bounds))
@@ -494,7 +490,9 @@ def cmd_sweep(args):
     return 0
 
 
+@functools.cache
 def make_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="noisyfed",
         description="Federated averaging over noisy channels: run, verify, sweep.")
@@ -532,8 +530,7 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, StatisticalPowerError) as exc:

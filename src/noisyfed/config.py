@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .policies import PRESETS
 
 _TASK_KEYS = {
     "n_clients": int,
@@ -39,15 +40,6 @@ _RUN_KEYS = {
 _RUN_REQUIRED = ("n_participants", "rounds")
 
 _CHECK_KINDS = ("bound", "slope", "schedule")
-
-#: Policies whose emitted noise realizes a schedule with a convergence bound.
-BOUND_VARIANT_FOR_POLICY = {
-    "mt_full": "mt_full",
-    "mt_partial": "mt_partial",
-    "mdt_constant_snr": "mdt_constant_snr",
-    "power_t2": "mt_partial",
-    "diversity_t2": "mt_partial",
-}
 
 
 @dataclass
@@ -166,7 +158,8 @@ def parse_experiment(doc, source="<config>"):
     checks = _parse_checks(doc.get("checks", []), f"{source}.checks")
     for check in checks:
         if check["kind"] in ("bound", "schedule"):
-            if policy_node["name"] not in BOUND_VARIANT_FOR_POLICY:
+            preset = PRESETS.get(policy_node["name"])
+            if preset is None or preset.bound is None:
                 raise ConfigError(
                     f"{source}.checks: {check['kind']!r} check needs a "
                     f"schedule-backed policy, not {policy_node['name']!r}")

@@ -38,7 +38,8 @@ import numpy as np
 from .channel import (NOISE_DISTRIBUTIONS, NoiseSpec, analog_downlink_receive,
                       analog_uplink_aggregate, sample_noise)
 from .errors import AggregationError, ConfigError, DivergenceError, PolicyError
-from .policies import build_policy, LearningRateSchedule, mdt_uplink_variance
+from .policies import (PRESETS, LearningRateSchedule, build_policy,
+                       mdt_uplink_variance)
 from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
                       DOMAIN_FADE_UPLINK, DOMAIN_SAMPLING, DOMAIN_UPLINK,
                       stream)
@@ -108,8 +109,10 @@ class RunConfig:
         if self.distribution not in NOISE_DISTRIBUTIONS:
             raise ConfigError(
                 f"distribution must be one of {NOISE_DISTRIBUTIONS}")
-        if self.policy_name == "mdt_constant_snr" and self.mode != "MDT":
-            raise ConfigError("policy 'mdt_constant_snr' needs mode 'MDT'")
+        preset = PRESETS.get(self.policy_name)
+        if preset is not None and preset.mode not in (None, self.mode):
+            raise ConfigError(f"policy {self.policy_name!r} needs mode "
+                              f"{preset.mode!r}")
         if self.channel == "analog_physical" \
                 and self.policy_params.get("weights") is not None:
             # The analog layer sends every client at one power per round.
@@ -415,8 +418,8 @@ class Analog:
         self.up_rng = stream(config.seed, DOMAIN_FADE_UPLINK)
         self.mt = config.mode == "MT"
         self.receivers = task.n_clients
-        self.distance = getattr(policy, "distance", 1.0)
-        self.pathloss = getattr(policy, "pathloss", 2.0)
+        self.distance = policy.distance
+        self.pathloss = policy.pathloss
         self.retries = 0
 
     def prepare(self, params, recipients, sampled):
@@ -572,7 +575,7 @@ def run(task, config, policy=None):
     max_iterate_dist = math.sqrt(max_iterate_sq)
     return RunResult(
         traces=traces, constants=constants, lr=lr, initial_model=w0,
-        final_model=w, policy_name=getattr(policy, "name", config.policy_name),
+        final_model=w, policy_name=policy.name,
         policy_params=policy.params(), energy_uplink=energy_ul,
         energy_downlink=energy_dl,
         diagnostics={"max_iterate_distance": max_iterate_dist,

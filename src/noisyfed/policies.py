@@ -11,10 +11,14 @@ Two families live here:
   transmissions at a fixed per-shot power.
 
 All schedules are pure functions of the round index and a
-:class:`LearningRateSchedule`.
+:class:`LearningRateSchedule`.  The presets are one table, :data:`PRESETS`;
+:func:`build_policy` checks a preset's parameters and binds its row to a run
+as a :class:`Policy`.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,281 +216,256 @@ class RoundPolicy:
     energy_dl: float = 0.0
 
 
-class NoiseFreePolicy:
+def _noise_free(p, t):
     """Ideal channels: zero noise in both directions, no modeled energy cost."""
-
-    name = "noise_free"
-
-    def params(self):
-        return {}
-
-    def round_params(self, t):
-        return RoundPolicy(uplink_variance=0.0, downlink_variance=0.0)
-
-    def schedule_excess(self, t):
-        return None
+    return RoundPolicy(uplink_variance=0.0, downlink_variance=0.0)
 
 
-class EqualPowerPolicy:
+def _equal_power(p, t):
     """Constant receive SNR in both directions, identical across rounds."""
-
-    name = "equal_power"
-
-    def __init__(self, snr_db=10.0):
-        self.snr_db = float(snr_db)
-
-    def params(self):
-        return {"snr_db": self.snr_db}
-
-    def round_params(self, t):
-        var = equal_power_variance(self.snr_db)
-        rho = db_to_linear(self.snr_db)
-        return RoundPolicy(uplink_variance=var, downlink_variance=var,
-                           rho_ul=rho, rho_dl=rho,
-                           energy_ul=rho, energy_dl=rho)
-
-    def schedule_excess(self, t):
-        return None
+    var = equal_power_variance(p.snr_db)
+    rho = db_to_linear(p.snr_db)
+    return RoundPolicy(uplink_variance=var, downlink_variance=var,
+                       rho_ul=rho, rho_dl=rho,
+                       energy_ul=rho, energy_dl=rho)
 
 
-class _ScheduledPolicy:
-    """Shared plumbing for the schedule-driven presets."""
+def _mt_full(p, t):
+    """Equality instantiation of the full-participation upload schedule,
+    split across clients (equally unless weights are given)."""
+    sigma2_total, zeta2_total = mt_full_noise(t, p.n_clients, p.lr)
+    sigma2_total *= p.variance_scale
+    zeta2_total *= p.variance_scale
+    if p.weights is None:
+        up = sigma2_total / p.n_clients
+        down = zeta2_total / p.n_clients
+    else:
+        up = p.weights * sigma2_total
+        down = p.weights * zeta2_total
+    mean_up = sigma2_total / p.n_clients
+    mean_down = zeta2_total / p.n_clients
+    return RoundPolicy(uplink_variance=up, downlink_variance=down,
+                       rho_ul=1.0 / mean_up, rho_dl=1.0 / mean_down,
+                       energy_ul=1.0 / mean_up, energy_dl=1.0 / mean_down)
 
-    def __init__(self, lr, n_clients, n_participants, variance_scale=1.0):
-        if variance_scale <= 0:
-            raise PolicyError("variance_scale must be positive")
+
+def _mt_full_excess(p, t):
+    cap_up, cap_down = mt_full_noise(t, p.n_clients, p.lr)
+    rp = p.round_params(t)
+    emitted_up = _total_variance(rp.uplink_variance, p.n_clients)
+    emitted_down = _total_variance(rp.downlink_variance, p.n_clients)
+    return max(emitted_up / cap_up, emitted_down / cap_down) - 1.0
+
+
+def _mt_partial(p, t):
+    """Equality instantiation of the sampled-client upload schedule
+    (homogeneous per-client noise)."""
+    sigma2, zeta2 = mt_partial_noise(t, p.n_clients, p.n_participants, p.lr)
+    sigma2 *= p.variance_scale
+    zeta2 *= p.variance_scale
+    return RoundPolicy(uplink_variance=sigma2, downlink_variance=zeta2,
+                       rho_ul=1.0 / sigma2, rho_dl=1.0 / zeta2,
+                       energy_ul=1.0 / sigma2, energy_dl=1.0 / zeta2)
+
+
+def _mt_partial_excess(p, t):
+    """Relative excess over the sampled-client upload schedule."""
+    cap_up, cap_down = mt_partial_noise(t, p.n_clients, p.n_participants,
+                                        p.lr)
+    rp = p.round_params(t)
+    return max(float(rp.uplink_variance) / cap_up,
+               float(rp.downlink_variance) / cap_down) - 1.0
+
+
+def _mdt(p, t):
+    """Constant uplink receive SNR on differentials; scheduled downlink
+    noise."""
+    zeta2 = mdt_downlink_noise(t, p.n_clients, p.n_participants,
+                               p.snr_target, p.lr)
+    zeta2 *= p.variance_scale
+    effective_snr = p.snr_target / p.variance_scale
+    return RoundPolicy(uplink_variance=None, downlink_variance=zeta2,
+                       snr_target=effective_snr,
+                       rho_ul=effective_snr, rho_dl=1.0 / zeta2,
+                       energy_ul=effective_snr, energy_dl=1.0 / zeta2)
+
+
+def _mdt_excess(p, t):
+    # Any constant uplink SNR is admissible; only the downlink schedule
+    # can be violated, judged against the cap for the SNR actually used.
+    rp = p.round_params(t)
+    cap_down = mdt_downlink_noise(t, p.n_clients, p.n_participants,
+                                  rp.snr_target, p.lr)
+    return float(rp.downlink_variance) / cap_down - 1.0
+
+
+def _power(p, t):
+    """Quadratically growing transmit power in both directions; the
+    power-first view of the sampled-upload equality schedule."""
+    rho_ul = uplink_power(t, p.n_participants, p.lr) / p.variance_scale
+    rho_dl = downlink_power(t, p.n_clients, p.lr, p.distance,
+                            p.pathloss) / p.variance_scale
+    gain = p.distance ** (-p.pathloss)
+    return RoundPolicy(uplink_variance=1.0 / rho_ul,
+                       downlink_variance=1.0 / (gain * rho_dl),
+                       rho_ul=rho_ul, rho_dl=rho_dl,
+                       energy_ul=rho_ul, energy_dl=rho_dl)
+
+
+def _diversity(p, t):
+    """Fixed per-shot power; t^2 SNR growth comes from integer numbers of
+    repeated transmissions combined at the receiver."""
+    need_ul = uplink_power(t, p.n_participants, p.lr) / p.variance_scale
+    need_dl = downlink_power(t, p.n_clients, p.lr, p.distance,
+                             p.pathloss) / p.variance_scale
+    div_ul = diversity_orders(need_ul, p.rho_uplink)
+    div_dl = diversity_orders(need_dl, p.rho_downlink)
+    gain = p.distance ** (-p.pathloss)
+    return RoundPolicy(
+        uplink_variance=1.0 / (p.rho_uplink * div_ul),
+        downlink_variance=1.0 / (gain * p.rho_downlink * div_dl),
+        rho_ul=p.rho_uplink, rho_dl=p.rho_downlink,
+        div_ul=div_ul, div_dl=div_dl,
+        energy_ul=p.rho_uplink * div_ul,
+        energy_dl=p.rho_downlink * div_dl,
+    )
+
+
+@dataclass(frozen=True)
+class Preset:
+    """One row of :data:`PRESETS`.
+
+    ``params`` maps each parameter the preset takes to its default
+    (:data:`REQUIRED`: none).  ``emit(policy, t)`` gives round t's
+    :class:`RoundPolicy`; ``excess(policy, t)`` its relative excess over the
+    schedule's cap (None: the preset follows no schedule).  ``bound`` is the
+    convergence-bound variant the schedule realizes, ``mode`` the
+    transmission mode the preset needs (None: either), and ``every_client``
+    whether it needs every client to take part.
+    """
+
+    params: dict
+    emit: object
+    excess: object = None
+    bound: str = None
+    mode: str = None
+    every_client: bool = False
+
+
+REQUIRED = object()
+_SCALE = {"variance_scale": 1.0}
+_PATHLOSS = {"distance": 1.0, "pathloss": 2.0}
+
+#: Every preset by name.  A schedule-backed preset takes ``variance_scale``,
+#: a noise multiplier the verification suite uses as a negative control.
+#: ``verify theorems`` reports the presets that carry their own bound in
+#: this order.
+PRESETS = {
+    "noise_free": Preset({}, _noise_free),
+    "equal_power": Preset({"snr_db": 10.0}, _equal_power),
+    "power_t2": Preset({**_PATHLOSS, **_SCALE}, _power, _mt_partial_excess,
+                       "mt_partial"),
+    "diversity_t2": Preset(
+        {"rho_uplink": REQUIRED, "rho_downlink": REQUIRED, **_PATHLOSS,
+         **_SCALE}, _diversity, _mt_partial_excess, "mt_partial"),
+    "mt_full": Preset({"weights": None, **_SCALE}, _mt_full, _mt_full_excess,
+                      "mt_full", every_client=True),
+    "mt_partial": Preset(_SCALE, _mt_partial, _mt_partial_excess,
+                         "mt_partial"),
+    "mdt_constant_snr": Preset({"snr_target": 10.0, **_SCALE}, _mdt,
+                               _mdt_excess, "mdt_constant_snr", mode="MDT"),
+}
+
+#: Parameters that must be positive; any other number need only be finite.
+_POSITIVE = ("variance_scale", "snr_target", "rho_uplink", "rho_downlink",
+             "distance")
+
+
+class Policy:
+    """A preset wired to a run: its :data:`PRESETS` row, its parameters as
+    attributes, the learning-rate schedule and the client counts.  A preset
+    without ``distance`` and ``pathloss`` is received at unit distance."""
+
+    distance = 1.0
+    pathloss = 2.0
+
+    def __init__(self, name, lr, n_clients, n_participants, values):
+        self.name = name
+        self.preset = PRESETS[name]
         self.lr = lr
         self.n_clients = int(n_clients)
         self.n_participants = int(n_participants)
-        self.variance_scale = float(variance_scale)
+        vars(self).update(values)
 
-    def _base_params(self):
-        return {"variance_scale": self.variance_scale}
+    def params(self):
+        """The parameters in effect, defaults included; weights normalized
+        and left out when unset."""
+        return {key: value.tolist() if key == "weights" else value
+                for key in self.preset.params
+                if (value := getattr(self, key)) is not None}
+
+    def round_params(self, t):
+        return self.preset.emit(self, t)
 
     def schedule_excess(self, t):
-        """Relative excess over the sampled-client upload schedule."""
-        cap_up, cap_down = mt_partial_noise(t, self.n_clients,
-                                            self.n_participants, self.lr)
-        rp = self.round_params(t)
-        return max(float(rp.uplink_variance) / cap_up,
-                   float(rp.downlink_variance) / cap_down) - 1.0
-
-
-class MtFullNoisePolicy(_ScheduledPolicy):
-    """Equality instantiation of the full-participation upload schedule,
-    split across clients (equally unless weights are given)."""
-
-    name = "mt_full"
-
-    def __init__(self, lr, n_clients, weights=None, variance_scale=1.0):
-        super().__init__(lr, n_clients, n_clients, variance_scale)
-        if weights is None:
-            self.weights = None
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (n_clients,) or np.any(w < 0):
-                raise PolicyError("weights must be non-negative, one per client")
-            total = w.sum()
-            if total <= 0:
-                raise PolicyError("weights must not all be zero")
-            self.weights = w / total
-
-    def params(self):
-        p = self._base_params()
-        if self.weights is not None:
-            p["weights"] = self.weights.tolist()
-        return p
-
-    def round_params(self, t):
-        sigma2_total, zeta2_total = mt_full_noise(t, self.n_clients, self.lr)
-        sigma2_total *= self.variance_scale
-        zeta2_total *= self.variance_scale
-        if self.weights is None:
-            up = sigma2_total / self.n_clients
-            down = zeta2_total / self.n_clients
-        else:
-            up = self.weights * sigma2_total
-            down = self.weights * zeta2_total
-        mean_up = sigma2_total / self.n_clients
-        mean_down = zeta2_total / self.n_clients
-        return RoundPolicy(uplink_variance=up, downlink_variance=down,
-                           rho_ul=1.0 / mean_up, rho_dl=1.0 / mean_down,
-                           energy_ul=1.0 / mean_up, energy_dl=1.0 / mean_down)
-
-    def schedule_excess(self, t):
-        cap_up, cap_down = mt_full_noise(t, self.n_clients, self.lr)
-        rp = self.round_params(t)
-        emitted_up = _total_variance(rp.uplink_variance, self.n_clients)
-        emitted_down = _total_variance(rp.downlink_variance, self.n_clients)
-        return max(emitted_up / cap_up, emitted_down / cap_down) - 1.0
-
-
-class MtPartialNoisePolicy(_ScheduledPolicy):
-    """Equality instantiation of the sampled-client upload schedule
-    (homogeneous per-client noise)."""
-
-    name = "mt_partial"
-
-    def params(self):
-        return self._base_params()
-
-    def round_params(self, t):
-        sigma2, zeta2 = mt_partial_noise(t, self.n_clients, self.n_participants,
-                                         self.lr)
-        sigma2 *= self.variance_scale
-        zeta2 *= self.variance_scale
-        return RoundPolicy(uplink_variance=sigma2, downlink_variance=zeta2,
-                           rho_ul=1.0 / sigma2, rho_dl=1.0 / zeta2,
-                           energy_ul=1.0 / sigma2, energy_dl=1.0 / zeta2)
-
-
-class MdtConstantSnrPolicy(_ScheduledPolicy):
-    """Constant uplink receive SNR on differentials; scheduled downlink noise."""
-
-    name = "mdt_constant_snr"
-
-    def __init__(self, lr, n_clients, n_participants, snr_target=10.0,
-                 variance_scale=1.0):
-        super().__init__(lr, n_clients, n_participants, variance_scale)
-        if snr_target <= 0:
-            raise PolicyError("snr_target must be positive")
-        self.snr_target = float(snr_target)
-
-    def params(self):
-        p = self._base_params()
-        p["snr_target"] = self.snr_target
-        return p
-
-    def round_params(self, t):
-        zeta2 = mdt_downlink_noise(t, self.n_clients, self.n_participants,
-                                   self.snr_target, self.lr)
-        zeta2 *= self.variance_scale
-        effective_snr = self.snr_target / self.variance_scale
-        return RoundPolicy(uplink_variance=None, downlink_variance=zeta2,
-                           snr_target=effective_snr,
-                           rho_ul=effective_snr, rho_dl=1.0 / zeta2,
-                           energy_ul=effective_snr, energy_dl=1.0 / zeta2)
-
-    def schedule_excess(self, t):
-        # Any constant uplink SNR is admissible; only the downlink schedule
-        # can be violated, judged against the cap for the SNR actually used.
-        rp = self.round_params(t)
-        cap_down = mdt_downlink_noise(t, self.n_clients, self.n_participants,
-                                      rp.snr_target, self.lr)
-        return float(rp.downlink_variance) / cap_down - 1.0
-
-
-class PowerControlPolicy(_ScheduledPolicy):
-    """Quadratically growing transmit power in both directions; the
-    power-first view of the sampled-upload equality schedule."""
-
-    name = "power_t2"
-
-    def __init__(self, lr, n_clients, n_participants, distance=1.0,
-                 pathloss=2.0, variance_scale=1.0):
-        super().__init__(lr, n_clients, n_participants, variance_scale)
-        self.distance = float(distance)
-        self.pathloss = float(pathloss)
-
-    def params(self):
-        p = self._base_params()
-        p.update({"distance": self.distance, "pathloss": self.pathloss})
-        return p
-
-    def round_params(self, t):
-        rho_ul = uplink_power(t, self.n_participants, self.lr) / self.variance_scale
-        rho_dl = downlink_power(t, self.n_clients, self.lr, self.distance,
-                                self.pathloss) / self.variance_scale
-        gain = self.distance ** (-self.pathloss)
-        return RoundPolicy(uplink_variance=1.0 / rho_ul,
-                           downlink_variance=1.0 / (gain * rho_dl),
-                           rho_ul=rho_ul, rho_dl=rho_dl,
-                           energy_ul=rho_ul, energy_dl=rho_dl)
-
-
-class DiversityPolicy(_ScheduledPolicy):
-    """Fixed per-shot power; t^2 SNR growth comes from integer numbers of
-    repeated transmissions combined at the receiver."""
-
-    name = "diversity_t2"
-
-    def __init__(self, lr, n_clients, n_participants, rho_uplink, rho_downlink,
-                 distance=1.0, pathloss=2.0, variance_scale=1.0):
-        super().__init__(lr, n_clients, n_participants, variance_scale)
-        if rho_uplink <= 0 or rho_downlink <= 0:
-            raise PolicyError("per-shot powers must be positive")
-        self.rho_uplink = float(rho_uplink)
-        self.rho_downlink = float(rho_downlink)
-        self.distance = float(distance)
-        self.pathloss = float(pathloss)
-
-    def params(self):
-        p = self._base_params()
-        p.update({"rho_uplink": self.rho_uplink, "rho_downlink": self.rho_downlink,
-                  "distance": self.distance, "pathloss": self.pathloss})
-        return p
-
-    def round_params(self, t):
-        need_ul = uplink_power(t, self.n_participants, self.lr) / self.variance_scale
-        need_dl = downlink_power(t, self.n_clients, self.lr, self.distance,
-                                 self.pathloss) / self.variance_scale
-        div_ul = diversity_orders(need_ul, self.rho_uplink)
-        div_dl = diversity_orders(need_dl, self.rho_downlink)
-        gain = self.distance ** (-self.pathloss)
-        return RoundPolicy(
-            uplink_variance=1.0 / (self.rho_uplink * div_ul),
-            downlink_variance=1.0 / (gain * self.rho_downlink * div_dl),
-            rho_ul=self.rho_uplink, rho_dl=self.rho_downlink,
-            div_ul=div_ul, div_dl=div_dl,
-            energy_ul=self.rho_uplink * div_ul,
-            energy_dl=self.rho_downlink * div_dl,
-        )
-
-
-POLICY_NAMES = ("noise_free", "equal_power", "power_t2", "diversity_t2",
-                "mt_full", "mt_partial", "mdt_constant_snr")
+        """Relative excess of round t over the schedule, or None."""
+        excess = self.preset.excess
+        return None if excess is None else excess(self, t)
 
 
 def build_policy(name, params, constants, n_clients, n_participants,
                  local_epochs):
-    """Instantiate a preset by name, wiring in task-derived constants."""
+    """Instantiate a preset by name, wiring in task-derived constants.  A
+    parameter the preset does not take, lacks or cannot use is a
+    :class:`ConfigError` that names it."""
+    preset = PRESETS.get(name)
+    if preset is None:
+        raise ConfigError(
+            f"unknown policy {name!r}; expected one of {tuple(PRESETS)}")
     params = dict(params or {})
-    if name == "noise_free":
-        _reject_unknown(params, ())
-        return NoiseFreePolicy()
-    if name == "equal_power":
-        _reject_unknown(params, ("snr_db",))
-        return EqualPowerPolicy(**params)
-    lr = LearningRateSchedule.from_constants(constants, local_epochs)
-    if name == "mt_full":
-        _reject_unknown(params, ("weights", "variance_scale"))
-        if n_participants < n_clients:
-            raise ConfigError(f"policy 'mt_full' needs every client "
-                              f"({n_clients}) to take part; use 'mt_partial'")
-        return MtFullNoisePolicy(lr, n_clients, **params)
-    if name == "mt_partial":
-        _reject_unknown(params, ("variance_scale",))
-        return MtPartialNoisePolicy(lr, n_clients, n_participants, **params)
-    if name == "mdt_constant_snr":
-        _reject_unknown(params, ("snr_target", "variance_scale"))
-        return MdtConstantSnrPolicy(lr, n_clients, n_participants, **params)
-    if name == "power_t2":
-        _reject_unknown(params, ("distance", "pathloss", "variance_scale"))
-        return PowerControlPolicy(lr, n_clients, n_participants, **params)
-    if name == "diversity_t2":
-        _reject_unknown(params, ("rho_uplink", "rho_downlink", "distance",
-                                 "pathloss", "variance_scale"))
-        missing = [k for k in ("rho_uplink", "rho_downlink") if k not in params]
-        if missing:
-            raise ConfigError(f"policy {name!r} needs parameters {missing}")
-        return DiversityPolicy(lr, n_clients, n_participants, **params)
-    raise ConfigError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-
-
-def _reject_unknown(params, allowed):
-    unknown = set(params) - set(allowed)
+    unknown = set(params) - set(preset.params)
     if unknown:
         raise ConfigError(f"unknown policy parameters: {sorted(unknown)}")
+    missing = [key for key, default in preset.params.items()
+               if default is REQUIRED and key not in params]
+    if missing:
+        raise ConfigError(f"policy {name!r} needs parameters {missing}")
+    if preset.every_client and n_participants < n_clients:
+        raise ConfigError(f"policy {name!r} needs every client "
+                          f"({n_clients}) to take part; use 'mt_partial'")
+    values = {key: _checked(key, params.get(key, default), n_clients)
+              for key, default in preset.params.items()}
+    lr = LearningRateSchedule.from_constants(constants, local_epochs)
+    return Policy(name, lr, n_clients, n_participants, values)
+
+
+def _checked(key, value, n_clients):
+    """A parameter's value as a preset uses it: a finite float, positive if
+    :data:`_POSITIVE` names it; ``weights`` None or normalized to sum 1."""
+    if key != "weights":
+        number = _finite(key, value)
+        if key in _POSITIVE and number <= 0:
+            raise ConfigError(f"policy parameter {key!r} must be positive")
+        return number
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple, np.ndarray)) \
+            or len(value) != n_clients:
+        raise ConfigError(f"policy parameter 'weights' must list one number "
+                          f"per client ({n_clients})")
+    w = np.array([_finite(key, x) for x in value])
+    if w.min() < 0 or w.sum() <= 0:
+        raise ConfigError("policy parameter 'weights' must be non-negative "
+                          "and not all zero")
+    return w / w.sum()
+
+
+def _finite(key, value):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"policy parameter {key!r} must be a finite number, "
+                      f"not {value!r}")
 
 
 def _total_variance(per_client, n_clients):

@@ -91,6 +91,7 @@ def write_mean_trace(path, rounds, mean_sq_dist, mean_loss,
     if resolved_config is not None:
         lines.append(f"# config: {canonical_json(resolved_config)}")
     lines.append("t,mean_sq_dist,mean_loss")
-    for t, sq, loss in zip(rounds, mean_sq_dist, mean_loss):
-        lines.append(f"{int(t)},{repr(float(sq))},{repr(float(loss))}")
+    for t, sq, loss in zip(rounds.tolist(), mean_sq_dist.tolist(),
+                           mean_loss.tolist()):
+        lines.append(f"{int(t)},{sq!r},{loss!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -55,6 +55,10 @@ def _traced_run(tracer, task, **overrides):
     assert all(math.isfinite(value) for value in summary.values())
     assert summary["engine.run.calls"] == 1
     assert summary["engine.local_train.calls"] == overrides["rounds"]
+    # Scheduled per round, both directions of a round share one call; a
+    # policy path that goes round the traced method reads fewer.
+    assert "schedule_on" not in overrides
+    assert summary["policies.round_params.calls"] == overrides["rounds"]
     return summary, result
 
 

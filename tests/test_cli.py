@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -331,6 +332,36 @@ def test_diversity_policy_without_powers_is_usage_error(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("equal_power", {"snr_db": "ten"}, "snr_db"),
+    ("equal_power", {"snr_db": None}, "snr_db"),
+    ("mt_full", {"weights": "abc"}, "weights"),
+    ("mt_full", {"weights": [1, 2]}, "weights"),
+    ("mt_partial", {"variance_scale": "x"}, "variance_scale"),
+    ("mt_partial", {"variance_scale": -1}, "variance_scale"),
+    ("mt_partial", {"variance_scale": True}, "variance_scale"),
+    ("mt_partial", {"variance_scale": float("nan")}, "variance_scale"),
+    ("mdt_constant_snr", {"snr_target": -1}, "snr_target"),
+    ("diversity_t2", {"rho_uplink": [1], "rho_downlink": 2.0}, "rho_uplink"),
+    ("diversity_t2", {"rho_uplink": -1, "rho_downlink": 2.0}, "rho_uplink"),
+])
+def test_invalid_policy_parameter_is_usage_error(tmp_path, capsys, name,
+                                                 params, key):
+    doc = experiment_doc(policy={"name": name, "params": params}, checks=[])
+    doc["run"].update(
+        n_participants=6 if name == "mt_full" else 3,
+        mode="MDT" if name == "mdt_constant_snr" else "MT")
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: policy parameter {key!r} must" in err
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.make_parser() is cli.make_parser()
+
+
 def test_run_records_channel_failure_per_replica(tmp_path, monkeypatch,
                                                  capsys):
     # Replica 1 (seed 18) fails in the channel; the others complete.
@@ -404,3 +435,70 @@ def test_weighted_mt_full_on_analog_channel_is_usage_error(tmp_path, capsys):
     doc["checks"] = []
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o2")]) == 0
+
+
+# SHA-256 of summary.json and mean_trace.csv of a 12-round, 2-replica family
+# per preset, with the bound and schedule checks where the preset has a
+# schedule: they pin each check's estimate (``schedule_excess`` included),
+# the resolved ``rate_constant`` and ``bound_variant``, the emitted policy
+# parameters and the mean trace.
+_PRESET_FAMILIES = {
+    "noise_free": ({}, {}),
+    "equal_power": ({"snr_db": 12.0}, {}),
+    "mt_full": ({"weights": [2, 1, 1, 1, 1, 0]}, {"n_participants": 6}),
+    "mt_partial": ({}, {}),
+    "mdt_constant_snr": ({"snr_target": 5.0}, {"mode": "MDT"}),
+    "power_t2": ({"distance": 1.5}, {"channel": "analog_physical"}),
+    "diversity_t2": ({"rho_uplink": 5.0, "rho_downlink": 5.0},
+                     {"channel": "analog_physical"}),
+}
+GOLDEN_RUN_FILES = {
+    "noise_free": (
+        "f46f66fd6855ddefebd68e9da4fac78244e174de039509ae07be5d2ef860e592",
+        "01188545a686c167e2aa7b26256ff332d0c2850129e59eb81790b4615c313763"),
+    "equal_power": (
+        "21c3cde6d86b60c32588eccef5ee3ea70e1bf730a53964132e8e809a64ea24e7",
+        "fca859220d05dadbe63caa201d6225620001f46a85a1757376cbdf42b78d0d9f"),
+    "mt_full": (
+        "6532f9106b95b6018ee926b4f55bbca11999da87df5dd5ac3d16e0b79a711d77",
+        "49e06f7f3762354615fc3015b640fa151aa9a835154492fd2d5df26d20f74102"),
+    "mt_partial": (
+        "a6b7eb3d3f264954e4426f1a10831e5d50fc478dbb46c71fa5276b04db25ef3e",
+        "bf3750913f4b5c234cecfb133697cf7e829e1bd3193bd930934107de55281c85"),
+    "mdt_constant_snr": (
+        "c5e1e0a83b15491dc17e0219bbbaa200da5ac654276124b929b02c4faf4c1f07",
+        "55b076f7018a9ee0c623cc82aeacbe3ed02bc7513695b286563d84071cd5100f"),
+    "power_t2": (
+        "de08e8130d076dce4fba56b269801eb2da64f052dde65c949829e42ceb625ad1",
+        "eec403f11af8ee6aea35f85ce07bb6c1a26de9a9f5570e9c3461e90b16d6de72"),
+    "diversity_t2": (
+        "308ac97ad38fcff5ec8df1301940e811502b9e8141a5f2eda3217d9e8fc94e88",
+        "7875a8a581366595f94d0385b8c94aa6c8d202ea85e432026d8b37218fd893ec"),
+}
+
+
+def _family_digests(tmp_path, name, params, run):
+    doc = experiment_doc(policy={"name": name, "params": params}, replicas=2)
+    doc["run"].update(rounds=12, **run)
+    if name in ("noise_free", "equal_power"):
+        doc["checks"] = []
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) \
+        in (0, 1)
+    return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                 for f in ("summary.json", "mean_trace.csv"))
+
+
+@pytest.mark.parametrize("name", _PRESET_FAMILIES)
+def test_run_files_match_golden(tmp_path, name):
+    params, run = _PRESET_FAMILIES[name]
+    assert _family_digests(tmp_path, name, params, run) \
+        == GOLDEN_RUN_FILES[name]
+
+
+def test_louder_schedule_fails_run_files_golden(tmp_path):
+    # Negative control: twice the scheduled noise must move both files.
+    summary, mean = _family_digests(tmp_path, "mt_partial",
+                                    {"variance_scale": 2}, {})
+    golden = GOLDEN_RUN_FILES["mt_partial"]
+    assert summary != golden[0] and mean != golden[1]

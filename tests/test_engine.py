@@ -16,7 +16,7 @@ from noisyfed import (AggregationError, ClientData, ConfigError,
 from noisyfed import NoiseSpec, PolicyError, engine
 from noisyfed.channel import sample_noise
 from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
-from noisyfed.policies import NoiseFreePolicy, RoundPolicy
+from noisyfed.policies import Policy, RoundPolicy
 from noisyfed.seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK,
                               DOMAIN_FADE_DOWNLINK, DOMAIN_FADE_UPLINK,
                               DOMAIN_SAMPLING, DOMAIN_UPLINK, STREAM_LAYOUT,
@@ -312,7 +312,7 @@ def test_trace_rounds_strictly_increasing(small_task):
     assert ts == list(range(1, 13))
 
 
-class _StubPolicy(NoiseFreePolicy):
+class _StubPolicy(Policy):
     def __init__(self, uplink_variance, downlink_variance):
         self.variances = (uplink_variance, downlink_variance)
 
