@@ -16,11 +16,13 @@ diverged or failed replicas; 2 on usage or configuration errors.
 
 import argparse
 import copy
+import dataclasses
 import functools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
@@ -29,8 +31,8 @@ from .config import load_experiment, parse_experiment
 from .engine import RunConfig, run
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
-from .policies import (PRESETS, LearningRateSchedule, build_policy,
-                       mt_full_noise, mt_partial_noise)
+from .policies import (PRESETS, LearningRateSchedule, mt_full_noise,
+                       mt_partial_noise)
 from .seeding import DOMAIN_ORACLE, STREAM_LAYOUT, stream
 from .tasks import derive_constants, load_task, make_task
 
@@ -53,16 +55,16 @@ def replica_config(experiment, replica, base_seed):
                      **run_params)
 
 
-def resolved_config(experiment, cfg, result, replica):
+def resolved_config(experiment, result, replica, seed):
     """Everything needed to reproduce and interpret one replica's trace."""
     c = result.constants
-    doc = experiment.to_dict()
     resolved = {
-        "experiment": doc,
+        "experiment": experiment.to_dict(),
         "replica": replica,
-        "seed": cfg.seed,
+        "seed": seed,
         "stream_layout": STREAM_LAYOUT,
-        "policy": {"name": result.policy_name, "params": result.policy_params},
+        "policy": {"name": result.policy.name,
+                   "params": result.policy.params()},
         "derived": {
             "mu": c.mu,
             "lipschitz": c.lipschitz,
@@ -74,36 +76,38 @@ def resolved_config(experiment, cfg, result, replica):
             "trajectory_radius": c.trajectory_radius,
             "lr_gamma": result.lr.gamma,
             "lr_beta": result.lr.beta,
-            "initial_gap": float(np.sum((result.initial_model - c.opt) ** 2)),
+            "initial_gap": _initial_gap(result),
         },
     }
-    variant = PRESETS[experiment.policy_name].bound
-    if variant is not None:
-        spec = _bound_spec(experiment, result, variant)
-        resolved["derived"]["rate_constant"] = analysis.rate_constant(spec)
-        resolved["derived"]["bound_variant"] = variant
+    if result.policy.preset.bound is not None:
+        resolved["derived"]["rate_constant"] = analysis.rate_constant(
+            _bound_spec(result))
+        resolved["derived"]["bound_variant"] = result.policy.preset.bound
     return resolved
 
 
-def _bound_spec(experiment, result, variant):
-    c = result.constants
-    gap = float(np.sum((result.initial_model - c.opt) ** 2))
+def _initial_gap(result):
+    return float(np.sum((result.initial_model - result.constants.opt) ** 2))
+
+
+def _bound_spec(result):
+    """The convergence bound of a run's family, from the policy and the
+    constants the run used."""
+    policy = result.policy
     return analysis.BoundSpec(
-        variant=variant,
-        constants=c,
-        local_epochs=experiment.run.get("local_epochs", 1),
-        n_clients=len(c.sgd_var),
-        n_participants=experiment.run["n_participants"],
+        variant=policy.preset.bound,
+        constants=result.constants,
+        local_epochs=result.lr.local_epochs,
+        n_clients=policy.n_clients,
+        n_participants=policy.n_participants,
         dim=result.initial_model.size,
-        initial_gap=gap,
-        snr_target=result.policy_params.get("snr_target"),
+        initial_gap=_initial_gap(result),
+        snr_target=policy.params().get("snr_target"),
     )
 
 
-def _run_replicas(payload):
-    """Run the given replicas of an experiment document on one task."""
-    doc, replicas, base_seed = payload
-    experiment = parse_experiment(doc)
+def _run_replicas(experiment, replicas, base_seed):
+    """Run the given replicas of an experiment on one task."""
     task = build_task(experiment)
     results = []
     for replica in replicas:
@@ -118,21 +122,42 @@ def _run_replicas(payload):
     return results
 
 
-def _execute_replicas(experiment, base_seed, workers):
+def run_family(experiment, base_seed, workers=1):
+    """Run an experiment's replicas, seeded ``base_seed + replica``.
+
+    Returns the completed ``(replica, result)`` pairs, the diverged or failed
+    replicas as ``{"replica", "kind", "error"}`` entries, and the mean trace
+    ``(rounds, sq_dist, loss)`` of the completed replicas (empty arrays when
+    none completed).
+    """
     # One task per worker, which runs every workers-th replica on it.
-    shares = [(experiment.to_dict(), range(i, experiment.replicas, workers),
-               base_seed) for i in range(min(workers, experiment.replicas))]
+    shares = [range(i, experiment.replicas, workers)
+              for i in range(min(workers, experiment.replicas))]
     if workers == 1:
-        return _run_replicas(shares[0])
-    with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-        return sorted((r for share in pool.map(_run_replicas, shares)
-                       for r in share), key=lambda r: r[0])
+        results = _run_replicas(experiment, shares[0], base_seed)
+    else:
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            results = sorted((r for share in pool.map(
+                _run_replicas, repeat(experiment), shares, repeat(base_seed))
+                for r in share), key=lambda r: r[0])
+    completed = [(replica, result) for replica, result, err in results
+                 if err is None]
+    diverged = [{"replica": replica, **err} for replica, _, err in results
+                if err is not None]
+    if not completed:
+        return completed, diverged, (np.array([]),) * 3
+    rounds = np.array([tr.t for tr in completed[0][1].traces], dtype=float)
+    mean_sq = np.mean([[tr.sq_dist for tr in r.traces]
+                       for _, r in completed], axis=0)
+    mean_loss = np.mean([[tr.loss for tr in r.traces]
+                         for _, r in completed], axis=0)
+    return completed, diverged, (rounds, mean_sq, mean_loss)
 
 
-def _evaluate_checks(experiment, results, rounds, mean_sq):
+def _evaluate_checks(experiment, completed, rounds, mean_sq):
     """Evaluate the experiment's checks on the seed-averaged trace."""
     reports = []
-    first = next((r for _, r, err in results if err is None), None)
+    first = completed[0][1] if completed else None
     for check in experiment.checks:
         kind = check["kind"]
         if first is None:
@@ -142,8 +167,7 @@ def _evaluate_checks(experiment, results, rounds, mean_sq):
                 detail="no completed replicas"))
             continue
         if kind == "bound":
-            spec = _bound_spec(experiment, first,
-                               PRESETS[experiment.policy_name].bound)
+            spec = _bound_spec(first)
             bounds = np.array([analysis.convergence_bound(int(t), spec)
                                for t in rounds])
             ratio = float(np.max(mean_sq / bounds))
@@ -162,23 +186,15 @@ def _evaluate_checks(experiment, results, rounds, mean_sq):
                 tolerance=0.5 * (hi - lo),
                 detail=f"window={window} range=[{lo},{hi}]"))
         elif kind == "schedule":
-            excess = _max_schedule_excess(experiment, first)
+            excesses = [first.policy.schedule_excess(t)
+                        for t in range(1, experiment.run["rounds"] + 1)]
+            excesses = [e for e in excesses if e is not None]
+            excess = max(excesses) if excesses else 0.0
             reports.append(analysis.OracleReport(
                 name="check_schedule", passed=excess <= 1e-9, estimate=excess,
                 reference=0.0, tolerance=1e-9,
                 detail="max relative excess over the admissible noise power"))
     return reports
-
-
-def _max_schedule_excess(experiment, result):
-    policy = build_policy(experiment.policy_name, experiment.policy_params,
-                          result.constants, len(result.constants.sgd_var),
-                          experiment.run["n_participants"],
-                          experiment.run.get("local_epochs", 1))
-    excesses = [policy.schedule_excess(t)
-                 for t in range(1, experiment.run["rounds"] + 1)]
-    excesses = [e for e in excesses if e is not None]
-    return max(excesses) if excesses else 0.0
 
 
 def _check_overrides(args):
@@ -198,38 +214,27 @@ def cmd_run(args):
         experiment.replicas = args.replicas
     base_seed = args.seed if args.seed is not None \
         else experiment.run.get("seed", 0)
+    completed, diverged, (rounds, mean_sq, mean_loss) = run_family(
+        experiment, base_seed, args.workers)
+    reports = _evaluate_checks(experiment, completed, rounds, mean_sq)
+
     os.makedirs(args.out, exist_ok=True)
-
-    results = _execute_replicas(experiment, base_seed, args.workers)
-
-    diverged = []
     finals = []
-    sq_stack = []
-    loss_stack = []
-    rounds = None
     first_resolved = None
-    for replica, result, err in results:
-        if err is not None:
-            diverged.append({"replica": replica, **err})
-            continue
-        cfg = replica_config(experiment, replica, base_seed)
-        resolved = resolved_config(experiment, cfg, result, replica)
+    for replica, result in completed:
+        seed = base_seed + replica
+        resolved = resolved_config(experiment, result, replica, seed)
         if first_resolved is None:
             first_resolved = resolved
         path = os.path.join(args.out, f"trace_rep{replica:03d}.csv")
         traceio.write_trace(path, result.traces, resolved)
-        finals.append({"replica": replica, "seed": cfg.seed,
+        finals.append({"replica": replica, "seed": seed,
                        "final_sq_dist": result.traces[-1].sq_dist,
                        "final_loss": result.traces[-1].loss,
                        "energy_uplink": result.energy_uplink,
                        "energy_downlink": result.energy_downlink,
                        **result.diagnostics})
-        sq_stack.append([tr.sq_dist for tr in result.traces])
-        loss_stack.append([tr.loss for tr in result.traces])
-        if rounds is None:
-            rounds = np.array([tr.t for tr in result.traces], dtype=float)
 
-    reports = []
     summary = {
         "experiment": experiment.to_dict(),
         "base_seed": base_seed,
@@ -237,13 +242,10 @@ def cmd_run(args):
         "diverged": diverged,
         "replicas": finals,
     }
-    if sq_stack:
-        mean_sq = np.mean(sq_stack, axis=0)
-        mean_loss = np.mean(loss_stack, axis=0)
+    if completed:
         traceio.write_mean_trace(os.path.join(args.out, "mean_trace.csv"),
                                  rounds, mean_sq, mean_loss,
                                  resolved_config=first_resolved)
-        reports = _evaluate_checks(experiment, results, rounds, mean_sq)
         summary["resolved"] = first_resolved
         summary["mean_final_sq_dist"] = float(mean_sq[-1])
         summary["checks"] = [
@@ -252,8 +254,6 @@ def cmd_run(args):
              "detail": r.detail}
             for r in reports]
     else:
-        reports = _evaluate_checks(experiment, results, np.array([]),
-                                   np.array([]))
         summary["checks"] = [
             {"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in reports]
@@ -264,7 +264,7 @@ def cmd_run(args):
     if diverged:
         print(f"[WARN] {len(diverged)} replica(s) diverged or failed; "
               "see summary.json")
-    if sq_stack:
+    if completed:
         print(f"completed {len(finals)}/{experiment.replicas} replicas; "
               f"mean final squared distance {summary['mean_final_sq_dist']:.6g}")
     failed = bool(diverged) or any(not r.passed for r in reports)
@@ -275,9 +275,12 @@ def cmd_run(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_task(seed=5):
-    return make_task(n_clients=6, dim=6, samples_per_client=12,
-                     heterogeneity=1.0, ridge=0.1, noise_std=4.0, seed=seed)
+VERIFY_TASK = {"n_clients": 6, "dim": 6, "samples_per_client": 12,
+               "heterogeneity": 1.0, "ridge": 0.1, "noise_std": 4.0, "seed": 5}
+
+
+def _verify_task():
+    return make_task(**VERIFY_TASK)
 
 
 def _lemma_reports(replicas, seed):
@@ -348,43 +351,33 @@ def _theorem_reports(noise_scale, seed):
         estimate=max(ident_full, ident_part), reference=0.0, tolerance=1e-9,
         detail="schedule(t+1) vs squared learning rate identity"))
 
-    # The presets whose schedule carries its own bound, at their defaults.
+    # The presets whose schedule carries its own bound, at their defaults,
+    # each run as a family of noisyfed run and judged with its own constants.
+    params = {} if noise_scale == 1.0 else {"variance_scale": noise_scale}
     for name in analysis.BOUND_VARIANTS:
         preset = PRESETS[name]
-        participants = n_clients if preset.every_client else n_participants
-        policy_params = {} if noise_scale == 1.0 \
-            else {"variance_scale": noise_scale}
-        policy = build_policy(name, policy_params, constants, n_clients,
-                              participants, epochs)
-        excess = max(policy.schedule_excess(t) for t in range(1, rounds + 1))
-        reports.append(analysis.OracleReport(
-            name=f"schedule_admissible[{name}]", passed=excess <= 1e-9,
-            estimate=excess, reference=0.0, tolerance=1e-9,
-            detail="relative excess over the admissible noise power"))
-
-        sq = []
-        gap = None
-        for s in range(5):
-            cfg = RunConfig(n_participants=participants, rounds=rounds,
-                            local_epochs=epochs, batch_size=3,
-                            mode=preset.mode or "MT",
-                            policy_name=name, policy_params=policy_params,
-                            seed=seed + 100 + s)
-            result = run(task, cfg)
-            sq.append([tr.sq_dist for tr in result.traces])
-            gap = float(np.sum((result.initial_model - constants.opt) ** 2))
-        mean_sq = np.mean(sq, axis=0)
-        spec = analysis.BoundSpec(
-            variant=preset.bound, constants=constants, local_epochs=epochs,
-            n_clients=n_clients, n_participants=participants, dim=task.dim,
-            initial_gap=gap, snr_target=policy.params().get("snr_target"))
-        bounds = np.array([analysis.convergence_bound(t, spec)
-                           for t in range(1, rounds + 1)])
-        ratio = float(np.max(mean_sq / bounds))
-        reports.append(analysis.OracleReport(
-            name=f"bound_holds[{name}]", passed=ratio <= 1.0, estimate=ratio,
-            reference=1.0, tolerance=0.0,
-            detail=f"max(mean/bound), 5 seeds x {rounds} rounds"))
+        experiment = parse_experiment({
+            "task": VERIFY_TASK,
+            "run": {"n_participants": n_clients if preset.every_client
+                    else n_participants, "rounds": rounds,
+                    "local_epochs": epochs, "batch_size": 3,
+                    "mode": preset.mode or "MT"},
+            "policy": {"name": name, "params": params},
+            "replicas": 5,
+            "checks": [{"kind": "schedule"}, {"kind": "bound"}],
+        }, source=f"verify[{name}]")
+        completed, diverged, mean = run_family(experiment, seed + 100)
+        schedule, bound = _evaluate_checks(experiment, completed, *mean[:2])
+        reports.append(dataclasses.replace(
+            schedule, name=f"schedule_admissible[{name}]",
+            detail="relative excess over the admissible noise power"
+            if completed else schedule.detail))
+        detail = f"max(mean/bound), 5 seeds x {rounds} rounds"
+        if diverged:
+            detail += f"; {len(diverged)} of 5 diverged"
+        reports.append(dataclasses.replace(
+            bound, name=f"bound_holds[{name}]",
+            passed=bound.passed and not diverged, detail=detail))
     return reports
 
 
@@ -446,8 +439,8 @@ def cmd_sweep(args):
     values = _parse_values(args.values)
     was_int = isinstance(node[leaf], int) and not isinstance(node[leaf], bool)
 
-    os.makedirs(args.out, exist_ok=True)
     rows = []
+    failed = False
     print(f"{'value':>12s} {'final_sq_dist':>14s} {'slope':>8s} {'energy':>12s}")
     for value in values:
         point = copy.deepcopy(doc)
@@ -459,35 +452,37 @@ def cmd_sweep(args):
             point_exp.replicas = args.replicas
         base_seed = args.seed if args.seed is not None \
             else point_exp.run.get("seed", 0)
-        results = _execute_replicas(point_exp, base_seed, args.workers)
-        sq_stack = [[tr.sq_dist for tr in res.traces]
-                    for _, res, err in results if err is None]
-        energies = [res.energy_uplink + res.energy_downlink
-                    for _, res, err in results if err is None]
-        if not sq_stack:
+        completed, diverged, (rounds, mean_sq, _) = run_family(
+            point_exp, base_seed, args.workers)
+        if not completed:
             rows.append((value, math.nan, math.nan, math.nan))
             print(f"{value:>12g} {'diverged':>14s}")
-            continue
-        mean_sq = np.mean(sq_stack, axis=0)
-        rounds = np.arange(1, len(mean_sq) + 1)
-        total = len(mean_sq)
-        try:
-            slope = analysis.fit_rate(rounds, mean_sq,
-                                      (max(total // 4, 1), total)).slope
-        except ConfigError:
-            slope = math.nan
-        energy = float(np.mean(energies))
-        rows.append((value, float(mean_sq[-1]), slope, energy))
-        print(f"{value:>12g} {mean_sq[-1]:>14.6g} {slope:>8.3f} {energy:>12.6g}")
+        else:
+            total = len(mean_sq)
+            try:
+                slope = analysis.fit_rate(rounds, mean_sq,
+                                          (max(total // 4, 1), total)).slope
+            except ConfigError:
+                slope = math.nan
+            energy = float(np.mean([r.energy_uplink + r.energy_downlink
+                                    for _, r in completed]))
+            rows.append((value, float(mean_sq[-1]), slope, energy))
+            print(f"{value:>12g} {mean_sq[-1]:>14.6g} {slope:>8.3f} "
+                  f"{energy:>12.6g}")
+        if diverged:
+            failed = True
+            print(f"[WARN] {args.axis}={value:g}: {len(diverged)}/"
+                  f"{point_exp.replicas} replica(s) diverged or failed")
 
     lines = [f"# config: {traceio.canonical_json({'experiment': doc, 'axis': args.axis})}",
              "value,final_sq_dist,slope,total_energy"]
     for value, final, slope, energy in rows:
         lines.append(f"{value},{repr(float(final))},{repr(float(slope))},"
                      f"{repr(float(energy))}")
+    os.makedirs(args.out, exist_ok=True)
     traceio.atomic_write_text(os.path.join(args.out, "sweep.csv"),
                               "\n".join(lines) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 @functools.cache

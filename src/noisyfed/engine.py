@@ -38,7 +38,7 @@ import numpy as np
 from .channel import (NOISE_DISTRIBUTIONS, NoiseSpec, analog_downlink_receive,
                       analog_uplink_aggregate, sample_noise)
 from .errors import AggregationError, ConfigError, DivergenceError, PolicyError
-from .policies import (PRESETS, LearningRateSchedule, build_policy,
+from .policies import (PRESETS, LearningRateSchedule, Policy, build_policy,
                        mdt_uplink_variance)
 from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
                       DOMAIN_FADE_UPLINK, DOMAIN_SAMPLING, DOMAIN_UPLINK,
@@ -136,8 +136,7 @@ class RunResult:
     lr: LearningRateSchedule
     initial_model: np.ndarray
     final_model: np.ndarray
-    policy_name: str
-    policy_params: dict
+    policy: Policy
     energy_uplink: float
     energy_downlink: float
     diagnostics: dict
@@ -575,8 +574,7 @@ def run(task, config, policy=None):
     max_iterate_dist = math.sqrt(max_iterate_sq)
     return RunResult(
         traces=traces, constants=constants, lr=lr, initial_model=w0,
-        final_model=w, policy_name=policy.name,
-        policy_params=policy.params(), energy_uplink=energy_ul,
+        final_model=w, policy=policy, energy_uplink=energy_ul,
         energy_downlink=energy_dl,
         diagnostics={"max_iterate_distance": max_iterate_dist,
                      "trajectory_radius": radius,

@@ -23,43 +23,33 @@ import time
 import numpy as np
 import pytest
 
-from noisyfed import (BoundSpec, LearningRateSchedule, RunConfig,
-                      budget_split, convergence_bound, derive_constants,
+from noisyfed import (LearningRateSchedule, budget_split, derive_constants,
                       diversity_orders, fit_rate, make_task,
-                      reference_diversity_schedule, run, run_oracle)
+                      reference_diversity_schedule, run_oracle)
 from noisyfed.analysis import client_sampling_oracle
+from noisyfed.cli import _evaluate_checks, run_family
 from noisyfed.cli import main as cli_main
+from noisyfed.config import parse_experiment
 
 N_SEEDS = 20
 BASE_SEED = 1000
 ROUNDS = 200
-EPOCHS = 5
-BATCH = 4
-SLOPE_WINDOW = (50, 200)
-SLOPE_RANGE = (-1.3, -0.7)
+SLOPE_RANGE = [-1.3, -0.7]
+RATE_CHECKS = [{"kind": "bound"},
+               {"kind": "slope", "window": [50, 200], "range": SLOPE_RANGE}]
 
 TASK_FULL = dict(n_clients=10, dim=20, samples_per_client=40,
                  heterogeneity=1.0, ridge=0.05, noise_std=32.0, seed=7)
 TASK_PARTIAL = dict(TASK_FULL, n_clients=50, seed=11)
 
+# Each family's task, participants, mode and policy parameters.
 FAMILIES = {
-    "mt_full": (TASK_FULL,
-                dict(n_participants=10, mode="MT", policy_name="mt_full"),
-                None),
-    "mt_partial": (TASK_PARTIAL,
-                   dict(n_participants=5, mode="MT",
-                        policy_name="mt_partial"),
-                   None),
-    "mdt_constant_snr": (TASK_PARTIAL,
-                         dict(n_participants=5, mode="MDT",
-                              policy_name="mdt_constant_snr",
-                              policy_params={"snr_target": 10.0}),
-                         10.0),
+    "mt_full": (TASK_FULL, 10, "MT", {}),
+    "mt_partial": (TASK_PARTIAL, 5, "MT", {}),
+    "mdt_constant_snr": (TASK_PARTIAL, 5, "MDT", {"snr_target": 10.0}),
 }
 
-_tasks = {}
 _family_cache = {}
-_preset_cache = {}
 
 
 def check(name, passed, detail):
@@ -67,69 +57,52 @@ def check(name, passed, detail):
     assert passed, f"{name}: {detail}"
 
 
-def get_task(params):
-    key = tuple(sorted(params.items()))
-    if key not in _tasks:
-        _tasks[key] = make_task(**params)
-    return _tasks[key]
-
-
-def family_run(family, distribution):
-    """Seed-averaged trace, bound series, fit, and wall time for one family."""
-    key = (family, distribution)
-    if key in _family_cache:
-        return _family_cache[key]
-    task_params, run_params, snr_target = FAMILIES[family]
-    task = get_task(task_params)
-    start = time.perf_counter()
-    stack = []
-    result = None
-    for s in range(N_SEEDS):
-        cfg = RunConfig(rounds=ROUNDS, local_epochs=EPOCHS, batch_size=BATCH,
-                        distribution=distribution, seed=BASE_SEED + s,
-                        **run_params)
-        result = run(task, cfg)
-        stack.append(result.sq_dists)
-    elapsed = time.perf_counter() - start
-    mean_sq = np.mean(stack, axis=0)
-    gap = float(np.sum((result.initial_model - result.constants.opt) ** 2))
-    spec = BoundSpec(variant=family, constants=result.constants,
-                     local_epochs=EPOCHS, n_clients=task.n_clients,
-                     n_participants=run_params["n_participants"],
-                     dim=task.dim, initial_gap=gap, snr_target=snr_target)
-    bounds = np.array([convergence_bound(t, spec)
-                       for t in range(1, ROUNDS + 1)])
-    fit = fit_rate(np.arange(1, ROUNDS + 1), mean_sq, SLOPE_WINDOW)
-    _family_cache[key] = (mean_sq, bounds, fit, elapsed)
+def seed_family(task, policy, params=None, checks=(), **run):
+    """The N_SEEDS-replica family of an experiment document: its completed
+    replicas, diverged entries, mean squared distance, checks by name and
+    wall time."""
+    doc = {"task": task,
+           "run": {"rounds": ROUNDS, "local_epochs": 5, "batch_size": 4,
+                   **run},
+           "policy": {"name": policy, "params": params or {}},
+           "replicas": N_SEEDS, "checks": list(checks)}
+    key = json.dumps(doc, sort_keys=True)
+    if key not in _family_cache:
+        experiment = parse_experiment(doc)
+        start = time.perf_counter()
+        completed, diverged, (rounds, mean_sq, _) = run_family(experiment,
+                                                               BASE_SEED)
+        elapsed = time.perf_counter() - start
+        reports = _evaluate_checks(experiment, completed, rounds, mean_sq)
+        _family_cache[key] = (completed, diverged, mean_sq,
+                              {r.name: r for r in reports}, elapsed)
     return _family_cache[key]
 
 
+def family_run(family, distribution):
+    task, participants, mode, params = FAMILIES[family]
+    return seed_family(task, family, params, RATE_CHECKS,
+                       n_participants=participants, mode=mode,
+                       distribution=distribution)
+
+
 def preset_run(policy_name, params=None):
-    key = (policy_name, tuple(sorted((params or {}).items())))
-    if key in _preset_cache:
-        return _preset_cache[key]
-    task = get_task(TASK_FULL)
-    stack, energies = [], []
-    for s in range(N_SEEDS):
-        cfg = RunConfig(n_participants=10, rounds=ROUNDS, local_epochs=EPOCHS,
-                        batch_size=BATCH, mode="MT", policy_name=policy_name,
-                        policy_params=params or {}, seed=BASE_SEED + s)
-        result = run(task, cfg)
-        stack.append(result.sq_dists)
-        energies.append(result.energy_uplink + result.energy_downlink)
-    _preset_cache[key] = (np.mean(stack, axis=0), float(np.mean(energies)))
-    return _preset_cache[key]
+    """Mean squared distance and mean total energy of a TASK_FULL preset."""
+    completed, diverged, mean_sq, _, _ = seed_family(
+        TASK_FULL, policy_name, params, n_participants=10, mode="MT")
+    assert not diverged, diverged
+    return mean_sq, float(np.mean([r.energy_uplink + r.energy_downlink
+                                   for _, r in completed]))
 
 
-def _rate_criterion(family, distribution="gaussian", label=None):
-    mean_sq, bounds, fit, elapsed = family_run(family, distribution)
-    below = bool(np.all(mean_sq <= bounds))
-    in_window = SLOPE_RANGE[0] <= fit.slope <= SLOPE_RANGE[1]
+def _rate_criterion(family):
+    _, diverged, _, checks, elapsed = family_run(family, "gaussian")
+    bound, slope = checks["check_bound"], checks["check_slope"]
     fast = elapsed < 60.0
-    check(label or f"rate[{family}]",
-          below and in_window and fast,
-          f"bound_holds={below} slope={fit.slope:+.3f} in {SLOPE_RANGE} "
-          f"runtime={elapsed:.1f}s")
+    check(f"rate[{family}]",
+          bound.passed and slope.passed and fast and not diverged,
+          f"bound_holds={bound.passed} slope={slope.estimate:+.3f} in "
+          f"{SLOPE_RANGE} diverged={len(diverged)} runtime={elapsed:.1f}s")
 
 
 def test_criterion_1_full_participation_rate():
@@ -267,11 +240,11 @@ def test_criterion_10_distribution_freeness(distribution):
     details = []
     ok = True
     for family in FAMILIES:
-        mean_sq, bounds, fit, _ = family_run(family, distribution)
-        below = bool(np.all(mean_sq <= bounds))
-        in_window = SLOPE_RANGE[0] <= fit.slope <= SLOPE_RANGE[1]
-        ok &= below and in_window
-        details.append(f"{family}: slope={fit.slope:+.2f} bound={below}")
+        _, diverged, _, checks, _ = family_run(family, distribution)
+        bound, slope = checks["check_bound"], checks["check_slope"]
+        ok &= bound.passed and slope.passed and not diverged
+        details.append(f"{family}: slope={slope.estimate:+.2f} "
+                       f"bound={bound.passed}")
     check(f"distribution_freeness[{distribution}]", ok, "; ".join(details))
 
 

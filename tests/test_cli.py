@@ -178,6 +178,33 @@ def test_verify_theorems_negative_control(capsys):
     assert lines[-1].endswith(" checks passed")
 
 
+def test_verify_theorems_reports_diverged_families(capsys):
+    # Every replica diverges at round 1; each family still prints its lines.
+    assert main(["verify", "theorems", "--noise-scale", "1e12"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    bound_lines = [line for line in lines if "bound_holds[" in line]
+    assert len(bound_lines) == 3
+    assert all(line.startswith("[FAIL]") and line.endswith("5 of 5 diverged")
+               for line in bound_lines)
+    assert sum("schedule_admissible[" in line for line in lines) == 3
+    assert lines[-1] == "1/7 checks passed"
+
+
+def test_verify_bound_matches_run_check_bound(tmp_path):
+    # verify's mt_full family as a noisyfed run family: the default task of
+    # experiment_doc is the verify task.
+    assert experiment_doc()["task"] == cli.VERIFY_TASK
+    doc = experiment_doc(policy={"name": "mt_full", "params": {}},
+                         replicas=5, checks=[{"kind": "bound"}])
+    doc["run"] = {"n_participants": 6, "rounds": 60, "local_epochs": 3,
+                  "batch_size": 3, "mode": "MT", "seed": 100}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    check_bound = json.loads((out / "summary.json").read_text())["checks"][0]
+    verify = {r.name: r for r in cli._theorem_reports(1.0, 0)}
+    assert verify["bound_holds[mt_full]"].estimate == check_bound["estimate"]
+
+
 def test_verify_rejects_tiny_replica_count():
     assert main(["verify", "lemmas", "--replicas", "50"]) == 2
 
@@ -198,6 +225,21 @@ def test_sweep_axis_table(tmp_path, capsys):
                  "--out", str(out)]) == 0
     rows = read_sweep_rows(out / "sweep.csv")
     assert len(rows) == 2
+
+
+def test_sweep_with_diverged_replicas_fails(tmp_path, capsys):
+    doc = experiment_doc(policy={"name": "equal_power",
+                                 "params": {"snr_db": 10.0}}, checks=[])
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sw"
+    assert main(["sweep", cfg, "--axis", "policy.params.snr_db", "--values",
+                 "10,-90", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "[WARN] policy.params.snr_db=-90: 3/3 replica(s) diverged" \
+        in printed
+    assert "snr_db=10:" not in printed
+    rows = read_sweep_rows(out / "sweep.csv")
+    assert rows[1] == "-90,nan,nan,nan"
 
 
 def test_sweep_single_value_matches_plain_run(tmp_path):
@@ -356,6 +398,7 @@ def test_invalid_policy_parameter_is_usage_error(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert f"error: policy parameter {key!r} must" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_parser_is_built_once_per_process():

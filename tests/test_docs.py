@@ -1,13 +1,18 @@
-"""Every python block of README.md runs as written."""
+"""Every python block of README.md runs as written, and every demo runs."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```",
                     README.read_text(encoding="utf-8"), re.S | re.M)
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_readme_has_python_blocks():
@@ -18,3 +23,13 @@ def test_readme_has_python_blocks():
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"),
          {"__name__": "readme"})
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -33,8 +33,8 @@ def _run(task, channel):
 
 
 def _trace_sha256(path, result):
-    resolved = {"policy": result.policy_name,
-                "policy_params": result.policy_params,
+    resolved = {"policy": result.policy.name,
+                "policy_params": result.policy.params(),
                 "diagnostics": result.diagnostics,
                 "energy": [result.energy_uplink, result.energy_downlink],
                 "final_model": result.final_model}
