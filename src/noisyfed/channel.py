@@ -80,7 +80,7 @@ def draw_fades(shape, rng, floor=INVERSION_FLOOR, max_retries=MAX_FADE_RETRIES):
     gains = rng.standard_exponential(shape)
     flat = gains.reshape(-1)
     floor2 = floor * floor
-    deep = np.flatnonzero(flat < floor2)
+    deep = (flat < floor2).nonzero()[0]
     retries = 0
     for _ in range(max_retries):
         if not deep.size:
@@ -134,7 +134,11 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
             f"deep fade persisted beyond {max_retries} retransmissions")
     noise = rng.standard_normal(dim)
     noise *= noise_scale / math.sqrt(power * copies)
-    return models.mean(axis=0) + noise, {"retries": retries}
+    # Bit for bit models.mean(axis=0), without its per-call overhead.
+    total = np.add.reduce(models, axis=0)
+    total /= n_clients
+    total += noise
+    return total, {"retries": retries}
 
 
 def analog_downlink_receive(v, power, rng, copies=1, receivers=1,

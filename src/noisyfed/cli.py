@@ -23,12 +23,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis, traceio
 from .config import load_experiment, parse_experiment
-from .engine import RunConfig, run
+from .engine import RunConfig, run, run_constants, run_policy
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
 from .policies import (PRESETS, LearningRateSchedule, mt_full_noise,
@@ -106,14 +107,14 @@ def _bound_spec(result):
     )
 
 
-def _run_replicas(experiment, replicas, base_seed):
-    """Run the given replicas of an experiment on one task."""
-    task = build_task(experiment)
+def _run_replicas(task, experiment, constants, policy, replicas, base_seed):
+    """Run the given replicas of an experiment on one task, with the
+    family's constants and policy."""
     results = []
     for replica in replicas:
         try:
             result, error = run(task, replica_config(
-                experiment, replica, base_seed)), None
+                experiment, replica, base_seed), policy, constants), None
         except DivergenceError as exc:
             result, error = None, {"kind": "divergence", "error": str(exc)}
         except ChannelError as exc:
@@ -122,51 +123,81 @@ def _run_replicas(experiment, replicas, base_seed):
     return results
 
 
-def run_family(experiment, base_seed, workers=1):
-    """Run an experiment's replicas, seeded ``base_seed + replica``.
+class Family(NamedTuple):
+    """A seed family's outcome: the completed ``(replica, result)`` pairs,
+    the diverged or failed replicas as ``{"replica", "kind", "error"}``
+    entries, the mean trace of the completed replicas (empty arrays when none
+    completed) and the policy every replica ran."""
 
-    Returns the completed ``(replica, result)`` pairs, the diverged or failed
-    replicas as ``{"replica", "kind", "error"}`` entries, and the mean trace
-    ``(rounds, sq_dist, loss)`` of the completed replicas (empty arrays when
-    none completed).
+    completed: list
+    diverged: list
+    rounds: np.ndarray
+    mean_sq: np.ndarray
+    mean_loss: np.ndarray
+    policy: object
+
+
+def run_family(experiment, base_seed, workers=1):
+    """Run an experiment's replicas, seeded ``base_seed + replica``, and
+    return their :class:`Family`.
+
+    The task, its constants and the policy are built once, before any
+    replica runs; a configuration error therefore raises before the first
+    replica.
     """
-    # One task per worker, which runs every workers-th replica on it.
+    task = build_task(experiment)
+    config = replica_config(experiment, 0, base_seed)
+    constants = run_constants(task, config)
+    policy = run_policy(task, config, constants)
     shares = [range(i, experiment.replicas, workers)
               for i in range(min(workers, experiment.replicas))]
     if workers == 1:
-        results = _run_replicas(experiment, shares[0], base_seed)
+        results = _run_replicas(task, experiment, constants, policy,
+                                shares[0], base_seed)
     else:
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             results = sorted((r for share in pool.map(
-                _run_replicas, repeat(experiment), shares, repeat(base_seed))
+                _run_replicas, repeat(task), repeat(experiment),
+                repeat(constants), repeat(policy), shares, repeat(base_seed))
                 for r in share), key=lambda r: r[0])
     completed = [(replica, result) for replica, result, err in results
                  if err is None]
     diverged = [{"replica": replica, **err} for replica, _, err in results
                 if err is not None]
     if not completed:
-        return completed, diverged, (np.array([]),) * 3
+        return Family(completed, diverged, *(np.array([]),) * 3, policy)
     rounds = np.array([tr.t for tr in completed[0][1].traces], dtype=float)
     mean_sq = np.mean([[tr.sq_dist for tr in r.traces]
                        for _, r in completed], axis=0)
     mean_loss = np.mean([[tr.loss for tr in r.traces]
                          for _, r in completed], axis=0)
-    return completed, diverged, (rounds, mean_sq, mean_loss)
+    return Family(completed, diverged, rounds, mean_sq, mean_loss, policy)
 
 
-def _evaluate_checks(experiment, completed, rounds, mean_sq):
-    """Evaluate the experiment's checks on the seed-averaged trace."""
+def _evaluate_checks(experiment, family):
+    """Evaluate the experiment's checks on a family's seed-averaged trace;
+    the schedule check reads the family's policy alone, so it runs even
+    when no replica completed."""
     reports = []
-    first = completed[0][1] if completed else None
+    rounds, mean_sq = family.rounds, family.mean_sq
+    first = family.completed[0][1] if family.completed else None
     for check in experiment.checks:
         kind = check["kind"]
-        if first is None:
+        if kind == "schedule":
+            excesses = [family.policy.schedule_excess(t)
+                        for t in range(1, experiment.run["rounds"] + 1)]
+            excesses = [e for e in excesses if e is not None]
+            excess = max(excesses) if excesses else 0.0
+            reports.append(analysis.OracleReport(
+                name="check_schedule", passed=excess <= 1e-9, estimate=excess,
+                reference=0.0, tolerance=1e-9,
+                detail="max relative excess over the admissible noise power"))
+        elif first is None:
             reports.append(analysis.OracleReport(
                 name=f"check_{kind}", passed=False, estimate=math.nan,
                 reference=math.nan, tolerance=0.0,
                 detail="no completed replicas"))
-            continue
-        if kind == "bound":
+        elif kind == "bound":
             spec = _bound_spec(first)
             bounds = np.array([analysis.convergence_bound(int(t), spec)
                                for t in rounds])
@@ -185,15 +216,6 @@ def _evaluate_checks(experiment, completed, rounds, mean_sq):
                 estimate=fit.slope, reference=0.5 * (lo + hi),
                 tolerance=0.5 * (hi - lo),
                 detail=f"window={window} range=[{lo},{hi}]"))
-        elif kind == "schedule":
-            excesses = [first.policy.schedule_excess(t)
-                        for t in range(1, experiment.run["rounds"] + 1)]
-            excesses = [e for e in excesses if e is not None]
-            excess = max(excesses) if excesses else 0.0
-            reports.append(analysis.OracleReport(
-                name="check_schedule", passed=excess <= 1e-9, estimate=excess,
-                reference=0.0, tolerance=1e-9,
-                detail="max relative excess over the admissible noise power"))
     return reports
 
 
@@ -214,9 +236,9 @@ def cmd_run(args):
         experiment.replicas = args.replicas
     base_seed = args.seed if args.seed is not None \
         else experiment.run.get("seed", 0)
-    completed, diverged, (rounds, mean_sq, mean_loss) = run_family(
-        experiment, base_seed, args.workers)
-    reports = _evaluate_checks(experiment, completed, rounds, mean_sq)
+    family = run_family(experiment, base_seed, args.workers)
+    completed, diverged = family.completed, family.diverged
+    reports = _evaluate_checks(experiment, family)
 
     os.makedirs(args.out, exist_ok=True)
     finals = []
@@ -244,19 +266,17 @@ def cmd_run(args):
     }
     if completed:
         traceio.write_mean_trace(os.path.join(args.out, "mean_trace.csv"),
-                                 rounds, mean_sq, mean_loss,
+                                 family.rounds, family.mean_sq,
+                                 family.mean_loss,
                                  resolved_config=first_resolved)
         summary["resolved"] = first_resolved
-        summary["mean_final_sq_dist"] = float(mean_sq[-1])
-        summary["checks"] = [
-            {"name": r.name, "passed": r.passed, "estimate": r.estimate,
-             "reference": r.reference, "tolerance": r.tolerance,
-             "detail": r.detail}
-            for r in reports]
-    else:
-        summary["checks"] = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in reports]
+        summary["mean_final_sq_dist"] = float(family.mean_sq[-1])
+    # With no completed replica, the schedule check still has an estimate.
+    summary["checks"] = [
+        {"name": r.name, "passed": r.passed, "estimate": r.estimate,
+         "reference": r.reference, "tolerance": r.tolerance,
+         "detail": r.detail}
+        for r in reports]
 
     traceio.write_json(os.path.join(args.out, "summary.json"), summary)
     for report in reports:
@@ -366,18 +386,17 @@ def _theorem_reports(noise_scale, seed):
             "replicas": 5,
             "checks": [{"kind": "schedule"}, {"kind": "bound"}],
         }, source=f"verify[{name}]")
-        completed, diverged, mean = run_family(experiment, seed + 100)
-        schedule, bound = _evaluate_checks(experiment, completed, *mean[:2])
+        family = run_family(experiment, seed + 100)
+        schedule, bound = _evaluate_checks(experiment, family)
         reports.append(dataclasses.replace(
             schedule, name=f"schedule_admissible[{name}]",
-            detail="relative excess over the admissible noise power"
-            if completed else schedule.detail))
+            detail="relative excess over the admissible noise power"))
         detail = f"max(mean/bound), 5 seeds x {rounds} rounds"
-        if diverged:
-            detail += f"; {len(diverged)} of 5 diverged"
+        if family.diverged:
+            detail += f"; {len(family.diverged)} of 5 diverged"
         reports.append(dataclasses.replace(
             bound, name=f"bound_holds[{name}]",
-            passed=bound.passed and not diverged, detail=detail))
+            passed=bound.passed and not family.diverged, detail=detail))
     return reports
 
 
@@ -452,7 +471,7 @@ def cmd_sweep(args):
             point_exp.replicas = args.replicas
         base_seed = args.seed if args.seed is not None \
             else point_exp.run.get("seed", 0)
-        completed, diverged, (rounds, mean_sq, _) = run_family(
+        completed, diverged, rounds, mean_sq, _, _ = run_family(
             point_exp, base_seed, args.workers)
         if not completed:
             rows.append((value, math.nan, math.nan, math.nan))

@@ -8,10 +8,11 @@ round loop serves both channel layers, each behind one class that holds its
 streams and noise: :class:`EffectiveNoise` and :class:`Analog`.  The
 recipients of a round are one ``(n, d)`` array, trained together.  Rounds run
 in blocks of ``BLOCK`` (32): what a block needs that does not depend on the
-iterate is prepared first, local SGD's inputs and work buffers included, its
-rounds only advance the state and check the divergence guard, and its trace
-rows (named tuples) and iterate-ball maximum are built at its end, each row
-from its own round alone, so the block size changes no output.
+iterate is prepared first, local SGD's inputs included (gathered into
+buffers allocated once per run), its rounds only advance the state and check
+the divergence guard, and its trace rows (named tuples) and iterate-ball
+maximum are built at its end, each row from its own round alone, so the block
+size changes no output.
 
 Randomness follows stream layout 6 (:mod:`noisyfed.seeding`): round t reads
 the t-th block of its domain's stream, with a row for each of the N clients,
@@ -173,9 +174,29 @@ def floyd_sample(uniforms, population):
 #: each row and, per step, the batch features ``(n, B, d)`` and targets, both
 #: scaled by the root of the step's rate over the batch size, the rate left to
 #: apply (None once the scaled data hold it) and ``1 - eta * ridge``; and the
-#: work buffers a step writes, shared by the rounds prepared together.
+#: work buffers a step writes, shared by every round.
 LocalSteps = namedtuple("LocalSteps",
                         "clients feats targets rates keeps work")
+
+#: What :func:`local_steps` writes: the gathered features and targets of up to
+#: ``len(feats)`` rounds and a step's ``(n, B)`` residual and ``(n, d)``
+#: gradient.  :func:`run` allocates them once.
+StepBuffers = namedtuple("StepBuffers", "feats targets work")
+
+
+def step_buffers(rounds, shape, dim):
+    """:class:`StepBuffers` for ``rounds`` rounds whose gathered sample rows
+    have ``shape`` per round: ``(E, n, B)`` mini-batches, or ``(n, D)`` for
+    full batches."""
+    n, size = shape[-2:]
+    return StepBuffers(np.empty((rounds,) + shape + (dim,)),
+                       np.empty((rounds,) + shape),
+                       (np.empty((n, size)), np.empty((n, dim))))
+
+
+def _check_range(index, bound, name):
+    if index.size and (index.min() < 0 or index.max() >= bound):
+        raise IndexError(f"{name} out of range [0, {bound})")
 
 
 def local_steps(task, clients, batches, etas, out=None):
@@ -186,21 +207,31 @@ def local_steps(task, clients, batches, etas, out=None):
     is None for exact full-batch gradients, whose data every step shares.
     With a leading round axis on all three, ``(R, n)``, ``(R, E, n, B)`` and
     ``(R, E)``, the rounds are gathered in one pass into a list of one
-    :class:`LocalSteps` each.  ``out``, an array of the gathered features'
-    shape with R rounds or more, takes them instead of a new one.
+    :class:`LocalSteps` each.  ``out``, :class:`StepBuffers` for R rounds or
+    more, takes the gathered data and the work instead of new arrays.  A
+    client or sample index out of range is an :class:`IndexError`.
     """
     clients, etas = np.asarray(clients), np.asarray(etas, dtype=np.float64)
     per_round = etas.ndim == 2
     if not per_round:
         clients, etas = clients[None], etas[None]
         batches = None if batches is None else np.asarray(batches)[None]
-    samples, dim = task.features.shape[1:]
-    rows = clients[..., None] * samples + np.arange(samples) \
-        if batches is None else clients[:, None, :, None] * samples + batches
-    # One flat take costs less than indexing the (N, D, d) stack.
+    n_clients, samples, dim = task.features.shape
+    _check_range(clients, n_clients, "client")
+    if batches is None:
+        rows = clients[..., None] * samples + np.arange(samples)
+    else:
+        _check_range(batches, samples, "batch index")
+        rows = clients[:, None, :, None] * samples + batches
+    if out is None:
+        out = step_buffers(len(etas), rows.shape[1:], dim)
+    # One flat take costs less than indexing the (N, D, d) stack.  The
+    # indices are checked above: in its default "raise" mode, take gathers
+    # into a temporary and copies that into ``out``.
     feats = task.features.reshape(-1, dim).take(
-        rows, axis=0, out=None if out is None else out[:len(etas)])
-    targets = task.targets.reshape(-1).take(rows)
+        rows, axis=0, out=out.feats[:len(etas)], mode="clip")
+    targets = task.targets.reshape(-1).take(
+        rows, out=out.targets[:len(etas)], mode="clip")
     if batches is None:     # shared by every step; the rate is applied apart
         scale, rates = np.sqrt(1.0 / samples), etas.tolist()
     else:
@@ -211,11 +242,8 @@ def local_steps(task, clients, batches, etas, out=None):
     if batches is None:
         feats, targets = (np.broadcast_to(a[:, None], etas.shape + a.shape[1:])
                           for a in (feats, targets))
-    n, size, dim = feats.shape[-3:]
-    p, r, g = map(np.empty, ((n, size, 1), (n, 1, size), (n, 1, dim)))
-    work = (p, p[:, :, 0], r, r[:, 0], g, g[:, 0])
     steps = list(map(LocalSteps, clients, feats, targets, rates,
-                     (1.0 - etas * task.ridge).tolist(), repeat(work)))
+                     (1.0 - etas * task.ridge).tolist(), repeat(out.work)))
     return steps if per_round else steps[0]
 
 
@@ -225,16 +253,15 @@ def _sgd(w_start, steps, watch=None):
     of the step's rate over the batch size); with ``watch``, a row, instead
     the first step (from 1) that leaves that row non-finite."""
     w = np.array(w_start, dtype=np.float64, copy=True)
-    w3 = w[:, :, None]
-    predicted, predicted2, residual, residual2, grad, grad2 = steps.work
+    residual, grad = steps.work
     for step, (a, y, rate, keep) in enumerate(zip(*steps[1:5]), 1):
-        np.matmul(a, w3, out=predicted)
-        np.subtract(predicted2, y, out=residual2)
-        np.matmul(residual, a, out=grad)
+        np.matvec(a, w, out=residual)
+        residual -= y
+        np.vecmat(residual, a, out=grad)
         if rate is not None:
             grad *= rate
         w *= keep
-        w -= grad2
+        w -= grad
         if watch is not None and not np.isfinite(w[watch]).all():
             return step
     return w
@@ -429,7 +456,9 @@ class Analog:
             w, power=rp.rho_dl, rng=self.down_rng, copies=rp.div_dl,
             receivers=self.receivers, distance=self.distance,
             pathloss=self.pathloss)
-        received.take(rows, axis=0, out=out)
+        # ``rows`` are recipients, which local_steps checks; in "raise"
+        # mode take would gather into a temporary first.
+        received.take(rows, axis=0, out=out, mode="clip")
         self.retries += info["retries"]
 
     def uplink(self, i, rp, w, sent, received):
@@ -440,33 +469,60 @@ class Analog:
         return agg if self.mt else w + agg, 1.0 / (rp.rho_ul * rp.div_ul)
 
 
-def run(task, config, policy=None):
+def _initial_model(task, config):
+    w0 = np.zeros(task.dim) if config.w0 is None \
+        else np.array(config.w0, dtype=np.float64, copy=True)
+    if w0.shape != (task.dim,):
+        raise ConfigError("w0 has the wrong dimension")
+    return w0
+
+
+def run_constants(task, config):
+    """The task's derived constants as a run of ``config`` uses them: at the
+    run's batch size, over a trajectory ball that scales with the start's
+    distance to the optimum.  They do not depend on the seed, so the
+    replicas of a family can share them."""
+    batch = config.batch_size if config.batch_size is not None \
+        else task.samples_per_client
+    initial_sq = squared_distance(_initial_model(task, config),
+                                  task.global_optimum())
+    radius = config.trajectory_radius_factor * max(math.sqrt(initial_sq), 1.0)
+    return derive_constants(task, batch, radius)
+
+
+def run_policy(task, config, constants):
+    """The policy a run of ``config`` uses, built from ``constants``; like
+    them, the same for every seed."""
+    return build_policy(config.policy_name, config.policy_params, constants,
+                        task.n_clients, config.n_participants,
+                        config.local_epochs)
+
+
+def run(task, config, policy=None, constants=None):
     """Execute a run and return its :class:`RunResult`.
 
-    A prebuilt policy may be supplied; otherwise it is constructed from
-    ``config.policy_name``/``policy_params`` and the task's derived constants.
+    ``constants``, those of :func:`run_constants`, and a prebuilt policy may
+    be supplied; otherwise they are derived from the task and
+    ``config.policy_name``/``policy_params``.
     """
     n_clients = task.n_clients
     n_participants = config.n_participants
     if n_participants > n_clients:
         raise ConfigError("participants exceed the number of clients")
+    if constants is None:
+        constants = run_constants(task, config)
+    if policy is None:
+        policy = run_policy(task, config, constants)
     dim = task.dim
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
     epochs = config.local_epochs
 
-    w_star = task.global_optimum()
-    w0 = np.zeros(dim) if config.w0 is None \
-        else np.array(config.w0, dtype=np.float64, copy=True)
-    if w0.shape != (dim,):
-        raise ConfigError("w0 has the wrong dimension")
+    w_star = constants.opt
+    w0 = _initial_model(task, config)
     initial_sq = squared_distance(w0, w_star)
-    radius = config.trajectory_radius_factor * max(math.sqrt(initial_sq), 1.0)
-    constants = derive_constants(task, batch, radius)
+    radius = constants.trajectory_radius
     lr = LearningRateSchedule.from_constants(constants, epochs)
-    if policy is None:
-        policy = build_policy(config.policy_name, config.policy_params,
-                              constants, n_clients, n_participants, epochs)
 
     # Schedules index rounds, or iterations: the uplink's aggregation at tE
     # and the downlink's broadcast at (t-1)E, at least 1.
@@ -501,10 +557,9 @@ def run(task, config, policy=None):
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_rows, dim))
-    # The features of a block's local steps.
-    step_buffer = np.empty((span,) + ((n_rows, task.samples_per_client)
-                                      if batch_rng is None
-                                      else (epochs, n_rows, batch)) + (dim,))
+    buffers = step_buffers(span, (n_rows, task.samples_per_client)
+                           if batch_rng is None else (epochs, n_rows, batch),
+                           dim)
     max_iterate_sq = initial_sq
 
     for start in range(0, rounds, BLOCK):
@@ -528,7 +583,7 @@ def run(task, config, policy=None):
             batch_rng.random((len(ts), epochs, n_clients, batch)),
             task.samples_per_client), recipients)
         steps = local_steps(task, recipients, batches, etas[start:ts[-1]],
-                            step_buffer)
+                            buffers)
 
         records = []
         for i, t in enumerate(ts):
@@ -554,7 +609,8 @@ def run(task, config, policy=None):
             energy_ul += rp_up.energy_ul
             energy_dl += rp_down.energy_dl
             records.append((t, params[i], sampled[i], sigma2, sq,
-                            sent.sum(axis=0), w_next, energy_ul + energy_dl))
+                            np.add.reduce(sent, axis=0), w_next,
+                            energy_ul + energy_dl))
             if sq > guard:
                 break
             w = w_next

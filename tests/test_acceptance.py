@@ -70,12 +70,12 @@ def seed_family(task, policy, params=None, checks=(), **run):
     if key not in _family_cache:
         experiment = parse_experiment(doc)
         start = time.perf_counter()
-        completed, diverged, (rounds, mean_sq, _) = run_family(experiment,
-                                                               BASE_SEED)
+        family = run_family(experiment, BASE_SEED)
         elapsed = time.perf_counter() - start
-        reports = _evaluate_checks(experiment, completed, rounds, mean_sq)
-        _family_cache[key] = (completed, diverged, mean_sq,
-                              {r.name: r for r in reports}, elapsed)
+        reports = _evaluate_checks(experiment, family)
+        _family_cache[key] = (family.completed, family.diverged,
+                              family.mean_sq, {r.name: r for r in reports},
+                              elapsed)
     return _family_cache[key]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -144,6 +145,19 @@ def test_run_reports_divergence(tmp_path):
     assert all(d["kind"] == "divergence" for d in summary["diverged"])
 
 
+def test_run_with_every_replica_diverged_still_checks_schedule(tmp_path):
+    doc = experiment_doc(policy={"name": "mt_partial",
+                                 "params": {"variance_scale": 1e12}})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["completed"] == 0
+    bound, schedule = summary["checks"]
+    assert bound["estimate"] == "nan" and not bound["passed"]
+    assert schedule["estimate"] == pytest.approx(1e12 - 1)
+    assert not schedule["passed"]
+
+
 def test_run_invalid_config_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\"task\": {}}")
@@ -179,14 +193,25 @@ def test_verify_theorems_negative_control(capsys):
 
 
 def test_verify_theorems_reports_diverged_families(capsys):
-    # Every replica diverges at round 1; each family still prints its lines.
+    # Every replica diverges at round 1; each family still prints its lines,
+    # and the schedule check reads the family's policy all the same.
     assert main(["verify", "theorems", "--noise-scale", "1e12"]) == 1
     lines = capsys.readouterr().out.splitlines()
     bound_lines = [line for line in lines if "bound_holds[" in line]
     assert len(bound_lines) == 3
     assert all(line.startswith("[FAIL]") and line.endswith("5 of 5 diverged")
                for line in bound_lines)
-    assert sum("schedule_admissible[" in line for line in lines) == 3
+    schedule = {line.split("[")[2].split("]")[0]:
+                float(line.split("estimate=")[1].split()[0])
+                for line in lines if "schedule_admissible[" in line}
+    assert all(line.startswith("[FAIL]") for line in lines
+               if "schedule_admissible[" in line)
+    # MT noise scaled by 1e12 is 1e12 times its cap.
+    assert schedule["mt_full"] == pytest.approx(1e12 - 1, rel=1e-5)
+    assert schedule["mt_partial"] == pytest.approx(1e12 - 1, rel=1e-5)
+    # MDT's downlink cap shrinks with the SNR it actually uses, here 1e-12
+    # of the target, so its excess is larger still.
+    assert 1e12 < schedule["mdt_constant_snr"] < math.inf
     assert lines[-1] == "1/7 checks passed"
 
 
@@ -408,10 +433,10 @@ def test_parser_is_built_once_per_process():
 def test_run_records_channel_failure_per_replica(tmp_path, monkeypatch,
                                                  capsys):
     # Replica 1 (seed 18) fails in the channel; the others complete.
-    def flaky_run(task, cfg):
+    def flaky_run(task, cfg, *family):
         if cfg.seed == 18:
             raise ChannelError("deep fade persisted beyond 10 retransmissions")
-        return run(task, cfg)
+        return run(task, cfg, *family)
 
     monkeypatch.setattr(cli, "run", flaky_run)
     doc = experiment_doc()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -688,3 +689,49 @@ def test_divergence_names_lowest_client_and_its_first_step(small_task):
                                             lr.etas(60)))
     assert str(excinfo.value) == \
         f"client 1: non-finite iterate at local step {steps[0]}"
+
+
+def _traced_peak(fn):
+    """The peak of the memory numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_local_steps_gathers_without_a_block_sized_temporary():
+    # One block of full_mt's shapes: 32 rounds, E=5, N=10, B=4, d=20.
+    task = make_task(n_clients=10, dim=20, samples_per_client=40, ridge=0.05,
+                     noise_std=32.0, seed=7)
+    rounds, epochs, n, batch = 32, 5, 10, 4
+    clients = np.broadcast_to(np.arange(n), (rounds, n))
+    batches = engine.floyd_sample(np.random.default_rng(3).random(
+        (rounds, epochs, n, batch)), task.samples_per_client)
+    etas = np.full((rounds, epochs), 1e-3)
+    out = engine.step_buffers(rounds, (epochs, n, batch), task.dim)
+    bound = out.feats.nbytes / 4
+    local_steps(task, clients, batches, etas, out)
+    assert _traced_peak(
+        lambda: local_steps(task, clients, batches, etas, out)) < bound
+    # Negative control: the same gather in take's default "raise" mode goes
+    # through a temporary as large as the buffer.
+    rows = clients[:, None, :, None] * task.samples_per_client + batches
+    flat = task.features.reshape(-1, task.dim)
+    assert _traced_peak(lambda: flat.take(rows, axis=0, out=out.feats,
+                                          mode="raise")) >= bound
+
+
+@pytest.mark.parametrize("client, sample", [(6, 0), (-1, 0), (0, 12),
+                                            (0, -1), (6, None), (-1, None)])
+def test_local_steps_rejects_out_of_range_indices(small_task, client, sample):
+    # small_task has N=6 clients of D=12 samples.  A clipped gather would
+    # read a neighbour's or the last client's data instead.
+    clients = np.array([1, client])
+    batches = None
+    if sample is not None:
+        batches = np.zeros((3, 2, 2), dtype=np.intp)
+        batches[1, 1, 1] = sample
+    with pytest.raises(IndexError, match="out of range"):
+        local_steps(small_task, clients, batches, [0.1] * 3)
