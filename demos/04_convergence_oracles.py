@@ -1,17 +1,21 @@
 """The statistical oracles behind the convergence guarantees.
 
-Each oracle re-derives one moment identity from scratch: averaged uplink
-noise, subset sampling of frozen local models, the differential-upload
-variance bound, and the one-step SGD contraction.  The script then compares
-the closed-form distance bound against both the numeric recursion it was
-derived from and an actual simulated run.
+Each oracle checks one moment identity: averaged uplink noise, subset
+sampling of frozen local models, the differential-upload variance bound, and
+the one-step SGD contraction.  Local training is the engine's own mini-batch
+SGD.  The script then compares the closed-form distance bound against both
+the numeric recursion it was derived from and an actual simulated run.
 """
 
 import numpy as np
 
 from noisyfed import (BoundSpec, LearningRateSchedule, RunConfig,
                       convergence_bound, derive_constants, induction_constant,
-                      make_task, recursion_envelope, run, run_oracle)
+                      make_task, recursion_envelope, run)
+from noisyfed.analysis import (aggregation_noise_oracle,
+                               client_sampling_oracle,
+                               differential_upload_oracle, local_sgd,
+                               sgd_one_step_oracle)
 
 rng = np.random.default_rng(7)
 task = make_task(n_clients=6, dim=6, samples_per_client=12, heterogeneity=1.0,
@@ -24,30 +28,26 @@ print("task constants: mu=%.3f L=%.3f Gamma=%.3f H^2=%.1f" %
        constants.grad_bound))
 print()
 
-print(run_oracle("aggregation_noise", n_clients=4, dim=3, variances=0.5,
-                 replicas=100_000, rng=rng).line())
+print(aggregation_noise_oracle(n_clients=4, dim=3, variances=0.5,
+                               replicas=100_000, rng=rng).line())
 
 start = constants.opt + rng.normal(size=task.dim)
-models = []
-for k in range(task.n_clients):
-    w = start.copy()
-    for j in range(1, 4):
-        picks = rng.choice(12, size=3, replace=False)
-        w = w - lr.eta(j) * task.sample_gradient(k, w, picks)
-    models.append(w)
-print(run_oracle("client_sampling", models=np.stack(models),
-                 n_participants=2, eta=lr.eta(3), local_epochs=3,
-                 grad_bound=constants.grad_bound).line())
+models = local_sgd(task, np.arange(task.n_clients), start, lr.etas(3),
+                   batch=3, rng=rng)
+print(client_sampling_oracle(models, n_participants=2, eta=lr.eta(3),
+                             local_epochs=3,
+                             grad_bound=constants.grad_bound).line())
 
-print(run_oracle("differential_upload", task=task,
-                 w_prev=constants.opt + 0.5, n_participants=2,
-                 snr_target=10.0, downlink_variance=0.1, local_epochs=3,
-                 batch=3, replicas=10_000, rng=rng).line())
+print(differential_upload_oracle(task, w_prev=constants.opt + 0.5,
+                                 n_participants=2, snr_target=10.0,
+                                 downlink_variance=0.1, local_epochs=3,
+                                 batch=3, replicas=10_000, rng=rng).line())
 
 state = np.stack([constants.opt + 0.3 * rng.normal(size=task.dim)
                   for _ in range(task.n_clients)])
-print(run_oracle("sgd_one_step", task=task, state=state, lr=lr, iter_index=4,
-                 batch=3, replicas=10_000, rng=rng, constants=constants).line())
+print(sgd_one_step_oracle(task, state, lr, iter_index=4, batch=3,
+                          replicas=10_000, rng=rng,
+                          constants=constants).line())
 
 print()
 spec = BoundSpec(variant="mt_full", constants=constants, local_epochs=3,

@@ -11,7 +11,7 @@ strongly convex synthetic tasks.
 
 from .analysis import (BoundSpec, OracleReport, RateFit, bound_formula,
                        convergence_bound, fit_rate, induction_constant,
-                       rate_constant, recursion_envelope, run_oracle)
+                       rate_constant, recursion_envelope)
 from .channel import (NoiseSpec, SnrMeasurement, add_effective_noise,
                       analog_downlink_receive, analog_uplink_aggregate,
                       measure_global_snr)

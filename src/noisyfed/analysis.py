@@ -1,9 +1,11 @@
 """Convergence-bound evaluation, rate fitting, and the statistical oracles.
 
-The oracles are deliberately independent of the engine: they re-create each
-moment claim from scratch (exhaustive enumeration where the combinatorics
-allow it, vectorized Monte Carlo otherwise) and compare against the closed
-forms with 4-standard-error or 5% tolerances.
+The oracles check each moment claim on the process the engine runs: local
+training is :func:`local_sgd`, the engine's ``local_steps``/``local_train``
+on batches from its ``floyd_sample``, which also picks the client subsets.
+Each claim is estimated by exhaustive enumeration where the combinatorics
+allow it, by vectorized Monte Carlo otherwise, and compared against its
+closed form with 4-standard-error or 5% tolerances.
 """
 
 import math
@@ -12,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .engine import floyd_sample, local_steps, local_train
 from .errors import ConfigError, StatisticalPowerError
 from .policies import PRESETS, LearningRateSchedule
 from .tasks import derive_constants
@@ -182,6 +185,22 @@ def _require_replicas(replicas):
             f"need at least {_MIN_MC_REPLICAS} replicas, got {replicas}")
 
 
+def local_sgd(task, clients, starts, etas, batch, rng):
+    """The engine's local mini-batch SGD, one step per rate in ``etas``,
+    from ``starts`` (one ``(d,)`` model or an ``(n, d)`` row per client of
+    ``clients``, which may repeat): each step draws ``batch`` distinct
+    samples per row by Floyd's algorithm, or uses the full dataset when
+    ``batch`` covers it."""
+    size = task.samples_per_client
+    w = np.broadcast_to(starts, (len(clients), task.dim))
+    if batch >= size:       # exact gradients: every step shares the data
+        return local_train(w, local_steps(task, clients, None, etas))
+    for eta in etas:
+        w = local_train(w, local_steps(task, clients, floyd_sample(
+            rng.random((1, len(clients), batch)), size), [eta]))
+    return w
+
+
 def aggregation_noise_oracle(n_clients, dim, variances, replicas, rng,
                              rel_tol=0.05):
     """Moments of the averaged uplink noise across clients.
@@ -241,8 +260,8 @@ def client_sampling_oracle(models, n_participants, eta, local_epochs,
         if rng is None:
             raise ConfigError("Monte Carlo sampling oracle needs an rng")
         _require_replicas(replicas or 0)
-        picks = np.argpartition(rng.random((replicas, n_clients)),
-                                n_participants - 1, axis=1)[:, :n_participants]
+        picks = floyd_sample(rng.random((replicas, n_participants)),
+                             n_clients)
         subset_means = models[picks].mean(axis=1)
         exact = False
 
@@ -271,67 +290,51 @@ def client_sampling_oracle(models, n_participants, eta, local_epochs,
     )
 
 
-def _train_replicas(task, client, starts, local_epochs, batch, lr, start_iter,
-                    rng):
-    """Vectorized mini-batch SGD over replica rows of ``starts`` (R, dim)."""
-    c = task.clients[client]
-    size = c.size
-    w = np.array(starts, dtype=np.float64, copy=True)
-    n_rep = w.shape[0]
-    for j in range(1, local_epochs + 1):
-        eta = lr.eta(start_iter + j)
-        if batch >= size:
-            resid = w @ c.features.T - c.targets[None, :]
-            grads = resid @ c.features / size + task.ridge * w
-        else:
-            picks = np.argpartition(rng.random((n_rep, size)), batch - 1,
-                                    axis=1)[:, :batch]
-            rows = c.features[picks]                       # (R, B, dim)
-            resid = np.einsum("rbd,rd->rb", rows, w) - c.targets[picks]
-            grads = np.einsum("rb,rbd->rd", resid, rows) / batch \
-                + task.ridge * w
-        w = w - eta * grads
-    return w
-
-
 def differential_upload_oracle(task, w_prev, n_participants, snr_target,
                                downlink_variance, local_epochs, batch,
                                replicas, rng, start_iter=None):
     """Second moment of the gap between the sampling-only average and the
     reconstructed global model under constant-SNR differential upload.
 
-    Reconstructs the claim from scratch: per replica, every client receives a
-    noisy broadcast, trains, and uploads its differential with noise scaled to
-    hit ``snr_target``; a random subset of size K is aggregated.  The measured
+    Per replica, every client receives a noisy broadcast, trains with
+    :func:`local_sgd`, and uploads its differential with noise scaled to hit
+    ``snr_target``; a random subset of size K is aggregated.  The measured
     E||gap||^2 must stay below
-    ``(1 + 1/nu) d/K zeta^2 + 4 E^2/(K nu) eta^2 H^2``.
+    ``(1 + 1/nu) d/K zeta^2 + 4 E^2/(K nu) eta^2 H^2``, with H^2 bounded over
+    a ball holding the visited states: twice the start's distance to the
+    optimum plus a generous allowance for the broadcast noise.
     """
     _require_replicas(replicas)
     n_clients = task.n_clients
     dim = task.dim
     if start_iter is None:
         start_iter = 0
-    lr = LearningRateSchedule.from_constants(
-        derive_constants(task, task.samples_per_client, 1.0), local_epochs)
-
     w_prev = np.asarray(w_prev, dtype=np.float64)
+    start = math.sqrt(squared_distance(w_prev, task.global_optimum()))
+    noise_room = 6.0 * math.sqrt(dim * max(downlink_variance, 1e-12))
+    # mu and kappa, and so the rates, do not depend on the radius.
+    constants = derive_constants(task, task.samples_per_client,
+                                 max(2.0 * (start + noise_room), 1.0))
+    lr = LearningRateSchedule.from_constants(constants, local_epochs)
+    etas = lr.etas(start_iter + local_epochs)[start_iter:]
+
     # Broadcast noise, local training, and differentials for every client in
-    # every replica (train-all-aggregate-some keeps the subsets exchangeable).
+    # every replica (train-all-aggregate-some keeps the subsets exchangeable),
+    # one client's replicas per call, so the gathered batches stay small.
     received = np.empty((n_clients, replicas, dim))
     trained = np.empty((n_clients, replicas, dim))
     for k in range(n_clients):
         noise = rng.normal(size=(replicas, dim)) * math.sqrt(downlink_variance)
         received[k] = w_prev[None, :] + noise
-        trained[k] = _train_replicas(task, k, received[k], local_epochs, batch,
-                                     lr, start_iter, rng)
+        trained[k] = local_sgd(task, np.full(replicas, k), received[k], etas,
+                               batch, rng)
     diffs = trained - received                             # (N, R, dim)
     diff_power = np.einsum("krd,krd->kr", diffs, diffs)
     sigma2 = diff_power / (dim * snr_target)
     uplink = rng.normal(size=(n_clients, replicas, dim)) \
         * np.sqrt(sigma2)[:, :, None]
 
-    picks = np.argpartition(rng.random((replicas, n_clients)),
-                            n_participants - 1, axis=1)[:, :n_participants]
+    picks = floyd_sample(rng.random((replicas, n_participants)), n_clients)
     rows = np.arange(replicas)[:, None]
     sel_trained = trained[picks, rows, :]                  # (R, K, dim)
     sel_payload = (diffs + uplink)[picks, rows, :]
@@ -342,10 +345,9 @@ def differential_upload_oracle(task, w_prev, n_participants, snr_target,
     estimate = float(gaps.mean())
 
     eta = lr.eta(start_iter + local_epochs)
-    h2 = _grad_bound_for(task, w_prev, local_epochs, lr, downlink_variance)
     rhs = ((1.0 + 1.0 / snr_target) * dim / n_participants * downlink_variance
            + 4.0 * local_epochs ** 2 / (n_participants * snr_target)
-           * eta ** 2 * h2)
+           * eta ** 2 * constants.grad_bound)
     return OracleReport(
         name="differential_upload_variance",
         passed=estimate <= rhs,
@@ -358,33 +360,19 @@ def differential_upload_oracle(task, w_prev, n_participants, snr_target,
 
 def sgd_one_step_oracle(task, state, lr, iter_index, batch, replicas, rng,
                         constants):
-    """One SGD step from a frozen per-client state: the averaged iterate's
-    expected squared distance to the optimum must respect the one-step
-    contraction-plus-noise bound (with 4-standard-error slack on the
-    Monte-Carlo side)."""
+    """One SGD step of :func:`local_sgd` from a frozen per-client state (row
+    k on client k): the averaged iterate's expected squared distance to the
+    optimum must respect the one-step contraction-plus-noise bound (with
+    4-standard-error slack on the Monte-Carlo side)."""
     _require_replicas(replicas)
     state = np.atleast_2d(np.asarray(state, dtype=np.float64))
-    n_clients = state.shape[0]
-    dim = state.shape[1]
     w_star = constants.opt
     eta = lr.eta(iter_index)
 
     w_bar = state.mean(axis=0)
-    mean_grads = np.zeros((replicas, dim))
-    for k in range(n_clients):
-        c = task.clients[k]
-        size = c.size
-        if batch >= size:
-            mean_grads += task.client_gradient(k, state[k])[None, :]
-        else:
-            picks = np.argpartition(rng.random((replicas, size)), batch - 1,
-                                    axis=1)[:, :batch]
-            rows = c.features[picks]
-            resid = np.einsum("rbd,d->rb", rows, state[k]) - c.targets[picks]
-            mean_grads += np.einsum("rb,rbd->rd", resid, rows) / batch \
-                + task.ridge * state[k][None, :]
-    mean_grads /= n_clients
-    v_bar = w_bar[None, :] - eta * mean_grads
+    # One client's replicas per call, so the gathered batches stay small.
+    v_bar = sum(local_sgd(task, np.full(replicas, k), w_k, [eta], batch, rng)
+                for k, w_k in enumerate(state)) / len(state)
     diff = v_bar - w_star[None, :]
     lhs_samples = np.einsum("rd,rd->r", diff, diff)
     estimate = float(lhs_samples.mean())
@@ -404,32 +392,3 @@ def sgd_one_step_oracle(task, state, lr, iter_index, batch, replicas, rng,
         tolerance=4.0 * se,
         detail=f"iter={iter_index}",
     )
-
-
-def _grad_bound_for(task, w_prev, local_epochs, lr, downlink_variance):
-    """Conservative stochastic-gradient norm bound over the states the
-    differential-upload oracle actually visits."""
-    w_star = task.global_optimum()
-    # Start spread: distance of w_prev plus a generous noise allowance, then
-    # room for the local steps themselves.
-    start = math.sqrt(squared_distance(w_prev, w_star))
-    noise_room = 6.0 * math.sqrt(task.dim * max(downlink_variance, 1e-12))
-    radius = max(2.0 * (start + noise_room), 1.0)
-    return derive_constants(task, task.samples_per_client, radius).grad_bound
-
-
-ORACLE_KINDS = ("aggregation_noise", "client_sampling", "differential_upload",
-                "sgd_one_step")
-
-
-def run_oracle(kind, **params):
-    """Dispatch an oracle by name (see :data:`ORACLE_KINDS`)."""
-    table = {
-        "aggregation_noise": aggregation_noise_oracle,
-        "client_sampling": client_sampling_oracle,
-        "differential_upload": differential_upload_oracle,
-        "sgd_one_step": sgd_one_step_oracle,
-    }
-    if kind not in table:
-        raise ConfigError(f"unknown oracle kind {kind!r}")
-    return table[kind](**params)

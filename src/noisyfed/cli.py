@@ -316,9 +316,8 @@ def _lemma_reports(replicas, seed):
 
     rng = stream(seed, DOMAIN_ORACLE, 0, 2)
     start = constants.opt + rng.normal(size=task.dim)
-    models = np.stack([
-        _local_models_for_oracle(task, k, start, lr, steps=3, batch=3, rng=rng)
-        for k in range(task.n_clients)])
+    models = analysis.local_sgd(task, np.arange(task.n_clients), start,
+                                lr.etas(3), batch=3, rng=rng)
     reports.append(analysis.client_sampling_oracle(
         models, n_participants=2, eta=lr.eta(3), local_epochs=3,
         grad_bound=constants.grad_bound))
@@ -336,15 +335,6 @@ def _lemma_reports(replicas, seed):
         task, state, lr, iter_index=4, batch=3, replicas=replicas,
         rng=stream(seed, DOMAIN_ORACLE, 0, 4), constants=constants))
     return reports
-
-
-def _local_models_for_oracle(task, client, start, lr, steps, batch, rng):
-    w = np.array(start, copy=True)
-    for j in range(1, steps + 1):
-        picks = rng.choice(task.clients[client].size, size=batch,
-                           replace=False)
-        w = w - lr.eta(j) * task.sample_gradient(client, w, picks)
-    return w
 
 
 def _theorem_reports(noise_scale, seed):

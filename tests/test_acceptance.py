@@ -25,8 +25,10 @@ import pytest
 
 from noisyfed import (LearningRateSchedule, budget_split, derive_constants,
                       diversity_orders, fit_rate, make_task,
-                      reference_diversity_schedule, run_oracle)
-from noisyfed.analysis import client_sampling_oracle
+                      reference_diversity_schedule)
+from noisyfed.analysis import (aggregation_noise_oracle,
+                               client_sampling_oracle,
+                               differential_upload_oracle, local_sgd)
 from noisyfed.cli import _evaluate_checks, run_family
 from noisyfed.cli import main as cli_main
 from noisyfed.config import parse_experiment
@@ -149,9 +151,9 @@ def test_criterion_5_diversity_parity():
 
 def test_criterion_6_aggregated_noise_moments():
     start = time.perf_counter()
-    report = run_oracle("aggregation_noise", n_clients=4, dim=3,
-                        variances=0.5, replicas=100_000,
-                        rng=np.random.default_rng(314))
+    report = aggregation_noise_oracle(n_clients=4, dim=3, variances=0.5,
+                                      replicas=100_000,
+                                      rng=np.random.default_rng(314))
     elapsed = time.perf_counter() - start
     rel = abs(report.estimate - 0.375) / 0.375
     check("aggregated_noise_moments",
@@ -170,14 +172,9 @@ def test_criterion_7_sampling_moments_exhaustive():
     failures = []
     for config in range(50):
         start_model = constants.opt + rng.normal(size=task.dim)
-        models = []
-        for k in range(task.n_clients):
-            w = start_model.copy()
-            for j in range(1, 4):
-                picks = rng.choice(12, size=3, replace=False)
-                w = w - lr.eta(j) * task.sample_gradient(k, w, picks)
-            models.append(w)
-        report = client_sampling_oracle(np.stack(models), n_participants=2,
+        models = local_sgd(task, np.arange(task.n_clients), start_model,
+                           lr.etas(3), batch=3, rng=rng)
+        report = client_sampling_oracle(models, n_participants=2,
                                         eta=lr.eta(3), local_epochs=3,
                                         grad_bound=constants.grad_bound)
         if not report.passed:
@@ -197,9 +194,8 @@ def test_criterion_8_differential_upload_bound():
     outcomes = []
     for epochs in (1, 5):
         for snr in (1.0, 10.0):
-            report = run_oracle(
-                "differential_upload", task=task,
-                w_prev=constants.opt + 0.5, n_participants=2,
+            report = differential_upload_oracle(
+                task, w_prev=constants.opt + 0.5, n_participants=2,
                 snr_target=snr, downlink_variance=0.1, local_epochs=epochs,
                 batch=3, replicas=10_000,
                 rng=np.random.default_rng(epochs * 100 + int(snr)))

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from noisyfed import (BoundSpec, ConfigError, LearningRateSchedule,
-                      StatisticalPowerError, bound_formula, convergence_bound,
-                      fit_rate, induction_constant, rate_constant,
-                      recursion_envelope, run_oracle)
+                      StatisticalPowerError, analysis, bound_formula,
+                      convergence_bound, fit_rate, induction_constant,
+                      rate_constant, recursion_envelope)
 from noisyfed.analysis import (aggregation_noise_oracle,
-                               client_sampling_oracle, sampling_deficiency)
-from noisyfed.tasks import TaskConstants
+                               client_sampling_oracle,
+                               differential_upload_oracle, sampling_deficiency,
+                               sgd_one_step_oracle)
+from noisyfed.tasks import TaskConstants, minibatch_gradient_variance
 
 
 def constants_stub(mu=1.0, lipschitz=4.0, gamma_noniid=0.5, sgd_var=(1.0,) * 10,
@@ -157,24 +159,54 @@ def test_sgd_one_step_oracle_passes(small_task, small_constants, rng):
     lr = LearningRateSchedule.from_constants(small_constants, 3)
     state = np.stack([small_constants.opt + 0.3 * rng.normal(size=small_task.dim)
                       for _ in range(small_task.n_clients)])
-    report = run_oracle("sgd_one_step", task=small_task, state=state, lr=lr,
-                        iter_index=4, batch=3, replicas=10_000, rng=rng,
-                        constants=small_constants)
+    report = sgd_one_step_oracle(small_task, state, lr, iter_index=4, batch=3,
+                                 replicas=10_000, rng=rng,
+                                 constants=small_constants)
     assert report.passed
+
+
+def _one_step_z(task, constants, seed):
+    """z of the one-step oracle's estimate against the exact E||v - w*||^2:
+    the squared bias of the mean step plus the without-replacement batch
+    variances, eta^2 / N^2 * sum_k var_k."""
+    rng = np.random.default_rng(seed)
+    lr = LearningRateSchedule.from_constants(constants, 3)
+    state = constants.opt + 0.3 * rng.normal(size=(task.n_clients, task.dim))
+    eta, batch = lr.eta(4), 3
+    report = sgd_one_step_oracle(task, state, lr, iter_index=4, batch=batch,
+                                 replicas=100_000, rng=rng,
+                                 constants=constants)
+    grads = np.stack([task.client_gradient(k, w) for k, w in enumerate(state)])
+    mean_step = (state - eta * grads).mean(axis=0) - constants.opt
+    variance = sum(minibatch_gradient_variance(task, k, w, batch)
+                   for k, w in enumerate(state))
+    exact = mean_step @ mean_step + eta ** 2 / task.n_clients ** 2 * variance
+    return (report.estimate - exact) / (report.tolerance / 4.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sgd_one_step_oracle_matches_exact_moment(small_task, small_constants,
+                                                  seed):
+    assert abs(_one_step_z(small_task, small_constants, seed)) <= 4.0
+
+
+def test_sgd_one_step_exact_moment_rejects_with_replacement_batches(
+        small_task, small_constants, monkeypatch):
+    # Batches drawn with replacement have (D - 1)/(D - B) times the
+    # variance: 11/9 here, far beyond 4 standard errors at 10^5 replicas.
+    monkeypatch.setattr(analysis, "floyd_sample",
+                        lambda uniforms, population:
+                        (uniforms * population).astype(np.intp))
+    assert abs(_one_step_z(small_task, small_constants, 1)) > 4.0
 
 
 def test_differential_upload_oracle_bound(small_task, small_constants, rng):
-    report = run_oracle("differential_upload", task=small_task,
-                        w_prev=small_constants.opt + 0.5, n_participants=2,
-                        snr_target=10.0, downlink_variance=0.1,
-                        local_epochs=2, batch=3, replicas=10_000, rng=rng)
+    report = differential_upload_oracle(
+        small_task, w_prev=small_constants.opt + 0.5, n_participants=2,
+        snr_target=10.0, downlink_variance=0.1, local_epochs=2, batch=3,
+        replicas=10_000, rng=rng)
     assert report.passed
     assert report.estimate <= report.reference
-
-
-def test_run_oracle_unknown_kind(rng):
-    with pytest.raises(ConfigError):
-        run_oracle("lemma_nine", rng=rng)
 
 
 def test_bound_spec_validation():

@@ -178,6 +178,21 @@ def test_verify_lemmas_passes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_verify_all_prints_twelve_checks(capsys):
+    assert main(["verify", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split("] ", 1)[1].split(":")[0] for line in lines
+             if line.startswith("[PASS]")]
+    families = ("mt_full", "mt_partial", "mdt_constant_snr")
+    assert names == [
+        "aggregation_noise_moments", "client_sampling_moments",
+        "differential_upload_variance", "differential_upload_variance",
+        "sgd_one_step_bound", "noise_tracks_sgd_floor",
+        *(f"{check}[{family}]" for family in families
+          for check in ("schedule_admissible", "bound_holds"))]
+    assert lines[-1] == "12/12 checks passed"
+
+
 def test_verify_theorems_negative_control(capsys):
     assert main(["verify", "theorems", "--noise-scale", "2.0"]) == 1
     out = capsys.readouterr().out
