@@ -2,14 +2,16 @@
 
 Channel inversion makes simultaneous uploads add up coherently; receiver
 noise is all that remains.  This script measures the aggregate SNR against
-its closed-form prediction, shows the deep-fade retransmission machinery, and
+its closed-form prediction, shows the deep-fade retransmission machinery,
 confirms that combining P receptions equals one reception at P times the
-power.
+power, and compares the downlink's maximal-ratio combining (MRC) of its
+copies with its closed form and with an equal-weight average of the copies.
 """
 
 import numpy as np
 
-from noisyfed import analog_uplink_aggregate, measure_global_snr
+from noisyfed import (analog_downlink_receive, analog_uplink_aggregate,
+                      measure_global_snr)
 from noisyfed.channel import draw_fades
 
 rng = np.random.default_rng(42)
@@ -59,6 +61,26 @@ err_pow = np.concatenate([
 print(f"4 receptions at power 2 vs 1 reception at power 8: noise variance "
       f"{err_div.var():.4f} vs {err_pow.var():.4f}")
 
+print()
+# MRC leaves noise of variance 1/(power * sum_q |h_q|^2).  Its closed form
+# copies * E[1 / sum_q |h_q|^2] = copies * int_0^inf e^{-s copies f^2}
+# (1 + s)^-copies ds, here with s = e^x - 1, is 1 for an unfaded channel; an
+# equal-weight average of the equalized copies keeps E[1/|h|^2] whatever
+# their number.
+floor = 0.05
+x = np.linspace(0.0, 30.0, 300_001)
+for copies in (1, 2, 5, 20):
+    est, _ = analog_downlink_receive(np.zeros(dim), 1.0, rng, copies=copies,
+                                     receivers=4000)
+    closed = copies * np.trapezoid(
+        np.exp((1 - copies) * x - np.expm1(x) * copies * floor ** 2), x)
+    gains, _ = draw_fades((20_000, copies), rng, floor=floor)
+    equal = np.mean((1.0 / gains).sum(axis=1)) / copies
+    print(f"downlink MRC of {copies:2d} copies: variance x copies "
+          f"{est.var() * copies:.3f} (closed form {closed:.3f}; "
+          f"equal-weight average {equal:.3f})")
+
+print()
 agg, _ = analog_uplink_aggregate(models, power, rng)
 snr = measure_global_snr(signal, n_clients * agg - signal, mode="MT")
 print(f"one realized round: SNR {snr.ratio:.2f} "

@@ -12,11 +12,13 @@ Two abstractions, matching how the rest of the package consumes them:
 
 Deep fades are handled by redrawing the fade (a retransmission) whenever the
 small-scale magnitude falls below the inversion floor; after ``max_retries``
-consecutive failures the transmission errors out.  Under stream layout 4 a
-call draws only what its output depends on: the downlink the power gains
-``|h|^2`` (Exp(1)) of its whole block with :func:`draw_fades`, then one
-combined-noise normal per output element; the uplink, whose inversion
-cancels its fades, binomial deep-fade counts, then its combined noise.
+consecutive failures the transmission errors out.  Under stream layout 7 a
+call draws only what its output depends on, deep-fade counts first, as
+binomial thinning of its ``copies`` fades per element: the uplink, whose
+inversion cancels its fades, then its combined noise; the downlink, which
+combines its copies by maximal-ratio combining, then one Gamma draw per
+element for their summed power gain and one normal for its noise.
+:func:`draw_fades` draws the fades themselves, element by element.
 """
 
 import math
@@ -94,6 +96,51 @@ def draw_fades(shape, rng, floor=INVERSION_FLOOR, max_retries=MAX_FADE_RETRIES):
     return gains, retries
 
 
+def _deep_fade_retries(fades, rng, floor, max_retries):
+    """Retransmissions of ``fades`` Rayleigh fades, each deep
+    (``|h| < floor``) with ``p = 1 - exp(-floor**2)``: the count
+    ``Binomial(fades, p)``, then ``Binomial(deep, p)`` per redraw round.
+    Deep fades left after ``max_retries`` rounds raise
+    :class:`ChannelError`."""
+    p_deep = -math.expm1(-floor * floor)
+    deep = rng.binomial(fades, p_deep)
+    retries = 0
+    for _ in range(max_retries):
+        if not deep:
+            break
+        retries += deep
+        deep = rng.binomial(deep, p_deep)
+    if deep:
+        raise ChannelError(
+            f"deep fade persisted beyond {max_retries} retransmissions")
+    return retries
+
+
+def _check_link(power, copies):
+    if power <= 0:
+        raise PolicyError("transmit power must be positive")
+    if copies < 1:
+        raise ConfigError("copies must be >= 1")
+
+
+def mrc_gains(shape, copies, rng, floor=INVERSION_FLOOR,
+              max_retries=MAX_FADE_RETRIES):
+    """Summed power gains ``sum_q |h_q|^2`` of ``copies`` fades per element
+    of ``shape``, none below ``floor**2``: what maximal-ratio combining
+    (MRC) of the copies needs.
+
+    A kept gain is ``floor**2 + Exp(1)`` by memorylessness, so the sum is
+    ``copies * floor**2 + Gamma(copies)``: after the deep-fade counts of
+    :func:`_deep_fade_retries`, one ``standard_gamma`` per element.
+    Returns ``(gains, retries)``.
+    """
+    retries = _deep_fade_retries(copies * math.prod(shape), rng, floor,
+                                 max_retries)
+    gains = rng.standard_gamma(copies, shape)
+    gains += copies * floor * floor
+    return gains, retries
+
+
 def analog_uplink_aggregate(models, power, rng, copies=1,
                             floor=INVERSION_FLOOR,
                             max_retries=MAX_FADE_RETRIES, noise_scale=1.0):
@@ -107,31 +154,17 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
     (pathloss included), so the fades only decide deep-fade retransmissions.
     ``noise_scale=0`` disables receiver noise (test hook).
 
-    Draws the deep-fade count of the ``copies * K * d`` fades, Binomial with
-    ``p = 1 - exp(-floor**2)``, then ``Binomial(deep, p)`` per redraw round,
-    then the ``(d,)`` combined noise.
+    Draws the deep-fade counts of the ``copies * K * d`` fades
+    (:func:`_deep_fade_retries`), then the ``(d,)`` combined noise.
 
     Returns ``(aggregate, info)`` with ``info['retries']`` counting deep-fade
     retransmissions.
     """
     models = np.atleast_2d(np.asarray(models, dtype=np.float64))
     n_clients, dim = models.shape
-    if power <= 0:
-        raise PolicyError("transmit power must be positive")
-    if copies < 1:
-        raise ConfigError("copies must be >= 1")
-
-    p_deep = -math.expm1(-floor * floor)
-    deep = rng.binomial(copies * n_clients * dim, p_deep)
-    retries = 0
-    for _ in range(max_retries):
-        if not deep:
-            break
-        retries += deep
-        deep = rng.binomial(deep, p_deep)
-    if deep:
-        raise ChannelError(
-            f"deep fade persisted beyond {max_retries} retransmissions")
+    _check_link(power, copies)
+    retries = _deep_fade_retries(copies * models.size, rng, floor,
+                                 max_retries)
     noise = rng.standard_normal(dim)
     noise *= noise_scale / math.sqrt(power * copies)
     # Bit for bit models.mean(axis=0), without its per-call overhead.
@@ -144,28 +177,27 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
 def analog_downlink_receive(v, power, rng, copies=1, receivers=1,
                             distance=1.0, pathloss=2.0, floor=INVERSION_FLOOR,
                             max_retries=MAX_FADE_RETRIES, noise_scale=1.0):
-    """A broadcast of ``v`` as ``receivers`` clients each receive it: every
-    copy equalized by its known gain, the copies averaged.
+    """A broadcast of ``v`` as ``receivers`` clients each receive it, its
+    ``copies`` combined by maximal-ratio combining.
 
-    The receiver divides each copy by its known complex gain (same truncated
-    inversion floor as the uplink), so copy q carries noise of per-element
-    variance ``1/(power * distance**-pathloss * |h_q|^2)``.  Draws the
-    ``(receivers, copies) + v.shape`` power gains with :func:`draw_fades`,
-    then one normal per element for the noise of the copies' mean.
+    Copy q arrives with power gain ``g_q = |h_q|^2`` (same truncated
+    inversion floor as the uplink); weighting each copy by its gain leaves
+    noise of per-element variance
+    ``1/(power * distance**-pathloss * sum_q g_q)``.  Draws the summed gains
+    of the ``(receivers,) + v.shape`` elements with :func:`mrc_gains`, then
+    one normal per element for the noise.
 
     Returns ``(estimates, info)``: ``estimates`` has shape
     ``(receivers,) + v.shape`` and ``info['retries']`` counts the deep-fade
     retransmissions of all receivers.
     """
     v = np.asarray(v, dtype=np.float64)
-    if power <= 0:
-        raise PolicyError("transmit power must be positive")
-    if copies < 1:
-        raise ConfigError("copies must be >= 1")
-    gains, retries = draw_fades((receivers, copies) + v.shape, rng, floor,
-                                max_retries)
-    std = np.sqrt(np.reciprocal(gains, out=gains).sum(axis=1))
-    std *= noise_scale / (copies * math.sqrt(power * distance ** (-pathloss)))
+    _check_link(power, copies)
+    gains, retries = mrc_gains((receivers,) + v.shape, copies, rng, floor,
+                               max_retries)
+    gains *= power * distance ** (-pathloss)
+    std = np.sqrt(np.reciprocal(gains, out=gains), out=gains)
+    std *= noise_scale
     return v + std * rng.standard_normal(std.shape), {"retries": retries}
 
 

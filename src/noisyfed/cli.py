@@ -29,7 +29,8 @@ import numpy as np
 
 from . import analysis, traceio
 from .config import load_experiment, parse_experiment
-from .engine import RunConfig, run, run_constants, run_policy
+from .engine import (RunConfig, round_schedule, run, run_constants,
+                     run_policy)
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
 from .policies import (PRESETS, LearningRateSchedule, mt_full_noise,
@@ -107,14 +108,16 @@ def _bound_spec(result):
     )
 
 
-def _run_replicas(task, experiment, constants, policy, replicas, base_seed):
+def _run_replicas(task, experiment, constants, policy, schedule, replicas,
+                  base_seed):
     """Run the given replicas of an experiment on one task, with the
-    family's constants and policy."""
+    family's constants, policy and round schedule."""
     results = []
     for replica in replicas:
         try:
             result, error = run(task, replica_config(
-                experiment, replica, base_seed), policy, constants), None
+                experiment, replica, base_seed), policy, constants,
+                schedule), None
         except DivergenceError as exc:
             result, error = None, {"kind": "divergence", "error": str(exc)}
         except ChannelError as exc:
@@ -127,7 +130,8 @@ class Family(NamedTuple):
     """A seed family's outcome: the completed ``(replica, result)`` pairs,
     the diverged or failed replicas as ``{"replica", "kind", "error"}``
     entries, the mean trace of the completed replicas (empty arrays when none
-    completed) and the policy every replica ran."""
+    completed), the policy every replica ran and its round schedule
+    (:func:`engine.round_schedule`)."""
 
     completed: list
     diverged: list
@@ -135,57 +139,66 @@ class Family(NamedTuple):
     mean_sq: np.ndarray
     mean_loss: np.ndarray
     policy: object
+    schedule: list
 
 
 def run_family(experiment, base_seed, workers=1):
     """Run an experiment's replicas, seeded ``base_seed + replica``, and
     return their :class:`Family`.
 
-    The task, its constants and the policy are built once, before any
-    replica runs; a configuration error therefore raises before the first
-    replica.
+    The task, its constants, the policy and its round schedule are built
+    once, before any replica runs; a configuration error therefore raises
+    before the first replica.
     """
     task = build_task(experiment)
     config = replica_config(experiment, 0, base_seed)
     constants = run_constants(task, config)
     policy = run_policy(task, config, constants)
+    schedule = round_schedule(policy, config)
     shares = [range(i, experiment.replicas, workers)
               for i in range(min(workers, experiment.replicas))]
     if workers == 1:
         results = _run_replicas(task, experiment, constants, policy,
-                                shares[0], base_seed)
+                                schedule, shares[0], base_seed)
     else:
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             results = sorted((r for share in pool.map(
                 _run_replicas, repeat(task), repeat(experiment),
-                repeat(constants), repeat(policy), shares, repeat(base_seed))
+                repeat(constants), repeat(policy), repeat(schedule), shares,
+                repeat(base_seed))
                 for r in share), key=lambda r: r[0])
     completed = [(replica, result) for replica, result, err in results
                  if err is None]
     diverged = [{"replica": replica, **err} for replica, _, err in results
                 if err is not None]
     if not completed:
-        return Family(completed, diverged, *(np.array([]),) * 3, policy)
+        return Family(completed, diverged, *(np.array([]),) * 3, policy,
+                      schedule)
     rounds = np.array([tr.t for tr in completed[0][1].traces], dtype=float)
     mean_sq = np.mean([[tr.sq_dist for tr in r.traces]
                        for _, r in completed], axis=0)
     mean_loss = np.mean([[tr.loss for tr in r.traces]
                          for _, r in completed], axis=0)
-    return Family(completed, diverged, rounds, mean_sq, mean_loss, policy)
+    return Family(completed, diverged, rounds, mean_sq, mean_loss, policy,
+                  schedule)
 
 
 def _evaluate_checks(experiment, family):
     """Evaluate the experiment's checks on a family's seed-averaged trace;
-    the schedule check reads the family's policy alone, so it runs even
-    when no replica completed."""
+    the schedule check reads the family's policy alone (and its schedule,
+    when that is indexed by round), so it runs even when no replica
+    completed."""
     reports = []
     rounds, mean_sq = family.rounds, family.mean_sq
     first = family.completed[0][1] if family.completed else None
     for check in experiment.checks:
         kind = check["kind"]
         if kind == "schedule":
-            excesses = [family.policy.schedule_excess(t)
-                        for t in range(1, experiment.run["rounds"] + 1)]
+            by_round = [up for up, _ in family.schedule] \
+                if experiment.run.get("schedule_on", "round") == "round" \
+                else repeat(None)
+            excesses = [family.policy.schedule_excess(t, rp) for t, rp in
+                        zip(range(1, experiment.run["rounds"] + 1), by_round)]
             excesses = [e for e in excesses if e is not None]
             excess = max(excesses) if excesses else 0.0
             reports.append(analysis.OracleReport(
@@ -461,7 +474,7 @@ def cmd_sweep(args):
             point_exp.replicas = args.replicas
         base_seed = args.seed if args.seed is not None \
             else point_exp.run.get("seed", 0)
-        completed, diverged, rounds, mean_sq, _, _ = run_family(
+        completed, diverged, rounds, mean_sq, *_ = run_family(
             point_exp, base_seed, args.workers)
         if not completed:
             rows.append((value, math.nan, math.nan, math.nan))

@@ -14,7 +14,7 @@ the divergence guard, and its trace rows (named tuples) and iterate-ball
 maximum are built at its end, each row from its own round alone, so the block
 size changes no output.
 
-Randomness follows stream layout 6 (:mod:`noisyfed.seeding`): round t reads
+Randomness follows stream layout 7 (:mod:`noisyfed.seeding`): round t reads
 the t-th block of its domain's stream, with a row for each of the N clients,
 sampled or not.  Effective noise is a unit-variance ``(N, d)`` block per
 direction, scaled row by row; the batches are ``B`` uniforms per (local step,
@@ -119,6 +119,11 @@ class RunConfig:
             # The analog layer sends every client at one power per round.
             raise ConfigError(f"policy {self.policy_name!r} weights need "
                               "channel 'effective_noise'")
+        if self.channel == "analog_physical" \
+                and self.policy_name == "mdt_constant_snr":
+            # The analog uplink would send the SNR target as a transmit power.
+            raise ConfigError("policy 'mdt_constant_snr' needs channel "
+                              "'effective_noise', not 'analog_physical'")
         if self.schedule_on not in SCHEDULE_TIMELINES:
             raise ConfigError(f"schedule_on must be one of {SCHEDULE_TIMELINES}")
         if self.divergence_factor <= 1:
@@ -498,12 +503,30 @@ def run_policy(task, config, constants):
                         config.local_epochs)
 
 
-def run(task, config, policy=None, constants=None):
+def round_schedule(policy, config):
+    """Each round's ``(uplink, downlink)`` :class:`RoundPolicy` pair, as the
+    policy gives them for ``config.rounds`` rounds: indexed by round, both
+    directions one object, or by iteration, the uplink's aggregation at tE
+    and the downlink's broadcast at (t-1)E, at least 1.  Like the policy,
+    the same for every seed."""
+    per_round = config.schedule_on == "round"
+    epochs = config.local_epochs
+    pairs = []
+    for t in range(1, config.rounds + 1):
+        up, down = (t, t) if per_round \
+            else (t * epochs, max((t - 1) * epochs, 1))
+        rp_up = policy.round_params(up)
+        pairs.append((rp_up, rp_up if down == up
+                      else policy.round_params(down)))
+    return pairs
+
+
+def run(task, config, policy=None, constants=None, schedule=None):
     """Execute a run and return its :class:`RunResult`.
 
-    ``constants``, those of :func:`run_constants`, and a prebuilt policy may
-    be supplied; otherwise they are derived from the task and
-    ``config.policy_name``/``policy_params``.
+    ``constants``, those of :func:`run_constants`, a prebuilt policy and its
+    :func:`round_schedule` may be supplied; otherwise they are derived from
+    the task and ``config.policy_name``/``policy_params``.
     """
     n_clients = task.n_clients
     n_participants = config.n_participants
@@ -513,6 +536,8 @@ def run(task, config, policy=None, constants=None):
         constants = run_constants(task, config)
     if policy is None:
         policy = run_policy(task, config, constants)
+    if schedule is None:
+        schedule = round_schedule(policy, config)
     dim = task.dim
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
@@ -524,9 +549,6 @@ def run(task, config, policy=None, constants=None):
     radius = constants.trajectory_radius
     lr = LearningRateSchedule.from_constants(constants, epochs)
 
-    # Schedules index rounds, or iterations: the uplink's aggregation at tE
-    # and the downlink's broadcast at (t-1)E, at least 1.
-    per_round = config.schedule_on == "round"
     train_all = config.virtual_all_clients
     everyone = n_participants == n_clients
     n_rows = n_clients if train_all else n_participants
@@ -564,13 +586,7 @@ def run(task, config, policy=None, constants=None):
 
     for start in range(0, rounds, BLOCK):
         ts = range(start + 1, min(start + BLOCK, rounds) + 1)
-        params = []
-        for t in ts:
-            up, down = (t, t) if per_round \
-                else (t * epochs, max((t - 1) * epochs, 1))
-            rp_up = policy.round_params(up)
-            params.append((rp_up, rp_up if down == up
-                           else policy.round_params(down)))
+        params = schedule[start:ts[-1]]
         # Each round's sampled clients and trained rows: full participation
         # draws no selection, and the sampling stream is separate, so not
         # drawing it changes no other draw.

@@ -249,9 +249,8 @@ def _mt_full(p, t):
                        energy_ul=1.0 / mean_up, energy_dl=1.0 / mean_down)
 
 
-def _mt_full_excess(p, t):
+def _mt_full_excess(p, t, rp):
     cap_up, cap_down = mt_full_noise(t, p.n_clients, p.lr)
-    rp = p.round_params(t)
     emitted_up = _total_variance(rp.uplink_variance, p.n_clients)
     emitted_down = _total_variance(rp.downlink_variance, p.n_clients)
     return max(emitted_up / cap_up, emitted_down / cap_down) - 1.0
@@ -268,11 +267,10 @@ def _mt_partial(p, t):
                        energy_ul=1.0 / sigma2, energy_dl=1.0 / zeta2)
 
 
-def _mt_partial_excess(p, t):
+def _mt_partial_excess(p, t, rp):
     """Relative excess over the sampled-client upload schedule."""
     cap_up, cap_down = mt_partial_noise(t, p.n_clients, p.n_participants,
                                         p.lr)
-    rp = p.round_params(t)
     return max(float(rp.uplink_variance) / cap_up,
                float(rp.downlink_variance) / cap_down) - 1.0
 
@@ -290,10 +288,9 @@ def _mdt(p, t):
                        energy_ul=effective_snr, energy_dl=1.0 / zeta2)
 
 
-def _mdt_excess(p, t):
+def _mdt_excess(p, t, rp):
     # Any constant uplink SNR is admissible; only the downlink schedule
     # can be violated, judged against the cap for the SNR actually used.
-    rp = p.round_params(t)
     cap_down = mdt_downlink_noise(t, p.n_clients, p.n_participants,
                                   rp.snr_target, p.lr)
     return float(rp.downlink_variance) / cap_down - 1.0
@@ -337,11 +334,12 @@ class Preset:
 
     ``params`` maps each parameter the preset takes to its default
     (:data:`REQUIRED`: none).  ``emit(policy, t)`` gives round t's
-    :class:`RoundPolicy`; ``excess(policy, t)`` its relative excess over the
-    schedule's cap (None: the preset follows no schedule).  ``bound`` is the
-    convergence-bound variant the schedule realizes, ``mode`` the
-    transmission mode the preset needs (None: either), and ``every_client``
-    whether it needs every client to take part.
+    :class:`RoundPolicy`; ``excess(policy, t, rp)`` the relative excess of
+    round t's ``rp`` over the schedule's cap (None: the preset follows no
+    schedule).  ``bound`` is the convergence-bound variant the schedule
+    realizes, ``mode`` the transmission mode the preset needs (None:
+    either), and ``every_client`` whether it needs every client to take
+    part.
     """
 
     params: dict
@@ -407,10 +405,13 @@ class Policy:
     def round_params(self, t):
         return self.preset.emit(self, t)
 
-    def schedule_excess(self, t):
-        """Relative excess of round t over the schedule, or None."""
+    def schedule_excess(self, t, rp=None):
+        """Relative excess of round t over the schedule, or None; ``rp``
+        is round t's :class:`RoundPolicy`, if the caller holds it."""
         excess = self.preset.excess
-        return None if excess is None else excess(self, t)
+        if excess is None:
+            return None
+        return excess(self, t, self.round_params(t) if rp is None else rp)
 
 
 def build_policy(name, params, constants, n_clients, n_participants,

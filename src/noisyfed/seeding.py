@@ -1,7 +1,7 @@
 """Deterministic, collision-free random streams.
 
 Every stochastic component of a run draws from its own generator, derived
-from the master seed, a domain and a key.  Under stream layout 5 a run keys
+from the master seed, a domain and a key.  Since stream layout 5 a run keys
 one generator per domain by the domain alone, and round t draws the t-th
 consecutive block of its stream, with a row for every client, sampled or
 not: the effective-noise downlink and uplink, the mini-batches and the
@@ -16,7 +16,7 @@ import numpy as np
 
 #: Version of the mapping from seeds and keys to draws, written into every
 #: trace header.  Changing the layout changes traces.
-STREAM_LAYOUT = 6
+STREAM_LAYOUT = 7
 
 # Stream domains.  Values are part of the determinism contract: changing them
 # changes every trace.

@@ -2,6 +2,8 @@
 nothing here starts a benchmark run."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -19,14 +21,15 @@ def bench_pairs():
     return module
 
 
-def record(seed, side, wall, sha="a", correct=True, failed=0):
+def record(seed, side, wall, sha="a", correct=True, failed=0, probe=0.009):
     final = None if wall is None else {
         "correct": correct, "attempted": 10, "failed": failed,
         "metrics": {"wall_s": {"value": wall, "unit": "s"},
                     "rounds_per_s": {"value": 200 / wall, "unit": "1/s"}}}
     return {"seed": seed, "side": side, "final": final,
             "sha256": None if wall is None else {"replica000": sha},
-            "determinism_identical": wall is not None}
+            "determinism_identical": wall is not None,
+            "probe_median_s": None if wall is None else probe}
 
 
 def test_parse_seeds(bench_pairs):
@@ -78,3 +81,35 @@ def test_summary_without_pairs(bench_pairs):
     summary = bench_pairs.summarize([record(0, "parent", 1.0)], SPEC)
     assert summary["wall_s"] == {"pairs": 0}
     assert summary["trace_sha256_equal_pairs"] == 0
+
+
+def test_summary_flags_pairs_whose_speed_probes_drifted(bench_pairs):
+    # Seed 1's change ran while the machine was 1.5x faster, seed 2's parent
+    # while it was 1.3x slower; both pairs are listed and stay in the medians.
+    probes = {0: (0.0090, 0.0095), 1: (0.0090, 0.0060), 2: (0.0117, 0.0090),
+              3: (0.0090, 0.0090 * 1.25)}
+    runs = []
+    for seed, (parent, change) in probes.items():
+        runs += [record(seed, "parent", 2.0, probe=parent),
+                 record(seed, "change", 1.0, probe=change)]
+    summary = bench_pairs.summarize(runs, SPEC)
+    ratios = summary["probe_ratio_change_over_parent"]
+    assert ratios[0] == pytest.approx(0.0095 / 0.0090)
+    assert ratios[1] == pytest.approx(2 / 3)
+    assert summary["probe_drift_pairs"] == [1, 2]      # 1.25 itself is not
+    assert summary["wall_s"]["pairs"] == 4
+    assert summary["wall_s"]["change_better_pairs"] == 4
+
+
+def test_run_record_takes_the_median_probe_of_all_passes(bench_pairs,
+                                                         monkeypatch):
+    detail = {"machine": {}, "determinism": {"identical": True},
+              "passes": [{"checks": [], "sha256": {}, "probes_s": [3.0, 1.0]},
+                         {"probes_s": [2.0]}, {"probes_s": [5.0, 4.0]}]}
+    stdout = "\n".join(["== banner", json.dumps({"perfbench": detail}),
+                        json.dumps({"correct": True, "metrics": {}})])
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k:
+                        subprocess.CompletedProcess(a, 0, stdout, ""))
+    record = bench_pairs.run_once("copy", "full_mt", 3, 60)
+    assert record["probe_median_s"] == 3.0
+    assert record["final"] == {"correct": True, "metrics": {}}

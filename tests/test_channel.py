@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from noisyfed import (ChannelError, ConfigError, NoiseSpec, PolicyError,
                       RunConfig, add_effective_noise, analog_downlink_receive,
                       analog_uplink_aggregate, measure_global_snr, run)
-from noisyfed.channel import draw_fades, sample_noise
+from noisyfed.channel import draw_fades, mrc_gains, sample_noise
 
 
 def test_zero_variance_is_exact(rng):
@@ -106,7 +106,31 @@ def test_diversity_matches_power_scaling(rng):
     assert abs(err_div.var() / err_pow.var() - 1.0) <= 0.05
 
 
+def _mrc_factor(copies, floor=0.05):
+    """``copies * E[1 / sum_q g_q]`` for ``copies`` power gains
+    ``g_q = floor**2 + Exp(1)``: with ``E[1/X] = int_0^inf E[e^{-sX}] ds``
+    and the sum ``copies * floor**2 + Gamma(copies)``, it is
+    ``copies * int_0^inf e^{-s copies floor^2} (1 + s)^{-copies} ds``.
+    MRC's noise variance is this over ``copies * power * gain``."""
+    shift = copies * floor * floor
+    value, _ = integrate.quad(
+        lambda s: math.exp(-s * shift) * (1.0 + s) ** -copies, 0.0, math.inf)
+    return copies * value
+
+
+def test_mrc_factor_closed_form():
+    # One copy is the equalized copy's e^{f^2} E1(f^2); more copies approach
+    # the 1/copies of an unfaded channel.
+    assert _mrc_factor(1) == pytest.approx(
+        special.exp1(0.05 ** 2) * math.exp(0.05 ** 2), rel=1e-9)
+    assert [round(_mrc_factor(c), 2) for c in (1, 2, 5, 20)] \
+        == [5.43, 1.95, 1.24, 1.05]
+
+
 def test_downlink_receive_combining_reduces_noise(rng):
+    # MRC of 4 copies against 1: the variance ratio 4 * I(1) / I(4) of the
+    # closed form (16.37; an equal-weight average of the copies gives 4),
+    # within the window of width 2 that held the equal-weight ratio.
     v = rng.normal(size=40)
     err1 = np.concatenate([
         analog_downlink_receive(v, power=5.0, rng=rng, copies=1)[0] - v
@@ -116,7 +140,8 @@ def test_downlink_receive_combining_reduces_noise(rng):
         for _ in range(3000)])
     assert abs(err1.mean()) <= 4 * err1.std() / math.sqrt(err1.size)
     ratio = err1.var() / err4.var()
-    assert 3.0 <= ratio <= 5.0
+    predicted = 4 * _mrc_factor(1) / _mrc_factor(4)
+    assert predicted - 1.0 <= ratio <= predicted + 1.0
 
 
 def test_deep_fade_exhausts_retries(rng):
@@ -183,29 +208,30 @@ def test_mdt_noise_power_decomposes(rng):
 
 
 # ---------------------------------------------------------------------------
-# Byte identity of the analog layer's random-draw order (stream layout 4).
+# Byte identity of the analog layer's random-draw order (stream layout 7).
 #
-# The golden digests were captured when stream layout 4 was introduced: a
-# fade is its power gain |h|^2, one standard exponential; the downlink draws
-# the gains of all its receivers and copies as one block with
-# ``draw_fades``, deep fades redrawn in vectorized rounds, then one normal
-# per output element as the combined noise; the uplink draws binomial
-# deep-fade counts, then one normal per element.  The reference functions
-# below restate that order with loops over receivers and copies.  The
+# A fade is its power gain |h|^2, one standard exponential, and a deep one
+# (|h| below the floor) is redrawn, a retransmission.  Both directions draw
+# the deep-fade counts of their ``copies`` fades per element as binomial
+# thinning rounds.  The uplink, whose inversion cancels its fades, then draws
+# one normal per element; the downlink, which combines its copies by MRC,
+# one Gamma(copies) per element for their summed gain above
+# ``copies * floor**2``, then one normal per element.  The reference
+# functions below restate that order with loops over the elements.  The
 # digests pin outputs, retry counts, every ``ChannelError`` message and
-# where the generator is left afterwards.  ``GOLDEN_DIVERSITY_RUN`` pins a
-# whole engine run, so it also depends on the engine's stream layout; it was
-# captured at layout 6.
+# where the generator is left afterwards.  GOLDEN_UPLINK and
+# GOLDEN_UPLINK_SILENT were captured at stream layout 4, GOLDEN_DOWNLINK and
+# ``GOLDEN_DIVERSITY_RUN``, which pins a whole engine run, at layout 7.
 # ---------------------------------------------------------------------------
 
 GOLDEN_DOWNLINK = \
-    "33e929e5859de4c6f9a670f154f2adfd3b11fba5ade86ae77ec02efefb013638"
+    "e633e1e88181ac66957cfda58a9b847166b0daca14824e0213ab45cc838b3cc0"
 GOLDEN_UPLINK = \
     "3c7ef7446d5a9e07189f99d768df006ae56da1fa134d53c734be88126e9b382c"
 GOLDEN_UPLINK_SILENT = \
     "8c033485dc2c25f5ad344aef5926b357b1febfe0ed023d29f329d063481d0c5e"
 GOLDEN_DIVERSITY_RUN = \
-    "4ff1470feab6a51a33f534b531ea9ddbc6849a0d55b376a26ca8b21f4b5845d6"
+    "362a47d83a03300994f4a791602c043bf944d17281b7da54ecec4bac243ae83f"
 
 _GOLDEN_SEEDS = (0, 1, 2)
 _GOLDEN_FLOORS = (0.05, 0.5, 0.9)
@@ -220,7 +246,7 @@ def _deep_fade_error(max_retries):
 def _layout3_fades(shape, rng, floor, max_retries):
     """Stream layout 3's element-wise process: complex gains from two
     normals each, every deep one redrawn until none is or the retries run
-    out.  The reference for the distribution of layout 4's draws."""
+    out.  The reference for the distribution of later layouts' draws."""
     gains = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
         / math.sqrt(2.0)
     retries = 0
@@ -251,38 +277,46 @@ def _reference_fades(shape, rng, floor, max_retries):
         gains[deep] = rng.standard_exponential(n_deep)
 
 
+def _reference_retries(fades, rng, floor, max_retries):
+    """Deep-fade retransmissions of ``fades`` fades as binomial thinning."""
+    p_deep = -math.expm1(-floor * floor)
+    deep = rng.binomial(fades, p_deep)
+    retries = 0
+    for attempt in range(max_retries + 1):
+        if deep == 0:
+            return retries
+        if attempt == max_retries:
+            raise _deep_fade_error(max_retries)
+        retries += deep
+        deep = rng.binomial(deep, p_deep)
+
+
 def _reference_downlink(v, power, rng, copies=1, receivers=1, distance=1.0,
                         pathloss=2.0, floor=0.05, max_retries=10,
                         noise_scale=1.0, noise_first=False):
+    shape = (receivers,) + v.shape
     if noise_first:
-        noise = rng.standard_normal((receivers,) + v.shape)
-    gains, retries = _reference_fades((receivers, copies) + v.shape, rng,
-                                      floor, max_retries)
+        noise = rng.standard_normal(shape)
+    retries = _reference_retries(copies * math.prod(shape), rng, floor,
+                                 max_retries)
+    # The summed gain of each element's copies, one Gamma draw per element.
+    gains = np.empty(shape)
+    for index in np.ndindex(shape):
+        gains[index] = rng.standard_gamma(copies) + copies * floor * floor
     if not noise_first:
-        noise = rng.standard_normal((receivers,) + v.shape)
-    scale = noise_scale / (copies * math.sqrt(power * distance ** (-pathloss)))
+        noise = rng.standard_normal(shape)
+    gain2 = power * distance ** (-pathloss)
     estimates = []
     for r in range(receivers):
-        # Sum over copies of the equalized noise variances 1/|h_q|^2.
-        inverse = np.zeros(v.shape)
-        for q in range(copies):
-            inverse = inverse + 1.0 / gains[r, q]
-        estimates.append(noise[r] * (np.sqrt(inverse) * scale) + v)
+        std = np.sqrt(1.0 / (gains[r] * gain2)) * noise_scale
+        estimates.append(v + std * noise[r])
     return np.stack(estimates), {"retries": retries}
 
 
 def _reference_uplink(models, power, rng, copies=1, floor=0.05,
                       max_retries=10, noise_scale=1.0):
-    p_deep = -math.expm1(-floor * floor)
-    deep = rng.binomial(copies * models.size, p_deep)
-    retries = 0
-    for attempt in range(max_retries + 1):
-        if deep == 0:
-            break
-        if attempt == max_retries:
-            raise _deep_fade_error(max_retries)
-        retries += deep
-        deep = rng.binomial(deep, p_deep)
+    retries = _reference_retries(copies * models.size, rng, floor,
+                                 max_retries)
     noise = rng.standard_normal(models.shape[1])
     return models.mean(axis=0) \
         + noise * (noise_scale / math.sqrt(power * copies)), \
@@ -352,8 +386,8 @@ def test_reference_loops_match_golden():
 
 
 def test_reordered_draws_fail_golden():
-    # Negative control: the same draws with each copy's noise taken before
-    # its fades must not reproduce the digest.
+    # Negative control: the same draws with the noise taken before the
+    # deep-fade counts and gains must not reproduce the digest.
     assert _downlink_digest(_reference_downlink, noise_first=True) \
         != GOLDEN_DOWNLINK
 
@@ -403,19 +437,56 @@ def test_draw_fades_matches_masked_reference():
 
 @pytest.mark.parametrize("floor", [0.05, 0.5])
 def test_downlink_noise_and_retries_match_closed_form(floor):
-    # |h|^2 is Exp(1) redrawn below floor^2, so E[1/|h|^2] = E1(f^2) e^{f^2}
-    # and a draw is a redraw with probability 1 - e^{-f^2}.
-    power, distance, copies, receivers, dim = 4.0, 1.5, 3, 2000, 60
+    # MRC of ``copies`` gains f^2 + Exp(1) leaves noise of variance
+    # _mrc_factor(copies, f) / (copies * power * gain), e^{f^2} E1(f^2) /
+    # (power * gain) for one copy; a draw is a redraw with probability
+    # 1 - e^{-f^2}.  At f = 0.5 a fade is deep with probability 0.22 and
+    # still deep after 10 redraws with 6e-8, so millions of fades in a call
+    # would likely end in a ChannelError: fewer orders and elements there.
+    orders, dim = {0.05: ((1, 2, 5, 20), 200), 0.5: ((1, 3), 60)}[floor]
+    power, distance, receivers = 4.0, 1.5, 2000
     gain2 = distance ** -2.0
-    est, info = analog_downlink_receive(
-        np.zeros(dim), power, np.random.default_rng(77), copies=copies,
-        receivers=receivers, distance=distance, floor=floor)
-    predicted = special.exp1(floor ** 2) * math.exp(floor ** 2) \
-        / (power * gain2 * copies)
-    assert abs(est.var() / predicted - 1.0) <= 0.05
-    n_fades = receivers * copies * dim
-    redraw_rate = info["retries"] / (n_fades + info["retries"])
+    rng = np.random.default_rng(77)
+    fades = retries = 0
+    for copies in orders:
+        est, info = analog_downlink_receive(
+            np.zeros(dim), power, rng, copies=copies, receivers=receivers,
+            distance=distance, floor=floor)
+        predicted = _mrc_factor(copies, floor) / (power * gain2 * copies)
+        assert abs(est.var() / predicted - 1.0) <= 0.05
+        fades += receivers * copies * dim
+        retries += info["retries"]
+    redraw_rate = retries / (fades + retries)
     assert abs(redraw_rate / -math.expm1(-floor ** 2) - 1.0) <= 0.1
+
+
+def test_equal_weight_average_fails_mrc_closed_form():
+    # Negative control: the equal-weight average of the equalized copies,
+    # built from draw_fades, keeps one copy's e^{f^2} E1(f^2) over copies,
+    # so it misses the MRC closed form at every order above 1.
+    rng = np.random.default_rng(78)
+    for copies in (2, 5, 20):
+        gains, _ = draw_fades((100_000, copies), rng)
+        std = np.sqrt((1.0 / gains).sum(axis=1)) / copies
+        noise = std * rng.standard_normal(std.shape)
+        ratio = noise.var() * copies / _mrc_factor(copies)
+        assert ratio > 1.05
+
+
+@pytest.mark.parametrize("floor", [0.05, 0.5])
+def test_mrc_gains_match_elementwise_combining(floor):
+    # The summed gain copies * f^2 + Gamma(copies) against the sum of
+    # draw_fades' copies, element by element.
+    for copies in (1, 2, 5, 20):
+        summed, _ = mrc_gains((20_000,), copies,
+                              np.random.default_rng(copies), floor)
+        fades, _ = draw_fades((20_000, copies),
+                              np.random.default_rng(100 + copies), floor)
+        assert stats.ks_2samp(summed, fades.sum(axis=1)).pvalue > 0.01
+    # Negative control: the Gamma draw without the floor's shift.
+    fades, _ = draw_fades((20_000, 5), np.random.default_rng(7), 0.5)
+    unshifted = np.random.default_rng(8).standard_gamma(5, 20_000)
+    assert stats.ks_2samp(unshifted, fades.sum(axis=1)).pvalue < 1e-6
 
 
 def test_draw_fades_is_shifted_exponential():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from noisyfed import ChannelError, ConfigError, make_task, run, save_task
-from noisyfed import cli
+from noisyfed import cli, policies
 from noisyfed.cli import main
 from noisyfed.config import load_experiment, parse_experiment
 from noisyfed.traceio import read_trace
@@ -84,7 +84,7 @@ def test_run_writes_traces_and_summary(tmp_path):
     assert files == ["mean_trace.csv", "summary.json", "trace_rep000.csv",
                      "trace_rep001.csv", "trace_rep002.csv"]
     config, rows = read_trace(out / "trace_rep000.csv")
-    assert config["stream_layout"] == 6
+    assert config["stream_layout"] == 7
     assert config["derived"]["mu"] > 0
     assert config["derived"]["rate_constant"] > 0
     assert [r["t"] for r in rows] == list(range(1, 41))
@@ -119,6 +119,30 @@ def test_one_worker_builds_the_task_once_per_family(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, experiment_doc())
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("schedule_on, per_round", [("round", 1),
+                                                    ("iteration", 3)])
+def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch,
+                                                schedule_on, per_round):
+    # The replicas and the schedule check share the family's round schedule:
+    # one call per round, whatever the number of replicas.  On the iteration
+    # timeline the uplink and downlink read two other iterations, and the
+    # schedule check asks for the round itself: three calls per round.
+    calls = []
+    round_params = policies.Policy.round_params
+
+    def counting_round_params(self, t):
+        calls.append(t)
+        return round_params(self, t)
+
+    monkeypatch.setattr(policies.Policy, "round_params",
+                        counting_round_params)
+    doc = experiment_doc()
+    doc["run"]["schedule_on"] = schedule_on
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == per_round * doc["run"]["rounds"]
 
 
 def test_run_with_task_file(tmp_path):
@@ -200,10 +224,10 @@ def test_verify_theorems_negative_control(capsys):
     # The stream layout is named once, before the engine-run estimates, and
     # the tally stays last.
     lines = out.splitlines()
-    assert lines.count("stream layout 6") == 1
+    assert lines.count("stream layout 7") == 1
     first_bound = next(i for i, line in enumerate(lines)
                        if "bound_holds[" in line)
-    assert lines.index("stream layout 6") < first_bound
+    assert lines.index("stream layout 7") < first_bound
     assert lines[-1].endswith(" checks passed")
 
 
@@ -520,11 +544,33 @@ def test_weighted_mt_full_on_analog_channel_is_usage_error(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o2")]) == 0
 
 
+def test_mdt_constant_snr_on_analog_channel_is_usage_error(tmp_path, capsys):
+    # The analog uplink would send the SNR target as a transmit power, so
+    # the uplink noise would not follow the differentials: rejected.
+    doc = experiment_doc(policy={"name": "mdt_constant_snr",
+                                 "params": {"snr_target": 5.0}})
+    doc["run"].update(mode="MDT", channel="analog_physical")
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: policy 'mdt_constant_snr' needs channel " \
+        "'effective_noise', not 'analog_physical'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # The same experiment on the effective-noise channel still runs.
+    doc["run"]["channel"] = "effective_noise"
+    doc["checks"] = []
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o2")]) == 0
+
+
 # SHA-256 of summary.json and mean_trace.csv of a 12-round, 2-replica family
 # per preset, with the bound and schedule checks where the preset has a
 # schedule: they pin each check's estimate (``schedule_excess`` included),
 # the resolved ``rate_constant`` and ``bound_variant``, the emitted policy
-# parameters and the mean trace.
+# parameters and the mean trace.  Captured at stream layout 7, which both
+# files name.
 _PRESET_FAMILIES = {
     "noise_free": ({}, {}),
     "equal_power": ({"snr_db": 12.0}, {}),
@@ -537,26 +583,26 @@ _PRESET_FAMILIES = {
 }
 GOLDEN_RUN_FILES = {
     "noise_free": (
-        "f46f66fd6855ddefebd68e9da4fac78244e174de039509ae07be5d2ef860e592",
-        "01188545a686c167e2aa7b26256ff332d0c2850129e59eb81790b4615c313763"),
+        "f0f5dd4de8c9376bcd2c11d8b2d32657ccc0a96e4954353baf9ba82306b8bea1",
+        "eb29878690bb3bbd08187dc8f707f95ea022259eb970b34b8ce32972dde69754"),
     "equal_power": (
-        "21c3cde6d86b60c32588eccef5ee3ea70e1bf730a53964132e8e809a64ea24e7",
-        "fca859220d05dadbe63caa201d6225620001f46a85a1757376cbdf42b78d0d9f"),
+        "fe0ba332b9348187908b0682654ff0f47dc396c9db4cfb104310f5ea892d7df0",
+        "a5ce8b8404956656a682498e04a1b2260967d7b24c02cdf50eaa69f777de4e30"),
     "mt_full": (
-        "6532f9106b95b6018ee926b4f55bbca11999da87df5dd5ac3d16e0b79a711d77",
-        "49e06f7f3762354615fc3015b640fa151aa9a835154492fd2d5df26d20f74102"),
+        "13e9f6a3d20a3701463463ca602f4d0f4227248be28aa95f721dec0bac84e2c3",
+        "b9062acd72f0284a4d0a6b490a0f7806357d62398c691a8d33ffa3d9ee95cdaf"),
     "mt_partial": (
-        "a6b7eb3d3f264954e4426f1a10831e5d50fc478dbb46c71fa5276b04db25ef3e",
-        "bf3750913f4b5c234cecfb133697cf7e829e1bd3193bd930934107de55281c85"),
+        "a6451ce2dc488cbaf9bcc1f2c6000a0492c03f2c3ed0acde0c253a6c3473ed82",
+        "d4ddecba6e38b2f982f678a1e10d77af0ebb8bb67ee11ad0e4e3b3014ccb602c"),
     "mdt_constant_snr": (
-        "c5e1e0a83b15491dc17e0219bbbaa200da5ac654276124b929b02c4faf4c1f07",
-        "55b076f7018a9ee0c623cc82aeacbe3ed02bc7513695b286563d84071cd5100f"),
+        "9d2b86b8526116cd6d8fe9df7f29faad922cc9501d436fe2455466535ad8459a",
+        "5e1321ab905809594d4ff3e7d0c8518438cf0c168ccd3ecc6876348647fbfa9d"),
     "power_t2": (
-        "de08e8130d076dce4fba56b269801eb2da64f052dde65c949829e42ceb625ad1",
-        "eec403f11af8ee6aea35f85ce07bb6c1a26de9a9f5570e9c3461e90b16d6de72"),
+        "5a41452c10bf3ce7f9af3be6eee78a121c86b02850a87ad32a4a176d36f9de85",
+        "f9bf1afb10c97c482b9fa6486633692324be7f70bee00423cd1454a6e8b49dae"),
     "diversity_t2": (
-        "308ac97ad38fcff5ec8df1301940e811502b9e8141a5f2eda3217d9e8fc94e88",
-        "7875a8a581366595f94d0385b8c94aa6c8d202ea85e432026d8b37218fd893ec"),
+        "bf31e2e60bb8c74b71f1a60d6469ac47c18787a50061a011ae52d922b3c744f1",
+        "c45f976c692b58f60756323018175bc56861d4ce90ab3429e249266b5a594be2"),
 }
 
 

@@ -388,39 +388,46 @@ def test_run_config_rejects_meaningless_combinations():
                   policy_name="mdt_constant_snr")
     with pytest.raises(ConfigError, match="distribution"):
         RunConfig(n_participants=3, rounds=5, distribution="cauchy")
+    with pytest.raises(ConfigError, match="'mdt_constant_snr' needs channel"):
+        RunConfig(n_participants=3, rounds=5, mode="MDT",
+                  channel="analog_physical", policy_name="mdt_constant_snr")
 
 
 # ---------------------------------------------------------------------------
-# Stream layout 6: one generator per domain and run, round t drawing the t-th
-# block of its domain's stream, with a row for every client; the draws of
-# layout 5, with local SGD and the loss and SNR columns rounded differently.
+# Stream layout 7: one generator per domain and run, round t drawing the t-th
+# block of its domain's stream, with a row for every client.  Layout 6 drew
+# the numbers of layout 5, with local SGD and the loss and SNR columns
+# rounded differently; layout 7 draws the effective-noise runs' numbers of
+# layout 6 and combines the analog downlink's copies by MRC.
 #
 # The digests pin the trace rows, final model and fade retries of short runs
 # over every mode, noise distribution and participation level, one digest per
-# channel layer.  Both were captured when layout 6 was introduced.
+# channel layer.  The effective-noise digests were captured when layout 6 was
+# introduced, the analog ones when layout 7 was.
 # ---------------------------------------------------------------------------
 
 GOLDEN_EFFECTIVE_NOISE = \
     "08819739b5011e5bc73186c8b595c3b3808190af6baee861d756b555b50a3dc5"
-GOLDEN_ANALOG_LAYOUT_6 = \
-    "5e932105cd2c04aca21053f1047258f1d84304c1acbace52bb09ec8aec5c6f83"
+GOLDEN_ANALOG = \
+    "80066edbd5b7115cb13650f3cdede3318c1a3907f4a7ad8702fb5aa0147c8c15"
 # max_iterate_distance, trajectory_radius, radius_exceeded and fade_retries
-# of the same runs, the same at layouts 5 and 6.
+# of the same runs; the effective-noise ones the same at layouts 5 to 7.
 GOLDEN_DIAGNOSTICS = {
     "effective_noise":
         "e56b8db7b5dcb65d34ce899b82280a0fe529e1d349668caf8e4ccf001a74a361",
     "analog_physical":
-        "2daf8045f6aeb3292a49e449c20c579a396936082c4fb76371d55c70c22621c3",
+        "0e781b16f2563584920c5398d6e2d384a16aecad20908df9b8c4d748d50a8714",
 }
 # Every valid (mode, policy) of each channel layer, crossed with K in {6, 3}
 # (mt_full only at K = N), both schedule timelines and both batch kinds:
-# 12-round runs at seed 31, hashed as the layout digests are.  Captured at
-# stream layout 6 before the round loop was split into channel classes.
+# 12-round runs at seed 31, hashed as the layout digests are.  The
+# effective-noise digest was captured at stream layout 6 before the round
+# loop was split into channel classes, the analog one at layout 7.
 GOLDEN_CONFIGS = {
     "effective_noise":
         "4ef2104b8bc6b4f613e2b50bfc8a8face9fa4419c091cfc9da8886f69afd0010",
     "analog_physical":
-        "3ee0c96a00ec4fbbd6b7a17ac7ff2277bfbe7f330838009c16ffade31d6af355",
+        "5d1a05f810a73314fb281bb8c59df722541e56b4042053c2483b5cccf9cacb09",
 }
 
 
@@ -468,7 +475,7 @@ def _config_policies(channel, mode, participants):
         if channel == "effective_noise":
             policies.append(("mt_full", {"weights": [1, 2, 3, 4, 5, 6]}))
     policies.append(("mt_partial", {}))
-    if mode == "MDT":
+    if mode == "MDT" and channel == "effective_noise":
         policies.append(("mdt_constant_snr", {}))
     return policies + [("power_t2", {}),
                        ("diversity_t2",
@@ -501,10 +508,9 @@ def _diagnostics_digest(task, channel):
     return digest.hexdigest()
 
 
-def test_stream_layout_6_matches_golden(small_task):
-    assert STREAM_LAYOUT == 6
-    assert _layout_digest(small_task, "analog_physical") \
-        == GOLDEN_ANALOG_LAYOUT_6
+def test_stream_layout_7_matches_golden(small_task):
+    assert STREAM_LAYOUT == 7
+    assert _layout_digest(small_task, "analog_physical") == GOLDEN_ANALOG
 
 
 def test_effective_noise_matches_golden(small_task):
@@ -553,7 +559,7 @@ def _assert_block_changes_nothing(task, monkeypatch, block):
     # block it is in (12 rounds: one block per run at 12 and 32).
     monkeypatch.setattr(engine, "BLOCK", block)
     assert _layout_digest(task, "effective_noise") == GOLDEN_EFFECTIVE_NOISE
-    assert _layout_digest(task, "analog_physical") == GOLDEN_ANALOG_LAYOUT_6
+    assert _layout_digest(task, "analog_physical") == GOLDEN_ANALOG
     for channel in CHANNEL_LAYERS:
         assert _diagnostics_digest(task, channel) \
             == GOLDEN_DIAGNOSTICS[channel]
@@ -575,7 +581,10 @@ def test_trace_block_changes_no_output(small_task, monkeypatch, block):
 
 
 # Every layout run's trace rows, final model and diagnostics at stream layout
-# 5, the layout before the local-SGD rounding changed.
+# 5, the layout before the local-SGD rounding changed.  Only the
+# effective-noise runs are compared: layout 7 draws the analog downlink's
+# combined gain as one Gamma variate per element where layouts 4 to 6 drew
+# every copy's fade, so the analog runs share no downlink draw with the file.
 LAYOUT_5_RUNS = Path(__file__).parent / "data" / "layout5_runs.json"
 # What is computed from the models, which layout 6 rounds differently; the
 # MDT uplink variance follows the local models.
@@ -583,13 +592,14 @@ ROUNDED = {"sq_dist", "loss", "snr_global", "sigma2_ul", "final_model"}
 
 
 def _layout_5_mismatches(task):
-    """What a layout run at this layout does differently from layout 5
-    beyond rounding: ``(channel, run, field)`` of every field that moved by
-    more than ``rtol=1e-10``, or at all if the models do not set it."""
+    """What an effective-noise layout run at this layout does differently
+    from layout 5 beyond rounding: ``(channel, run, field)`` of every field
+    that moved by more than ``rtol=1e-10``, or at all if the models do not
+    set it."""
     reference = json.loads(LAYOUT_5_RUNS.read_text(encoding="utf-8"))
     columns = reference["columns"]
     mismatches = []
-    for channel in CHANNEL_LAYERS:
+    for channel in ("effective_noise",):
         for k, (old, result) in enumerate(zip(
                 reference["runs"][channel], _layout_results(task, channel),
                 strict=True)):
@@ -618,8 +628,7 @@ def test_swapped_noise_blocks_change_more_than_rounding(small_task,
     # stream moves the rounded columns far beyond rounding.
     monkeypatch.setattr(engine, "DOMAIN_DOWNLINK", DOMAIN_UPLINK)
     monkeypatch.setattr(engine, "DOMAIN_UPLINK", DOMAIN_DOWNLINK)
-    moved = {name for channel, _, name in _layout_5_mismatches(small_task)
-             if channel == "effective_noise"}
+    moved = {name for _, _, name in _layout_5_mismatches(small_task)}
     assert {"sq_dist", "loss", "final_model"} <= moved
 
 
@@ -638,8 +647,7 @@ def test_swapped_fade_blocks_fail_layout_golden(small_task, monkeypatch):
     # Negative control for the analog digest.
     monkeypatch.setattr(engine, "DOMAIN_FADE_DOWNLINK", DOMAIN_FADE_UPLINK)
     monkeypatch.setattr(engine, "DOMAIN_FADE_UPLINK", DOMAIN_FADE_DOWNLINK)
-    assert _layout_digest(small_task, "analog_physical") \
-        != GOLDEN_ANALOG_LAYOUT_6
+    assert _layout_digest(small_task, "analog_physical") != GOLDEN_ANALOG
     assert _configs_digest(small_task, "analog_physical") \
         != GOLDEN_CONFIGS["analog_physical"]
 

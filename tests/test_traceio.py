@@ -7,7 +7,8 @@ from noisyfed import RunConfig, run
 from noisyfed.traceio import read_trace, write_trace
 
 # SHA-256 of the whole trace file (config line, header and rows) of one run
-# per channel layer, captured at stream layout 6.  The effective run covers
+# per channel layer, the effective one captured at stream layout 6, the
+# analog one at layout 7.  The effective run covers
 # per-client weights, the analog run partial participation with diversity
 # orders under differential upload.
 RUNS = {
@@ -23,7 +24,7 @@ GOLDEN_TRACE_BYTES = {
     "effective_noise":
         "99c6c12c2c9e6ed9b8adbad0cf3784564c54365372801afe8b454e8cdbaab3e3",
     "analog_physical":
-        "0a81976ac71c3b8790cdfdbfc018f6a555da7461e8d942b4a22cd1aa32b79d08",
+        "f7250d3fab9198c6a90b1dfcc0ca907b151cbf6d3ed901b0ad33adfd4fa8a686",
 }
 
 

@@ -15,7 +15,12 @@ first in the first, third, ... pair and the change first in the others.  The fil
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles (numpy linear percentiles), the pairs the change won, and the
 relative change of the medians next to the gap and the parent's IQR it is
-judged against.  Its ``notes`` are left empty for the reader's conclusions.
+judged against.  Each run also records the median of its passes' speed
+probes (``probes_s`` of the ``perfbench`` line), and each pair the ratio of
+the change's probe median to the parent's; pairs whose ratio lies outside
+[1/PROBE_DRIFT, PROBE_DRIFT] ran at different machine speeds and are listed,
+but kept in every statistic.  Its ``notes`` are left empty for the reader's
+conclusions.
 """
 
 import argparse
@@ -23,6 +28,7 @@ import io
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -34,6 +40,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 COMMAND = ("python3 perfbench/run.py --workload <workload> --seed <seed> "
            "--seconds {seconds:g} --trace 0")
+#: A pair whose two sides' probe medians differ by more than this factor is
+#: flagged as drifted.
+PROBE_DRIFT = 1.25
 
 
 def parse_seeds(text):
@@ -74,7 +83,7 @@ def run_once(copy, workload, seed, seconds):
         cwd=copy, env=env, capture_output=True, text=True)
     record = {"seed": seed, "returncode": proc.returncode, "final": None,
               "machine": None, "checks": None, "sha256": None,
-              "determinism_identical": None}
+              "determinism_identical": None, "probe_median_s": None}
     for line in proc.stdout.splitlines():
         if not line.startswith("{"):
             continue
@@ -85,7 +94,10 @@ def run_once(copy, workload, seed, seconds):
                           checks=detail["passes"][0]["checks"],
                           sha256=detail["passes"][0]["sha256"],
                           determinism_identical=detail["determinism"][
-                              "identical"])
+                              "identical"],
+                          probe_median_s=statistics.median(
+                              x for p in detail["passes"]
+                              for x in p["probes_s"]))
         else:
             record["final"] = doc
     if record["final"] is None:
@@ -141,6 +153,17 @@ def summarize(runs, end_to_end):
             hashes.setdefault(run["seed"], {})[run["side"]] = run["sha256"]
     summary["trace_sha256_equal_pairs"] = sum(
         len(h) == 2 and h["parent"] == h["change"] for h in hashes.values())
+    probes = {}
+    for run in runs:
+        if run.get("probe_median_s"):
+            probes.setdefault(run["seed"], {})[run["side"]] = \
+                run["probe_median_s"]
+    ratios = {seed: p["change"] / p["parent"]
+              for seed, p in probes.items() if len(p) == 2}
+    summary["probe_ratio_change_over_parent"] = ratios
+    summary["probe_drift_pairs"] = [
+        seed for seed, ratio in ratios.items()
+        if not 1.0 / PROBE_DRIFT <= ratio <= PROBE_DRIFT]
     summary["correct_runs"] = sum(bool(run["final"] and run["final"]["correct"])
                                   for run in runs)
     summary["failed_ops"] = sum(run["final"]["failed"] for run in runs
@@ -187,7 +210,10 @@ def main(argv=None):
                 "change first in the others. Each side runs from its own "
                 "git-archive copy of its tree, neither with a bytecode cache "
                 "(PYTHONDONTWRITEBYTECODE=1, python -B, no __pycache__). "
-                "Quartiles are numpy linear percentiles."),
+                "Quartiles are numpy linear percentiles. Pairs whose "
+                "speed-probe medians differ by more than "
+                f"{PROBE_DRIFT:g}x are listed in probe_drift_pairs and kept "
+                "in every statistic."),
             "parent": refs["parent"],
             "change": refs["change"] + (f" ({args.describe_change})"
                                         if args.describe_change else ""),
@@ -214,6 +240,10 @@ def main(argv=None):
     finally:
         shutil.rmtree(work, ignore_errors=True)
     for workload, body in result["workloads"].items():
+        drifted = body["summary"]["probe_drift_pairs"]
+        if drifted:
+            print(f"{workload}: speed probes drifted in the pairs of seeds "
+                  f"{drifted} (kept)")
         for name, m in body["summary"].items():
             if isinstance(m, dict) and m.get("pairs"):
                 print(f"{workload} {name}: {m['parent']['median']:.6g} -> "
