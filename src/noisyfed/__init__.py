@@ -26,8 +26,8 @@ from .policies import (LearningRateSchedule, RoundPolicy, budget_split,
                        equal_power_variance, mdt_downlink_noise,
                        mdt_uplink_variance, mt_full_noise, mt_partial_noise,
                        reference_diversity_schedule, uplink_power)
-from .tasks import (ClientData, QuadraticTask, TaskConstants, derive_constants,
-                    load_task, make_task, save_task, stochastic_gradient)
+from .tasks import (QuadraticTask, TaskConstants, derive_constants, load_task,
+                    make_task, save_task, stochastic_gradient)
 from .vectors import mean_of, squared_distance
 
 __version__ = "0.1.0"

@@ -328,16 +328,16 @@ def differential_upload_oracle(task, w_prev, n_participants, snr_target,
         received[k] = w_prev[None, :] + noise
         trained[k] = local_sgd(task, np.full(replicas, k), received[k], etas,
                                batch, rng)
-    diffs = trained - received                             # (N, R, dim)
+    diffs = np.subtract(trained, received, out=received)   # (N, R, dim)
     diff_power = np.einsum("krd,krd->kr", diffs, diffs)
     sigma2 = diff_power / (dim * snr_target)
-    uplink = rng.normal(size=(n_clients, replicas, dim)) \
-        * np.sqrt(sigma2)[:, :, None]
+    uplink = rng.normal(size=(n_clients, replicas, dim))
+    uplink *= np.sqrt(sigma2)[:, :, None]
 
     picks = floyd_sample(rng.random((replicas, n_participants)), n_clients)
     rows = np.arange(replicas)[:, None]
     sel_trained = trained[picks, rows, :]                  # (R, K, dim)
-    sel_payload = (diffs + uplink)[picks, rows, :]
+    sel_payload = diffs[picks, rows, :] + uplink[picks, rows, :]
     u_bar = sel_trained.mean(axis=1)
     recon = w_prev[None, :] + sel_payload.mean(axis=1)
     gap = u_bar - recon

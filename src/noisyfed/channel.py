@@ -17,7 +17,8 @@ call draws only what its output depends on, deep-fade counts first, as
 binomial thinning of its ``copies`` fades per element: the uplink, whose
 inversion cancels its fades, then its combined noise; the downlink, which
 combines its copies by maximal-ratio combining, then one Gamma draw per
-element for their summed power gain and one normal for its noise.
+element for their summed power gain and one normal for its noise.  At
+``power=math.inf`` either link still makes its draws but adds no noise.
 :func:`draw_fades` draws the fades themselves, element by element.
 """
 
@@ -143,7 +144,7 @@ def mrc_gains(shape, copies, rng, floor=INVERSION_FLOOR,
 
 def analog_uplink_aggregate(models, power, rng, copies=1,
                             floor=INVERSION_FLOOR,
-                            max_retries=MAX_FADE_RETRIES, noise_scale=1.0):
+                            max_retries=MAX_FADE_RETRIES):
     """Over-the-air sum of simultaneous uploads under channel inversion.
 
     Every client pre-inverts its fade so each element arrives as
@@ -152,7 +153,6 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
     plus noise of per-element variance ``1/(power * copies)``: the mean of
     ``copies`` independent receptions.  Inversion cancels the fade exactly
     (pathloss included), so the fades only decide deep-fade retransmissions.
-    ``noise_scale=0`` disables receiver noise (test hook).
 
     Draws the deep-fade counts of the ``copies * K * d`` fades
     (:func:`_deep_fade_retries`), then the ``(d,)`` combined noise.
@@ -166,7 +166,7 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
     retries = _deep_fade_retries(copies * models.size, rng, floor,
                                  max_retries)
     noise = rng.standard_normal(dim)
-    noise *= noise_scale / math.sqrt(power * copies)
+    noise *= 1.0 / math.sqrt(power * copies)
     # Bit for bit models.mean(axis=0), without its per-call overhead.
     total = np.add.reduce(models, axis=0)
     total /= n_clients
@@ -176,7 +176,7 @@ def analog_uplink_aggregate(models, power, rng, copies=1,
 
 def analog_downlink_receive(v, power, rng, copies=1, receivers=1,
                             distance=1.0, pathloss=2.0, floor=INVERSION_FLOOR,
-                            max_retries=MAX_FADE_RETRIES, noise_scale=1.0):
+                            max_retries=MAX_FADE_RETRIES):
     """A broadcast of ``v`` as ``receivers`` clients each receive it, its
     ``copies`` combined by maximal-ratio combining.
 
@@ -197,7 +197,6 @@ def analog_downlink_receive(v, power, rng, copies=1, receivers=1,
                                max_retries)
     gains *= power * distance ** (-pathloss)
     std = np.sqrt(np.reciprocal(gains, out=gains), out=gains)
-    std *= noise_scale
     return v + std * rng.standard_normal(std.shape), {"retries": retries}
 
 

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, traceio
 from .config import load_experiment, parse_experiment
 from .engine import (RunConfig, round_schedule, run, run_constants,
-                     run_policy)
+                     run_policy, schedule_indices)
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
 from .policies import (PRESETS, LearningRateSchedule, mt_full_noise,
@@ -42,10 +42,7 @@ from .tasks import derive_constants, load_task, make_task
 def build_task(experiment):
     if experiment.task_file:
         return load_task(experiment.task_file)
-    params = dict(experiment.task)
-    if "spectrum" in params:
-        params["spectrum"] = tuple(params["spectrum"])
-    return make_task(**params)
+    return make_task(**experiment.task)
 
 
 def replica_config(experiment, replica, base_seed):
@@ -76,9 +73,9 @@ def resolved_config(experiment, result, replica, seed):
             "sgd_var": list(c.sgd_var),
             "opt_value": c.opt_value,
             "trajectory_radius": c.trajectory_radius,
-            "lr_gamma": result.lr.gamma,
-            "lr_beta": result.lr.beta,
-            "initial_gap": _initial_gap(result),
+            "lr_gamma": result.policy.lr.gamma,
+            "lr_beta": result.policy.lr.beta,
+            "initial_gap": _initial_gap(c),
         },
     }
     if result.policy.preset.bound is not None:
@@ -88,8 +85,9 @@ def resolved_config(experiment, result, replica, seed):
     return resolved
 
 
-def _initial_gap(result):
-    return float(np.sum((result.initial_model - result.constants.opt) ** 2))
+def _initial_gap(constants):
+    """The squared distance from the zero start to the optimum."""
+    return float(np.sum(constants.opt ** 2))
 
 
 def _bound_spec(result):
@@ -99,11 +97,11 @@ def _bound_spec(result):
     return analysis.BoundSpec(
         variant=policy.preset.bound,
         constants=result.constants,
-        local_epochs=result.lr.local_epochs,
+        local_epochs=policy.lr.local_epochs,
         n_clients=policy.n_clients,
         n_participants=policy.n_participants,
-        dim=result.initial_model.size,
-        initial_gap=_initial_gap(result),
+        dim=result.constants.opt.size,
+        initial_gap=_initial_gap(result.constants),
         snr_target=policy.params().get("snr_target"),
     )
 
@@ -185,8 +183,8 @@ def run_family(experiment, base_seed, workers=1):
 
 def _evaluate_checks(experiment, family):
     """Evaluate the experiment's checks on a family's seed-averaged trace;
-    the schedule check reads the family's policy alone (and its schedule,
-    when that is indexed by round), so it runs even when no replica
+    the schedule check judges each :class:`RoundPolicy` of the family's
+    schedule at the index it was built for, so it runs even when no replica
     completed."""
     reports = []
     rounds, mean_sq = family.rounds, family.mean_sq
@@ -194,13 +192,11 @@ def _evaluate_checks(experiment, family):
     for check in experiment.checks:
         kind = check["kind"]
         if kind == "schedule":
-            by_round = [up for up, _ in family.schedule] \
-                if experiment.run.get("schedule_on", "round") == "round" \
-                else repeat(None)
-            excesses = [family.policy.schedule_excess(t, rp) for t, rp in
-                        zip(range(1, experiment.run["rounds"] + 1), by_round)]
-            excesses = [e for e in excesses if e is not None]
-            excess = max(excesses) if excesses else 0.0
+            # Each index once; the parser allows only schedule-backed presets.
+            indices = schedule_indices(replica_config(experiment, 0, 0))
+            built = dict(zip(chain(*indices), chain(*family.schedule)))
+            excess = max(family.policy.schedule_excess(t, rp)
+                         for t, rp in built.items())
             reports.append(analysis.OracleReport(
                 name="check_schedule", passed=excess <= 1e-9, estimate=excess,
                 reference=0.0, tolerance=1e-9,

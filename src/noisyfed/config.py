@@ -176,9 +176,12 @@ def parse_experiment(doc, source="<config>"):
 
 
 def load_experiment(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Parse an experiment file; an unreadable one is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_experiment(doc, source=str(path))

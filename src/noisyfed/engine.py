@@ -1,26 +1,27 @@
 """The federated-averaging-over-noisy-channels state machine.
 
 One run executes, per round: uniform client sampling, noisy downlink broadcast
-of the current global model, local mini-batch SGD at each recipient, noisy
-uplink of either the full local model (``MT``) or its differential against the
-model the client just received (``MDT``), and server-side averaging.  One
-round loop serves both channel layers, each behind one class that holds its
-streams and noise: :class:`EffectiveNoise` and :class:`Analog`.  The
-recipients of a round are one ``(n, d)`` array, trained together.  Rounds run
-in blocks of ``BLOCK`` (32): what a block needs that does not depend on the
-iterate is prepared first, local SGD's inputs included (gathered into
-buffers allocated once per run), its rounds only advance the state and check
-the divergence guard, and its trace rows (named tuples) and iterate-ball
-maximum are built at its end, each row from its own round alone, so the block
-size changes no output.
+of the current global model, local mini-batch SGD at each sampled client,
+noisy uplink of either the full local model (``MT``) or its differential
+against the model the client just received (``MDT``), and server-side
+averaging.  One round loop serves both channel layers, each behind one class
+that holds its streams and noise: :class:`EffectiveNoise` and
+:class:`Analog`.  A round's sampled clients are one ``(K, d)`` array, trained
+together.  Rounds run in blocks of ``BLOCK`` (32): what a block needs that
+does not depend on the iterate is prepared first, local SGD's inputs included
+(gathered into buffers allocated once per run), its rounds only advance the
+state and check the divergence guard, and its trace rows (named tuples) and
+iterate-ball maximum are built at its end, each row from its own round
+alone, so the block size changes no output.
 
-Randomness follows stream layout 7 (:mod:`noisyfed.seeding`): round t reads
-the t-th block of its domain's stream, with a row for each of the N clients,
-sampled or not.  Effective noise is a unit-variance ``(N, d)`` block per
+Every run starts from the zero model.  Randomness follows stream layout 7
+(:mod:`noisyfed.seeding`): round t reads the t-th block of its domain's
+stream, with a row for each of the N clients, and a round uses the rows of
+its sampled clients.  Effective noise is a unit-variance ``(N, d)`` block per
 direction, scaled row by row; the batches are ``B`` uniforms per (local step,
 client), turned into indices by :func:`floyd_sample`; the analog layer and
-client sampling draw round by round.  So training all clients but aggregating
-the sampled ones gives the same trajectory as sampling first.
+client sampling draw round by round.  As rows are keyed by client, a round's
+draws do not depend on which clients were sampled.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
@@ -94,9 +95,7 @@ class RunConfig:
     seed: int = 0
     policy_name: str = "noise_free"
     policy_params: dict = field(default_factory=dict)
-    w0: object = None               # None = zero vector
     schedule_on: str = "round"
-    virtual_all_clients: bool = False
     divergence_factor: float = 1e6
     trajectory_radius_factor: float = 2.0
 
@@ -139,8 +138,6 @@ class RunResult:
 
     traces: list
     constants: object
-    lr: LearningRateSchedule
-    initial_model: np.ndarray
     final_model: np.ndarray
     policy: Policy
     energy_uplink: float
@@ -388,9 +385,9 @@ def _trace_rows(task, records, up_count, n_participants, etas):
                    energies)]
 
 
-# A channel layer: per block, ``prepare(params, recipients, sampled)`` takes
-# each round's (uplink, downlink) :class:`RoundPolicy` pair and rows; per
-# round i, ``downlink(i, w, rp, rows, out)`` writes what ``rows`` receive into
+# A channel layer: per block, ``prepare(params, sampled)`` takes each round's
+# (uplink, downlink) :class:`RoundPolicy` pair and sampled clients; per round
+# i, ``downlink(i, w, rp, rows, out)`` writes what ``rows`` receive into
 # ``out``, ``uplink(i, rp, w, sent, received)`` returns the next global model
 # and the uplink variance, traced as its mean over ``up_rows`` rows.
 
@@ -409,12 +406,12 @@ class EffectiveNoise:
         self.shape = (task.n_clients, task.dim)
         self.up_rows = config.n_participants
 
-    def prepare(self, params, recipients, sampled):
+    def prepare(self, params, sampled):
         shape = (len(params),) + self.shape
         self.down_noise = _scaled_noise(
-            _pick(self.unit(shape, self.down_rng), recipients),
+            _pick(self.unit(shape, self.down_rng), sampled),
             [_rows(down.downlink_variance, rows)
-             for (_, down), rows in zip(params, recipients)])
+             for (_, down), rows in zip(params, sampled)])
         self.up_noise = _pick(self.unit(shape, self.up_rng), sampled)
         self.up_variances = None    # MDT: scaled round by round
         if params[0][0].uplink_variance is not None:
@@ -453,7 +450,7 @@ class Analog:
         self.pathloss = policy.pathloss
         self.retries = 0
 
-    def prepare(self, params, recipients, sampled):
+    def prepare(self, params, sampled):
         """Nothing: how much the fades draw depends on the data."""
 
     def downlink(self, i, w, rp, rows, out):
@@ -461,7 +458,7 @@ class Analog:
             w, power=rp.rho_dl, rng=self.down_rng, copies=rp.div_dl,
             receivers=self.receivers, distance=self.distance,
             pathloss=self.pathloss)
-        # ``rows`` are recipients, which local_steps checks; in "raise"
+        # ``rows`` are sampled clients, which local_steps checks; in "raise"
         # mode take would gather into a temporary first.
         received.take(rows, axis=0, out=out, mode="clip")
         self.retries += info["retries"]
@@ -474,23 +471,14 @@ class Analog:
         return agg if self.mt else w + agg, 1.0 / (rp.rho_ul * rp.div_ul)
 
 
-def _initial_model(task, config):
-    w0 = np.zeros(task.dim) if config.w0 is None \
-        else np.array(config.w0, dtype=np.float64, copy=True)
-    if w0.shape != (task.dim,):
-        raise ConfigError("w0 has the wrong dimension")
-    return w0
-
-
 def run_constants(task, config):
     """The task's derived constants as a run of ``config`` uses them: at the
-    run's batch size, over a trajectory ball that scales with the start's
-    distance to the optimum.  They do not depend on the seed, so the
+    run's batch size, over a trajectory ball that scales with the distance
+    from the zero start to the optimum.  They do not depend on the seed, so the
     replicas of a family can share them."""
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
-    initial_sq = squared_distance(_initial_model(task, config),
-                                  task.global_optimum())
+    initial_sq = squared_distance(np.zeros(task.dim), task.global_optimum())
     radius = config.trajectory_radius_factor * max(math.sqrt(initial_sq), 1.0)
     return derive_constants(task, batch, radius)
 
@@ -503,18 +491,23 @@ def run_policy(task, config, constants):
                         config.local_epochs)
 
 
-def round_schedule(policy, config):
-    """Each round's ``(uplink, downlink)`` :class:`RoundPolicy` pair, as the
-    policy gives them for ``config.rounds`` rounds: indexed by round, both
-    directions one object, or by iteration, the uplink's aggregation at tE
-    and the downlink's broadcast at (t-1)E, at least 1.  Like the policy,
-    the same for every seed."""
-    per_round = config.schedule_on == "round"
+def schedule_indices(config):
+    """Each round's ``(uplink, downlink)`` index into the policy's schedule:
+    by round ``(t, t)``; by iteration the uplink's aggregation at tE and the
+    downlink's broadcast at (t-1)E, at least 1."""
+    if config.schedule_on == "round":
+        return [(t, t) for t in range(1, config.rounds + 1)]
     epochs = config.local_epochs
+    return [(t * epochs, max((t - 1) * epochs, 1))
+            for t in range(1, config.rounds + 1)]
+
+
+def round_schedule(policy, config):
+    """Each round's ``(uplink, downlink)`` :class:`RoundPolicy` pair, the
+    policy's at the :func:`schedule_indices`; one object where the two
+    indices agree.  Like the policy, the same for every seed."""
     pairs = []
-    for t in range(1, config.rounds + 1):
-        up, down = (t, t) if per_round \
-            else (t * epochs, max((t - 1) * epochs, 1))
+    for up, down in schedule_indices(config):
         rp_up = policy.round_params(up)
         pairs.append((rp_up, rp_up if down == up
                       else policy.round_params(down)))
@@ -544,14 +537,12 @@ def run(task, config, policy=None, constants=None, schedule=None):
     epochs = config.local_epochs
 
     w_star = constants.opt
-    w0 = _initial_model(task, config)
-    initial_sq = squared_distance(w0, w_star)
+    w = np.zeros(dim)
+    initial_sq = squared_distance(w, w_star)
     radius = constants.trajectory_radius
     lr = LearningRateSchedule.from_constants(constants, epochs)
 
-    train_all = config.virtual_all_clients
     everyone = n_participants == n_clients
-    n_rows = n_clients if train_all else n_participants
     rounds = config.rounds
     etas = lr.etas(rounds * epochs).reshape(rounds, epochs)
     first_etas = etas[:, 0].tolist()
@@ -573,50 +564,45 @@ def run(task, config, policy=None, constants=None, schedule=None):
     # only advance the state and record what the block's trace rows are
     # built from; the received and local models (the ball) give the
     # iterate-ball maximum.
-    w = w0.copy()
     traces = []
     energy_ul = energy_dl = 0.0
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
-    ball = np.empty((span, 2 * n_rows, dim))
-    buffers = step_buffers(span, (n_rows, task.samples_per_client)
-                           if batch_rng is None else (epochs, n_rows, batch),
-                           dim)
+    ball = np.empty((span, 2 * n_participants, dim))
+    buffers = step_buffers(span, (n_participants, task.samples_per_client)
+                           if batch_rng is None
+                           else (epochs, n_participants, batch), dim)
     max_iterate_sq = initial_sq
 
     for start in range(0, rounds, BLOCK):
         ts = range(start + 1, min(start + BLOCK, rounds) + 1)
         params = schedule[start:ts[-1]]
-        # Each round's sampled clients and trained rows: full participation
-        # draws no selection, and the sampling stream is separate, so not
-        # drawing it changes no other draw.
+        # Each round's sampled clients: full participation draws no
+        # selection, and the sampling stream is separate, so not drawing it
+        # changes no other draw.
         sampled = every[:len(ts)] if everyone else np.array(
             [sample_clients(n_clients, n_participants, sampling_rng)
              for _ in ts])
-        recipients = every[:len(ts)] if train_all else sampled
-        channel.prepare(params, recipients, sampled)
+        channel.prepare(params, sampled)
         batches = None if batch_rng is None else _pick(floyd_sample(
             batch_rng.random((len(ts), epochs, n_clients, batch)),
-            task.samples_per_client), recipients)
-        steps = local_steps(task, recipients, batches, etas[start:ts[-1]],
+            task.samples_per_client), sampled)
+        steps = local_steps(task, sampled, batches, etas[start:ts[-1]],
                             buffers)
 
         records = []
         for i, t in enumerate(ts):
             rp_up, rp_down = params[i]
-            # Rows of the sampled clients among the recipients.
-            sel = slice(None) if n_rows == n_participants else sampled[i]
 
             # (1) Downlink broadcast, received into the ball.
-            received = ball[i, :n_rows]
-            channel.downlink(i, w, rp_down, recipients[i], received)
+            received = ball[i, :n_participants]
+            channel.downlink(i, w, rp_down, sampled[i], received)
 
             # (2) Local mini-batch SGD.
-            local = ball[i, n_rows:] = local_train(received, steps[i])
-            sent = local[sel]
+            sent = ball[i, n_participants:] = local_train(received, steps[i])
 
             # (3) Uplink transmission and (4) aggregation.
-            w_next, sigma2 = channel.uplink(i, rp_up, w, sent, received[sel])
+            w_next, sigma2 = channel.uplink(i, rp_up, w, sent, received)
 
             diff = w_next - w_star
             sq = float(diff @ diff)
@@ -645,9 +631,8 @@ def run(task, config, policy=None, constants=None, schedule=None):
 
     max_iterate_dist = math.sqrt(max_iterate_sq)
     return RunResult(
-        traces=traces, constants=constants, lr=lr, initial_model=w0,
-        final_model=w, policy=policy, energy_uplink=energy_ul,
-        energy_downlink=energy_dl,
+        traces=traces, constants=constants, final_model=w, policy=policy,
+        energy_uplink=energy_ul, energy_downlink=energy_dl,
         diagnostics={"max_iterate_distance": max_iterate_dist,
                      "trajectory_radius": radius,
                      "radius_exceeded": max_iterate_dist > radius,

@@ -405,13 +405,11 @@ class Policy:
     def round_params(self, t):
         return self.preset.emit(self, t)
 
-    def schedule_excess(self, t, rp=None):
-        """Relative excess of round t over the schedule, or None; ``rp``
-        is round t's :class:`RoundPolicy`, if the caller holds it."""
+    def schedule_excess(self, t, rp):
+        """Relative excess over the schedule of ``rp``, the
+        :class:`RoundPolicy` built for index t, or None."""
         excess = self.preset.excess
-        if excess is None:
-            return None
-        return excess(self, t, self.round_params(t) if rp is None else rp)
+        return None if excess is None else excess(self, t, rp)
 
 
 def build_policy(name, params, constants, n_clients, n_participants,

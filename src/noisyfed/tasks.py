@@ -10,8 +10,10 @@ built from orthonormal columns), which keeps condition numbers small and
 predictable, and shifts per-client target-generating optima apart to dial in
 heterogeneity.
 
-All datasets have equal size per client; the global objective is the plain
-average of the per-client ones.
+All datasets have equal size per client and are held once, stacked: a task
+is its ``(N, D, d)`` features and ``(N, D)`` targets, and each per-client
+quantity is computed for every client at once.  The global objective is the
+plain average of the per-client ones.
 """
 
 import json
@@ -24,50 +26,23 @@ from .errors import ConfigError, TaskError
 _GRAD_TOL_AT_OPT = 1e-8
 
 
-@dataclass(frozen=True)
-class ClientData:
-    """One client's fixed local dataset."""
-
-    features: np.ndarray  # (size, dim)
-    targets: np.ndarray   # (size,)
-
-    def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        t = np.asarray(self.targets, dtype=np.float64)
-        if f.ndim != 2 or t.ndim != 1 or f.shape[0] != t.shape[0]:
-            raise TaskError("features must be (size, dim) with matching targets")
-        if f.shape[0] < 1:
-            raise TaskError("client dataset must contain at least one sample")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "targets", t)
-
-    @property
-    def size(self):
-        return self.features.shape[0]
-
-
 class QuadraticTask:
-    """A federated least-squares problem over equally sized client datasets."""
+    """A federated least-squares problem over equally sized client datasets,
+    held as the stacked ``(N, D, d)`` features and ``(N, D)`` targets."""
 
-    def __init__(self, clients, ridge, dim):
-        clients = tuple(clients)
-        if not clients:
-            raise TaskError("task needs at least one client")
-        if ridge < 0:
-            raise TaskError("ridge must be non-negative")
-        sizes = {c.size for c in clients}
-        if len(sizes) != 1:
-            raise TaskError("all clients must hold equally sized datasets")
-        for c in clients:
-            if c.features.shape[1] != dim:
-                raise TaskError("client feature dimension does not match task")
-        # Stacked for batched local training, (N, D, d) and (N, D); each
-        # client's data is a view of them, so it is held once.
-        self.features = np.stack([c.features for c in clients])
-        self.targets = np.stack([c.targets for c in clients])
-        self.clients = tuple(map(ClientData, self.features, self.targets))
+    def __init__(self, features, targets, ridge):
+        features = np.array(features, dtype=np.float64)
+        targets = np.array(targets, dtype=np.float64)
+        if features.ndim != 3 or features.shape[:2] != targets.shape \
+                or not features.size:
+            raise TaskError("features must be a non-empty (clients, samples, "
+                            "dim) stack with (clients, samples) targets")
         self.ridge = float(ridge)
-        self.dim = int(dim)
+        if self.ridge < 0:
+            raise TaskError("ridge must be non-negative")
+        self.features = features
+        self.targets = targets
+        self.n_clients, self.samples_per_client, self.dim = features.shape
         # With ridge == 0 a rank-deficient design breaks strong convexity.
         if self.ridge == 0.0:
             eigs = np.linalg.eigvalsh(self._data_hessians())
@@ -75,14 +50,6 @@ class QuadraticTask:
             if deficient.size:
                 raise TaskError(f"client {deficient[0]}: data Hessian is rank "
                                 "deficient and ridge is 0")
-
-    @property
-    def n_clients(self):
-        return len(self.clients)
-
-    @property
-    def samples_per_client(self):
-        return self.clients[0].size
 
     # Each client's value is computed by the products its own (D, d) block
     # would use, stacked over clients, and sums over clients run in order.
@@ -107,9 +74,6 @@ class QuadraticTask:
         """Every client's gradient at ``w``, ``(N, d)``."""
         return self._transposed_products(self._residuals(w)) + self.ridge * w
 
-    def client_gradient(self, k, w):
-        return self.client_gradients(w)[k]
-
     def global_gradient(self, w):
         return np.add.reduce(self.client_gradients(w)) / self.n_clients
 
@@ -121,9 +85,6 @@ class QuadraticTask:
         squares = ((0.5 * residual[:, None]) @ residual[..., None])[:, 0, 0]
         return squares / residual.shape[1] \
             + 0.5 * self.ridge * (w[:, None] @ w[..., None])[:, 0, 0]
-
-    def client_loss(self, k, w):
-        return float(self.client_losses(w)[k])
 
     def global_loss(self, w):
         residual = self.features @ w - self.targets
@@ -145,9 +106,6 @@ class QuadraticTask:
         return np.linalg.solve(hessians, self._transposed_products(
             self.targets)[..., None])[..., 0]
 
-    def client_optimum(self, k):
-        return self.client_optima()[k]
-
     def global_optimum(self):
         hessian = np.add.reduce(self._data_hessians()) / self.n_clients \
             + self.ridge * np.eye(self.dim)
@@ -157,9 +115,8 @@ class QuadraticTask:
 
     def sample_gradient(self, k, w, indices):
         """Gradient of F_k restricted to the given sample rows (plus ridge)."""
-        c = self.clients[k]
-        a = c.features[indices]
-        residual = a @ w - c.targets[indices]
+        a = self.features[k, indices]
+        residual = a @ w - self.targets[k, indices]
         return a.T @ residual / len(indices) + self.ridge * w
 
 
@@ -224,22 +181,21 @@ def make_task(n_clients, dim, samples_per_client, heterogeneity=1.0, ridge=0.1,
         @ rot.transpose(0, 2, 1)
     w_gen = base + heterogeneity * (shift / np.sqrt(dim))
     targets = np.matmul(features, w_gen[..., None])[..., 0] + noise_std * noise
-    return QuadraticTask(map(ClientData, features, targets), ridge=ridge,
-                         dim=dim)
+    return QuadraticTask(features, targets, ridge)
 
 
-def minibatch_gradient_variance(task, k, w, batch):
-    """Exact E||g_batch - grad F_k||^2 at w for without-replacement batches;
-    every client's, as an ``(N,)`` array, for ``k=None``."""
+def minibatch_gradient_variance(task, w, batch):
+    """Every client's exact E||g_batch - grad F_k||^2 for without-replacement
+    batches, ``(N,)``, at ``w`` or at its own row of an ``(N, d)`` array."""
     size = task.samples_per_client
     if not 1 <= batch <= size:
         raise ConfigError(f"batch must be in [1, {size}]")
-    grads = task.features * task._residuals(w)[..., None] + task.ridge * w
+    grads = task.features * task._residuals(w)[..., None] \
+        + task.ridge * w[..., None, :]
     center = grads.mean(axis=1)
     pop_var = np.sum((grads - center[:, None]) ** 2, axis=(1, 2)) / size
     # Variance of a simple-random-sample mean, finite population of size D.
-    variances = pop_var * (size - batch) / (batch * (size - 1))
-    return variances if k is None else float(variances[k])
+    return pop_var * (size - batch) / (batch * (size - 1))
 
 
 def derive_constants(task, batch, trajectory_radius):
@@ -264,8 +220,7 @@ def derive_constants(task, batch, trajectory_radius):
     gamma_noniid = max(0.0, f_star - float(np.mean(
         task.client_losses(task.client_optima()))))
 
-    sgd_var = tuple(minibatch_gradient_variance(task, None, w_star,
-                                                batch).tolist())
+    sgd_var = tuple(minibatch_gradient_variance(task, w_star, batch).tolist())
     # The worst per-sample gradient norm over the trajectory ball, squared: a
     # batch gradient is a mean of per-sample ones, so this dominates
     # E||grad F_k(w, batch)||^2 anywhere in the ball.
@@ -284,7 +239,7 @@ def derive_constants(task, batch, trajectory_radius):
 
 def stochastic_gradient(task, k, w, batch, rng):
     """Unbiased mini-batch gradient of F_k at w (uniform, without replacement)."""
-    size = task.clients[k].size
+    size = task.samples_per_client
     if not 1 <= batch <= size:
         raise ConfigError(f"batch must be in [1, {size}]")
     indices = rng.choice(size, size=batch, replace=False)
@@ -296,19 +251,32 @@ def save_task(task, path):
     payload = {
         "dim": task.dim,
         "ridge": task.ridge,
-        "clients": [
-            {"features": c.features.tolist(), "targets": c.targets.tolist()}
-            for c in task.clients
-        ],
+        "clients": [{"features": f.tolist(), "targets": t.tolist()}
+                    for f, t in zip(task.features, task.targets)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
 def load_task(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    clients = [ClientData(features=np.array(c["features"], dtype=np.float64),
-                          targets=np.array(c["targets"], dtype=np.float64))
-               for c in payload["clients"]]
-    return QuadraticTask(clients=clients, ridge=payload["ridge"], dim=payload["dim"])
+    """Read a task that :func:`save_task` wrote.  A file that cannot be read
+    or does not hold such a task is a :class:`ConfigError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        features, targets = (
+            np.array([c[key] for c in payload["clients"]], dtype=np.float64)
+            for key in ("features", "targets"))
+        if features.ndim != 3 or features.shape[2] != payload["dim"]:
+            raise TaskError(f"features must be (samples, {payload['dim']}) "
+                            "per client")
+        return QuadraticTask(features, targets, payload["ridge"])
+    except OSError as exc:
+        raise ConfigError(f"task file {path}: cannot read ({exc.strerror})") \
+            from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"task file {path}: invalid JSON ({exc})") from exc
+    except KeyError as exc:
+        raise ConfigError(f"task file {path}: missing key {exc}") from exc
+    except (ValueError, TypeError, TaskError) as exc:
+        raise ConfigError(f"task file {path}: {exc}") from exc

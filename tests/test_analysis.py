@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,10 +178,9 @@ def _one_step_z(task, constants, seed):
     report = sgd_one_step_oracle(task, state, lr, iter_index=4, batch=batch,
                                  replicas=100_000, rng=rng,
                                  constants=constants)
-    grads = np.stack([task.client_gradient(k, w) for k, w in enumerate(state)])
+    grads = task.client_gradients(state)
     mean_step = (state - eta * grads).mean(axis=0) - constants.opt
-    variance = sum(minibatch_gradient_variance(task, k, w, batch)
-                   for k, w in enumerate(state))
+    variance = minibatch_gradient_variance(task, state, batch).sum()
     exact = mean_step @ mean_step + eta ** 2 / task.n_clients ** 2 * variance
     return (report.estimate - exact) / (report.tolerance / 4.0)
 
@@ -207,6 +208,25 @@ def test_differential_upload_oracle_bound(small_task, small_constants, rng):
         replicas=10_000, rng=rng)
     assert report.passed
     assert report.estimate <= report.reference
+
+
+def test_differential_upload_oracle_holds_few_replica_blocks(
+        small_task, small_constants, rng):
+    # The oracle keeps an (N, R, d) block each for the receptions (reused
+    # for the differentials), the trained models and the uplink noise, plus
+    # gathers of K of N rows; six blocks would mean temporaries of full size.
+    replicas = 20_000
+    block = small_task.n_clients * replicas * small_task.dim * 8
+    tracemalloc.start()
+    try:
+        differential_upload_oracle(
+            small_task, w_prev=small_constants.opt + 0.5, n_participants=2,
+            snr_target=10.0, downlink_variance=0.1, local_epochs=1, batch=3,
+            replicas=replicas, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * block
 
 
 def test_bound_spec_validation():

@@ -62,9 +62,11 @@ def test_cross_stream_independence():
 
 def test_ota_noise_disabled_gives_exact_mean(rng):
     models = rng.normal(size=(3, 16))
-    agg, info = analog_uplink_aggregate(models, power=2.0, rng=rng,
-                                        noise_scale=0.0)
+    agg, info = analog_uplink_aggregate(models, power=math.inf, rng=rng)
     assert np.allclose(agg, models.mean(axis=0), atol=1e-12)
+    received, _ = analog_downlink_receive(models[0], power=math.inf, rng=rng,
+                                          copies=2, receivers=3)
+    assert np.array_equal(received, np.tile(models[0], (3, 1)))
 
 
 def test_ota_high_power_limit(rng):
@@ -293,7 +295,7 @@ def _reference_retries(fades, rng, floor, max_retries):
 
 def _reference_downlink(v, power, rng, copies=1, receivers=1, distance=1.0,
                         pathloss=2.0, floor=0.05, max_retries=10,
-                        noise_scale=1.0, noise_first=False):
+                        noise_first=False):
     shape = (receivers,) + v.shape
     if noise_first:
         noise = rng.standard_normal(shape)
@@ -308,18 +310,18 @@ def _reference_downlink(v, power, rng, copies=1, receivers=1, distance=1.0,
     gain2 = power * distance ** (-pathloss)
     estimates = []
     for r in range(receivers):
-        std = np.sqrt(1.0 / (gains[r] * gain2)) * noise_scale
+        std = np.sqrt(1.0 / (gains[r] * gain2))
         estimates.append(v + std * noise[r])
     return np.stack(estimates), {"retries": retries}
 
 
 def _reference_uplink(models, power, rng, copies=1, floor=0.05,
-                      max_retries=10, noise_scale=1.0):
+                      max_retries=10):
     retries = _reference_retries(copies * models.size, rng, floor,
                                  max_retries)
     noise = rng.standard_normal(models.shape[1])
     return models.mean(axis=0) \
-        + noise * (noise_scale / math.sqrt(power * copies)), \
+        + noise * (1.0 / math.sqrt(power * copies)), \
         {"retries": retries}
 
 
@@ -350,9 +352,9 @@ def _downlink_digest(fn, **extra):
         floor=floor, **extra))
 
 
-def _uplink_digest(fn, **extra):
+def _uplink_digest(fn, power=3.0):
     return _analog_digest(lambda rng, copies, floor: fn(
-        _UPLINK_MODELS, 3.0, rng, copies=copies, floor=floor, **extra))
+        _UPLINK_MODELS, power, rng, copies=copies, floor=floor))
 
 
 def _diversity_run_digest(task):
@@ -376,7 +378,7 @@ def test_analog_downlink_matches_golden():
 
 def test_analog_uplink_matches_golden():
     assert _uplink_digest(analog_uplink_aggregate) == GOLDEN_UPLINK
-    assert _uplink_digest(analog_uplink_aggregate, noise_scale=0.0) \
+    assert _uplink_digest(analog_uplink_aggregate, power=math.inf) \
         == GOLDEN_UPLINK_SILENT
 
 

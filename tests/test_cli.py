@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from noisyfed import ChannelError, ConfigError, make_task, run, save_task
-from noisyfed import cli, policies
+from noisyfed import (ChannelError, ConfigError, RunConfig, make_task, run,
+                      save_task)
+from noisyfed import cli, config, policies
 from noisyfed.cli import main
 from noisyfed.config import load_experiment, parse_experiment
 from noisyfed.traceio import read_trace
@@ -69,6 +71,12 @@ def test_missing_required_key():
         parse_experiment(doc)
 
 
+def test_run_config_fields_are_the_run_keys():
+    # A run input the experiment file cannot set is one no run reaches.
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert fields - {"policy_name", "policy_params"} == set(config._RUN_KEYS)
+
+
 def test_bound_check_requires_schedule_policy():
     doc = experiment_doc(policy={"name": "equal_power",
                                  "params": {"snr_db": 10}})
@@ -122,13 +130,13 @@ def test_one_worker_builds_the_task_once_per_family(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("schedule_on, per_round", [("round", 1),
-                                                    ("iteration", 3)])
+                                                    ("iteration", 2)])
 def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch,
                                                 schedule_on, per_round):
     # The replicas and the schedule check share the family's round schedule:
     # one call per round, whatever the number of replicas.  On the iteration
-    # timeline the uplink and downlink read two other iterations, and the
-    # schedule check asks for the round itself: three calls per round.
+    # timeline the uplink and downlink read two other iterations: two calls
+    # per round.
     calls = []
     round_params = policies.Policy.round_params
 
@@ -143,6 +151,37 @@ def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == per_round * doc["run"]["rounds"]
+
+
+def _louder_past(rounds):
+    """mt_partial's emit, with twice its variances at indices past
+    ``rounds``."""
+    def emit(p, t):
+        rp = policies._mt_partial(p, t)
+        return rp if t <= rounds else dataclasses.replace(
+            rp, uplink_variance=2 * rp.uplink_variance,
+            downlink_variance=2 * rp.downlink_variance)
+    return emit
+
+
+@pytest.mark.parametrize("schedule_on, passed", [("round", True),
+                                                 ("iteration", False)])
+def test_schedule_check_judges_what_the_run_used(tmp_path, monkeypatch,
+                                                 schedule_on, passed):
+    # Negative control: a policy twice as loud only past index 12.  A
+    # 12-round run on the iteration timeline (E=2) uses indices up to 24, so
+    # its schedule check must fail; by round it uses 1..12 and passes.
+    monkeypatch.setitem(policies.PRESETS, "mt_partial", dataclasses.replace(
+        policies.PRESETS["mt_partial"], emit=_louder_past(12)))
+    doc = experiment_doc(replicas=1, checks=[{"kind": "schedule"}])
+    doc["run"].update(rounds=12, local_epochs=2, schedule_on=schedule_on)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) \
+        == (0 if passed else 1)
+    [check] = json.loads((out / "summary.json").read_text())["checks"]
+    assert check["passed"] is passed
+    if not passed:
+        assert check["estimate"] == pytest.approx(1.0)
 
 
 def test_run_with_task_file(tmp_path):
@@ -378,6 +417,57 @@ def test_sweep_missing_axis_usage_error(tmp_path):
     cfg = write_config(tmp_path, experiment_doc())
     assert main(["sweep", cfg, "--axis", "run.nope", "--values", "1",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def _task_payload(**overrides):
+    task = make_task(n_clients=4, dim=3, samples_per_client=6, seed=1)
+    payload = {"dim": 3, "ridge": 0.1, "clients": [
+        {"features": f.tolist(), "targets": t.tolist()}
+        for f, t in zip(task.features, task.targets)]}
+    payload.update(overrides)
+    return json.dumps(payload)
+
+
+def _ragged_payload():
+    payload = json.loads(_task_payload())
+    payload["clients"][1]["features"].pop()
+    payload["clients"][1]["targets"].pop()
+    return json.dumps(payload)
+
+
+# name -> (experiment file text or None for the default, task file text or
+# None for none); each names the file that is wrong.
+_MALFORMED_FILES = {
+    "missing_experiment": ("missing", None),
+    "experiment_not_json": ("{not json", None),
+    "missing_task": (None, "missing"),
+    "task_not_json": (None, "{not json"),
+    "task_without_clients": (None, json.dumps({"dim": 3, "ridge": 0.1})),
+    "task_ridge_not_number": (None, _task_payload(ridge="x")),
+    "task_ragged": (None, _ragged_payload()),
+    "task_dim_mismatch": (None, _task_payload(dim=4)),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_FILES)
+def test_malformed_file_is_usage_error(tmp_path, capsys, case):
+    experiment_text, task_text = _MALFORMED_FILES[case]
+    exp_path, task_path = tmp_path / "exp.json", tmp_path / "task.json"
+    doc = experiment_doc(checks=[])
+    doc["run"]["n_participants"] = 2
+    if task_text is not None:
+        doc["task"] = {"file": str(task_path)}
+        if task_text != "missing":
+            task_path.write_text(task_text)
+    if experiment_text != "missing":
+        exp_path.write_text(experiment_text or json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(exp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    named = exp_path if task_text is None else task_path
+    assert err.startswith("error: ") and str(named) in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_load_experiment_bad_json(tmp_path):

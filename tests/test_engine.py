@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from noisyfed import (AggregationError, ClientData, ConfigError,
-                      DivergenceError, LearningRateSchedule, QuadraticTask,
-                      RunConfig, aggregate, downlink_broadcast, local_steps,
-                      local_train, make_task, run, sample_clients,
-                      uplink_transmit)
+from noisyfed import (AggregationError, ConfigError, DivergenceError,
+                      LearningRateSchedule, QuadraticTask, RunConfig,
+                      aggregate, downlink_broadcast, local_steps, local_train,
+                      make_task, run, sample_clients, uplink_transmit)
 from noisyfed import NoiseSpec, PolicyError, engine
 from noisyfed.channel import sample_noise
 from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
@@ -91,9 +90,7 @@ def test_local_train_fixed_point():
     # Targets consistent with the start point and no ridge: zero gradient.
     features = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w0 = np.array([2.0, -1.0])
-    task = QuadraticTask(
-        clients=[ClientData(features=features, targets=features @ w0)],
-        ridge=0.0, dim=2)
+    task = QuadraticTask([features], [features @ w0], ridge=0.0)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
     out = local_train(w0[None], local_steps(task, [0], None, lr.etas(5)))[0]
     assert np.allclose(out, w0, atol=1e-14)
@@ -102,9 +99,7 @@ def test_local_train_fixed_point():
 def test_local_train_single_full_batch_step():
     features = np.array([[1.0, 2.0], [3.0, -1.0]])
     targets = np.array([1.0, 0.5])
-    task = QuadraticTask(
-        clients=[ClientData(features=features, targets=targets)],
-        ridge=0.1, dim=2)
+    task = QuadraticTask([features], [targets], ridge=0.1)
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
     w0 = np.array([0.3, -0.2])
     out = local_train(w0[None], local_steps(task, [0], None, lr.etas(1)))[0]
@@ -115,7 +110,7 @@ def test_local_train_single_full_batch_step():
 def test_local_full_batch_descent_is_contraction():
     task = make_task(n_clients=1, dim=4, samples_per_client=10, ridge=0.2,
                      noise_std=1.0, seed=6)
-    opt = task.client_optimum(0)
+    opt = task.client_optima()[0]
     lr = LearningRateSchedule(mu=1.0, kappa=1.0, local_epochs=1)
     w = opt + 3.0
     dists = [float(np.sum((w - opt) ** 2))]
@@ -178,9 +173,9 @@ def test_degenerate_run_equals_plain_gradient_descent():
     result = run(task, cfg)
 
     w = np.zeros(4)
-    lr = result.lr
+    lr = result.policy.lr
     for t in range(1, 41):
-        w = w - lr.eta(t) * task.client_gradient(0, w)
+        w = w - lr.eta(t) * task.client_gradients(w)[0]
     assert np.allclose(result.final_model, w, atol=1e-12)
     opt = task.global_optimum()
     assert result.traces[-1].sq_dist == pytest.approx(
@@ -194,40 +189,6 @@ def test_identical_seeds_identical_traces(small_task):
     b = run(small_task, RunConfig(**kw))
     assert all(x.as_row() == y.as_row() for x, y in zip(a.traces, b.traces))
     assert np.array_equal(a.final_model, b.final_model)
-
-
-def test_virtual_process_equivalence(small_task):
-    # Training every client but aggregating only the sampled ones reproduces
-    # the sampled-only run exactly, for both transmission modes, every trace
-    # column included.
-    for mode, policy, params in (("MT", "mt_partial", {}),
-                                 ("MDT", "mdt_constant_snr",
-                                  {"snr_target": 5.0})):
-        kw = dict(n_participants=2, rounds=10, local_epochs=2, batch_size=3,
-                  mode=mode, policy_name=policy, policy_params=params, seed=4)
-        plain = run(small_task, RunConfig(**kw))
-        virtual = run(small_task, RunConfig(**kw, virtual_all_clients=True))
-        assert np.array_equal(plain.final_model, virtual.final_model)
-        assert [x.as_row() for x in plain.traces] \
-            == [y.as_row() for y in virtual.traces]
-
-
-def test_analog_virtual_process_equivalence(small_task):
-    # The analog downlink draws a row for every client, sampled or not, so
-    # training all clients changes no sampled client's reception.
-    for mode in TRANSMISSION_MODES:
-        kw = dict(n_participants=2, rounds=10, local_epochs=2, batch_size=3,
-                  mode=mode, channel="analog_physical",
-                  policy_name="diversity_t2",
-                  policy_params={"rho_uplink": 5.0, "rho_downlink": 5.0},
-                  seed=4)
-        plain = run(small_task, RunConfig(**kw))
-        virtual = run(small_task, RunConfig(**kw, virtual_all_clients=True))
-        assert np.array_equal(plain.final_model, virtual.final_model)
-        assert [x.as_row() for x in plain.traces] \
-            == [y.as_row() for y in virtual.traces]
-        assert plain.diagnostics["fade_retries"] \
-            == virtual.diagnostics["fade_retries"]
 
 
 def test_divergence_guard_aborts_with_partial_trace(small_task):
@@ -669,14 +630,14 @@ def test_batched_local_sgd_matches_per_client_loop(small_task,
             eta = lr.eta(6 + j)
             w_sampled = w_sampled - eta * small_task.sample_gradient(
                 k, w_sampled, batches[j - 1, i])
-            w_full = w_full - eta * small_task.client_gradient(k, w_full)
+            w_full = w_full - eta * small_task.client_gradients(w_full)[k]
         np.testing.assert_allclose(sampled[i], w_sampled, rtol=1e-13)
         np.testing.assert_allclose(full[i], w_full, rtol=1e-13)
 
 
 def _first_nonfinite_step(task, client, w, lr, n_steps):
     for j in range(1, n_steps + 1):
-        w = w - lr.eta(j) * task.client_gradient(client, w)
+        w = w - lr.eta(j) * task.client_gradients(w)[client]
         if not np.all(np.isfinite(w)):
             return j
     return None

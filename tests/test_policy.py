@@ -270,11 +270,12 @@ def test_policy_round_params_and_excess(small_constants):
         sampled = n if name == "mt_full" else k
         policy = build_policy(name, params, small_constants, n, sampled,
                               epochs)
-        assert max(policy.schedule_excess(t) for t in range(1, 100)) <= 1e-9
+        assert max(policy.schedule_excess(t, policy.round_params(t))
+                   for t in range(1, 100)) <= 1e-9
         louder = build_policy(name, dict(params, variance_scale=2.0),
                               small_constants, n, sampled, epochs)
         if name != "diversity_t2":
-            assert max(louder.schedule_excess(t)
+            assert max(louder.schedule_excess(t, louder.round_params(t))
                        for t in range(1, 100)) > 0.5
 
 

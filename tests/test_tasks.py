@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from noisyfed import (ClientData, ConfigError, QuadraticTask, TaskError,
-                      derive_constants, load_task, make_task, save_task,
-                      stochastic_gradient)
+from noisyfed import (ConfigError, QuadraticTask, TaskError, derive_constants,
+                      load_task, make_task, save_task, stochastic_gradient)
 from noisyfed.cli import _verify_task
 from noisyfed.tasks import minibatch_gradient_variance
 
@@ -16,16 +15,15 @@ from noisyfed.tasks import minibatch_gradient_variance
 def test_make_task_deterministic_in_seed():
     a = make_task(n_clients=3, dim=4, samples_per_client=6, seed=9)
     b = make_task(n_clients=3, dim=4, samples_per_client=6, seed=9)
-    for ca, cb in zip(a.clients, b.clients):
-        assert np.array_equal(ca.features, cb.features)
-        assert np.array_equal(ca.targets, cb.targets)
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.targets, b.targets)
 
 
 def test_single_client_optimum_is_ridge_solution():
     task = make_task(n_clients=1, dim=3, samples_per_client=8, ridge=0.2,
                      noise_std=1.0, seed=2)
     con = derive_constants(task, batch=8, trajectory_radius=5.0)
-    assert np.allclose(con.opt, task.client_optimum(0), atol=1e-12)
+    assert np.allclose(con.opt, task.client_optima()[0], atol=1e-12)
     assert con.gamma_noniid == 0.0
 
 
@@ -41,8 +39,8 @@ def test_iid_limit_gamma_near_zero():
 def test_identical_clients_give_exactly_zero_gamma():
     base = make_task(n_clients=1, dim=3, samples_per_client=6, ridge=0.1,
                      seed=3)
-    clone = base.clients[0]
-    task = QuadraticTask(clients=[clone, clone, clone], ridge=0.1, dim=3)
+    task = QuadraticTask(np.repeat(base.features, 3, axis=0),
+                         np.repeat(base.targets, 3, axis=0), ridge=0.1)
     con = derive_constants(task, batch=6, trajectory_radius=5.0)
     assert con.gamma_noniid == 0.0
 
@@ -52,10 +50,7 @@ def test_two_client_optimum_matches_normal_equations():
                 np.array([[2.0, 0.0], [0.0, 1.0], [1.0, -1.0]])]
     targets = [np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])]
     ridge = 0.3
-    task = QuadraticTask(
-        clients=[ClientData(features=f, targets=t)
-                 for f, t in zip(features, targets)],
-        ridge=ridge, dim=2)
+    task = QuadraticTask(features, targets, ridge)
     # Independent dense solve of the stacked normal equations.
     h = sum(f.T @ f / 3.0 for f in features) / 2.0 + ridge * np.eye(2)
     b = sum(f.T @ t / 3.0 for f, t in zip(features, targets)) / 2.0
@@ -66,9 +61,7 @@ def test_two_client_optimum_matches_normal_equations():
 def test_rank_deficient_without_ridge_rejected():
     features = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(TaskError):
-        QuadraticTask(clients=[ClientData(features=features,
-                                          targets=np.ones(3))],
-                      ridge=0.0, dim=2)
+        QuadraticTask([features], [np.ones(3)], ridge=0.0)
 
 
 def test_full_batch_has_zero_sgd_variance(small_task):
@@ -88,7 +81,7 @@ def test_gamma_matches_independent_minimizer(small_task):
                             method="BFGS", tol=1e-12)
     client_minima = []
     for k in range(n):
-        rk = optimize.minimize(lambda w, kk=k: small_task.client_loss(kk, w),
+        rk = optimize.minimize(lambda w, kk=k: small_task.client_losses(w)[kk],
                                np.zeros(small_task.dim), method="BFGS",
                                tol=1e-12)
         client_minima.append(rk.fun)
@@ -124,11 +117,11 @@ def test_full_batch_gradient_is_exact(small_task, rng):
     w = rng.normal(size=small_task.dim)
     g = stochastic_gradient(small_task, 0, w, small_task.samples_per_client,
                             rng)
-    assert np.allclose(g, small_task.client_gradient(0, w), atol=1e-12)
+    assert np.allclose(g, small_task.client_gradients(w)[0], atol=1e-12)
 
 
 def test_full_batch_gradient_zero_at_client_optimum(small_task, rng):
-    w = small_task.client_optimum(2)
+    w = small_task.client_optima()[2]
     g = stochastic_gradient(small_task, 2, w, small_task.samples_per_client,
                             rng)
     assert np.linalg.norm(g) <= 1e-10
@@ -141,7 +134,7 @@ def test_batch_mean_over_all_batches_is_exact_gradient(rng):
     w = rng.normal(size=3)
     grads = [task.sample_gradient(0, w, list(idx))
              for idx in combinations(range(5), 2)]
-    assert np.allclose(np.mean(grads, axis=0), task.client_gradient(0, w),
+    assert np.allclose(np.mean(grads, axis=0), task.client_gradients(w)[0],
                        atol=1e-12)
 
 
@@ -149,18 +142,18 @@ def test_minibatch_variance_matches_enumeration(rng):
     task = make_task(n_clients=1, dim=3, samples_per_client=5, ridge=0.1,
                      noise_std=2.0, seed=8)
     w = rng.normal(size=3)
-    exact = task.client_gradient(0, w)
+    exact = task.client_gradients(w)[0]
     sq_devs = [float(np.sum((task.sample_gradient(0, w, list(idx)) - exact) ** 2))
                for idx in combinations(range(5), 2)]
     oracle = float(np.mean(sq_devs))
-    formula = minibatch_gradient_variance(task, 0, w, 2)
+    formula = minibatch_gradient_variance(task, w, 2)[0]
     assert formula == pytest.approx(oracle, rel=1e-10)
 
 
 def test_stochastic_gradient_unbiased(small_task, small_constants, rng):
     k, batch, draws = 1, 3, 20_000
     w = small_constants.opt + rng.normal(size=small_task.dim)
-    exact = small_task.client_gradient(k, w)
+    exact = small_task.client_gradients(w)[k]
     samples = np.array([stochastic_gradient(small_task, k, w, batch, rng)
                         for _ in range(draws)])
     se = samples.std(axis=0, ddof=1) / np.sqrt(draws)
@@ -171,7 +164,7 @@ def test_empirical_variance_at_optimum_below_derived(small_task,
                                                      small_constants, rng):
     k, batch, draws = 0, 3, 20_000
     w = small_constants.opt
-    exact = small_task.client_gradient(k, w)
+    exact = small_task.client_gradients(w)[k]
     sq = np.empty(draws)
     for i in range(draws):
         g = stochastic_gradient(small_task, k, w, batch, rng)
@@ -198,10 +191,10 @@ def test_batch_larger_than_data_rejected(small_task, rng):
 
 
 def test_unequal_client_sizes_rejected():
-    a = ClientData(features=np.eye(2), targets=np.zeros(2))
-    b = ClientData(features=np.eye(2)[:1], targets=np.zeros(1))
+    # Stacked arrays hold equal sizes; targets of another size are rejected
+    # (a ragged task file: tests/test_cli.py).
     with pytest.raises(TaskError):
-        QuadraticTask(clients=[a, b], ridge=0.1, dim=2)
+        QuadraticTask(np.ones((2, 2, 2)), np.zeros((2, 1)), ridge=0.1)
 
 
 def test_save_load_round_trip(tmp_path, small_task):
@@ -210,9 +203,8 @@ def test_save_load_round_trip(tmp_path, small_task):
     loaded = load_task(path)
     assert loaded.ridge == small_task.ridge
     assert loaded.dim == small_task.dim
-    for ca, cb in zip(loaded.clients, small_task.clients):
-        assert np.array_equal(ca.features, cb.features)
-        assert np.array_equal(ca.targets, cb.targets)
+    assert np.array_equal(loaded.features, small_task.features)
+    assert np.array_equal(loaded.targets, small_task.targets)
 
 
 # SHA-256 of each task's make_task arrays and of every derive_constants field,
