@@ -438,11 +438,11 @@ def _axis_lookup(doc, axis):
 
 def _parse_values(text):
     values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        value = float(chunk)
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        try:
+            value = float(chunk)
+        except ValueError:
+            raise ConfigError(f"--values: {chunk!r} is not a number") from None
         values.append(int(value) if value.is_integer() else value)
     if not values:
         raise ConfigError("--values must list at least one number")
@@ -465,7 +465,7 @@ def cmd_sweep(args):
         pnode, pleaf = _axis_lookup(point, args.axis)
         pnode[pleaf] = int(value) if was_int and float(value).is_integer() \
             else value
-        point_exp = parse_experiment(point, source=f"{args.axis}={value}")
+        point_exp = parse_experiment(point, source=f"sweep[{args.axis}={value}]")
         if args.replicas is not None:
             point_exp.replicas = args.replicas
         base_seed = args.seed if args.seed is not None \

@@ -34,8 +34,6 @@ _RUN_KEYS = {
     "distribution": str,
     "seed": int,
     "schedule_on": str,
-    "divergence_factor": (int, float),
-    "trajectory_radius_factor": (int, float),
 }
 _RUN_REQUIRED = ("n_participants", "rounds")
 

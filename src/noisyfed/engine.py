@@ -12,7 +12,8 @@ does not depend on the iterate is prepared first, local SGD's inputs included
 (gathered into buffers allocated once per run), its rounds only advance the
 state and check the divergence guard, and its trace rows (named tuples) and
 iterate-ball maximum are built at its end, each row from its own round
-alone, so the block size changes no output.
+alone, so the block size changes no output.  The guard and the trajectory
+ball of the gradient bound are fixed, not run options.
 
 Every run starts from the zero model.  Randomness follows stream layout 7
 (:mod:`noisyfed.seeding`): round t reads the t-th block of its domain's
@@ -56,6 +57,11 @@ TRANSMISSION_MODES = ("MT", "MDT")
 CHANNEL_LAYERS = ("effective_noise", "analog_physical")
 SCHEDULE_TIMELINES = ("round", "iteration")
 
+#: The radius of the gradient bound's ball about the optimum over
+#: ``max(||w*||, 1)``, and the divergence guard over ``max(||w*||^2, 1)``.
+TRAJECTORY_RADIUS_FACTOR = 2.0
+DIVERGENCE_FACTOR = 1e6
+
 
 class RoundTrace(NamedTuple):
     """Observables recorded after each aggregation round, in the order of
@@ -96,8 +102,6 @@ class RunConfig:
     policy_name: str = "noise_free"
     policy_params: dict = field(default_factory=dict)
     schedule_on: str = "round"
-    divergence_factor: float = 1e6
-    trajectory_radius_factor: float = 2.0
 
     def __post_init__(self):
         if self.n_participants < 1 or self.rounds < 1 or self.local_epochs < 1:
@@ -125,10 +129,6 @@ class RunConfig:
                               "'effective_noise', not 'analog_physical'")
         if self.schedule_on not in SCHEDULE_TIMELINES:
             raise ConfigError(f"schedule_on must be one of {SCHEDULE_TIMELINES}")
-        if self.divergence_factor <= 1:
-            raise ConfigError("divergence_factor must exceed 1")
-        if self.trajectory_radius_factor <= 0:
-            raise ConfigError("trajectory_radius_factor must be positive")
 
 
 @dataclass
@@ -473,13 +473,13 @@ class Analog:
 
 def run_constants(task, config):
     """The task's derived constants as a run of ``config`` uses them: at the
-    run's batch size, over a trajectory ball that scales with the distance
-    from the zero start to the optimum.  They do not depend on the seed, so the
-    replicas of a family can share them."""
+    run's batch size, over the ball of radius ``2 max(||w*||, 1)`` about the
+    optimum (``TRAJECTORY_RADIUS_FACTOR``).  They do not depend on the seed,
+    so the replicas of a family can share them."""
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
     initial_sq = squared_distance(np.zeros(task.dim), task.global_optimum())
-    radius = config.trajectory_radius_factor * max(math.sqrt(initial_sq), 1.0)
+    radius = TRAJECTORY_RADIUS_FACTOR * max(math.sqrt(initial_sq), 1.0)
     return derive_constants(task, batch, radius)
 
 
@@ -556,7 +556,7 @@ def run(task, config, policy=None, constants=None, schedule=None):
         else stream(config.seed, DOMAIN_BATCH)
 
     # Divergence guard; floored so a start at the optimum still tolerates noise.
-    guard = config.divergence_factor * max(initial_sq, 1.0)
+    guard = DIVERGENCE_FACTOR * max(initial_sq, 1.0)
 
     # Rounds run in blocks of BLOCK.  What a block needs that does not
     # depend on the iterate is prepared first: round parameters, client

@@ -203,7 +203,8 @@ def derive_constants(task, batch, trajectory_radius):
     if trajectory_radius <= 0:
         raise ConfigError("trajectory_radius must be positive")
     if not 1 <= batch <= task.samples_per_client:
-        raise ConfigError("batch exceeds the smallest client dataset")
+        raise ConfigError(f"batch {batch} must be in "
+                          f"[1, {task.samples_per_client}]")
 
     eigs = np.linalg.eigvalsh(task._data_hessians())
     indefinite = np.flatnonzero(eigs[:, 0] + task.ridge <= 0)

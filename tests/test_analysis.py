@@ -147,14 +147,14 @@ def test_client_sampling_oracle_identical_models():
     assert report.estimate == 0.0
 
 
-def test_client_sampling_oracle_monte_carlo_path(rng):
-    # C(25, 12) is far beyond the exhaustive limit.
-    models = rng.normal(size=(25, 4))
-    report = client_sampling_oracle(models, n_participants=12, eta=1.0,
-                                    local_epochs=5, grad_bound=1e4,
-                                    replicas=20_000, rng=rng)
-    assert "monte-carlo" in report.detail
-    assert report.passed
+def test_client_sampling_oracle_rejects_too_many_subsets(rng):
+    # C(25, 12) is far beyond the enumeration limit; C(15, 5) is within it.
+    assert client_sampling_oracle(rng.normal(size=(15, 4)), n_participants=5,
+                                  eta=1.0, local_epochs=5,
+                                  grad_bound=1e4).detail == "exhaustive"
+    with pytest.raises(ConfigError, match="5200300 client subsets exceed"):
+        client_sampling_oracle(rng.normal(size=(25, 4)), n_participants=12,
+                               eta=1.0, local_epochs=5, grad_bound=1e4)
 
 
 def test_sgd_one_step_oracle_passes(small_task, small_constants, rng):

@@ -199,7 +199,6 @@ def test_run_reports_divergence(tmp_path):
     doc = experiment_doc(policy={"name": "equal_power",
                                  "params": {"snr_db": -70.0}})
     doc["checks"] = []
-    doc["run"]["divergence_factor"] = 100.0
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 1
@@ -419,6 +418,22 @@ def test_sweep_missing_axis_usage_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("values, message", [
+    ("abc", "error: --values: 'abc' is not a number"),
+    ("1,x", "error: --values: 'x' is not a number"),
+    ("20.5", "error: sweep[run.rounds=20.5].run.rounds: expected int, "
+             "got float"),
+], ids=["letters", "second_chunk", "float_for_int"])
+def test_sweep_bad_value_is_usage_error(tmp_path, capsys, values, message):
+    cfg = write_config(tmp_path, experiment_doc())
+    out = tmp_path / "o"
+    assert main(["sweep", cfg, "--axis", "run.rounds", "--values", values,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _task_payload(**overrides):
     task = make_task(n_clients=4, dim=3, samples_per_client=6, seed=1)
     payload = {"dim": 3, "ridge": 0.1, "clients": [
@@ -508,6 +523,30 @@ def test_negative_seed_override_is_usage_error(tmp_path, capsys, command):
             "verify": ["verify", "lemmas"]}[command]
     assert main(argv + ["--seed", "-1"]) == 2
     assert "error: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("trajectory_radius_factor", 1e100),
+                                        ("divergence_factor", 100.0)])
+def test_retired_run_key_is_usage_error(tmp_path, capsys, key, value):
+    doc = experiment_doc()
+    doc["run"][key] = value
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"run.{key}: unknown key" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("batch", [0, -2, 13])
+def test_batch_outside_client_dataset_is_usage_error(tmp_path, capsys, batch):
+    doc = experiment_doc()      # 12 samples per client
+    doc["run"]["batch_size"] = batch
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: batch {batch} must be in [1, 12]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_negative_config_seed_is_usage_error(tmp_path, capsys):

@@ -194,8 +194,7 @@ def test_identical_seeds_identical_traces(small_task):
 def test_divergence_guard_aborts_with_partial_trace(small_task):
     cfg = RunConfig(n_participants=3, rounds=50, local_epochs=2, batch_size=3,
                     mode="MT", policy_name="equal_power",
-                    policy_params={"snr_db": -70.0}, seed=2,
-                    divergence_factor=100.0)
+                    policy_params={"snr_db": -70.0}, seed=2)
     with pytest.raises(DivergenceError) as excinfo:
         run(small_task, cfg)
     # One row per round up to the one that tripped the guard.
