@@ -141,11 +141,15 @@ class RateFit:
     excluded: int = 0
 
 
+#: The fewest usable points :func:`fit_rate` fits.
+MIN_FIT_POINTS = 10
+
+
 def fit_rate(rounds, values, window):
     """Fit log(value) = slope * log(t) + intercept over ``window = (lo, hi)``.
 
     Nonpositive values inside the window are excluded and counted; at least
-    ten usable points are required.
+    ``MIN_FIT_POINTS`` usable points are required.
     """
     rounds = np.asarray(rounds, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -153,7 +157,7 @@ def fit_rate(rounds, values, window):
     in_window = (rounds >= lo) & (rounds <= hi)
     usable = in_window & (values > 0)
     excluded = int(in_window.sum() - usable.sum())
-    if usable.sum() < 10:
+    if usable.sum() < MIN_FIT_POINTS:
         raise ConfigError("rate fit needs at least 10 positive points in window")
     x = np.log(rounds[usable])
     y = np.log(values[usable])

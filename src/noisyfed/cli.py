@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, traceio
 from .config import load_experiment, parse_experiment
 from .engine import (RunConfig, round_schedule, run, run_constants,
-                     run_policy, schedule_indices)
+                     run_policy)
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
 from .policies import (PRESETS, LearningRateSchedule, mt_full_noise,
@@ -106,16 +106,15 @@ def _bound_spec(result):
     )
 
 
-def _run_replicas(task, experiment, constants, policy, schedule, replicas,
-                  base_seed):
-    """Run the given replicas of an experiment on one task, with the
-    family's constants, policy and round schedule."""
+def _run_replicas(setup, experiment, replicas, base_seed):
+    """Run the given replicas of an experiment on its family's
+    :func:`family_setup`."""
+    task, *shared = setup
     results = []
     for replica in replicas:
         try:
             result, error = run(task, replica_config(
-                experiment, replica, base_seed), policy, constants,
-                schedule), None
+                experiment, replica, base_seed), *shared), None
         except DivergenceError as exc:
             result, error = None, {"kind": "divergence", "error": str(exc)}
         except ChannelError as exc:
@@ -128,8 +127,8 @@ class Family(NamedTuple):
     """A seed family's outcome: the completed ``(replica, result)`` pairs,
     the diverged or failed replicas as ``{"replica", "kind", "error"}``
     entries, the mean trace of the completed replicas (empty arrays when none
-    completed), the policy every replica ran and its round schedule
-    (:func:`engine.round_schedule`)."""
+    completed), the policy every replica ran and its round schedule, one
+    :class:`RoundPolicy` per round (:func:`engine.round_schedule`)."""
 
     completed: list
     diverged: list
@@ -140,29 +139,33 @@ class Family(NamedTuple):
     schedule: list
 
 
-def run_family(experiment, base_seed, workers=1):
-    """Run an experiment's replicas, seeded ``base_seed + replica``, and
-    return their :class:`Family`.
-
-    The task, its constants, the policy and its round schedule are built
-    once, before any replica runs; a configuration error therefore raises
-    before the first replica.
-    """
+def family_setup(experiment, base_seed):
+    """What every replica of an experiment's family, seeded from
+    ``base_seed``, shares: the task, then the policy, constants and round
+    schedule that :func:`engine.run` takes after the config.  It raises
+    every configuration error that the first replica would."""
     task = build_task(experiment)
     config = replica_config(experiment, 0, base_seed)
     constants = run_constants(task, config)
     policy = run_policy(task, config, constants)
-    schedule = round_schedule(policy, config)
+    return task, policy, constants, round_schedule(policy, config)
+
+
+def run_family(experiment, base_seed, workers=1, setup=None):
+    """Run an experiment's replicas, seeded ``base_seed + replica``, and
+    return their :class:`Family`.  Its :func:`family_setup` (made here
+    unless given) comes first, so no replica runs on a bad configuration.
+    """
+    setup = setup or family_setup(experiment, base_seed)
+    _, policy, _, schedule = setup
     shares = [range(i, experiment.replicas, workers)
               for i in range(min(workers, experiment.replicas))]
     if workers == 1:
-        results = _run_replicas(task, experiment, constants, policy,
-                                schedule, shares[0], base_seed)
+        results = _run_replicas(setup, experiment, shares[0], base_seed)
     else:
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             results = sorted((r for share in pool.map(
-                _run_replicas, repeat(task), repeat(experiment),
-                repeat(constants), repeat(policy), repeat(schedule), shares,
+                _run_replicas, repeat(setup), repeat(experiment), shares,
                 repeat(base_seed))
                 for r in share), key=lambda r: r[0])
     completed = [(replica, result) for replica, result, err in results
@@ -183,20 +186,18 @@ def run_family(experiment, base_seed, workers=1):
 
 def _evaluate_checks(experiment, family):
     """Evaluate the experiment's checks on a family's seed-averaged trace;
-    the schedule check judges each :class:`RoundPolicy` of the family's
-    schedule at the index it was built for, so it runs even when no replica
-    completed."""
+    the schedule check judges each round's :class:`RoundPolicy` of the
+    family's schedule against that round's cap, so it runs even when no
+    replica completed."""
     reports = []
     rounds, mean_sq = family.rounds, family.mean_sq
     first = family.completed[0][1] if family.completed else None
     for check in experiment.checks:
         kind = check["kind"]
         if kind == "schedule":
-            # Each index once; the parser allows only schedule-backed presets.
-            indices = schedule_indices(replica_config(experiment, 0, 0))
-            built = dict(zip(chain(*indices), chain(*family.schedule)))
+            # The parser allows only schedule-backed presets.
             excess = max(family.policy.schedule_excess(t, rp)
-                         for t, rp in built.items())
+                         for t, rp in enumerate(family.schedule, 1))
             reports.append(analysis.OracleReport(
                 name="check_schedule", passed=excess <= 1e-9, estimate=excess,
                 reference=0.0, tolerance=1e-9,
@@ -457,46 +458,51 @@ def cmd_sweep(args):
     values = _parse_values(args.values)
     was_int = isinstance(node[leaf], int) and not isinstance(node[leaf], bool)
 
-    rows = []
-    failed = False
-    print(f"{'value':>12s} {'final_sq_dist':>14s} {'slope':>8s} {'energy':>12s}")
+    # Every point is set up first: a bad value anywhere runs no family.
+    points = []
     for value in values:
         point = copy.deepcopy(doc)
         pnode, pleaf = _axis_lookup(point, args.axis)
         pnode[pleaf] = int(value) if was_int and float(value).is_integer() \
             else value
-        point_exp = parse_experiment(point, source=f"sweep[{args.axis}={value}]")
+        label = f"sweep[{args.axis}={value}]"
+        point_exp = parse_experiment(point, source=label)
         if args.replicas is not None:
             point_exp.replicas = args.replicas
         base_seed = args.seed if args.seed is not None \
             else point_exp.run.get("seed", 0)
+        try:
+            setup = family_setup(point_exp, base_seed)
+        except ConfigError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
+        points.append((value, point_exp, base_seed, setup))
+
+    lines = [f"# config: {traceio.canonical_json({'experiment': doc, 'axis': args.axis})}",
+             "value,final_sq_dist,slope,total_energy"]
+    failed = False
+    print(f"{'value':>12s} {'final_sq_dist':>14s} {'slope':>8s} {'energy':>12s}")
+    for value, point_exp, base_seed, setup in points:
         completed, diverged, rounds, mean_sq, *_ = run_family(
-            point_exp, base_seed, args.workers)
+            point_exp, base_seed, args.workers, setup)
+        final = slope = energy = math.nan
         if not completed:
-            rows.append((value, math.nan, math.nan, math.nan))
             print(f"{value:>12g} {'diverged':>14s}")
         else:
-            total = len(mean_sq)
+            final, total = float(mean_sq[-1]), len(mean_sq)
             try:
                 slope = analysis.fit_rate(rounds, mean_sq,
                                           (max(total // 4, 1), total)).slope
             except ConfigError:
-                slope = math.nan
+                pass
             energy = float(np.mean([r.energy_uplink + r.energy_downlink
                                     for _, r in completed]))
-            rows.append((value, float(mean_sq[-1]), slope, energy))
-            print(f"{value:>12g} {mean_sq[-1]:>14.6g} {slope:>8.3f} "
-                  f"{energy:>12.6g}")
+            print(f"{value:>12g} {final:>14.6g} {slope:>8.3f} {energy:>12.6g}")
+        lines.append(f"{value},{final!r},{slope!r},{energy!r}")
         if diverged:
             failed = True
             print(f"[WARN] {args.axis}={value:g}: {len(diverged)}/"
                   f"{point_exp.replicas} replica(s) diverged or failed")
 
-    lines = [f"# config: {traceio.canonical_json({'experiment': doc, 'axis': args.axis})}",
-             "value,final_sq_dist,slope,total_energy"]
-    for value, final, slope, energy in rows:
-        lines.append(f"{value},{repr(float(final))},{repr(float(slope))},"
-                     f"{repr(float(energy))}")
     os.makedirs(args.out, exist_ok=True)
     traceio.atomic_write_text(os.path.join(args.out, "sweep.csv"),
                               "\n".join(lines) + "\n")

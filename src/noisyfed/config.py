@@ -7,8 +7,10 @@ rejected with their JSON path; parsing and serialization round-trip losslessly.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
+from .analysis import MIN_FIT_POINTS
 from .errors import ConfigError
 from .policies import PRESETS
 
@@ -33,7 +35,6 @@ _RUN_KEYS = {
     "channel": str,
     "distribution": str,
     "seed": int,
-    "schedule_on": str,
 }
 _RUN_REQUIRED = ("n_participants", "rounds")
 
@@ -90,7 +91,19 @@ def _check_mapping(node, allowed, required, path):
                               f"got {type(value).__name__}")
 
 
-def _parse_checks(node, path):
+def _check_pair(pair, where):
+    """``pair`` must be ``[low, high]``: two finite numbers, low <= high."""
+    if len(pair) != 2 or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x) for x in pair):
+        raise ConfigError(f"{where}: expected [low, high]")
+    if pair[0] > pair[1]:
+        raise ConfigError(f"{where}: expected low <= high, got {pair}")
+
+
+def _parse_checks(node, path, rounds):
+    """The checks of a ``rounds``-round experiment.  A slope check's window,
+    given or the default, must hold at least ``MIN_FIT_POINTS`` rounds."""
     if not isinstance(node, list):
         raise ConfigError(f"{path}: expected a list")
     out = []
@@ -107,11 +120,15 @@ def _parse_checks(node, path):
         _check_mapping(item, allowed, ("kind",), where)
         for key in ("window", "range"):
             if key in item:
-                pair = item[key]
-                if len(pair) != 2 or not all(
-                        isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in pair):
-                    raise ConfigError(f"{where}.{key}: expected [low, high]")
+                _check_pair(item[key], f"{where}.{key}")
+        if kind == "slope" and rounds >= 1:     # else RunConfig's error
+            lo, hi = window = item.get("window", [max(rounds // 4, 1), rounds])
+            held = len(range(max(math.ceil(lo), 1),
+                             min(math.floor(hi), rounds) + 1))
+            if held < MIN_FIT_POINTS:
+                raise ConfigError(
+                    f"{where}.window: {window} holds {held} of the {rounds} "
+                    f"rounds; a slope fit needs at least {MIN_FIT_POINTS}")
         out.append(dict(item))
     return out
 
@@ -134,11 +151,7 @@ def parse_experiment(doc, source="<config>"):
     else:
         _check_mapping(task_node, _TASK_KEYS, _TASK_REQUIRED, f"{source}.task")
         if "spectrum" in task_node:
-            spect = task_node["spectrum"]
-            if len(spect) != 2 or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in spect):
-                raise ConfigError(f"{source}.task.spectrum: expected [low, high]")
+            _check_pair(task_node["spectrum"], f"{source}.task.spectrum")
         task_params = dict(task_node)
 
     _check_mapping(doc["run"], _RUN_KEYS, _RUN_REQUIRED, f"{source}.run")
@@ -153,7 +166,8 @@ def parse_experiment(doc, source="<config>"):
     if replicas < 1:
         raise ConfigError(f"{source}.replicas: must be >= 1")
 
-    checks = _parse_checks(doc.get("checks", []), f"{source}.checks")
+    checks = _parse_checks(doc.get("checks", []), f"{source}.checks",
+                           doc["run"]["rounds"])
     for check in checks:
         if check["kind"] in ("bound", "schedule"):
             preset = PRESETS.get(policy_node["name"])

@@ -25,8 +25,8 @@ client sampling draw round by round.  As rows are keyed by client, a round's
 draws do not depend on which clients were sampled.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
-iterations (t-1)E+1 .. tE); noise and power schedules are indexed per round by
-default, switchable to the aggregation-instant iteration index.
+iterations (t-1)E+1 .. tE); noise and power schedules are indexed by round,
+one :class:`RoundPolicy` serving both directions of a round.
 """
 
 import math
@@ -55,7 +55,6 @@ BLOCK = 32
 
 TRANSMISSION_MODES = ("MT", "MDT")
 CHANNEL_LAYERS = ("effective_noise", "analog_physical")
-SCHEDULE_TIMELINES = ("round", "iteration")
 
 #: The radius of the gradient bound's ball about the optimum over
 #: ``max(||w*||, 1)``, and the divergence guard over ``max(||w*||^2, 1)``.
@@ -101,7 +100,6 @@ class RunConfig:
     seed: int = 0
     policy_name: str = "noise_free"
     policy_params: dict = field(default_factory=dict)
-    schedule_on: str = "round"
 
     def __post_init__(self):
         if self.n_participants < 1 or self.rounds < 1 or self.local_epochs < 1:
@@ -118,17 +116,10 @@ class RunConfig:
             raise ConfigError(f"policy {self.policy_name!r} needs mode "
                               f"{preset.mode!r}")
         if self.channel == "analog_physical" \
-                and self.policy_params.get("weights") is not None:
-            # The analog layer sends every client at one power per round.
-            raise ConfigError(f"policy {self.policy_name!r} weights need "
-                              "channel 'effective_noise'")
-        if self.channel == "analog_physical" \
                 and self.policy_name == "mdt_constant_snr":
             # The analog uplink would send the SNR target as a transmit power.
             raise ConfigError("policy 'mdt_constant_snr' needs channel "
                               "'effective_noise', not 'analog_physical'")
-        if self.schedule_on not in SCHEDULE_TIMELINES:
-            raise ConfigError(f"schedule_on must be one of {SCHEDULE_TIMELINES}")
 
 
 @dataclass
@@ -328,13 +319,6 @@ def _scaled_noise(unit, variances):
     return unit * stds.reshape(unit.shape[:-2] + (-1, 1))
 
 
-def _rows(variance, rows):
-    """A policy's variance for the given clients, if it holds one per client
-    (a list, tuple or array); a scalar stays one."""
-    return np.asarray(variance, dtype=np.float64)[rows] \
-        if isinstance(variance, (list, tuple, np.ndarray)) else variance
-
-
 def _pick(block, rows):
     """Each round's sorted ``rows`` ``(R, n)`` of a block with a row per
     client on its second-to-last axis; all of them without a copy."""
@@ -364,11 +348,10 @@ def _trace_rows(task, records, up_count, n_participants, etas):
     recorded, as Python ``int`` and ``float`` cells; ``etas`` lists each
     round's first rate.  The loss and SNR columns are computed for the whole
     block, each row from its own round alone."""
-    ts, params, sampled, up_variances, sq_dists, signals, models, \
-        energies = zip(*records)
+    ts, params, up_variances, sq_dists, signals, models, energies = \
+        zip(*records)
     sigma2 = _round_means(up_variances, up_count)
-    zeta2 = _round_means([_rows(down.downlink_variance, rows)
-                          for (_, down), rows in zip(params, sampled)],
+    zeta2 = _round_means([rp.downlink_variance for rp in params],
                          n_participants)
     signals, models = np.array(signals), np.array(models)
     losses = task.global_losses(models).tolist()
@@ -378,23 +361,23 @@ def _trace_rows(task, records, up_count, n_participants, etas):
     snrs = [math.inf if noise == 0.0 else signal / noise
             for signal, noise in zip(*powers.tolist())]
     return [RoundTrace(t, sq_dist, loss, etas[t - 1], sigma2_ul, zeta2_dl,
-                       up.rho_ul, down.rho_dl, up.div_ul, down.div_dl, snr,
-                       energy)
-            for t, sq_dist, loss, sigma2_ul, zeta2_dl, (up, down), snr, energy
+                       rp.rho_ul, rp.rho_dl, rp.div_ul, rp.div_dl, snr, energy)
+            for t, sq_dist, loss, sigma2_ul, zeta2_dl, rp, snr, energy
             in zip(ts, sq_dists, losses, sigma2, zeta2, params, snrs,
                    energies)]
 
 
 # A channel layer: per block, ``prepare(params, sampled)`` takes each round's
-# (uplink, downlink) :class:`RoundPolicy` pair and sampled clients; per round
-# i, ``downlink(i, w, rp, rows, out)`` writes what ``rows`` receive into
-# ``out``, ``uplink(i, rp, w, sent, received)`` returns the next global model
-# and the uplink variance, traced as its mean over ``up_rows`` rows.
+# :class:`RoundPolicy` and sampled clients; per round i, ``downlink(i, w, rp,
+# rows, out)`` writes what ``rows`` receive into ``out``, ``uplink(i, rp, w,
+# sent, received)`` returns the next global model and the uplink variance,
+# traced as its mean over ``up_rows`` rows.
 
 class EffectiveNoise:
     """Additive noise of the policy's variances: per direction and round a
-    unit-variance ``(N, d)`` block, scaled row by row when the block is
-    prepared; MDT's uplink round by round, by the differentials sent."""
+    unit-variance ``(N, d)`` block, scaled by the round's variance when the
+    block is prepared; MDT's uplink round by round and row by row, by the
+    differentials sent."""
 
     retries = 0
 
@@ -410,13 +393,11 @@ class EffectiveNoise:
         shape = (len(params),) + self.shape
         self.down_noise = _scaled_noise(
             _pick(self.unit(shape, self.down_rng), sampled),
-            [_rows(down.downlink_variance, rows)
-             for (_, down), rows in zip(params, sampled)])
+            [rp.downlink_variance for rp in params])
         self.up_noise = _pick(self.unit(shape, self.up_rng), sampled)
         self.up_variances = None    # MDT: scaled round by round
-        if params[0][0].uplink_variance is not None:
-            self.up_variances = [_rows(up.uplink_variance, rows)
-                                 for (up, _), rows in zip(params, sampled)]
+        if params[0].uplink_variance is not None:
+            self.up_variances = [rp.uplink_variance for rp in params]
             self.up_noise = _scaled_noise(self.up_noise, self.up_variances)
 
     def downlink(self, i, w, rp, rows, out):
@@ -475,7 +456,10 @@ def run_constants(task, config):
     """The task's derived constants as a run of ``config`` uses them: at the
     run's batch size, over the ball of radius ``2 max(||w*||, 1)`` about the
     optimum (``TRAJECTORY_RADIUS_FACTOR``).  They do not depend on the seed,
-    so the replicas of a family can share them."""
+    so the replicas of a family can share them.  More participants than
+    clients is a :class:`ConfigError`."""
+    if config.n_participants > task.n_clients:
+        raise ConfigError("participants exceed the number of clients")
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
     initial_sq = squared_distance(np.zeros(task.dim), task.global_optimum())
@@ -491,27 +475,10 @@ def run_policy(task, config, constants):
                         config.local_epochs)
 
 
-def schedule_indices(config):
-    """Each round's ``(uplink, downlink)`` index into the policy's schedule:
-    by round ``(t, t)``; by iteration the uplink's aggregation at tE and the
-    downlink's broadcast at (t-1)E, at least 1."""
-    if config.schedule_on == "round":
-        return [(t, t) for t in range(1, config.rounds + 1)]
-    epochs = config.local_epochs
-    return [(t * epochs, max((t - 1) * epochs, 1))
-            for t in range(1, config.rounds + 1)]
-
-
 def round_schedule(policy, config):
-    """Each round's ``(uplink, downlink)`` :class:`RoundPolicy` pair, the
-    policy's at the :func:`schedule_indices`; one object where the two
-    indices agree.  Like the policy, the same for every seed."""
-    pairs = []
-    for up, down in schedule_indices(config):
-        rp_up = policy.round_params(up)
-        pairs.append((rp_up, rp_up if down == up
-                      else policy.round_params(down)))
-    return pairs
+    """Each round's :class:`RoundPolicy`, rounds 1 .. T; like the policy,
+    the same for every seed."""
+    return [policy.round_params(t) for t in range(1, config.rounds + 1)]
 
 
 def run(task, config, policy=None, constants=None, schedule=None):
@@ -523,8 +490,6 @@ def run(task, config, policy=None, constants=None, schedule=None):
     """
     n_clients = task.n_clients
     n_participants = config.n_participants
-    if n_participants > n_clients:
-        raise ConfigError("participants exceed the number of clients")
     if constants is None:
         constants = run_constants(task, config)
     if policy is None:
@@ -591,26 +556,24 @@ def run(task, config, policy=None, constants=None, schedule=None):
                             buffers)
 
         records = []
-        for i, t in enumerate(ts):
-            rp_up, rp_down = params[i]
-
+        for i, (t, rp) in enumerate(zip(ts, params)):
             # (1) Downlink broadcast, received into the ball.
             received = ball[i, :n_participants]
-            channel.downlink(i, w, rp_down, sampled[i], received)
+            channel.downlink(i, w, rp, sampled[i], received)
 
             # (2) Local mini-batch SGD.
             sent = ball[i, n_participants:] = local_train(received, steps[i])
 
             # (3) Uplink transmission and (4) aggregation.
-            w_next, sigma2 = channel.uplink(i, rp_up, w, sent, received)
+            w_next, sigma2 = channel.uplink(i, rp, w, sent, received)
 
             diff = w_next - w_star
             sq = float(diff @ diff)
             if math.isnan(sq):      # still trips the guard
                 sq = math.inf
-            energy_ul += rp_up.energy_ul
-            energy_dl += rp_down.energy_dl
-            records.append((t, params[i], sampled[i], sigma2, sq,
+            energy_ul += rp.energy_ul
+            energy_dl += rp.energy_dl
+            records.append((t, rp, sigma2, sq,
                             np.add.reduce(sent, axis=0), w_next,
                             energy_ul + energy_dl))
             if sq > guard:

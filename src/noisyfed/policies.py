@@ -172,17 +172,13 @@ def diversity_orders(rho_required, rho_available):
     return max(order, 1)
 
 
-def reference_diversity_schedule(t, rounds=500):
-    """Diversity order of the published five-stage staircase for a
-    ``rounds``-long run (defined for the 500-round protocol)."""
-    if rounds != 500:
-        raise ConfigError("the reference staircase is defined for 500 rounds")
-    if not 1 <= t <= rounds:
-        raise ScheduleError(f"round {t} outside [1, {rounds}]")
+def reference_diversity_schedule(t):
+    """Diversity order at round t of the published five-stage staircase of
+    the 500-round protocol."""
     for last_round, order in DIVERSITY_STAIRCASE_500:
-        if t <= last_round:
+        if 1 <= t <= last_round:
             return order
-    raise AssertionError("unreachable")
+    raise ScheduleError(f"round {t} outside [1, 500]")
 
 
 def equal_power_variance(snr_db):
@@ -199,14 +195,14 @@ def equal_power_variance(snr_db):
 class RoundPolicy:
     """Channel parameters for one round.
 
-    ``uplink_variance`` is a scalar, a per-client array, or None when the
-    uplink instead holds a constant receive SNR (``snr_target``) on the
-    transmitted differential.  Powers are receive-SNR-equivalent at unit
-    pathloss; energies are per-direction, per-round.
+    ``uplink_variance`` is None when the uplink instead holds a constant
+    receive SNR (``snr_target``) on the transmitted differential.  Powers
+    are receive-SNR-equivalent at unit pathloss; energies are
+    per-direction, per-round.
     """
 
-    uplink_variance: object
-    downlink_variance: object
+    uplink_variance: float
+    downlink_variance: float
     snr_target: float = None
     rho_ul: float = math.inf
     rho_dl: float = math.inf
@@ -232,28 +228,20 @@ def _equal_power(p, t):
 
 def _mt_full(p, t):
     """Equality instantiation of the full-participation upload schedule,
-    split across clients (equally unless weights are given)."""
+    split equally across clients."""
     sigma2_total, zeta2_total = mt_full_noise(t, p.n_clients, p.lr)
-    sigma2_total *= p.variance_scale
-    zeta2_total *= p.variance_scale
-    if p.weights is None:
-        up = sigma2_total / p.n_clients
-        down = zeta2_total / p.n_clients
-    else:
-        up = p.weights * sigma2_total
-        down = p.weights * zeta2_total
-    mean_up = sigma2_total / p.n_clients
-    mean_down = zeta2_total / p.n_clients
+    up = sigma2_total * p.variance_scale / p.n_clients
+    down = zeta2_total * p.variance_scale / p.n_clients
     return RoundPolicy(uplink_variance=up, downlink_variance=down,
-                       rho_ul=1.0 / mean_up, rho_dl=1.0 / mean_down,
-                       energy_ul=1.0 / mean_up, energy_dl=1.0 / mean_down)
+                       rho_ul=1.0 / up, rho_dl=1.0 / down,
+                       energy_ul=1.0 / up, energy_dl=1.0 / down)
 
 
 def _mt_full_excess(p, t, rp):
+    """Relative excess over the full-participation upload schedule."""
     cap_up, cap_down = mt_full_noise(t, p.n_clients, p.lr)
-    emitted_up = _total_variance(rp.uplink_variance, p.n_clients)
-    emitted_down = _total_variance(rp.downlink_variance, p.n_clients)
-    return max(emitted_up / cap_up, emitted_down / cap_down) - 1.0
+    return max(rp.uplink_variance * p.n_clients / cap_up,
+               rp.downlink_variance * p.n_clients / cap_down) - 1.0
 
 
 def _mt_partial(p, t):
@@ -366,8 +354,8 @@ PRESETS = {
     "diversity_t2": Preset(
         {"rho_uplink": REQUIRED, "rho_downlink": REQUIRED, **_PATHLOSS,
          **_SCALE}, _diversity, _mt_partial_excess, "mt_partial"),
-    "mt_full": Preset({"weights": None, **_SCALE}, _mt_full, _mt_full_excess,
-                      "mt_full", every_client=True),
+    "mt_full": Preset(_SCALE, _mt_full, _mt_full_excess, "mt_full",
+                      every_client=True),
     "mt_partial": Preset(_SCALE, _mt_partial, _mt_partial_excess,
                          "mt_partial"),
     "mdt_constant_snr": Preset({"snr_target": 10.0, **_SCALE}, _mdt,
@@ -396,18 +384,15 @@ class Policy:
         vars(self).update(values)
 
     def params(self):
-        """The parameters in effect, defaults included; weights normalized
-        and left out when unset."""
-        return {key: value.tolist() if key == "weights" else value
-                for key in self.preset.params
-                if (value := getattr(self, key)) is not None}
+        """The parameters in effect, defaults included."""
+        return {key: getattr(self, key) for key in self.preset.params}
 
     def round_params(self, t):
         return self.preset.emit(self, t)
 
     def schedule_excess(self, t, rp):
-        """Relative excess over the schedule of ``rp``, the
-        :class:`RoundPolicy` built for index t, or None."""
+        """Relative excess of round t's :class:`RoundPolicy` ``rp`` over
+        the schedule, or None."""
         excess = self.preset.excess
         return None if excess is None else excess(self, t, rp)
 
@@ -432,43 +417,19 @@ def build_policy(name, params, constants, n_clients, n_participants,
     if preset.every_client and n_participants < n_clients:
         raise ConfigError(f"policy {name!r} needs every client "
                           f"({n_clients}) to take part; use 'mt_partial'")
-    values = {key: _checked(key, params.get(key, default), n_clients)
+    values = {key: _checked(key, params.get(key, default))
               for key, default in preset.params.items()}
     lr = LearningRateSchedule.from_constants(constants, local_epochs)
     return Policy(name, lr, n_clients, n_participants, values)
 
 
-def _checked(key, value, n_clients):
+def _checked(key, value):
     """A parameter's value as a preset uses it: a finite float, positive if
-    :data:`_POSITIVE` names it; ``weights`` None or normalized to sum 1."""
-    if key != "weights":
-        number = _finite(key, value)
-        if key in _POSITIVE and number <= 0:
-            raise ConfigError(f"policy parameter {key!r} must be positive")
-        return number
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple, np.ndarray)) \
-            or len(value) != n_clients:
-        raise ConfigError(f"policy parameter 'weights' must list one number "
-                          f"per client ({n_clients})")
-    w = np.array([_finite(key, x) for x in value])
-    if w.min() < 0 or w.sum() <= 0:
-        raise ConfigError("policy parameter 'weights' must be non-negative "
-                          "and not all zero")
-    return w / w.sum()
-
-
-def _finite(key, value):
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
-            and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ConfigError(f"policy parameter {key!r} must be a finite number, "
-                      f"not {value!r}")
-
-
-def _total_variance(per_client, n_clients):
-    """Sum per-client variances, expanding an equal-split scalar."""
-    if np.ndim(per_client) == 0:
-        return float(per_client) * n_clients
-    return float(np.sum(per_client))
+    :data:`_POSITIVE` names it."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"policy parameter {key!r} must be a finite "
+                          f"number, not {value!r}")
+    if key in _POSITIVE and value <= 0:
+        raise ConfigError(f"policy parameter {key!r} must be positive")
+    return float(value)

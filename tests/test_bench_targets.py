@@ -57,7 +57,6 @@ def _traced_run(tracer, task, **overrides):
     assert summary["engine.local_train.calls"] == overrides["rounds"]
     # Scheduled per round, both directions of a round share one call; a
     # policy path that goes round the traced method reads fewer.
-    assert "schedule_on" not in overrides
     assert summary["policies.round_params.calls"] == overrides["rounds"]
     return summary, result
 

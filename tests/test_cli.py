@@ -129,14 +129,9 @@ def test_one_worker_builds_the_task_once_per_family(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("schedule_on, per_round", [("round", 1),
-                                                    ("iteration", 2)])
-def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch,
-                                                schedule_on, per_round):
+def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch):
     # The replicas and the schedule check share the family's round schedule:
-    # one call per round, whatever the number of replicas.  On the iteration
-    # timeline the uplink and downlink read two other iterations: two calls
-    # per round.
+    # one call per round, whatever the number of replicas.
     calls = []
     round_params = policies.Policy.round_params
 
@@ -147,10 +142,9 @@ def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch,
     monkeypatch.setattr(policies.Policy, "round_params",
                         counting_round_params)
     doc = experiment_doc()
-    doc["run"]["schedule_on"] = schedule_on
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == per_round * doc["run"]["rounds"]
+    assert calls == list(range(1, doc["run"]["rounds"] + 1))
 
 
 def _louder_past(rounds):
@@ -164,17 +158,16 @@ def _louder_past(rounds):
     return emit
 
 
-@pytest.mark.parametrize("schedule_on, passed", [("round", True),
-                                                 ("iteration", False)])
+@pytest.mark.parametrize("quiet_rounds, passed", [(12, True), (6, False)])
 def test_schedule_check_judges_what_the_run_used(tmp_path, monkeypatch,
-                                                 schedule_on, passed):
-    # Negative control: a policy twice as loud only past index 12.  A
-    # 12-round run on the iteration timeline (E=2) uses indices up to 24, so
-    # its schedule check must fail; by round it uses 1..12 and passes.
+                                                 quiet_rounds, passed):
+    # Negative control: a policy twice as loud past round 6 puts a 12-round
+    # run at twice its cap, so the schedule check must fail; twice as loud
+    # only past round 12, the run never uses the louder rounds and passes.
     monkeypatch.setitem(policies.PRESETS, "mt_partial", dataclasses.replace(
-        policies.PRESETS["mt_partial"], emit=_louder_past(12)))
+        policies.PRESETS["mt_partial"], emit=_louder_past(quiet_rounds)))
     doc = experiment_doc(replicas=1, checks=[{"kind": "schedule"}])
-    doc["run"].update(rounds=12, local_epochs=2, schedule_on=schedule_on)
+    doc["run"].update(rounds=12, local_epochs=2)
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) \
         == (0 if passed else 1)
@@ -434,6 +427,80 @@ def test_sweep_bad_value_is_usage_error(tmp_path, capsys, values, message):
     assert not out.exists()
 
 
+def _count_runs(monkeypatch):
+    """The seeds of every engine run the CLI starts from here on."""
+    seeds = []
+
+    def counting_run(task, cfg, *family):
+        seeds.append(cfg.seed)
+        return run(task, cfg, *family)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    return seeds
+
+
+@pytest.mark.parametrize("policy, axis, values, message", [
+    ("mt_partial", "run.local_epochs", "1,0",
+     "error: sweep[run.local_epochs=0]: participants, rounds and "
+     "local_epochs must be >= 1"),
+    ("noise_free", "run.n_participants", "3,9",
+     "error: sweep[run.n_participants=9]: participants exceed the number "
+     "of clients"),
+], ids=["local_epochs", "participants"])
+def test_sweep_bad_late_value_runs_no_family(tmp_path, capsys, monkeypatch,
+                                             policy, axis, values, message):
+    # Every point is set up before the first family runs.
+    runs = _count_runs(monkeypatch)
+    doc = experiment_doc(policy={"name": policy, "params": {}}, checks=[])
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["sweep", cfg, "--axis", axis, "--values", values,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists() and runs == []
+    # The good value alone sweeps.
+    assert main(["sweep", cfg, "--axis", axis, "--values",
+                 values.split(",")[0], "--out", str(out)]) == 0
+    assert len(runs) == doc["replicas"]
+
+
+@pytest.mark.parametrize("rounds, check, message", [
+    (12, {"window": [10, 18]}, "checks[0].window: [10, 18] holds 3 of the "
+                               "12 rounds; a slope fit needs at least 10"),
+    (9, {}, "checks[0].window: [2, 9] holds 8 of the 9 rounds"),
+    (12, {"window": [12, 3]}, "checks[0].window: expected low <= high, "
+                              "got [12, 3]"),
+    (12, {"range": [-0.7, -1.3]}, "checks[0].range: expected low <= high, "
+                                  "got [-0.7, -1.3]"),
+], ids=["given_window", "default_window", "reversed_window",
+        "reversed_range"])
+def test_unfittable_slope_check_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               rounds, check, message):
+    runs = _count_runs(monkeypatch)
+    doc = experiment_doc(checks=[{"kind": "slope", **check}])
+    doc["run"]["rounds"] = rounds
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists() and runs == []
+
+
+def test_slope_window_of_ten_rounds_is_fitted(tmp_path, monkeypatch):
+    # Control: 12 rounds' default window, [3, 12], holds the ten a fit needs.
+    runs = _count_runs(monkeypatch)
+    doc = experiment_doc(checks=[{"kind": "slope"}])
+    doc["run"]["rounds"] = 12
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) \
+        in (0, 1)
+    [check] = json.loads((out / "summary.json").read_text())["checks"]
+    assert check["detail"].startswith("window=(3, 12)")
+    assert math.isfinite(check["estimate"])
+    assert len(runs) == doc["replicas"]
+
+
 def _task_payload(**overrides):
     task = make_task(n_clients=4, dim=3, samples_per_client=6, seed=1)
     payload = {"dim": 3, "ridge": 0.1, "clients": [
@@ -526,7 +593,8 @@ def test_negative_seed_override_is_usage_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("key, value", [("trajectory_radius_factor", 1e100),
-                                        ("divergence_factor", 100.0)])
+                                        ("divergence_factor", 100.0),
+                                        ("schedule_on", "iteration")])
 def test_retired_run_key_is_usage_error(tmp_path, capsys, key, value):
     doc = experiment_doc()
     doc["run"][key] = value
@@ -570,8 +638,8 @@ def test_diversity_policy_without_powers_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("name, params, key", [
     ("equal_power", {"snr_db": "ten"}, "snr_db"),
     ("equal_power", {"snr_db": None}, "snr_db"),
-    ("mt_full", {"weights": "abc"}, "weights"),
-    ("mt_full", {"weights": [1, 2]}, "weights"),
+    ("mt_full", {"variance_scale": 0}, "variance_scale"),
+    ("mt_full", {"variance_scale": math.inf}, "variance_scale"),
     ("mt_partial", {"variance_scale": "x"}, "variance_scale"),
     ("mt_partial", {"variance_scale": -1}, "variance_scale"),
     ("mt_partial", {"variance_scale": True}, "variance_scale"),
@@ -658,19 +726,20 @@ def test_mt_full_with_partial_participation_is_usage_error(tmp_path, capsys):
         "use 'mt_partial'" in capsys.readouterr().err
 
 
-def test_weighted_mt_full_on_analog_channel_is_usage_error(tmp_path, capsys):
+def test_mt_full_weights_are_unknown_parameter(tmp_path, capsys):
+    # mt_full splits its noise budget equally; per-client weights are gone.
     doc = experiment_doc(policy={"name": "mt_full",
                                  "params": {"weights": [2, 1, 1, 1, 1, 1]}})
-    doc["run"].update(n_participants=6, channel="analog_physical")
-    cfg = write_config(tmp_path, doc)
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "error: policy 'mt_full' weights need channel 'effective_noise'" \
-        in capsys.readouterr().err
-    # The same weights on the effective-noise channel still run.
-    doc["run"]["channel"] = "effective_noise"
-    doc["checks"] = []
-    cfg = write_config(tmp_path, doc)
-    assert main(["run", cfg, "--out", str(tmp_path / "o2")]) == 0
+    doc["run"]["n_participants"] = 6
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown policy parameters: ['weights']" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # The same experiment without weights still runs.
+    doc["policy"]["params"] = {}
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
 
 
 def test_mdt_constant_snr_on_analog_channel_is_usage_error(tmp_path, capsys):
@@ -703,7 +772,7 @@ def test_mdt_constant_snr_on_analog_channel_is_usage_error(tmp_path, capsys):
 _PRESET_FAMILIES = {
     "noise_free": ({}, {}),
     "equal_power": ({"snr_db": 12.0}, {}),
-    "mt_full": ({"weights": [2, 1, 1, 1, 1, 0]}, {"n_participants": 6}),
+    "mt_full": ({}, {"n_participants": 6}),
     "mt_partial": ({}, {}),
     "mdt_constant_snr": ({"snr_target": 5.0}, {"mode": "MDT"}),
     "power_t2": ({"distance": 1.5}, {"channel": "analog_physical"}),
@@ -718,8 +787,8 @@ GOLDEN_RUN_FILES = {
         "fe0ba332b9348187908b0682654ff0f47dc396c9db4cfb104310f5ea892d7df0",
         "a5ce8b8404956656a682498e04a1b2260967d7b24c02cdf50eaa69f777de4e30"),
     "mt_full": (
-        "13e9f6a3d20a3701463463ca602f4d0f4227248be28aa95f721dec0bac84e2c3",
-        "b9062acd72f0284a4d0a6b490a0f7806357d62398c691a8d33ffa3d9ee95cdaf"),
+        "20b007a0de1c11fcdc08a143e93a8015973bdacd21824637275a64a3b7e436d5",
+        "151b2e48423e902169989d2f7d17ef3ee356711a45c980ccb475643fbfdf8747"),
     "mt_partial": (
         "a6451ce2dc488cbaf9bcc1f2c6000a0492c03f2c3ed0acde0c253a6c3473ed82",
         "d4ddecba6e38b2f982f678a1e10d77af0ebb8bb67ee11ad0e4e3b3014ccb602c"),

@@ -202,20 +202,6 @@ def test_divergence_guard_aborts_with_partial_trace(small_task):
     assert [tr.t for tr in excinfo.value.traces] == list(range(1, tripped + 1))
 
 
-def test_schedule_on_iteration_timeline(small_task):
-    cfg = RunConfig(n_participants=3, rounds=10, local_epochs=2, batch_size=3,
-                    mode="MT", policy_name="mt_partial", seed=6,
-                    schedule_on="iteration")
-    result = run(small_task, cfg)
-    # Iteration indexing evaluates the uplink schedule at t*E: strictly less
-    # noise than round indexing at the same round.
-    round_cfg = RunConfig(n_participants=3, rounds=10, local_epochs=2,
-                          batch_size=3, mode="MT", policy_name="mt_partial",
-                          seed=6)
-    round_result = run(small_task, round_cfg)
-    assert result.traces[0].sigma2_ul < round_result.traces[0].sigma2_ul
-
-
 def test_analog_channel_run_converges(small_task):
     cfg = RunConfig(n_participants=3, rounds=40, local_epochs=2, batch_size=3,
                     mode="MT", channel="analog_physical",
@@ -379,15 +365,15 @@ GOLDEN_DIAGNOSTICS = {
         "0e781b16f2563584920c5398d6e2d384a16aecad20908df9b8c4d748d50a8714",
 }
 # Every valid (mode, policy) of each channel layer, crossed with K in {6, 3}
-# (mt_full only at K = N), both schedule timelines and both batch kinds:
-# 12-round runs at seed 31, hashed as the layout digests are.  The
-# effective-noise digest was captured at stream layout 6 before the round
-# loop was split into channel classes, the analog one at layout 7.
+# (mt_full only at K = N) and both batch kinds: 12-round runs at seed 31,
+# hashed as the layout digests are; 48 effective-noise and 44 analog runs.
+# Both digests were captured at stream layout 7, before the schedule became
+# one RoundPolicy per round.
 GOLDEN_CONFIGS = {
     "effective_noise":
-        "4ef2104b8bc6b4f613e2b50bfc8a8face9fa4419c091cfc9da8886f69afd0010",
+        "9d7fc56b8cc743eb724a4aa2a780d007e6209b2b744e62a79f442889349e428f",
     "analog_physical":
-        "5d1a05f810a73314fb281bb8c59df722541e56b4042053c2483b5cccf9cacb09",
+        "9ec222980bfd0bde84291ac2f7f84ea0df24da6d5b85f55d99fc2afbdd02b188",
 }
 
 
@@ -432,8 +418,6 @@ def _config_policies(channel, mode, participants):
     policies = [("noise_free", {}), ("equal_power", {"snr_db": 10.0})]
     if participants == 6:       # mt_full needs every client
         policies.append(("mt_full", {}))
-        if channel == "effective_noise":
-            policies.append(("mt_full", {"weights": [1, 2, 3, 4, 5, 6]}))
     policies.append(("mt_partial", {}))
     if mode == "MDT" and channel == "effective_noise":
         policies.append(("mdt_constant_snr", {}))
@@ -445,16 +429,14 @@ def _config_policies(channel, mode, participants):
 def _config_results(task, channel):
     for mode in TRANSMISSION_MODES:
         for participants in (6, 3):
-            for schedule_on in ("round", "iteration"):
-                for batch_size in (3, None):
-                    for policy, params in _config_policies(channel, mode,
-                                                           participants):
-                        yield run(task, RunConfig(
-                            n_participants=participants, rounds=12,
-                            local_epochs=2, batch_size=batch_size, mode=mode,
-                            channel=channel, policy_name=policy,
-                            policy_params=params, schedule_on=schedule_on,
-                            seed=31))
+            for batch_size in (3, None):
+                for policy, params in _config_policies(channel, mode,
+                                                       participants):
+                    yield run(task, RunConfig(
+                        n_participants=participants, rounds=12,
+                        local_epochs=2, batch_size=batch_size, mode=mode,
+                        channel=channel, policy_name=policy,
+                        policy_params=params, seed=31))
 
 
 def _configs_digest(task, channel):

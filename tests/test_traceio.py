@@ -7,14 +7,13 @@ from noisyfed import RunConfig, run
 from noisyfed.traceio import read_trace, write_trace
 
 # SHA-256 of the whole trace file (config line, header and rows) of one run
-# per channel layer, the effective one captured at stream layout 6, the
-# analog one at layout 7.  The effective run covers
-# per-client weights, the analog run partial participation with diversity
-# orders under differential upload.
+# per channel layer, both captured at stream layout 7.  The effective run
+# covers full participation under the full-upload schedule, the analog run
+# partial participation with diversity orders under differential upload.
 RUNS = {
     "effective_noise": dict(
         n_participants=6, mode="MT", distribution="uniform",
-        policy_name="mt_full", policy_params={"weights": [1, 2, 3, 4, 5, 6]}),
+        policy_name="mt_full"),
     "analog_physical": dict(
         n_participants=3, mode="MDT", channel="analog_physical",
         policy_name="diversity_t2",
@@ -22,7 +21,7 @@ RUNS = {
 }
 GOLDEN_TRACE_BYTES = {
     "effective_noise":
-        "99c6c12c2c9e6ed9b8adbad0cf3784564c54365372801afe8b454e8cdbaab3e3",
+        "d84e6410fca5e3a21468c5726a1bc7d19a27bbffd695771ddc530696cd10834f",
     "analog_physical":
         "f7250d3fab9198c6a90b1dfcc0ca907b151cbf6d3ed901b0ad33adfd4fa8a686",
 }
