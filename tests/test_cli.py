@@ -742,6 +742,24 @@ def test_mt_full_weights_are_unknown_parameter(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
 
 
+def test_weighted_mt_full_on_analog_channel_is_usage_error(tmp_path, capsys):
+    # Weights are an unknown parameter on the analog channel too.
+    doc = experiment_doc(policy={"name": "mt_full",
+                                 "params": {"weights": [2, 1, 1, 1, 1, 1]}})
+    doc["run"].update(n_participants=6, channel="analog_physical")
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown policy parameters: ['weights']" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    # mt_full without weights still runs on the analog channel.
+    doc["policy"]["params"] = {}
+    doc["checks"] = []
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o2")]) == 0
+
+
 def test_mdt_constant_snr_on_analog_channel_is_usage_error(tmp_path, capsys):
     # The analog uplink would send the SNR target as a transmit power, so
     # the uplink noise would not follow the differentials: rejected.
