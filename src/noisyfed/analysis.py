@@ -145,6 +145,12 @@ class RateFit:
 MIN_FIT_POINTS = 10
 
 
+def default_slope_window(rounds):
+    """The window a slope fit of a ``rounds``-round trace uses unless given:
+    its last three quarters, ``(max(rounds // 4, 1), rounds)``."""
+    return max(rounds // 4, 1), rounds
+
+
 def fit_rate(rounds, values, window):
     """Fit log(value) = slope * log(t) + intercept over ``window = (lo, hi)``.
 

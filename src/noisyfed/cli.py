@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run <config.json>`` — execute the configured replicas, write one trace CSV
-  per replica plus a seed-averaged summary, evaluate the configured checks.
+  per replica as it completes plus a seed-averaged summary, evaluate the
+  configured checks.
 * ``verify <scope>`` — run the statistical oracle suites (``lemmas``), the
   schedule/bound checks (``theorems``), or both (``all``).
 * ``sweep <config.json> --axis <dotted.path> --values a,b,c`` — re-run the
@@ -21,7 +22,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from typing import NamedTuple
 
@@ -54,34 +54,25 @@ def replica_config(experiment, replica, base_seed):
                      **run_params)
 
 
-def resolved_config(experiment, result, replica, seed):
+def resolved_config(experiment, policy, constants, replica, seed):
     """Everything needed to reproduce and interpret one replica's trace."""
-    c = result.constants
+    derived = {name: getattr(constants, name) for name in (
+        "mu", "lipschitz", "kappa", "gamma_noniid", "grad_bound",
+        "opt_value", "trajectory_radius")}
     resolved = {
         "experiment": experiment.to_dict(),
         "replica": replica,
         "seed": seed,
         "stream_layout": STREAM_LAYOUT,
-        "policy": {"name": result.policy.name,
-                   "params": result.policy.params()},
-        "derived": {
-            "mu": c.mu,
-            "lipschitz": c.lipschitz,
-            "kappa": c.kappa,
-            "gamma_noniid": c.gamma_noniid,
-            "grad_bound": c.grad_bound,
-            "sgd_var": list(c.sgd_var),
-            "opt_value": c.opt_value,
-            "trajectory_radius": c.trajectory_radius,
-            "lr_gamma": result.policy.lr.gamma,
-            "lr_beta": result.policy.lr.beta,
-            "initial_gap": _initial_gap(c),
-        },
+        "policy": {"name": policy.name, "params": policy.params()},
+        "derived": dict(derived, sgd_var=list(constants.sgd_var),
+                        lr_gamma=policy.lr.gamma, lr_beta=policy.lr.beta,
+                        initial_gap=_initial_gap(constants)),
     }
-    if result.policy.preset.bound is not None:
+    if policy.preset.bound is not None:
         resolved["derived"]["rate_constant"] = analysis.rate_constant(
-            _bound_spec(result))
-        resolved["derived"]["bound_variant"] = result.policy.preset.bound
+            _bound_spec(policy, constants))
+        resolved["derived"]["bound_variant"] = policy.preset.bound
     return resolved
 
 
@@ -90,98 +81,125 @@ def _initial_gap(constants):
     return float(np.sum(constants.opt ** 2))
 
 
-def _bound_spec(result):
-    """The convergence bound of a run's family, from the policy and the
-    constants the run used."""
-    policy = result.policy
+def _bound_spec(policy, constants):
+    """The convergence bound of a family, from its policy and constants."""
     return analysis.BoundSpec(
         variant=policy.preset.bound,
-        constants=result.constants,
+        constants=constants,
         local_epochs=policy.lr.local_epochs,
         n_clients=policy.n_clients,
         n_participants=policy.n_participants,
-        dim=result.constants.opt.size,
-        initial_gap=_initial_gap(result.constants),
+        dim=constants.opt.size,
+        initial_gap=_initial_gap(constants),
         snr_target=policy.params().get("snr_target"),
     )
 
 
-def _run_replicas(setup, experiment, replicas, base_seed):
-    """Run the given replicas of an experiment on its family's
-    :func:`family_setup`."""
-    task, *shared = setup
-    results = []
-    for replica in replicas:
-        try:
-            result, error = run(task, replica_config(
-                experiment, replica, base_seed), *shared), None
-        except DivergenceError as exc:
-            result, error = None, {"kind": "divergence", "error": str(exc)}
-        except ChannelError as exc:
-            result, error = None, {"kind": "channel", "error": str(exc)}
-        results.append((replica, result, error))
-    return results
+class Replica(NamedTuple):
+    """A completed replica's finals, as its ``summary.json`` entry lists
+    them."""
+
+    final_sq_dist: float
+    final_loss: float
+    energy_uplink: float
+    energy_downlink: float
+    diagnostics: dict
+
+
+def _run_replica(setup, experiment, replica, base_seed, out):
+    """Run one replica on its family's :func:`family_setup`; with ``out``,
+    write its trace there as soon as it completes.  Returns its
+    :class:`Replica` and its squared distances and losses as a ``(2, T)``
+    array, or, for a diverged or failed replica, its ``{"replica", "kind",
+    "error"}`` and None."""
+    task, policy, constants, schedule = setup
+    try:
+        result = run(task, replica_config(experiment, replica, base_seed),
+                     policy, constants, schedule)
+    except (DivergenceError, ChannelError) as exc:
+        kind = "channel" if isinstance(exc, ChannelError) else "divergence"
+        return {"replica": replica, "kind": kind, "error": str(exc)}, None
+    traces = result.traces
+    if out is not None:
+        # Made just before its first file: a directory made a whole run
+        # earlier costs each write more on some file systems.
+        os.makedirs(out, exist_ok=True)
+        traceio.write_trace(
+            os.path.join(out, f"trace_rep{replica:03d}.csv"), traces,
+            resolved_config(experiment, policy, constants, replica,
+                            base_seed + replica))
+    return Replica(traces[-1].sq_dist, traces[-1].loss, result.energy_uplink,
+                   result.energy_downlink, result.diagnostics), np.array(
+        [[tr.sq_dist for tr in traces], [tr.loss for tr in traces]])
 
 
 class Family(NamedTuple):
-    """A seed family's outcome: the completed ``(replica, result)`` pairs,
-    the diverged or failed replicas as ``{"replica", "kind", "error"}``
-    entries, the mean trace of the completed replicas (empty arrays when none
-    completed), the policy every replica ran and its round schedule, one
-    :class:`RoundPolicy` per round (:func:`engine.round_schedule`)."""
+    """A seed family's outcome, without its traces: the completed replicas
+    as ``(replica, Replica)`` pairs, their squared distances and losses as
+    ``(completed, T)`` arrays, the diverged or failed replicas' entries, the
+    rounds 1..T and the completed replicas' mean per round (empty arrays
+    when none completed), and the policy, constants and round schedule
+    (:func:`engine.round_schedule`) that every replica shared."""
 
     completed: list
     diverged: list
+    sq_dist: np.ndarray
+    loss: np.ndarray
     rounds: np.ndarray
     mean_sq: np.ndarray
     mean_loss: np.ndarray
     policy: object
+    constants: object
     schedule: list
 
 
-def family_setup(experiment, base_seed):
+def family_setup(experiment, base_seed, task=None):
     """What every replica of an experiment's family, seeded from
-    ``base_seed``, shares: the task, then the policy, constants and round
-    schedule that :func:`engine.run` takes after the config.  It raises
-    every configuration error that the first replica would."""
-    task = build_task(experiment)
+    ``base_seed``, shares: the task (built here unless given), then the
+    policy, constants and round schedule that :func:`engine.run` takes after
+    the config.  It raises every configuration error that the first replica
+    would."""
+    if task is None:
+        task = build_task(experiment)
     config = replica_config(experiment, 0, base_seed)
     constants = run_constants(task, config)
     policy = run_policy(task, config, constants)
     return task, policy, constants, round_schedule(policy, config)
 
 
-def run_family(experiment, base_seed, workers=1, setup=None):
-    """Run an experiment's replicas, seeded ``base_seed + replica``, and
-    return their :class:`Family`.  Its :func:`family_setup` (made here
-    unless given) comes first, so no replica runs on a bad configuration.
-    """
+def run_family(experiment, base_seed, workers=1, setup=None, out=None):
+    """Run an experiment's replicas, seeded ``base_seed + replica``, on
+    ``workers`` processes, and return their :class:`Family`.  Its
+    :func:`family_setup` (made here unless given) comes first, so no replica
+    runs on a bad configuration.  With ``out``, each replica's trace is
+    written there as it completes."""
     setup = setup or family_setup(experiment, base_seed)
-    _, policy, _, schedule = setup
-    shares = [range(i, experiment.replicas, workers)
-              for i in range(min(workers, experiment.replicas))]
+    _, policy, constants, schedule = setup
+    replicas = experiment.replicas
+    args = (repeat(setup), repeat(experiment), range(replicas),
+            repeat(base_seed), repeat(out))
     if workers == 1:
-        results = _run_replicas(setup, experiment, shares[0], base_seed)
+        outcomes = map(_run_replica, *args)
     else:
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-            results = sorted((r for share in pool.map(
-                _run_replicas, repeat(setup), repeat(experiment), shares,
-                repeat(base_seed))
-                for r in share), key=lambda r: r[0])
-    completed = [(replica, result) for replica, result, err in results
-                 if err is None]
-    diverged = [{"replica": replica, **err} for replica, _, err in results
-                if err is not None]
-    if not completed:
-        return Family(completed, diverged, *(np.array([]),) * 3, policy,
-                      schedule)
-    rounds = np.array([tr.t for tr in completed[0][1].traces], dtype=float)
-    mean_sq = np.mean([[tr.sq_dist for tr in r.traces]
-                       for _, r in completed], axis=0)
-    mean_loss = np.mean([[tr.loss for tr in r.traces]
-                         for _, r in completed], axis=0)
-    return Family(completed, diverged, rounds, mean_sq, mean_loss, policy,
-                  schedule)
+        from concurrent.futures import ProcessPoolExecutor
+        workers = min(workers, replicas)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_replica, *args,
+                                     chunksize=-(-replicas // workers)))
+    sq_dist, loss = np.empty((2, replicas, len(schedule)))
+    completed, diverged = [], []
+    for replica, (record, columns) in enumerate(outcomes):
+        if columns is None:
+            diverged.append(record)
+        else:
+            sq_dist[len(completed)], loss[len(completed)] = columns
+            completed.append((replica, record))
+    sq_dist, loss = sq_dist[:len(completed)], loss[:len(completed)]
+    means = [a.mean(axis=0) if completed else np.array([])
+             for a in (sq_dist, loss)]
+    return Family(completed, diverged, sq_dist, loss,
+                  np.arange(1.0, len(schedule) + 1), *means, policy,
+                  constants, schedule)
 
 
 def _evaluate_checks(experiment, family):
@@ -191,7 +209,6 @@ def _evaluate_checks(experiment, family):
     replica completed."""
     reports = []
     rounds, mean_sq = family.rounds, family.mean_sq
-    first = family.completed[0][1] if family.completed else None
     for check in experiment.checks:
         kind = check["kind"]
         if kind == "schedule":
@@ -202,13 +219,13 @@ def _evaluate_checks(experiment, family):
                 name="check_schedule", passed=excess <= 1e-9, estimate=excess,
                 reference=0.0, tolerance=1e-9,
                 detail="max relative excess over the admissible noise power"))
-        elif first is None:
+        elif not family.completed:
             reports.append(analysis.OracleReport(
                 name=f"check_{kind}", passed=False, estimate=math.nan,
                 reference=math.nan, tolerance=0.0,
                 detail="no completed replicas"))
         elif kind == "bound":
-            spec = _bound_spec(first)
+            spec = _bound_spec(family.policy, family.constants)
             bounds = np.array([analysis.convergence_bound(int(t), spec)
                                for t in rounds])
             ratio = float(np.max(mean_sq / bounds))
@@ -217,8 +234,8 @@ def _evaluate_checks(experiment, family):
                 reference=1.0, tolerance=0.0,
                 detail=f"max(mean/bound) over {len(rounds)} rounds"))
         elif kind == "slope":
-            total = int(rounds[-1])
-            window = tuple(check.get("window", (max(total // 4, 1), total)))
+            window = tuple(check.get("window", analysis.default_slope_window(
+                len(rounds))))
             lo, hi = check.get("range", (-1.3, -0.7))
             fit = analysis.fit_rate(rounds, mean_sq, window)
             reports.append(analysis.OracleReport(
@@ -246,27 +263,14 @@ def cmd_run(args):
         experiment.replicas = args.replicas
     base_seed = args.seed if args.seed is not None \
         else experiment.run.get("seed", 0)
-    family = run_family(experiment, base_seed, args.workers)
+    family = run_family(experiment, base_seed, args.workers, out=args.out)
     completed, diverged = family.completed, family.diverged
     reports = _evaluate_checks(experiment, family)
 
-    os.makedirs(args.out, exist_ok=True)
-    finals = []
-    first_resolved = None
-    for replica, result in completed:
-        seed = base_seed + replica
-        resolved = resolved_config(experiment, result, replica, seed)
-        if first_resolved is None:
-            first_resolved = resolved
-        path = os.path.join(args.out, f"trace_rep{replica:03d}.csv")
-        traceio.write_trace(path, result.traces, resolved)
-        finals.append({"replica": replica, "seed": seed,
-                       "final_sq_dist": result.traces[-1].sq_dist,
-                       "final_loss": result.traces[-1].loss,
-                       "energy_uplink": result.energy_uplink,
-                       "energy_downlink": result.energy_downlink,
-                       **result.diagnostics})
-
+    os.makedirs(args.out, exist_ok=True)    # no replica may have made it
+    finals = [{"replica": replica, "seed": base_seed + replica,
+               **dict(zip(Replica._fields[:-1], record)),
+               **record.diagnostics} for replica, record in completed]
     summary = {
         "experiment": experiment.to_dict(),
         "base_seed": base_seed,
@@ -275,11 +279,14 @@ def cmd_run(args):
         "replicas": finals,
     }
     if completed:
+        replica = completed[0][0]
+        resolved = resolved_config(experiment, family.policy,
+                                   family.constants, replica,
+                                   base_seed + replica)
         traceio.write_mean_trace(os.path.join(args.out, "mean_trace.csv"),
                                  family.rounds, family.mean_sq,
-                                 family.mean_loss,
-                                 resolved_config=first_resolved)
-        summary["resolved"] = first_resolved
+                                 family.mean_loss, resolved_config=resolved)
+        summary["resolved"] = resolved
         summary["mean_final_sq_dist"] = float(family.mean_sq[-1])
     # With no completed replica, the schedule check still has an estimate.
     summary["checks"] = [
@@ -458,8 +465,9 @@ def cmd_sweep(args):
     values = _parse_values(args.values)
     was_int = isinstance(node[leaf], int) and not isinstance(node[leaf], bool)
 
-    # Every point is set up first: a bad value anywhere runs no family.
-    points = []
+    # Every point is set up first: a bad value anywhere runs no family.  The
+    # points share one task per distinct task document.
+    points, tasks = [], {}
     for value in values:
         point = copy.deepcopy(doc)
         pnode, pleaf = _axis_lookup(point, args.axis)
@@ -471,8 +479,11 @@ def cmd_sweep(args):
             point_exp.replicas = args.replicas
         base_seed = args.seed if args.seed is not None \
             else point_exp.run.get("seed", 0)
+        key = traceio.canonical_json(point["task"])
         try:
-            setup = family_setup(point_exp, base_seed)
+            if key not in tasks:
+                tasks[key] = build_task(point_exp)
+            setup = family_setup(point_exp, base_seed, tasks[key])
         except ConfigError as exc:
             raise ConfigError(f"{label}: {exc}") from None
         points.append((value, point_exp, base_seed, setup))
@@ -482,22 +493,27 @@ def cmd_sweep(args):
     failed = False
     print(f"{'value':>12s} {'final_sq_dist':>14s} {'slope':>8s} {'energy':>12s}")
     for value, point_exp, base_seed, setup in points:
-        completed, diverged, rounds, mean_sq, *_ = run_family(
-            point_exp, base_seed, args.workers, setup)
+        family = run_family(point_exp, base_seed, args.workers, setup)
+        completed, diverged = family.completed, family.diverged
         final = slope = energy = math.nan
+        unfitted = None
         if not completed:
             print(f"{value:>12g} {'diverged':>14s}")
         else:
-            final, total = float(mean_sq[-1]), len(mean_sq)
+            mean_sq = family.mean_sq
+            final = float(mean_sq[-1])
+            window = analysis.default_slope_window(len(mean_sq))
             try:
-                slope = analysis.fit_rate(rounds, mean_sq,
-                                          (max(total // 4, 1), total)).slope
-            except ConfigError:
-                pass
+                slope = analysis.fit_rate(family.rounds, mean_sq,
+                                          window).slope
+            except ConfigError as exc:
+                unfitted = f"slope window {list(window)}: {exc}"
             energy = float(np.mean([r.energy_uplink + r.energy_downlink
                                     for _, r in completed]))
             print(f"{value:>12g} {final:>14.6g} {slope:>8.3f} {energy:>12.6g}")
         lines.append(f"{value},{final!r},{slope!r},{energy!r}")
+        if unfitted:
+            print(f"[WARN] {args.axis}={value:g}: {unfitted}")
         if diverged:
             failed = True
             print(f"[WARN] {args.axis}={value:g}: {len(diverged)}/"

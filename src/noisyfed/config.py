@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .analysis import MIN_FIT_POINTS
+from .analysis import MIN_FIT_POINTS, default_slope_window
 from .errors import ConfigError
 from .policies import PRESETS
 
@@ -122,7 +122,8 @@ def _parse_checks(node, path, rounds):
             if key in item:
                 _check_pair(item[key], f"{where}.{key}")
         if kind == "slope" and rounds >= 1:     # else RunConfig's error
-            lo, hi = window = item.get("window", [max(rounds // 4, 1), rounds])
+            lo, hi = window = item.get("window",
+                                       list(default_slope_window(rounds)))
             held = len(range(max(math.ceil(lo), 1),
                              min(math.floor(hi), rounds) + 1))
             if held < MIN_FIT_POINTS:
@@ -155,8 +156,9 @@ def parse_experiment(doc, source="<config>"):
         task_params = dict(task_node)
 
     _check_mapping(doc["run"], _RUN_KEYS, _RUN_REQUIRED, f"{source}.run")
-    if doc["run"].get("seed", 0) < 0:
-        raise ConfigError(f"{source}.run.seed: must be >= 0")
+    for part in ("task", "run"):
+        if doc[part].get("seed", 0) < 0:
+            raise ConfigError(f"{source}.{part}.seed: must be >= 0")
 
     policy_node = doc["policy"]
     _check_mapping(policy_node, {"name": str, "params": dict}, ("name",),

@@ -432,7 +432,9 @@ class Analog:
         self.retries = 0
 
     def prepare(self, params, sampled):
-        """Nothing: how much the fades draw depends on the data."""
+        """Nothing: how many fades a round draws depends only on the
+        outcomes of its own fades (a deep fade is redrawn), so they are
+        drawn round by round."""
 
     def downlink(self, i, w, rp, rows, out):
         received, info = analog_downlink_receive(

@@ -365,6 +365,9 @@ PRESETS = {
 #: Parameters that must be positive; any other number need only be finite.
 _POSITIVE = ("variance_scale", "snr_target", "rho_uplink", "rho_downlink",
              "distance")
+#: The largest ``|snr_db|`` whose power and variance, ``10^(±snr_db/10)``,
+#: are finite floats.
+MAX_DB = math.floor(10 * math.log10(sys.float_info.max))
 
 
 class Policy:
@@ -425,11 +428,15 @@ def build_policy(name, params, constants, n_clients, n_participants,
 
 def _checked(key, value):
     """A parameter's value as a preset uses it: a finite float, positive if
-    :data:`_POSITIVE` names it."""
+    :data:`_POSITIVE` names it, at most :data:`MAX_DB` in size for
+    ``snr_db``."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max):
         raise ConfigError(f"policy parameter {key!r} must be a finite "
                           f"number, not {value!r}")
     if key in _POSITIVE and value <= 0:
         raise ConfigError(f"policy parameter {key!r} must be positive")
+    if key == "snr_db" and abs(value) > MAX_DB:
+        raise ConfigError(f"policy parameter 'snr_db' must be within "
+                          f"±{MAX_DB} dB, not {value!r}")
     return float(value)

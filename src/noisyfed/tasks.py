@@ -17,6 +17,7 @@ plain average of the per-client ones.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,10 +227,17 @@ def derive_constants(task, batch, trajectory_radius):
     # batch gradient is a mean of per-sample ones, so this dominates
     # E||grad F_k(w, batch)||^2 anywhere in the ball.
     row_norms = np.linalg.norm(task.features, axis=-1)
-    per_sample = row_norms * (np.abs(task._residuals(w_star))
-                              + trajectory_radius * row_norms) \
-        + task.ridge * (np.linalg.norm(w_star) + trajectory_radius)
-    grad_bound = float(per_sample.max()) ** 2
+    ridge_term = task.ridge * float(np.linalg.norm(w_star)
+                                    + trajectory_radius)
+    peak = float(np.max(row_norms * (np.abs(task._residuals(w_star))
+                                     + trajectory_radius * row_norms)
+                        + ridge_term))
+    grad_bound = peak * peak
+    if not math.isfinite(grad_bound):
+        raise ConfigError(
+            f"task.ridge: {task.ridge:g} makes the gradient bound overflow"
+            if ridge_term * ridge_term == math.inf else
+            f"task: the gradient bound {peak:g}^2 overflows")
 
     return TaskConstants(
         mu=float(mu), lipschitz=float(lipschitz), kappa=float(lipschitz / mu),

@@ -9,6 +9,7 @@ from noisyfed import (BoundSpec, ConfigError, LearningRateSchedule,
                       rate_constant, recursion_envelope)
 from noisyfed.analysis import (aggregation_noise_oracle,
                                client_sampling_oracle,
+                               default_slope_window,
                                differential_upload_oracle, sampling_deficiency,
                                sgd_one_step_oracle)
 from noisyfed.tasks import TaskConstants, minibatch_gradient_variance
@@ -96,6 +97,12 @@ def test_induction_constant_dominates_recursion():
         deltas = recursion_envelope(spec, 3000)
         for t, delta in enumerate(deltas):
             assert delta <= v / (lr.gamma + t) + 1e-9
+
+
+def test_default_slope_window_is_last_three_quarters():
+    assert default_slope_window(200) == (50, 200)
+    assert default_slope_window(12) == (3, 12)
+    assert default_slope_window(3) == (1, 3)
 
 
 def test_fit_rate_exact_power_law():

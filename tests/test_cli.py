@@ -3,10 +3,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import noisyfed
 from noisyfed import (ChannelError, ConfigError, RunConfig, make_task, run,
                       save_task)
 from noisyfed import cli, config, policies
@@ -127,6 +131,70 @@ def test_one_worker_builds_the_task_once_per_family(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, experiment_doc())
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def _traced_family(tmp_path, replicas):
+    """The traced memory still held after a streamed 200-round family of
+    ``replicas`` replicas, and the traced peak while it ran."""
+    doc = experiment_doc(replicas=replicas, checks=[])
+    doc["task"].update(n_clients=4, dim=3, samples_per_client=6)
+    doc["run"].update(n_participants=2, rounds=200, local_epochs=1,
+                      batch_size=2)
+    experiment = parse_experiment(doc)
+    setup = cli.family_setup(experiment, 17)
+    out = tmp_path / f"r{replicas}"
+    out.mkdir()
+    tracemalloc.start()
+    try:
+        family = cli.run_family(experiment, 17, setup=setup, out=str(out))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family.completed) == replicas
+    assert family.sq_dist.shape == family.loss.shape == (replicas, 200)
+    assert len(os.listdir(out)) == replicas
+    return held, peak
+
+
+def test_family_memory_does_not_grow_with_its_traces(tmp_path):
+    # A family keeps two float64 columns and the finals per replica, about
+    # 5 KB at T=200; keeping every replica's trace rows held about 65 KB.
+    _traced_family(tmp_path, 1)     # first-call allocations
+    held20, peak20 = _traced_family(tmp_path, 20)
+    held60, peak60 = _traced_family(tmp_path, 60)
+    assert (held60 - held20) / 40 <= 10 * 1024
+    assert peak60 - peak20 <= 0.5 * 2 ** 20
+
+
+def test_cli_import_leaves_process_pool_out():
+    # One worker never starts a pool, so importing the CLI does not load it.
+    src = os.path.dirname(os.path.dirname(noisyfed.__file__))
+    code = ("import sys, noisyfed.cli; print(sorted(m for m in "
+            "('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_diverged_replica_writes_no_trace(tmp_path, capsys, workers):
+    # At -55 dB replicas 1 and 3 of seeds 17..22 diverge; the others complete.
+    doc = experiment_doc(policy={"name": "equal_power",
+                                 "params": {"snr_db": -55.0}},
+                         replicas=6, checks=[])
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out),
+                 "--workers", workers]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert [d["replica"] for d in summary["diverged"]] == [1, 3]
+    assert all(d["kind"] == "divergence" for d in summary["diverged"])
+    assert [r["replica"] for r in summary["replicas"]] == [0, 2, 4, 5]
+    assert sorted(os.listdir(out)) == [
+        "mean_trace.csv", "summary.json", "trace_rep000.csv",
+        "trace_rep002.csv", "trace_rep004.csv", "trace_rep005.csv"]
+    assert "[WARN] 2 replica(s) diverged or failed" in capsys.readouterr().out
 
 
 def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch):
@@ -335,6 +403,44 @@ def test_sweep_with_diverged_replicas_fails(tmp_path, capsys):
     assert "snr_db=10:" not in printed
     rows = read_sweep_rows(out / "sweep.csv")
     assert rows[1] == "-90,nan,nan,nan"
+
+
+@pytest.mark.parametrize("axis, values, tasks", [
+    ("policy.params.snr_db", "10,12,14,16", 1),
+    ("task.noise_std", "1,2,4", 3),
+])
+def test_sweep_builds_each_task_once(tmp_path, monkeypatch, axis, values,
+                                     tasks):
+    # The points of a sweep share one task per distinct task document.
+    calls = []
+
+    def counting_make_task(**params):
+        calls.append(params)
+        return make_task(**params)
+
+    monkeypatch.setattr(cli, "make_task", counting_make_task)
+    doc = experiment_doc(policy={"name": "equal_power",
+                                 "params": {"snr_db": 10.0}},
+                         replicas=1, checks=[])
+    doc["run"]["rounds"] = 12
+    assert main(["sweep", write_config(tmp_path, doc), "--axis", axis,
+                 "--values", values, "--out", str(tmp_path / "sw")]) == 0
+    assert len(calls) == tasks
+    assert len(read_sweep_rows(tmp_path / "sw" / "sweep.csv")) \
+        == len(values.split(","))
+
+
+def test_sweep_warns_of_a_window_too_short_to_fit(tmp_path, capsys):
+    doc = experiment_doc(replicas=1, checks=[])
+    out = tmp_path / "sw"
+    assert main(["sweep", write_config(tmp_path, doc), "--axis",
+                 "run.rounds", "--values", "5,12", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "[WARN] run.rounds=5: slope window [1, 5]: rate fit needs at " \
+           "least 10 positive points in window" in printed
+    assert "run.rounds=12" not in printed
+    short, fitted = (r.split(",") for r in read_sweep_rows(out / "sweep.csv"))
+    assert short[2] == "nan" and math.isfinite(float(fitted[2]))
 
 
 def test_sweep_single_value_matches_plain_run(tmp_path):
@@ -623,6 +729,47 @@ def test_negative_config_seed_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "run.seed" in capsys.readouterr().err
+
+
+def _overflowing(case):
+    doc = experiment_doc(checks=[])
+    if case == "snr_db":
+        doc["policy"] = {"name": "equal_power", "params": {"snr_db": 1e300}}
+    else:
+        doc["task"][case] = {"seed": -1, "ridge": 1e300}[case]
+    return doc
+
+
+@pytest.mark.parametrize("case, message", [
+    ("seed", "task.seed: must be >= 0"),
+    ("snr_db", "error: policy parameter 'snr_db' must be within ±3082 dB, "
+               "not 1e+300"),
+    ("ridge", "error: task.ridge: 1e+300 makes the gradient bound overflow"),
+], ids=["task_seed", "snr_db", "task_ridge"])
+def test_out_of_range_task_or_policy_value_is_usage_error(tmp_path, capsys,
+                                                          case, message):
+    # Each raised a raw ValueError or OverflowError before.
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, _overflowing(case)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, value", [("snr_db", 3082), ("ridge", 1e100)])
+def test_large_value_in_range_runs(tmp_path, case, value):
+    # Controls: the largest accepted snr_db has a finite power and variance,
+    # and a large ridge whose gradient bound is finite runs.
+    doc = experiment_doc(replicas=1, checks=[])
+    if case == "snr_db":
+        doc["policy"] = {"name": "equal_power", "params": {"snr_db": value}}
+    else:
+        doc["task"]["ridge"] = value
+    doc["run"]["rounds"] = 5
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["completed"] == 1
 
 
 def test_diversity_policy_without_powers_is_usage_error(tmp_path, capsys):
