@@ -4,13 +4,16 @@ Each oracle checks one moment identity: averaged uplink noise, subset
 sampling of frozen local models, the differential-upload variance bound, and
 the one-step SGD contraction.  Local training is the engine's own mini-batch
 SGD.  The script then compares the closed-form distance bound against both
-the numeric recursion it was derived from and an actual simulated run.
+the numeric recursion it was derived from and an actual simulated run, at
+the policy and constants that run uses.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from noisyfed import (BoundSpec, LearningRateSchedule, RunConfig,
-                      convergence_bound, derive_constants, induction_constant,
+from noisyfed import (LearningRateSchedule, RunConfig, convergence_bound,
+                      derive_constants, family_inputs, induction_constant,
                       make_task, recursion_envelope, run)
 from noisyfed.analysis import (aggregation_noise_oracle,
                                client_sampling_oracle,
@@ -50,26 +53,23 @@ print(sgd_one_step_oracle(task, state, lr, iter_index=4, batch=3,
                           constants=constants).line())
 
 print()
-spec = BoundSpec(variant="mt_full", constants=constants, local_epochs=3,
-                 n_clients=task.n_clients, n_participants=task.n_clients,
-                 dim=task.dim,
-                 initial_gap=float(np.sum(constants.opt ** 2)))
-v = induction_constant(spec)
-envelope = recursion_envelope(spec, 200)
+cfg = RunConfig(n_participants=task.n_clients, rounds=120, local_epochs=3,
+                batch_size=3, mode="MT", policy_name="mt_full")
+inputs = family_inputs(task, cfg)       # the same for every seed
+policy, family_constants = inputs[:2]
+v = induction_constant(policy, family_constants)
+envelope = recursion_envelope(policy, family_constants, 200)
+gammas = policy.lr.gamma + np.arange(201)
 print(f"induction constant v = {v:.1f}; numeric recursion stays below "
-      f"v/(gamma+t): {bool(np.all(envelope <= v / (lr.gamma + np.arange(201)) + 1e-9))}")
+      f"v/(gamma+t): {bool(np.all(envelope <= v / gammas + 1e-9))}")
 
-stack = []
-for s in range(10):
-    cfg = RunConfig(n_participants=task.n_clients, rounds=120, local_epochs=3,
-                    batch_size=3, mode="MT", policy_name="mt_full",
-                    seed=900 + s)
-    stack.append(run(task, cfg).sq_dists)
+stack = [run(task, replace(cfg, seed=900 + s), inputs).sq_dists
+         for s in range(10)]
 mean_sq = np.mean(stack, axis=0)
 print()
 print(f"{'round':>6} {'mean dist^2':>12} {'closed-form bound':>18} {'slack':>10}")
 for t in (1, 10, 40, 120):
-    bound = convergence_bound(t, spec)
+    bound = convergence_bound(t, policy, family_constants)
     print(f"{t:>6} {mean_sq[t - 1]:>12.4f} {bound:>18.1f} "
           f"{bound / mean_sq[t - 1]:>10.0f}x")
 print()

@@ -9,15 +9,15 @@ orders), and the statistical oracles that verify the convergence claims on
 strongly convex synthetic tasks.
 """
 
-from .analysis import (BoundSpec, OracleReport, RateFit, bound_formula,
+from .analysis import (OracleReport, RateFit, bound_formula,
                        convergence_bound, fit_rate, induction_constant,
                        rate_constant, recursion_envelope)
 from .channel import (NoiseSpec, SnrMeasurement, add_effective_noise,
                       analog_downlink_receive, analog_uplink_aggregate,
                       measure_global_snr)
 from .engine import (RoundTrace, RunConfig, RunResult, aggregate,
-                     downlink_broadcast, local_steps, local_train, run,
-                     sample_clients, uplink_transmit)
+                     downlink_broadcast, family_inputs, local_steps,
+                     local_train, run, sample_clients, uplink_transmit)
 from .errors import (AggregationError, ChannelError, ConfigError,
                      DivergenceError, NoisyFedError, PolicyError,
                      ScheduleError, StatisticalPowerError, TaskError)

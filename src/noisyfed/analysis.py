@@ -29,33 +29,6 @@ _EXHAUSTIVE_SUBSET_LIMIT = 10_000
 _AGGREGATION_REL_TOL = 0.05
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """Inputs of the closed-form convergence bound for one run family."""
-
-    variant: str
-    constants: object
-    local_epochs: int
-    n_clients: int
-    n_participants: int
-    dim: int
-    initial_gap: float
-    snr_target: float = None
-
-    def __post_init__(self):
-        if self.variant not in BOUND_VARIANTS:
-            raise ConfigError(f"variant must be one of {BOUND_VARIANTS}")
-        if self.variant == "mdt_constant_snr" and not self.snr_target:
-            raise ConfigError("mdt_constant_snr needs a positive snr_target")
-        if not 1 <= self.n_participants <= self.n_clients:
-            raise ConfigError("need 1 <= participants <= clients")
-
-    @property
-    def lr(self):
-        return LearningRateSchedule.from_constants(self.constants,
-                                                   self.local_epochs)
-
-
 def sampling_deficiency(n_clients, n_participants):
     """(N - K) / (N - 1), defined as 0 under full participation (any N)."""
     if n_participants == n_clients:
@@ -71,23 +44,25 @@ def sgd_noise_term(constants, local_epochs):
             + 8.0 * (local_epochs - 1) ** 2 * constants.grad_bound)
 
 
-def rate_constant(spec):
-    """The aggregate constant scaling the 1/t convergence bound.
-
-    Sums the SGD-variance, heterogeneity, local-drift, client-sampling, and
-    channel-noise contributions appropriate to the run family.
-    """
-    e = spec.local_epochs
-    h2 = spec.constants.grad_bound
-    base = sgd_noise_term(spec.constants, e)
-    frac = sampling_deficiency(spec.n_clients, spec.n_participants)
-    sampling = frac * 4.0 / spec.n_participants * e ** 2 * h2
-    if spec.variant == "mt_full":
-        return base + 2.0 * spec.dim
-    if spec.variant == "mt_partial":
-        return base + sampling + 2.0 * spec.dim
-    mdt = 4.0 * e ** 2 * h2 / (spec.n_participants * spec.snr_target)
-    return base + sampling + mdt + spec.dim
+def rate_constant(policy, constants):
+    """The constant scaling the 1/t bound that ``policy``'s schedule
+    realizes (a :class:`ConfigError` if none): the SGD-variance,
+    heterogeneity, local-drift, client-sampling, and channel-noise terms."""
+    variant = policy.preset.bound
+    if variant is None:
+        raise ConfigError(f"policy {policy.name!r} has no convergence bound")
+    e = policy.lr.local_epochs
+    h2 = constants.grad_bound
+    dim = constants.opt.size
+    base = sgd_noise_term(constants, e)
+    frac = sampling_deficiency(policy.n_clients, policy.n_participants)
+    sampling = frac * 4.0 / policy.n_participants * e ** 2 * h2
+    if variant == "mt_full":
+        return base + 2.0 * dim
+    if variant == "mt_partial":
+        return base + sampling + 2.0 * dim
+    mdt = 4.0 * e ** 2 * h2 / (policy.n_participants * policy.snr_target)
+    return base + sampling + mdt + dim
 
 
 def bound_formula(t, mu, kappa, gamma, rate_const, local_epochs, initial_gap):
@@ -97,33 +72,35 @@ def bound_formula(t, mu, kappa, gamma, rate_const, local_epochs, initial_gap):
     return bracket / (gamma + t)
 
 
-def convergence_bound(t, spec):
-    """Closed-form upper bound on the expected squared distance after round t."""
+def convergence_bound(t, policy, constants):
+    """Closed-form upper bound on the expected squared distance after round
+    t of a family with ``policy`` and ``constants``."""
     if t < 0:
         raise ConfigError("round index must be >= 0")
-    lr = spec.lr
-    return bound_formula(t, lr.mu, lr.kappa, lr.gamma, rate_constant(spec),
-                         spec.local_epochs, spec.initial_gap)
+    lr = policy.lr
+    return bound_formula(t, lr.mu, lr.kappa, lr.gamma,
+                         rate_constant(policy, constants), lr.local_epochs,
+                         constants.initial_gap)
 
 
-def induction_constant(spec):
+def induction_constant(policy, constants):
     """max{beta^2 D / (beta mu - 1), (gamma + 1) * initial_gap}."""
-    lr = spec.lr
-    d_const = rate_constant(spec)
+    lr = policy.lr
+    d_const = rate_constant(policy, constants)
     return max(lr.beta ** 2 * d_const / (lr.beta * lr.mu - 1.0),
-               (lr.gamma + 1.0) * spec.initial_gap)
+               (lr.gamma + 1.0) * constants.initial_gap)
 
 
-def recursion_envelope(spec, steps):
+def recursion_envelope(policy, constants, steps):
     """Iterate the one-step contraction numerically from the initial gap.
 
     Returns the sequence ``delta_0 .. delta_steps`` obeyed by
     ``delta_(t+1) = (1 - eta_t mu) delta_t + eta_t^2 D``; by construction it
     never exceeds ``induction_constant / (gamma + t)``.
     """
-    lr = spec.lr
-    d_const = rate_constant(spec)
-    deltas = [spec.initial_gap]
+    lr = policy.lr
+    d_const = rate_constant(policy, constants)
+    deltas = [constants.initial_gap]
     for t in range(1, steps + 1):
         eta = lr.eta(t)
         deltas.append((1.0 - eta * lr.mu) * deltas[-1] + eta ** 2 * d_const)

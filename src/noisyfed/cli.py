@@ -29,8 +29,7 @@ import numpy as np
 
 from . import analysis, traceio
 from .config import load_experiment, parse_experiment
-from .engine import (RunConfig, round_schedule, run, run_constants,
-                     run_policy)
+from .engine import RunConfig, family_inputs, run
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
 from .policies import (PRESETS, LearningRateSchedule, mt_full_noise,
@@ -67,32 +66,13 @@ def resolved_config(experiment, policy, constants, replica, seed):
         "policy": {"name": policy.name, "params": policy.params()},
         "derived": dict(derived, sgd_var=list(constants.sgd_var),
                         lr_gamma=policy.lr.gamma, lr_beta=policy.lr.beta,
-                        initial_gap=_initial_gap(constants)),
+                        initial_gap=constants.initial_gap),
     }
     if policy.preset.bound is not None:
         resolved["derived"]["rate_constant"] = analysis.rate_constant(
-            _bound_spec(policy, constants))
+            policy, constants)
         resolved["derived"]["bound_variant"] = policy.preset.bound
     return resolved
-
-
-def _initial_gap(constants):
-    """The squared distance from the zero start to the optimum."""
-    return float(np.sum(constants.opt ** 2))
-
-
-def _bound_spec(policy, constants):
-    """The convergence bound of a family, from its policy and constants."""
-    return analysis.BoundSpec(
-        variant=policy.preset.bound,
-        constants=constants,
-        local_epochs=policy.lr.local_epochs,
-        n_clients=policy.n_clients,
-        n_participants=policy.n_participants,
-        dim=constants.opt.size,
-        initial_gap=_initial_gap(constants),
-        snr_target=policy.params().get("snr_target"),
-    )
 
 
 class Replica(NamedTuple):
@@ -112,10 +92,9 @@ def _run_replica(setup, experiment, replica, base_seed, out):
     :class:`Replica` and its squared distances and losses as a ``(2, T)``
     array, or, for a diverged or failed replica, its ``{"replica", "kind",
     "error"}`` and None."""
-    task, policy, constants, schedule = setup
     try:
-        result = run(task, replica_config(experiment, replica, base_seed),
-                     policy, constants, schedule)
+        result = run(setup[0], replica_config(experiment, replica, base_seed),
+                     setup[1:])
     except (DivergenceError, ChannelError) as exc:
         kind = "channel" if isinstance(exc, ChannelError) else "divergence"
         return {"replica": replica, "kind": kind, "error": str(exc)}, None
@@ -126,8 +105,8 @@ def _run_replica(setup, experiment, replica, base_seed, out):
         os.makedirs(out, exist_ok=True)
         traceio.write_trace(
             os.path.join(out, f"trace_rep{replica:03d}.csv"), traces,
-            resolved_config(experiment, policy, constants, replica,
-                            base_seed + replica))
+            resolved_config(experiment, result.policy, result.constants,
+                            replica, base_seed + replica))
     return Replica(traces[-1].sq_dist, traces[-1].loss, result.energy_uplink,
                    result.energy_downlink, result.diagnostics), np.array(
         [[tr.sq_dist for tr in traces], [tr.loss for tr in traces]])
@@ -139,7 +118,7 @@ class Family(NamedTuple):
     ``(completed, T)`` arrays, the diverged or failed replicas' entries, the
     rounds 1..T and the completed replicas' mean per round (empty arrays
     when none completed), and the policy, constants and round schedule
-    (:func:`engine.round_schedule`) that every replica shared."""
+    (:func:`engine.family_inputs`) that every replica shared."""
 
     completed: list
     diverged: list
@@ -156,15 +135,12 @@ class Family(NamedTuple):
 def family_setup(experiment, base_seed, task=None):
     """What every replica of an experiment's family, seeded from
     ``base_seed``, shares: the task (built here unless given), then the
-    policy, constants and round schedule that :func:`engine.run` takes after
-    the config.  It raises every configuration error that the first replica
-    would."""
+    policy, constants and round schedule of :func:`engine.family_inputs`.
+    It raises every configuration error that the first replica would."""
     if task is None:
         task = build_task(experiment)
-    config = replica_config(experiment, 0, base_seed)
-    constants = run_constants(task, config)
-    policy = run_policy(task, config, constants)
-    return task, policy, constants, round_schedule(policy, config)
+    return (task, *family_inputs(task, replica_config(experiment, 0,
+                                                      base_seed)))
 
 
 def run_family(experiment, base_seed, workers=1, setup=None, out=None):
@@ -174,8 +150,7 @@ def run_family(experiment, base_seed, workers=1, setup=None, out=None):
     runs on a bad configuration.  With ``out``, each replica's trace is
     written there as it completes."""
     setup = setup or family_setup(experiment, base_seed)
-    _, policy, constants, schedule = setup
-    replicas = experiment.replicas
+    replicas, rounds = experiment.replicas, len(setup[3])
     args = (repeat(setup), repeat(experiment), range(replicas),
             repeat(base_seed), repeat(out))
     if workers == 1:
@@ -186,7 +161,7 @@ def run_family(experiment, base_seed, workers=1, setup=None, out=None):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_replica, *args,
                                      chunksize=-(-replicas // workers)))
-    sq_dist, loss = np.empty((2, replicas, len(schedule)))
+    sq_dist, loss = np.empty((2, replicas, rounds))
     completed, diverged = [], []
     for replica, (record, columns) in enumerate(outcomes):
         if columns is None:
@@ -198,8 +173,7 @@ def run_family(experiment, base_seed, workers=1, setup=None, out=None):
     means = [a.mean(axis=0) if completed else np.array([])
              for a in (sq_dist, loss)]
     return Family(completed, diverged, sq_dist, loss,
-                  np.arange(1.0, len(schedule) + 1), *means, policy,
-                  constants, schedule)
+                  np.arange(1.0, rounds + 1), *means, *setup[1:])
 
 
 def _evaluate_checks(experiment, family):
@@ -225,9 +199,8 @@ def _evaluate_checks(experiment, family):
                 reference=math.nan, tolerance=0.0,
                 detail="no completed replicas"))
         elif kind == "bound":
-            spec = _bound_spec(family.policy, family.constants)
-            bounds = np.array([analysis.convergence_bound(int(t), spec)
-                               for t in rounds])
+            bounds = np.array([analysis.convergence_bound(
+                int(t), family.policy, family.constants) for t in rounds])
             ratio = float(np.max(mean_sq / bounds))
             reports.append(analysis.OracleReport(
                 name="check_bound", passed=ratio <= 1.0, estimate=ratio,

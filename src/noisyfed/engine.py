@@ -41,8 +41,7 @@ import numpy as np
 from .channel import (NOISE_DISTRIBUTIONS, NoiseSpec, analog_downlink_receive,
                       analog_uplink_aggregate, sample_noise)
 from .errors import AggregationError, ConfigError, DivergenceError, PolicyError
-from .policies import (PRESETS, LearningRateSchedule, Policy, build_policy,
-                       mdt_uplink_variance)
+from .policies import PRESETS, Policy, build_policy, mdt_uplink_variance
 from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
                       DOMAIN_FADE_UPLINK, DOMAIN_SAMPLING, DOMAIN_UPLINK,
                       stream)
@@ -454,50 +453,48 @@ class Analog:
         return agg if self.mt else w + agg, 1.0 / (rp.rho_ul * rp.div_ul)
 
 
-def run_constants(task, config):
-    """The task's derived constants as a run of ``config`` uses them: at the
-    run's batch size, over the ball of radius ``2 max(||w*||, 1)`` about the
-    optimum (``TRAJECTORY_RADIUS_FACTOR``).  They do not depend on the seed,
-    so the replicas of a family can share them.  More participants than
-    clients is a :class:`ConfigError`."""
+def family_inputs(task, config):
+    """What every replica of ``config``'s family shares, as :func:`run` takes
+    it: the policy, the task's constants (at the run's batch size, over the
+    ball of radius ``2 max(||w*||, 1)`` about the optimum) and each round's
+    :class:`RoundPolicy`.  None depends on the seed.  More participants than
+    clients, or a schedule leaving the positive floats, is a ConfigError."""
     if config.n_participants > task.n_clients:
         raise ConfigError("participants exceed the number of clients")
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
     initial_sq = squared_distance(np.zeros(task.dim), task.global_optimum())
     radius = TRAJECTORY_RADIUS_FACTOR * max(math.sqrt(initial_sq), 1.0)
-    return derive_constants(task, batch, radius)
+    constants = derive_constants(task, batch, radius)
+    policy = build_policy(config.policy_name, config.policy_params, constants,
+                          task.n_clients, config.n_participants,
+                          config.local_epochs)
+    try:
+        schedule = [policy.round_params(t)
+                    for t in range(1, config.rounds + 1)]
+        # A scheduled round's fields, and the run's energy (the last two),
+        # must be positive floats; presets without a schedule may be silent.
+        fields = [f for f in zip(*(vars(rp).values() for rp in schedule))
+                  if f[0] is not None]
+        leaves = policy.preset.excess is not None and not (
+            all(0 < min(f) and sum(f) < math.inf for f in fields)
+            and sum(fields[-2]) + sum(fields[-1]) < math.inf)
+    except ArithmeticError:     # a float leaving the range mid-formula
+        leaves = True
+    if leaves:
+        raise ConfigError(
+            f"task.ridge: {task.ridge:g} (mu {constants.mu:.3g}) with "
+            f"policy {policy.name!r} {policy.params()} leaves the float "
+            f"range within {config.rounds} rounds")
+    return policy, constants, schedule
 
 
-def run_policy(task, config, constants):
-    """The policy a run of ``config`` uses, built from ``constants``; like
-    them, the same for every seed."""
-    return build_policy(config.policy_name, config.policy_params, constants,
-                        task.n_clients, config.n_participants,
-                        config.local_epochs)
-
-
-def round_schedule(policy, config):
-    """Each round's :class:`RoundPolicy`, rounds 1 .. T; like the policy,
-    the same for every seed."""
-    return [policy.round_params(t) for t in range(1, config.rounds + 1)]
-
-
-def run(task, config, policy=None, constants=None, schedule=None):
-    """Execute a run and return its :class:`RunResult`.
-
-    ``constants``, those of :func:`run_constants`, a prebuilt policy and its
-    :func:`round_schedule` may be supplied; otherwise they are derived from
-    the task and ``config.policy_name``/``policy_params``.
-    """
+def run(task, config, inputs=None):
+    """Execute a run on ``inputs``, by default ``family_inputs(task,
+    config)``, and return its :class:`RunResult`."""
     n_clients = task.n_clients
     n_participants = config.n_participants
-    if constants is None:
-        constants = run_constants(task, config)
-    if policy is None:
-        policy = run_policy(task, config, constants)
-    if schedule is None:
-        schedule = round_schedule(policy, config)
+    policy, constants, schedule = inputs or family_inputs(task, config)
     dim = task.dim
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
@@ -507,11 +504,10 @@ def run(task, config, policy=None, constants=None, schedule=None):
     w = np.zeros(dim)
     initial_sq = squared_distance(w, w_star)
     radius = constants.trajectory_radius
-    lr = LearningRateSchedule.from_constants(constants, epochs)
 
     everyone = n_participants == n_clients
     rounds = config.rounds
-    etas = lr.etas(rounds * epochs).reshape(rounds, epochs)
+    etas = policy.lr.etas(rounds * epochs).reshape(rounds, epochs)
     first_etas = etas[:, 0].tolist()
 
     # One generator per domain and run; only the domains the run uses.

@@ -422,6 +422,12 @@ def build_policy(name, params, constants, n_clients, n_participants,
                           f"({n_clients}) to take part; use 'mt_partial'")
     values = {key: _checked(key, params.get(key, default))
               for key, default in preset.params.items()}
+    if "pathloss" in values:    # distance^pathloss and its inverse: floats
+        loss_db = 10 * values["pathloss"] * math.log10(values["distance"])
+        if abs(loss_db) > MAX_DB:
+            raise ConfigError(
+                f"policy.params.distance and policy.params.pathloss: distance"
+                f"^pathloss is {loss_db:.6g} dB, beyond ±{MAX_DB} dB")
     lr = LearningRateSchedule.from_constants(constants, local_epochs)
     return Policy(name, lr, n_clients, n_participants, values)
 

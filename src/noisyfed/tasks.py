@@ -147,6 +147,11 @@ class TaskConstants:
         n = len(self.sgd_var)
         return float(sum(self.sgd_var)) / (n * n)
 
+    @property
+    def initial_gap(self):
+        """The squared distance from the zero start to the optimum."""
+        return float(np.sum(self.opt ** 2))
+
 
 def make_task(n_clients, dim, samples_per_client, heterogeneity=1.0, ridge=0.1,
               noise_std=1.0, spectrum=(1.0, 1.1), seed=0):
@@ -181,8 +186,14 @@ def make_task(n_clients, dim, samples_per_client, heterogeneity=1.0, ridge=0.1,
     features = (q * np.sqrt(samples_per_client * spect)[:, None]) \
         @ rot.transpose(0, 2, 1)
     w_gen = base + heterogeneity * (shift / np.sqrt(dim))
-    targets = np.matmul(features, w_gen[..., None])[..., 0] + noise_std * noise
-    return QuadraticTask(features, targets, ridge)
+    signal = np.matmul(features, w_gen[..., None])[..., 0]
+    noise = noise_std * noise
+    with np.errstate(over="ignore"):
+        for key, part in (("heterogeneity", signal), ("noise_std", noise)):
+            if not math.isfinite(np.vdot(part, part)):
+                raise ConfigError(f"task.{key}: so large that the targets' "
+                                  "squares overflow")
+    return QuadraticTask(features, signal + noise, ridge)
 
 
 def minibatch_gradient_variance(task, w, batch):
@@ -215,9 +226,12 @@ def derive_constants(task, batch, trajectory_radius):
     lipschitz = task.ridge + eigs[:, -1].max()
 
     w_star = task.global_optimum()
+    # The solve is accurate relative to the gradient's scale, ||grad F(0)||.
+    scale = float(np.linalg.norm(task.global_gradient(np.zeros(task.dim))))
     grad_norm = float(np.linalg.norm(task.global_gradient(w_star)))
-    if grad_norm > _GRAD_TOL_AT_OPT:
-        raise TaskError(f"global optimum residual gradient {grad_norm:.2e} too large")
+    if not grad_norm <= _GRAD_TOL_AT_OPT * max(1.0, scale):
+        raise TaskError(f"global optimum residual gradient {grad_norm:.2e} "
+                        f"too large for a gradient scale of {scale:.2e}")
     f_star = task.global_loss(w_star)
     gamma_noniid = max(0.0, f_star - float(np.mean(
         task.client_losses(task.client_optima()))))

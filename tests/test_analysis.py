@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisyfed import (BoundSpec, ConfigError, LearningRateSchedule,
+from noisyfed import (ConfigError, LearningRateSchedule,
                       StatisticalPowerError, analysis, bound_formula,
-                      convergence_bound, fit_rate, induction_constant,
-                      rate_constant, recursion_envelope)
+                      build_policy, convergence_bound, fit_rate,
+                      induction_constant, rate_constant, recursion_envelope)
 from noisyfed.analysis import (aggregation_noise_oracle,
                                client_sampling_oracle,
                                default_slope_window,
@@ -16,52 +16,60 @@ from noisyfed.tasks import TaskConstants, minibatch_gradient_variance
 
 
 def constants_stub(mu=1.0, lipschitz=4.0, gamma_noniid=0.5, sgd_var=(1.0,) * 10,
-                   grad_bound=9.0, dim=20):
+                   grad_bound=9.0, dim=20, initial_gap=4.0):
+    """Constants whose optimum is ``initial_gap`` away from the zero start,
+    squared, along the first axis."""
+    opt = np.zeros(dim)
+    opt[0] = np.sqrt(initial_gap)
     return TaskConstants(mu=mu, lipschitz=lipschitz, kappa=lipschitz / mu,
                          gamma_noniid=gamma_noniid, sgd_var=tuple(sgd_var),
-                         grad_bound=grad_bound, opt=np.zeros(dim),
+                         grad_bound=grad_bound, opt=opt,
                          opt_value=0.0, trajectory_radius=1.0)
+
+
+def stub_policy(name, local_epochs, n_participants, n_clients=10, **params):
+    """A preset built on :func:`constants_stub`'s curvature."""
+    return build_policy(name, params, constants_stub(), n_clients,
+                        n_participants, local_epochs)
 
 
 def test_rate_constant_partial_hand_value():
     # delta_k^2 = 1 for 10 clients, L=4, Gamma=0.5, E=2, H^2=9, K=5, d=20:
     # 0.1 + 12 + 72 + (5/9)(4/5)(4)(9) + 40 = 140.1
-    spec = BoundSpec(variant="mt_partial", constants=constants_stub(),
-                     local_epochs=2, n_clients=10, n_participants=5, dim=20,
-                     initial_gap=4.0)
-    assert rate_constant(spec) == pytest.approx(140.1, rel=1e-12)
+    policy = stub_policy("mt_partial", local_epochs=2, n_participants=5)
+    assert rate_constant(policy, constants_stub()) == \
+        pytest.approx(140.1, rel=1e-12)
 
 
 def test_rate_constant_term_cancellation_full_single_epoch():
-    spec = BoundSpec(variant="mt_partial", constants=constants_stub(),
-                     local_epochs=1, n_clients=10, n_participants=10, dim=20,
-                     initial_gap=4.0)
+    policy = stub_policy("mt_partial", local_epochs=1, n_participants=10)
     # E=1 and K=N: drift and sampling terms vanish.
     expected = 0.1 + 6 * 4.0 * 0.5 + 2 * 20
-    assert rate_constant(spec) == pytest.approx(expected, rel=1e-12)
+    assert rate_constant(policy, constants_stub()) == \
+        pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_constant_mdt_high_snr_limit():
-    base = dict(constants=constants_stub(), local_epochs=2, n_clients=10,
-                n_participants=5, dim=20, initial_gap=4.0)
-    partial = rate_constant(BoundSpec(variant="mt_partial", **base))
-    mdt = rate_constant(BoundSpec(variant="mdt_constant_snr",
-                                  snr_target=1e12, **base))
+    partial = rate_constant(stub_policy("mt_partial", 2, 5), constants_stub())
+    mdt = rate_constant(stub_policy("mdt_constant_snr", 2, 5,
+                                    snr_target=1e12), constants_stub())
     # The differential-upload constant approaches the partial one minus d.
     assert mdt == pytest.approx(partial - 20.0, rel=1e-9)
 
 
 def test_rate_constant_monotone_in_participants_and_snr():
-    base = dict(constants=constants_stub(), local_epochs=3, n_clients=10,
-                dim=20, initial_gap=4.0)
-    partial = [rate_constant(BoundSpec(variant="mt_partial",
-                                       n_participants=k, **base))
-               for k in (2, 5, 10)]
+    partial = [rate_constant(stub_policy("mt_partial", 3, k),
+                             constants_stub()) for k in (2, 5, 10)]
     assert partial[0] > partial[1] > partial[2]
-    mdt = [rate_constant(BoundSpec(variant="mdt_constant_snr",
-                                   n_participants=5, snr_target=nu, **base))
-           for nu in (1.0, 10.0, 100.0)]
+    mdt = [rate_constant(stub_policy("mdt_constant_snr", 3, 5, snr_target=nu),
+                         constants_stub()) for nu in (1.0, 10.0, 100.0)]
     assert mdt[0] > mdt[1] > mdt[2]
+
+
+def test_rate_constant_of_a_policy_without_bound_is_config_error():
+    with pytest.raises(ConfigError,
+                       match="'equal_power' has no convergence bound"):
+        rate_constant(stub_policy("equal_power", 2, 5), constants_stub())
 
 
 def test_sampling_deficiency_degenerate_cases():
@@ -79,24 +87,21 @@ def test_bound_formula_hand_value():
 
 
 def test_convergence_bound_monotone_and_halving():
-    spec = BoundSpec(variant="mt_full", constants=constants_stub(),
-                     local_epochs=2, n_clients=10, n_participants=10, dim=20,
-                     initial_gap=4.0)
-    values = [convergence_bound(t, spec) for t in range(0, 4000)]
+    policy = stub_policy("mt_full", local_epochs=2, n_participants=10)
+    values = [convergence_bound(t, policy, constants_stub())
+              for t in range(0, 4000)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[2000] / values[3993] == pytest.approx(2.0, rel=0.01)
 
 
 def test_induction_constant_dominates_recursion():
+    policy = stub_policy("mt_full", local_epochs=2, n_participants=10)
     for gap in (0.1, 4.0, 50.0):
-        spec = BoundSpec(variant="mt_full", constants=constants_stub(),
-                         local_epochs=2, n_clients=10, n_participants=10,
-                         dim=20, initial_gap=gap)
-        v = induction_constant(spec)
-        lr = spec.lr
-        deltas = recursion_envelope(spec, 3000)
+        constants = constants_stub(initial_gap=gap)
+        v = induction_constant(policy, constants)
+        deltas = recursion_envelope(policy, constants, 3000)
         for t, delta in enumerate(deltas):
-            assert delta <= v / (lr.gamma + t) + 1e-9
+            assert delta <= v / (policy.lr.gamma + t) + 1e-9
 
 
 def test_default_slope_window_is_last_three_quarters():
@@ -234,13 +239,3 @@ def test_differential_upload_oracle_holds_few_replica_blocks(
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * block
-
-
-def test_bound_spec_validation():
-    with pytest.raises(ConfigError):
-        BoundSpec(variant="mdt_constant_snr", constants=constants_stub(),
-                  local_epochs=1, n_clients=4, n_participants=2, dim=3,
-                  initial_gap=1.0)  # missing snr_target
-    with pytest.raises(ConfigError):
-        BoundSpec(variant="warp", constants=constants_stub(), local_epochs=1,
-                  n_clients=4, n_participants=2, dim=3, initial_gap=1.0)

@@ -757,13 +757,52 @@ def test_out_of_range_task_or_policy_value_is_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case, value", [("snr_db", 3082), ("ridge", 1e100)])
+_POWERS = {"rho_uplink": 2.0, "rho_downlink": 2.0}
+
+
+@pytest.mark.parametrize("policy, params, task, rounds, key", [
+    ("mt_partial", {}, {"ridge": 1e153}, 12, "task.ridge"),
+    ("mt_full", {}, {"ridge": 1e153}, 12, "task.ridge"),
+    ("diversity_t2", _POWERS, {"ridge": 1e153}, 12, "task.ridge"),
+    ("power_t2", {}, {"ridge": 1e153}, 12, "task.ridge"),
+    # Every round finite, but their energies' sum overflows.
+    ("mt_partial", {}, {"ridge": 1e152}, 80, "task.ridge"),
+    ("power_t2", {"distance": 1e10, "pathloss": 40}, {}, 12,
+     "policy.params.distance and policy.params.pathloss"),
+    ("diversity_t2", dict(_POWERS, distance=1e-10, pathloss=40), {}, 12,
+     "policy.params.distance and policy.params.pathloss"),
+    ("mt_partial", {}, {"heterogeneity": 1e154}, 12, "task.heterogeneity"),
+    ("mt_partial", {}, {"noise_std": 1e154}, 12, "task.noise_std"),
+], ids=["ridge_mt_partial", "ridge_mt_full", "ridge_diversity_t2",
+        "ridge_power_t2", "ridge_energy_sum", "far_power_t2",
+        "near_diversity_t2", "heterogeneity", "noise_std"])
+def test_schedule_or_task_leaving_the_floats_is_usage_error(
+        tmp_path, capsys, policy, params, task, rounds, key):
+    # Each raised a raw ZeroDivisionError or OverflowError, exited 1 or ran
+    # with zero noise and infinite power before.
+    doc = experiment_doc(policy={"name": policy, "params": params}, checks=[])
+    doc["task"].update(task)
+    doc["run"].update(rounds=rounds, n_participants=6 if policy == "mt_full"
+                      else 3)
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, value", [("snr_db", 3082), ("ridge", 1e100),
+                                         ("pathloss", 30)])
 def test_large_value_in_range_runs(tmp_path, case, value):
     # Controls: the largest accepted snr_db has a finite power and variance,
-    # and a large ridge whose gradient bound is finite runs.
+    # a large ridge whose gradient bound is finite runs, and so does a
+    # pathloss of 3000 dB.
     doc = experiment_doc(replicas=1, checks=[])
     if case == "snr_db":
         doc["policy"] = {"name": "equal_power", "params": {"snr_db": value}}
+    elif case == "pathloss":
+        doc["policy"] = {"name": "power_t2",
+                         "params": {"distance": 1e10, "pathloss": value}}
     else:
         doc["task"]["ridge"] = value
     doc["run"]["rounds"] = 5

@@ -11,12 +11,13 @@ from scipy import stats
 
 from noisyfed import (AggregationError, ConfigError, DivergenceError,
                       LearningRateSchedule, QuadraticTask, RunConfig,
-                      aggregate, downlink_broadcast, local_steps, local_train,
-                      make_task, run, sample_clients, uplink_transmit)
+                      aggregate, downlink_broadcast, family_inputs,
+                      local_steps, local_train, make_task, run,
+                      sample_clients, uplink_transmit)
 from noisyfed import NoiseSpec, PolicyError, engine
 from noisyfed.channel import sample_noise
 from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
-from noisyfed.policies import Policy, RoundPolicy
+from noisyfed.policies import RoundPolicy
 from noisyfed.seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK,
                               DOMAIN_FADE_DOWNLINK, DOMAIN_FADE_UPLINK,
                               DOMAIN_SAMPLING, DOMAIN_UPLINK, STREAM_LAYOUT,
@@ -259,12 +260,23 @@ def test_trace_rounds_strictly_increasing(small_task):
     assert ts == list(range(1, 13))
 
 
-class _StubPolicy(Policy):
-    def __init__(self, uplink_variance, downlink_variance):
-        self.variances = (uplink_variance, downlink_variance)
+@pytest.mark.parametrize("channel, policy", [
+    ("effective_noise", "mt_partial"), ("analog_physical", "power_t2")])
+def test_given_family_inputs_change_no_bit(small_task, channel, policy):
+    cfg = RunConfig(n_participants=3, rounds=12, local_epochs=2, batch_size=3,
+                    channel=channel, policy_name=policy, seed=4)
+    derived = run(small_task, cfg)
+    given = run(small_task, cfg, family_inputs(small_task, cfg))
+    assert given.traces == derived.traces
+    assert given.final_model.tobytes() == derived.final_model.tobytes()
 
-    def round_params(self, t):
-        return RoundPolicy(*self.variances)
+
+def _stub_inputs(task, cfg, uplink_variance, downlink_variance):
+    """The run's :func:`family_inputs` with every round's variances
+    replaced."""
+    policy, constants, _ = family_inputs(task, cfg)
+    return policy, constants, [RoundPolicy(uplink_variance, downlink_variance)
+                               for _ in range(cfg.rounds)]
 
 
 @pytest.mark.parametrize("uplink, downlink", [(0.0, -1e-3), (-1e-3, 0.0)])
@@ -273,7 +285,7 @@ def test_negative_noise_variance_is_policy_error(small_task, uplink,
     cfg = RunConfig(n_participants=3, rounds=3, local_epochs=2, batch_size=3,
                     seed=0)
     with pytest.raises(PolicyError, match="must be non-negative"):
-        run(small_task, cfg, policy=_StubPolicy(uplink, downlink))
+        run(small_task, cfg, _stub_inputs(small_task, cfg, uplink, downlink))
 
 
 def test_nan_aggregate_trips_divergence_guard(small_task):
@@ -283,7 +295,7 @@ def test_nan_aggregate_trips_divergence_guard(small_task):
                     seed=0)
     with np.errstate(invalid="ignore"), \
             pytest.raises(DivergenceError, match="^round 1: ") as excinfo:
-        run(small_task, cfg, policy=_StubPolicy(math.inf, 0.0))
+        run(small_task, cfg, _stub_inputs(small_task, cfg, math.inf, 0.0))
     traces = excinfo.value.traces
     assert [tr.t for tr in traces] == [1]
     assert traces[0].sq_dist == math.inf

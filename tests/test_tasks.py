@@ -197,6 +197,22 @@ def test_unequal_client_sizes_rejected():
         QuadraticTask(np.ones((2, 2, 2)), np.zeros((2, 1)), ridge=0.1)
 
 
+@pytest.mark.parametrize("key", ["heterogeneity", "noise_std"])
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e150])
+def test_optimum_check_is_relative_to_the_gradient_scale(key, scale):
+    # The solve is accurate to about 1e-16 relative at every scale; an
+    # absolute tolerance rejected the exact optimum from about 1e9 on.
+    task = make_task(n_clients=6, dim=6, samples_per_client=12, ridge=0.1,
+                     seed=5, **{key: scale})
+    w_star = task.global_optimum()
+    radius = 2.0 * max(float(np.linalg.norm(w_star)), 1.0)
+    assert np.array_equal(derive_constants(task, 3, radius).opt, w_star)
+    # Negative control: an optimum off by 1e-6 relative fails the check.
+    task.global_optimum = lambda: w_star * (1.0 + 1e-6)
+    with pytest.raises(TaskError, match="residual gradient"):
+        derive_constants(task, 3, radius)
+
+
 def test_save_load_round_trip(tmp_path, small_task):
     path = tmp_path / "task.json"
     save_task(small_task, path)
