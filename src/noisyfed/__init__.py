@@ -21,7 +21,7 @@ from .engine import (RoundTrace, RunConfig, RunResult, aggregate,
 from .errors import (AggregationError, ChannelError, ConfigError,
                      DivergenceError, NoisyFedError, PolicyError,
                      ScheduleError, StatisticalPowerError, TaskError)
-from .policies import (LearningRateSchedule, RoundPolicy, budget_split,
+from .policies import (LearningRateSchedule, RoundParams, budget_split,
                        build_policy, diversity_orders, downlink_power,
                        equal_power_variance, mdt_downlink_noise,
                        mdt_uplink_variance, mt_full_noise, mt_partial_noise,

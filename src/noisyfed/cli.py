@@ -117,8 +117,9 @@ class Family(NamedTuple):
     as ``(replica, Replica)`` pairs, their squared distances and losses as
     ``(completed, T)`` arrays, the diverged or failed replicas' entries, the
     rounds 1..T and the completed replicas' mean per round (empty arrays
-    when none completed), and the policy, constants and round schedule
-    (:func:`engine.family_inputs`) that every replica shared."""
+    when none completed), and the policy, constants and
+    :class:`engine.Schedule` (:func:`engine.family_inputs`) that every
+    replica shared."""
 
     completed: list
     diverged: list
@@ -129,7 +130,7 @@ class Family(NamedTuple):
     mean_loss: np.ndarray
     policy: object
     constants: object
-    schedule: list
+    schedule: object
 
 
 def family_setup(experiment, base_seed, task=None):
@@ -150,7 +151,7 @@ def run_family(experiment, base_seed, workers=1, setup=None, out=None):
     runs on a bad configuration.  With ``out``, each replica's trace is
     written there as it completes."""
     setup = setup or family_setup(experiment, base_seed)
-    replicas, rounds = experiment.replicas, len(setup[3])
+    replicas, rounds = experiment.replicas, experiment.run["rounds"]
     args = (repeat(setup), repeat(experiment), range(replicas),
             repeat(base_seed), repeat(out))
     if workers == 1:
@@ -178,17 +179,16 @@ def run_family(experiment, base_seed, workers=1, setup=None, out=None):
 
 def _evaluate_checks(experiment, family):
     """Evaluate the experiment's checks on a family's seed-averaged trace;
-    the schedule check judges each round's :class:`RoundPolicy` of the
-    family's schedule against that round's cap, so it runs even when no
-    replica completed."""
+    the schedule check judges each round of the family's schedule against
+    that round's cap, so it runs even when no replica completed."""
     reports = []
     rounds, mean_sq = family.rounds, family.mean_sq
     for check in experiment.checks:
         kind = check["kind"]
         if kind == "schedule":
             # The parser allows only schedule-backed presets.
-            excess = max(family.policy.schedule_excess(t, rp)
-                         for t, rp in enumerate(family.schedule, 1))
+            excess = float(np.max(family.policy.schedule_excess(
+                rounds, family.schedule.params)))
             reports.append(analysis.OracleReport(
                 name="check_schedule", passed=excess <= 1e-9, estimate=excess,
                 reference=0.0, tolerance=1e-9,
@@ -336,16 +336,13 @@ def _theorem_reports(noise_scale, seed):
 
     # Closed-form identity: the upload schedule's noise power one round ahead
     # equals (clients^2 or participants) times the squared learning rate.
+    # The squares round as Python's, so the estimate is the scalar one's.
     t_probe = np.arange(1, 200)
-    full = np.array([mt_full_noise(int(t) + 1, n_clients, lr)[0]
-                     for t in t_probe])
-    target = n_clients ** 2 * np.array([lr.eta(int(t)) ** 2 for t in t_probe])
-    ident_full = float(np.max(np.abs(full / target - 1.0)))
-    part = np.array([mt_partial_noise(int(t) + 1, n_clients, n_participants,
-                                      lr)[0] for t in t_probe])
-    target_p = n_participants * np.array([lr.eta(int(t)) ** 2
-                                          for t in t_probe])
-    ident_part = float(np.max(np.abs(part / target_p - 1.0)))
+    eta2 = np.float_power(lr.etas(len(t_probe)), 2)
+    full = mt_full_noise(t_probe + 1, n_clients, lr)[0]
+    ident_full = float(np.max(np.abs(full / (n_clients ** 2 * eta2) - 1.0)))
+    part = mt_partial_noise(t_probe + 1, n_clients, n_participants, lr)[0]
+    ident_part = float(np.max(np.abs(part / (n_participants * eta2) - 1.0)))
     reports.append(analysis.OracleReport(
         name="noise_tracks_sgd_floor", passed=max(ident_full, ident_part) < 1e-9,
         estimate=max(ident_full, ident_part), reference=0.0, tolerance=1e-9,

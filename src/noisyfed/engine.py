@@ -26,7 +26,7 @@ draws do not depend on which clients were sampled.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
 iterations (t-1)E+1 .. tE); noise and power schedules are indexed by round,
-one :class:`RoundPolicy` serving both directions of a round.
+built once per family as columns, a :class:`Schedule`, for both directions.
 """
 
 import math
@@ -239,12 +239,12 @@ def local_steps(task, clients, batches, etas, out=None):
     return steps if per_round else steps[0]
 
 
-def _sgd(w_start, steps, watch=None):
-    """The ``(n, d)`` iterate after the prepared ``steps``, each one
+def _sgd(w_start, steps, w, watch=None):
+    """``w``, ``(n, d)``, after the prepared ``steps`` from ``w_start``, each
     ``w * keep - (a @ w - y) @ a`` in place (``a``, ``y`` scaled by the root
     of the step's rate over the batch size); with ``watch``, a row, instead
     the first step (from 1) that leaves that row non-finite."""
-    w = np.array(w_start, dtype=np.float64, copy=True)
+    np.copyto(w, w_start)
     residual, grad = steps.work
     for step, (a, y, rate, keep) in enumerate(zip(*steps[1:5]), 1):
         np.matvec(a, w, out=residual)
@@ -259,22 +259,24 @@ def _sgd(w_start, steps, watch=None):
     return w
 
 
-def local_train(w_start, steps):
+def local_train(w_start, steps, out=None):
     """Run the prepared :class:`LocalSteps` from the ``(n, d)`` array
-    ``w_start``, row i starting ``steps.clients[i]``.
+    ``w_start``, row i starting ``steps.clients[i]``, into ``out`` (apart
+    from ``w_start``), or a new array.
 
     A :class:`DivergenceError` names the first row's client, in the order of
     ``steps.clients``, whose iterate became non-finite, and its first such
     step.
     """
-    w = _sgd(w_start, steps)
+    w = _sgd(w_start, steps, np.empty(np.shape(w_start)) if out is None
+             else out)
     if np.isfinite(w).all():
         return w
     # Non-finite is absorbing, so the first bad row at the end is the one to
     # name; replay the steps to find its first non-finite one.
     i = int(np.argmax(~np.isfinite(w).all(axis=1)))
     raise DivergenceError(f"client {steps.clients[i]}: non-finite iterate "
-                          f"at local step {_sgd(w_start, steps, watch=i)}")
+                          f"at local step {_sgd(w_start, steps, w, watch=i)}")
 
 
 def uplink_transmit(w_local, mode, w_prev_global, w_received, noise):
@@ -342,35 +344,44 @@ def downlink_broadcast(w_global, unit, variances):
     return w_global + _scaled_noise(unit, variances)
 
 
-def _trace_rows(task, records, up_count, n_participants, etas):
-    """The :class:`RoundTrace` rows of a block of rounds that :func:`run`
-    recorded, as Python ``int`` and ``float`` cells; ``etas`` lists each
-    round's first rate.  The loss and SNR columns are computed for the whole
-    block, each row from its own round alone."""
-    ts, params, up_variances, sq_dists, signals, models, energies = \
-        zip(*records)
-    sigma2 = _round_means(up_variances, up_count)
-    zeta2 = _round_means([rp.downlink_variance for rp in params],
-                         n_participants)
-    signals, models = np.array(signals), np.array(models)
+#: A family's schedule: its preset's columns for rounds 1..T
+#: (:meth:`Policy.round_params`); the traced variances, each round's mean over
+#: its rows (None for MDT's uplink, measured round by round); each round's
+#: cumulative energy; and each direction's running energy sums, ``(2, T)``.
+Schedule = namedtuple("Schedule",
+                      "params sigma2_ul zeta2_dl energy_cum spent")
+
+
+def _trace_rows(task, schedule, start, records, signals, n_participants,
+                etas):
+    """The :class:`RoundTrace` rows of the rounds from ``start`` on that
+    :func:`run` recorded, as Python ``int`` and ``float`` cells; ``signals``
+    holds each round's sum of uploads and ``etas`` each round's first rate.
+    The loss and SNR columns are computed for the whole block, each row from
+    its own round alone."""
+    sq_dists, models, up_variances = zip(*records)
+    rows = slice(start, start + len(records))
+    sigma2 = _round_means(up_variances, n_participants) \
+        if schedule.sigma2_ul is None else schedule.sigma2_ul[rows]
+    models = np.array(models)
     losses = task.global_losses(models).tolist()
     pairs = np.stack([signals, n_participants * models - signals])
     # Each row's power by its own product, whatever the block's size.
     powers = np.matmul(pairs[:, :, None, :], pairs[..., None])[..., 0, 0]
     snrs = [math.inf if noise == 0.0 else signal / noise
             for signal, noise in zip(*powers.tolist())]
-    return [RoundTrace(t, sq_dist, loss, etas[t - 1], sigma2_ul, zeta2_dl,
-                       rp.rho_ul, rp.rho_dl, rp.div_ul, rp.div_dl, snr, energy)
-            for t, sq_dist, loss, sigma2_ul, zeta2_dl, rp, snr, energy
-            in zip(ts, sq_dists, losses, sigma2, zeta2, params, snrs,
-                   energies)]
+    return list(map(RoundTrace, range(rows.start + 1, rows.stop + 1),
+                    sq_dists, losses, etas[rows], sigma2,
+                    schedule.zeta2_dl[rows],
+                    *(c[rows].tolist() for c in schedule.params[2:6]), snrs,
+                    schedule.energy_cum[rows]))
 
 
-# A channel layer: per block, ``prepare(params, sampled)`` takes each round's
-# :class:`RoundPolicy` and sampled clients; per round i, ``downlink(i, w, rp,
-# rows, out)`` writes what ``rows`` receive into ``out``, ``uplink(i, rp, w,
-# sent, received)`` returns the next global model and the uplink variance,
-# traced as its mean over ``up_rows`` rows.
+# A channel layer: per block, ``prepare(rounds, sampled)`` takes the slice of
+# the schedule's rounds and each round's sampled clients; per round i,
+# ``downlink(i, w, rows, out)`` writes what ``rows`` receive into ``out``,
+# ``uplink(i, w, sent, received)`` returns the next global model and the
+# uplink variance of each row where it is measured, else None.
 
 class EffectiveNoise:
     """Additive noise of the policy's variances: per direction and round a
@@ -380,36 +391,33 @@ class EffectiveNoise:
 
     retries = 0
 
-    def __init__(self, config, policy, task):
+    def __init__(self, config, policy, task, schedule):
         self.unit = partial(sample_noise, NoiseSpec(1.0, config.distribution))
         self.down_rng = stream(config.seed, DOMAIN_DOWNLINK)
         self.up_rng = stream(config.seed, DOMAIN_UPLINK)
         self.mode = config.mode
         self.shape = (task.n_clients, task.dim)
-        self.up_rows = config.n_participants
+        self.params = schedule.params
 
-    def prepare(self, params, sampled):
-        shape = (len(params),) + self.shape
+    def prepare(self, rounds, sampled):
+        shape = (len(sampled),) + self.shape
         self.down_noise = _scaled_noise(
             _pick(self.unit(shape, self.down_rng), sampled),
-            [rp.downlink_variance for rp in params])
+            self.params.downlink_variance[rounds])
         self.up_noise = _pick(self.unit(shape, self.up_rng), sampled)
-        self.up_variances = None    # MDT: scaled round by round
-        if params[0].uplink_variance is not None:
-            self.up_variances = [rp.uplink_variance for rp in params]
-            self.up_noise = _scaled_noise(self.up_noise, self.up_variances)
+        if self.params.uplink_variance is not None:    # MDT: round by round
+            self.up_noise = _scaled_noise(
+                self.up_noise, self.params.uplink_variance[rounds])
 
-    def downlink(self, i, w, rp, rows, out):
+    def downlink(self, i, w, rows, out):
         np.add(w, self.down_noise[i], out=out)
 
-    def uplink(self, i, rp, w, sent, received):
-        noise = self.up_noise[i]
-        if self.up_variances is None:
-            sigma2 = np.array([mdt_uplink_variance(diff, rp.snr_target)
+    def uplink(self, i, w, sent, received):
+        noise, sigma2, snr = self.up_noise[i], None, self.params.snr_target
+        if self.params.uplink_variance is None:
+            sigma2 = np.array([mdt_uplink_variance(diff, snr)
                                for diff in sent - received])
             noise = _scaled_noise(noise, sigma2)
-        else:
-            sigma2 = self.up_variances[i]
         return aggregate(uplink_transmit(sent, self.mode, w, received,
                                          noise)), sigma2
 
@@ -419,46 +427,46 @@ class Analog:
     over-the-air uplink sum under channel inversion with one combined noise,
     and ``retries``, the count of deep-fade retransmissions."""
 
-    up_rows = 1
-
-    def __init__(self, config, policy, task):
+    def __init__(self, config, policy, task, schedule):
         self.down_rng = stream(config.seed, DOMAIN_FADE_DOWNLINK)
         self.up_rng = stream(config.seed, DOMAIN_FADE_UPLINK)
         self.mt = config.mode == "MT"
         self.receivers = task.n_clients
-        self.distance = policy.distance
-        self.pathloss = policy.pathloss
+        self.policy = policy
+        self.params = schedule.params
         self.retries = 0
 
-    def prepare(self, params, sampled):
-        """Nothing: how many fades a round draws depends only on the
-        outcomes of its own fades (a deep fade is redrawn), so they are
-        drawn round by round."""
+    def prepare(self, rounds, sampled):
+        """The block's powers and orders; fades are drawn round by round, as
+        a deep fade is redrawn, so a round's count depends on its own."""
+        self.rho_ul, self.rho_dl, self.div_ul, self.div_dl = (
+            column[rounds].tolist() for column in self.params[2:6])
 
-    def downlink(self, i, w, rp, rows, out):
+    def downlink(self, i, w, rows, out):
         received, info = analog_downlink_receive(
-            w, power=rp.rho_dl, rng=self.down_rng, copies=rp.div_dl,
-            receivers=self.receivers, distance=self.distance,
-            pathloss=self.pathloss)
+            w, power=self.rho_dl[i], rng=self.down_rng,
+            copies=self.div_dl[i], receivers=self.receivers,
+            distance=self.policy.distance, pathloss=self.policy.pathloss)
         # ``rows`` are sampled clients, which local_steps checks; in "raise"
         # mode take would gather into a temporary first.
         received.take(rows, axis=0, out=out, mode="clip")
         self.retries += info["retries"]
 
-    def uplink(self, i, rp, w, sent, received):
+    def uplink(self, i, w, sent, received):
         agg, info = analog_uplink_aggregate(
-            sent if self.mt else sent - received, power=rp.rho_ul,
-            rng=self.up_rng, copies=rp.div_ul)
+            sent if self.mt else sent - received, power=self.rho_ul[i],
+            rng=self.up_rng, copies=self.div_ul[i])
         self.retries += info["retries"]
-        return agg if self.mt else w + agg, 1.0 / (rp.rho_ul * rp.div_ul)
+        return agg if self.mt else w + agg, None
 
 
 def family_inputs(task, config):
     """What every replica of ``config``'s family shares, as :func:`run` takes
     it: the policy, the task's constants (at the run's batch size, over the
-    ball of radius ``2 max(||w*||, 1)`` about the optimum) and each round's
-    :class:`RoundPolicy`.  None depends on the seed.  More participants than
-    clients, or a schedule leaving the positive floats, is a ConfigError."""
+    ball of radius ``2 max(||w*||, 1)`` about the optimum) and the rounds'
+    :class:`Schedule`.  None depends on the seed.  More participants than
+    clients, a schedule leaving the positive floats, or energy leaving the
+    floats, is a ConfigError."""
     if config.n_participants > task.n_clients:
         raise ConfigError("participants exceed the number of clients")
     batch = config.batch_size if config.batch_size is not None \
@@ -469,23 +477,36 @@ def family_inputs(task, config):
     policy = build_policy(config.policy_name, config.policy_params, constants,
                           task.n_clients, config.n_participants,
                           config.local_epochs)
+    scheduled = policy.preset.bound is not None
     try:
-        schedule = [policy.round_params(t)
-                    for t in range(1, config.rounds + 1)]
-        # A scheduled round's fields, and the run's energy (the last two),
-        # must be positive floats; presets without a schedule may be silent.
-        fields = [f for f in zip(*(vars(rp).values() for rp in schedule))
-                  if f[0] is not None]
-        leaves = policy.preset.excess is not None and not (
-            all(0 < min(f) and sum(f) < math.inf for f in fields)
-            and sum(fields[-2]) + sum(fields[-1]) < math.inf)
+        with np.errstate(all="ignore"):     # a float leaving the range
+            params = policy.round_params(np.arange(1, config.rounds + 1))
+            spent = np.add.accumulate(params[6:8], axis=1)
+            energy_cum = (spent[0] + spent[1]).tolist()
+            up, rows = params.uplink_variance, config.n_participants
+            if config.channel == "analog_physical":     # one row, at 1/rho
+                up, rows = 1.0 / (params.rho_ul * params.div_ul), 1
+        schedule = Schedule(
+            params, None if up is None else _round_means(up, rows),
+            _round_means(params.downlink_variance, config.n_participants),
+            energy_cum, spent)
+        # Every run's energy is a float; a scheduled round's fields must be
+        # positive floats, where presets without a schedule may be silent.
+        leaves = not energy_cum[-1] < math.inf
+        if scheduled and not leaves:
+            fields = np.array(np.broadcast_arrays(
+                *(f for f in params if f is not None)), np.float64)
+            leaves = not (fields.min() > 0
+                          and fields.sum(axis=1).max() < math.inf)
     except ArithmeticError:     # a float leaving the range mid-formula
         leaves = True
     if leaves:
+        culprit = (f"task.ridge: {task.ridge:g} (mu {constants.mu:.3g}) with"
+                   if scheduled else "policy.params.%s: the energy of"
+                   % ", ".join(policy.params()))
         raise ConfigError(
-            f"task.ridge: {task.ridge:g} (mu {constants.mu:.3g}) with "
-            f"policy {policy.name!r} {policy.params()} leaves the float "
-            f"range within {config.rounds} rounds")
+            f"{culprit} policy {policy.name!r} {policy.params()} leaves the "
+            f"float range within {config.rounds} rounds")
     return policy, constants, schedule
 
 
@@ -514,21 +535,18 @@ def run(task, config, inputs=None):
     if not everyone:
         sampling_rng = stream(config.seed, DOMAIN_SAMPLING)
     channel = (EffectiveNoise if config.channel == "effective_noise"
-               else Analog)(config, policy, task)
+               else Analog)(config, policy, task, schedule)
     batch_rng = None if batch == task.samples_per_client \
         else stream(config.seed, DOMAIN_BATCH)
 
     # Divergence guard; floored so a start at the optimum still tolerates noise.
     guard = DIVERGENCE_FACTOR * max(initial_sq, 1.0)
 
-    # Rounds run in blocks of BLOCK.  What a block needs that does not
-    # depend on the iterate is prepared first: round parameters, client
-    # selections, the channel's noise and local-SGD inputs.  Its rounds then
-    # only advance the state and record what the block's trace rows are
-    # built from; the received and local models (the ball) give the
-    # iterate-ball maximum.
+    # Rounds run in blocks of BLOCK, each prepared first: client selections,
+    # the channel's noise and local-SGD inputs.  Its rounds then only advance
+    # the state; the received and local models (the ball) give the block's
+    # signal sums and iterate-ball maximum.
     traces = []
-    energy_ul = energy_dl = 0.0
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_participants, dim))
@@ -538,62 +556,57 @@ def run(task, config, inputs=None):
     max_iterate_sq = initial_sq
 
     for start in range(0, rounds, BLOCK):
-        ts = range(start + 1, min(start + BLOCK, rounds) + 1)
-        params = schedule[start:ts[-1]]
+        block = slice(start, min(start + BLOCK, rounds))
+        size = block.stop - start
         # Each round's sampled clients: full participation draws no
         # selection, and the sampling stream is separate, so not drawing it
         # changes no other draw.
-        sampled = every[:len(ts)] if everyone else np.array(
+        sampled = every[:size] if everyone else np.array(
             [sample_clients(n_clients, n_participants, sampling_rng)
-             for _ in ts])
-        channel.prepare(params, sampled)
+             for _ in range(size)])
+        channel.prepare(block, sampled)
         batches = None if batch_rng is None else _pick(floyd_sample(
-            batch_rng.random((len(ts), epochs, n_clients, batch)),
+            batch_rng.random((size, epochs, n_clients, batch)),
             task.samples_per_client), sampled)
-        steps = local_steps(task, sampled, batches, etas[start:ts[-1]],
-                            buffers)
+        steps = local_steps(task, sampled, batches, etas[block], buffers)
 
         records = []
-        for i, (t, rp) in enumerate(zip(ts, params)):
-            # (1) Downlink broadcast, received into the ball.
-            received = ball[i, :n_participants]
-            channel.downlink(i, w, rp, sampled[i], received)
-
-            # (2) Local mini-batch SGD.
-            sent = ball[i, n_participants:] = local_train(received, steps[i])
+        for i, step in enumerate(steps):
+            # (1) Downlink broadcast and (2) local SGD, into the ball.
+            received, sent = ball[i, :n_participants], ball[i, n_participants:]
+            channel.downlink(i, w, sampled[i], received)
+            local_train(received, step, out=sent)
 
             # (3) Uplink transmission and (4) aggregation.
-            w_next, sigma2 = channel.uplink(i, rp, w, sent, received)
+            w_next, sigma2 = channel.uplink(i, w, sent, received)
 
             diff = w_next - w_star
             sq = float(diff @ diff)
             if math.isnan(sq):      # still trips the guard
                 sq = math.inf
-            energy_ul += rp.energy_ul
-            energy_dl += rp.energy_dl
-            records.append((t, rp, sigma2, sq,
-                            np.add.reduce(sent, axis=0), w_next,
-                            energy_ul + energy_dl))
+            records.append((sq, w_next, sigma2))
             if sq > guard:
                 break
             w = w_next
 
         visited = ball[:len(records)]
+        signals = np.add.reduce(visited[:, n_participants:], axis=1)
         visited -= w_star
         np.multiply(visited, visited, out=visited)
         max_iterate_sq = max(max_iterate_sq,
                              float(np.max(np.sum(visited, axis=-1))))
-        traces += _trace_rows(task, records, channel.up_rows, n_participants,
-                              first_etas)
+        traces += _trace_rows(task, schedule, start, records, signals,
+                              n_participants, first_etas)
         if sq > guard:
             raise DivergenceError(
-                f"round {t}: squared distance {sq:.3e} exceeded the guard "
-                f"{guard:.3e}", traces=traces)
+                f"round {start + len(records)}: squared distance {sq:.3e} "
+                f"exceeded the guard {guard:.3e}", traces=traces)
 
     max_iterate_dist = math.sqrt(max_iterate_sq)
     return RunResult(
         traces=traces, constants=constants, final_model=w, policy=policy,
-        energy_uplink=energy_ul, energy_downlink=energy_dl,
+        energy_uplink=float(schedule.spent[0, -1]),
+        energy_downlink=float(schedule.spent[1, -1]),
         diagnostics={"max_iterate_distance": max_iterate_dist,
                      "trajectory_radius": radius,
                      "radius_exceeded": max_iterate_dist > radius,

@@ -19,6 +19,7 @@ as a :class:`Policy`.
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,20 @@ class LearningRateSchedule:
 
 
 def _check_round(t, lr):
-    if t < 1:
+    if np.min(t) < 1:
         raise ScheduleError("round index must be >= 1")
-    if lr.gamma + t - 2 <= 0:
+    if lr.gamma + np.min(t) - 2 <= 0:
         raise ScheduleError("schedule undefined: gamma + t - 2 <= 0")
 
+
+def _square(x):
+    """``x ** 2`` as Python rounds it, elementwise on arrays, where numpy's
+    ``**`` rounds ``x * x`` instead and differs in the last bit."""
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x ** 2
+
+
+# The schedules below take the round index ``t`` as a Python int, giving
+# Python numbers, or as an array of rounds, giving a column for each.
 
 def mt_full_noise(t, n_clients, lr):
     """Total (uplink, downlink) noise power budget for full-participation upload.
@@ -89,7 +99,7 @@ def mt_full_noise(t, n_clients, lr):
     _check_round(t, lr)
     g = lr.gamma
     mu2 = lr.mu ** 2
-    sigma2_total = 4.0 * n_clients ** 2 / (mu2 * (g + t - 1) ** 2)
+    sigma2_total = 4.0 * n_clients ** 2 / (mu2 * _square(g + t - 1))
     zeta2_total = 4.0 * n_clients ** 2 / (mu2 * (g + t) * (g + t - 2))
     return sigma2_total, zeta2_total
 
@@ -101,7 +111,7 @@ def mt_partial_noise(t, n_clients, n_participants, lr):
     _check_round(t, lr)
     g = lr.gamma
     mu2 = lr.mu ** 2
-    sigma2 = 4.0 * n_participants / (mu2 * (g + t - 1) ** 2)
+    sigma2 = 4.0 * n_participants / (mu2 * _square(g + t - 1))
     zeta2 = 4.0 * n_clients / (mu2 * (g + t) * (g + t - 2))
     return sigma2, zeta2
 
@@ -116,7 +126,7 @@ def mdt_downlink_noise(t, n_clients, n_participants, snr_target, lr):
     _check_round(t, lr)
     g = lr.gamma
     denom = ((g + t) * (g + t - 2) / n_clients
-             + (1.0 + 1.0 / snr_target) * (g + t) ** 2 / n_participants)
+             + (1.0 + 1.0 / snr_target) * _square(g + t) / n_participants)
     return (4.0 / lr.mu ** 2) / denom
 
 
@@ -134,7 +144,7 @@ def uplink_power(t, n_participants, lr):
     """Average uplink transmit power that inverts the sampled-upload noise
     schedule: grows as t^2."""
     _check_round(t, lr)
-    return lr.mu ** 2 * (lr.gamma + t - 1) ** 2 / (4.0 * n_participants)
+    return lr.mu ** 2 * _square(lr.gamma + t - 1) / (4.0 * n_participants)
 
 
 def downlink_power(t, n_clients, lr, distance=1.0, pathloss=2.0):
@@ -161,15 +171,18 @@ def budget_split(total, rounds):
 
 def diversity_orders(rho_required, rho_available):
     """Smallest number of repeated transmissions at ``rho_available`` whose
-    combined SNR reaches ``rho_required``."""
-    if rho_required <= 0 or rho_available <= 0:
+    combined SNR reaches ``rho_required``: an int, or an int64 array for an
+    array of requirements.  An order beyond int64 is an OverflowError."""
+    if np.min(rho_required) <= 0 or rho_available <= 0:
         raise PolicyError("powers must be positive")
-    ratio = rho_required / rho_available
-    order = int(math.ceil(ratio))
+    ratio = np.divide(rho_required, rho_available)
+    order = np.ceil(ratio)
     # Guard the exact-multiple case against float round-up.
-    if order > 1 and (order - 1) >= ratio * (1.0 - 1e-12):
-        order -= 1
-    return max(order, 1)
+    order -= (order > 1) & (order - 1 >= ratio * (1.0 - 1e-12))
+    order = np.maximum(order, 1.0)
+    if not np.all(order < 2.0 ** 63):
+        raise OverflowError("diversity order beyond int64")
+    return order.astype(np.int64) if order.ndim else int(order)
 
 
 def reference_diversity_schedule(t):
@@ -188,132 +201,97 @@ def equal_power_variance(snr_db):
 
 
 # ---------------------------------------------------------------------------
-# Presets: per-round channel parameters consumed by the engine.
+# Presets: the channel parameters of every round, as columns for the engine.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoundPolicy:
-    """Channel parameters for one round.
+#: A preset's channel parameters for a run's rounds, one column per field:
+#: the variances, powers, diversity orders and energies of the uplink and the
+#: downlink.  ``uplink_variance`` is None when the uplink instead holds a
+#: constant receive SNR (``snr_target``, one number) on the transmitted
+#: differential.  Powers are receive-SNR-equivalent at unit pathloss;
+#: energies are per-direction, per-round.
+RoundParams = namedtuple(
+    "RoundParams", "uplink_variance downlink_variance rho_ul rho_dl div_ul "
+    "div_dl energy_ul energy_dl snr_target")
 
-    ``uplink_variance`` is None when the uplink instead holds a constant
-    receive SNR (``snr_target``) on the transmitted differential.  Powers
-    are receive-SNR-equivalent at unit pathloss; energies are
-    per-direction, per-round.
-    """
 
-    uplink_variance: float
-    downlink_variance: float
-    snr_target: float = None
-    rho_ul: float = math.inf
-    rho_dl: float = math.inf
-    div_ul: int = 1
-    div_dl: int = 1
-    energy_ul: float = 0.0
-    energy_dl: float = 0.0
+def _columns(t, *values, snr_target=None):
+    """:class:`RoundParams` for the rounds ``t``, from its fields but the
+    last in order, a value given once standing for every round."""
+    return RoundParams(*(None if value is None else np.broadcast_to(
+        value, np.shape(t)) for value in values), snr_target)
+
+
+def _spent(t, uplink_variance, downlink_variance):
+    """Noise bought at its inverse as power, which is also the energy."""
+    rho_ul, rho_dl = 1.0 / uplink_variance, 1.0 / downlink_variance
+    return _columns(t, uplink_variance, downlink_variance, rho_ul, rho_dl, 1,
+                    1, rho_ul, rho_dl)
 
 
 def _noise_free(p, t):
     """Ideal channels: zero noise in both directions, no modeled energy cost."""
-    return RoundPolicy(uplink_variance=0.0, downlink_variance=0.0)
+    return _columns(t, 0.0, 0.0, math.inf, math.inf, 1, 1, 0.0, 0.0)
 
 
 def _equal_power(p, t):
     """Constant receive SNR in both directions, identical across rounds."""
     var = equal_power_variance(p.snr_db)
     rho = db_to_linear(p.snr_db)
-    return RoundPolicy(uplink_variance=var, downlink_variance=var,
-                       rho_ul=rho, rho_dl=rho,
-                       energy_ul=rho, energy_dl=rho)
+    return _columns(t, var, var, rho, rho, 1, 1, rho, rho)
 
 
 def _mt_full(p, t):
     """Equality instantiation of the full-participation upload schedule,
     split equally across clients."""
     sigma2_total, zeta2_total = mt_full_noise(t, p.n_clients, p.lr)
-    up = sigma2_total * p.variance_scale / p.n_clients
-    down = zeta2_total * p.variance_scale / p.n_clients
-    return RoundPolicy(uplink_variance=up, downlink_variance=down,
-                       rho_ul=1.0 / up, rho_dl=1.0 / down,
-                       energy_ul=1.0 / up, energy_dl=1.0 / down)
-
-
-def _mt_full_excess(p, t, rp):
-    """Relative excess over the full-participation upload schedule."""
-    cap_up, cap_down = mt_full_noise(t, p.n_clients, p.lr)
-    return max(rp.uplink_variance * p.n_clients / cap_up,
-               rp.downlink_variance * p.n_clients / cap_down) - 1.0
+    return _spent(t, sigma2_total * p.variance_scale / p.n_clients,
+                  zeta2_total * p.variance_scale / p.n_clients)
 
 
 def _mt_partial(p, t):
     """Equality instantiation of the sampled-client upload schedule
     (homogeneous per-client noise)."""
     sigma2, zeta2 = mt_partial_noise(t, p.n_clients, p.n_participants, p.lr)
-    sigma2 *= p.variance_scale
-    zeta2 *= p.variance_scale
-    return RoundPolicy(uplink_variance=sigma2, downlink_variance=zeta2,
-                       rho_ul=1.0 / sigma2, rho_dl=1.0 / zeta2,
-                       energy_ul=1.0 / sigma2, energy_dl=1.0 / zeta2)
-
-
-def _mt_partial_excess(p, t, rp):
-    """Relative excess over the sampled-client upload schedule."""
-    cap_up, cap_down = mt_partial_noise(t, p.n_clients, p.n_participants,
-                                        p.lr)
-    return max(float(rp.uplink_variance) / cap_up,
-               float(rp.downlink_variance) / cap_down) - 1.0
+    return _spent(t, sigma2 * p.variance_scale, zeta2 * p.variance_scale)
 
 
 def _mdt(p, t):
     """Constant uplink receive SNR on differentials; scheduled downlink
     noise."""
     zeta2 = mdt_downlink_noise(t, p.n_clients, p.n_participants,
-                               p.snr_target, p.lr)
-    zeta2 *= p.variance_scale
+                               p.snr_target, p.lr) * p.variance_scale
     effective_snr = p.snr_target / p.variance_scale
-    return RoundPolicy(uplink_variance=None, downlink_variance=zeta2,
-                       snr_target=effective_snr,
-                       rho_ul=effective_snr, rho_dl=1.0 / zeta2,
-                       energy_ul=effective_snr, energy_dl=1.0 / zeta2)
+    return _columns(t, None, zeta2, effective_snr, 1.0 / zeta2, 1, 1,
+                    effective_snr, 1.0 / zeta2, snr_target=effective_snr)
 
 
-def _mdt_excess(p, t, rp):
-    # Any constant uplink SNR is admissible; only the downlink schedule
-    # can be violated, judged against the cap for the SNR actually used.
-    cap_down = mdt_downlink_noise(t, p.n_clients, p.n_participants,
-                                  rp.snr_target, p.lr)
-    return float(rp.downlink_variance) / cap_down - 1.0
+def _needed(p, t):
+    """The powers that invert the sampled-upload noise schedule, uplink and
+    downlink, and the downlink's pathloss gain."""
+    return (uplink_power(t, p.n_participants, p.lr) / p.variance_scale,
+            downlink_power(t, p.n_clients, p.lr, p.distance, p.pathloss)
+            / p.variance_scale, p.distance ** (-p.pathloss))
 
 
 def _power(p, t):
     """Quadratically growing transmit power in both directions; the
     power-first view of the sampled-upload equality schedule."""
-    rho_ul = uplink_power(t, p.n_participants, p.lr) / p.variance_scale
-    rho_dl = downlink_power(t, p.n_clients, p.lr, p.distance,
-                            p.pathloss) / p.variance_scale
-    gain = p.distance ** (-p.pathloss)
-    return RoundPolicy(uplink_variance=1.0 / rho_ul,
-                       downlink_variance=1.0 / (gain * rho_dl),
-                       rho_ul=rho_ul, rho_dl=rho_dl,
-                       energy_ul=rho_ul, energy_dl=rho_dl)
+    rho_ul, rho_dl, gain = _needed(p, t)
+    return _columns(t, 1.0 / rho_ul, 1.0 / (gain * rho_dl), rho_ul, rho_dl,
+                    1, 1, rho_ul, rho_dl)
 
 
 def _diversity(p, t):
     """Fixed per-shot power; t^2 SNR growth comes from integer numbers of
     repeated transmissions combined at the receiver."""
-    need_ul = uplink_power(t, p.n_participants, p.lr) / p.variance_scale
-    need_dl = downlink_power(t, p.n_clients, p.lr, p.distance,
-                             p.pathloss) / p.variance_scale
+    need_ul, need_dl, gain = _needed(p, t)
     div_ul = diversity_orders(need_ul, p.rho_uplink)
     div_dl = diversity_orders(need_dl, p.rho_downlink)
-    gain = p.distance ** (-p.pathloss)
-    return RoundPolicy(
-        uplink_variance=1.0 / (p.rho_uplink * div_ul),
-        downlink_variance=1.0 / (gain * p.rho_downlink * div_dl),
-        rho_ul=p.rho_uplink, rho_dl=p.rho_downlink,
-        div_ul=div_ul, div_dl=div_dl,
-        energy_ul=p.rho_uplink * div_ul,
-        energy_dl=p.rho_downlink * div_dl,
-    )
+    return _columns(
+        t, 1.0 / (p.rho_uplink * div_ul),
+        1.0 / (gain * p.rho_downlink * div_dl), p.rho_uplink, p.rho_downlink,
+        div_ul, div_dl, p.rho_uplink * div_ul, p.rho_downlink * div_dl)
 
 
 @dataclass(frozen=True)
@@ -321,18 +299,17 @@ class Preset:
     """One row of :data:`PRESETS`.
 
     ``params`` maps each parameter the preset takes to its default
-    (:data:`REQUIRED`: none).  ``emit(policy, t)`` gives round t's
-    :class:`RoundPolicy`; ``excess(policy, t, rp)`` the relative excess of
-    round t's ``rp`` over the schedule's cap (None: the preset follows no
-    schedule).  ``bound`` is the convergence-bound variant the schedule
-    realizes, ``mode`` the transmission mode the preset needs (None:
+    (:data:`REQUIRED`: none).  ``emit(policy, t)`` gives the
+    :class:`RoundParams` of the rounds ``t``.  ``bound`` is the
+    convergence-bound variant the schedule realizes, whose cap
+    :meth:`Policy.schedule_excess` judges (None: the preset follows no
+    schedule), ``mode`` the transmission mode the preset needs (None:
     either), and ``every_client`` whether it needs every client to take
     part.
     """
 
     params: dict
     emit: object
-    excess: object = None
     bound: str = None
     mode: str = None
     every_client: bool = False
@@ -349,17 +326,14 @@ _PATHLOSS = {"distance": 1.0, "pathloss": 2.0}
 PRESETS = {
     "noise_free": Preset({}, _noise_free),
     "equal_power": Preset({"snr_db": 10.0}, _equal_power),
-    "power_t2": Preset({**_PATHLOSS, **_SCALE}, _power, _mt_partial_excess,
-                       "mt_partial"),
+    "power_t2": Preset({**_PATHLOSS, **_SCALE}, _power, "mt_partial"),
     "diversity_t2": Preset(
         {"rho_uplink": REQUIRED, "rho_downlink": REQUIRED, **_PATHLOSS,
-         **_SCALE}, _diversity, _mt_partial_excess, "mt_partial"),
-    "mt_full": Preset(_SCALE, _mt_full, _mt_full_excess, "mt_full",
-                      every_client=True),
-    "mt_partial": Preset(_SCALE, _mt_partial, _mt_partial_excess,
-                         "mt_partial"),
+         **_SCALE}, _diversity, "mt_partial"),
+    "mt_full": Preset(_SCALE, _mt_full, "mt_full", every_client=True),
+    "mt_partial": Preset(_SCALE, _mt_partial, "mt_partial"),
     "mdt_constant_snr": Preset({"snr_target": 10.0, **_SCALE}, _mdt,
-                               _mdt_excess, "mdt_constant_snr", mode="MDT"),
+                               "mdt_constant_snr", mode="MDT"),
 }
 
 #: Parameters that must be positive; any other number need only be finite.
@@ -390,14 +364,27 @@ class Policy:
         """The parameters in effect, defaults included."""
         return {key: getattr(self, key) for key in self.preset.params}
 
-    def round_params(self, t):
-        return self.preset.emit(self, t)
+    def round_params(self, rounds):
+        """The :class:`RoundParams` of the round indices ``rounds``."""
+        return self.preset.emit(self, rounds)
 
-    def schedule_excess(self, t, rp):
-        """Relative excess of round t's :class:`RoundPolicy` ``rp`` over
-        the schedule, or None."""
-        excess = self.preset.excess
-        return None if excess is None else excess(self, t, rp)
+    def schedule_excess(self, rounds, schedule):
+        """The relative excess of each round of ``schedule``, the
+        :class:`RoundParams` of ``rounds``, over the cap of the schedule
+        the preset's bound variant stands on; None without one."""
+        bound, n, k = self.preset.bound, self.n_clients, self.n_participants
+        if bound == "mdt_constant_snr":
+            # Any constant uplink SNR is admissible: only the downlink can
+            # exceed its cap, the cap for the SNR actually used.
+            return schedule.downlink_variance / mdt_downlink_noise(
+                rounds, n, k, schedule.snr_target, self.lr) - 1.0
+        if bound is None:
+            return None
+        full = bound == "mt_full"   # whose caps are totals over the clients
+        up, down, scale = (*mt_full_noise(rounds, n, self.lr), n) if full \
+            else (*mt_partial_noise(rounds, n, k, self.lr), 1)
+        return np.maximum(schedule.uplink_variance * scale / up,
+                          schedule.downlink_variance * scale / down) - 1.0
 
 
 def build_policy(name, params, constants, n_clients, n_participants,

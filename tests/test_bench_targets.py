@@ -55,9 +55,9 @@ def _traced_run(tracer, task, **overrides):
     assert all(math.isfinite(value) for value in summary.values())
     assert summary["engine.run.calls"] == 1
     assert summary["engine.local_train.calls"] == overrides["rounds"]
-    # Scheduled per round, both directions of a round share one call; a
-    # policy path that goes round the traced method reads fewer.
-    assert summary["policies.round_params.calls"] == overrides["rounds"]
+    # The schedule is built once, as columns for every round; a policy path
+    # that goes round the traced method reads none.
+    assert summary["policies.round_params.calls"] == 1
     return summary, result
 
 

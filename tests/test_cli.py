@@ -198,31 +198,32 @@ def test_diverged_replica_writes_no_trace(tmp_path, capsys, workers):
 
 
 def test_family_asks_its_policy_each_round_once(tmp_path, monkeypatch):
-    # The replicas and the schedule check share the family's round schedule:
-    # one call per round, whatever the number of replicas.
+    # The replicas and the schedule check share the family's schedule: one
+    # call for all its rounds, whatever the number of replicas.
     calls = []
     round_params = policies.Policy.round_params
 
-    def counting_round_params(self, t):
-        calls.append(t)
-        return round_params(self, t)
+    def counting_round_params(self, rounds):
+        calls.append(rounds.tolist())
+        return round_params(self, rounds)
 
     monkeypatch.setattr(policies.Policy, "round_params",
                         counting_round_params)
     doc = experiment_doc()
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert calls == list(range(1, doc["run"]["rounds"] + 1))
+    assert calls == [list(range(1, doc["run"]["rounds"] + 1))]
 
 
 def _louder_past(rounds):
     """mt_partial's emit, with twice its variances at indices past
     ``rounds``."""
     def emit(p, t):
-        rp = policies._mt_partial(p, t)
-        return rp if t <= rounds else dataclasses.replace(
-            rp, uplink_variance=2 * rp.uplink_variance,
-            downlink_variance=2 * rp.downlink_variance)
+        params = policies._mt_partial(p, t)
+        louder = np.where(t > rounds, 2.0, 1.0)
+        return params._replace(
+            uplink_variance=louder * params.uplink_variance,
+            downlink_variance=louder * params.downlink_variance)
     return emit
 
 
@@ -791,10 +792,10 @@ def test_schedule_or_task_leaving_the_floats_is_usage_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case, value", [("snr_db", 3082), ("ridge", 1e100),
+@pytest.mark.parametrize("case, value", [("snr_db", 3000), ("ridge", 1e100),
                                          ("pathloss", 30)])
 def test_large_value_in_range_runs(tmp_path, case, value):
-    # Controls: the largest accepted snr_db has a finite power and variance,
+    # Controls: a large snr_db whose energy over the rounds is finite runs,
     # a large ridge whose gradient bound is finite runs, and so does a
     # pathloss of 3000 dB.
     doc = experiment_doc(replicas=1, checks=[])
@@ -808,7 +809,25 @@ def test_large_value_in_range_runs(tmp_path, case, value):
     doc["run"]["rounds"] = 5
     out = tmp_path / "o"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
-    assert json.loads((out / "summary.json").read_text())["completed"] == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["completed"] == 1
+    assert math.isfinite(summary["replicas"][0]["energy_uplink"])
+
+
+@pytest.mark.parametrize("snr_db", [3082, 3079])
+def test_energy_leaving_the_floats_is_usage_error(tmp_path, capsys, snr_db):
+    # At 3082 dB both directions' first round already sum to inf; at 3079
+    # each round is finite but the five rounds' uplink energy is not.  Both
+    # exited 0 with infinite energies before.
+    doc = experiment_doc(policy={"name": "equal_power",
+                                 "params": {"snr_db": snr_db}}, checks=[])
+    doc["run"]["rounds"] = 5
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy.params.snr_db: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_diversity_policy_without_powers_is_usage_error(tmp_path, capsys):

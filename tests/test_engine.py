@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,10 +15,9 @@ from noisyfed import (AggregationError, ConfigError, DivergenceError,
                       aggregate, downlink_broadcast, family_inputs,
                       local_steps, local_train, make_task, run,
                       sample_clients, uplink_transmit)
-from noisyfed import NoiseSpec, PolicyError, engine
+from noisyfed import NoiseSpec, PolicyError, engine, policies
 from noisyfed.channel import sample_noise
 from noisyfed.engine import CHANNEL_LAYERS, TRANSMISSION_MODES
-from noisyfed.policies import RoundPolicy
 from noisyfed.seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK,
                               DOMAIN_FADE_DOWNLINK, DOMAIN_FADE_UPLINK,
                               DOMAIN_SAMPLING, DOMAIN_UPLINK, STREAM_LAYOUT,
@@ -271,34 +271,70 @@ def test_given_family_inputs_change_no_bit(small_task, channel, policy):
     assert given.final_model.tobytes() == derived.final_model.tobytes()
 
 
-def _stub_inputs(task, cfg, uplink_variance, downlink_variance):
-    """The run's :func:`family_inputs` with every round's variances
-    replaced."""
-    policy, constants, _ = family_inputs(task, cfg)
-    return policy, constants, [RoundPolicy(uplink_variance, downlink_variance)
-                               for _ in range(cfg.rounds)]
+def _noise_free_with(monkeypatch, uplink, downlink):
+    """Give ``noise_free`` the variances ``uplink(t)`` and ``downlink(t)`` of
+    the rounds ``t``; as it follows no schedule, its family inputs take
+    them."""
+    def emit(p, t):
+        return policies._noise_free(p, t)._replace(
+            uplink_variance=uplink(t), downlink_variance=downlink(t))
+    monkeypatch.setitem(policies.PRESETS, "noise_free", dataclasses.replace(
+        policies.PRESETS["noise_free"], emit=emit))
+
+
+def _constant(value):
+    return lambda t: np.full(t.shape, value)
 
 
 @pytest.mark.parametrize("uplink, downlink", [(0.0, -1e-3), (-1e-3, 0.0)])
-def test_negative_noise_variance_is_policy_error(small_task, uplink,
-                                                 downlink):
+def test_negative_noise_variance_is_policy_error(small_task, monkeypatch,
+                                                 uplink, downlink):
     cfg = RunConfig(n_participants=3, rounds=3, local_epochs=2, batch_size=3,
                     seed=0)
+    _noise_free_with(monkeypatch, _constant(uplink), _constant(downlink))
     with pytest.raises(PolicyError, match="must be non-negative"):
-        run(small_task, cfg, _stub_inputs(small_task, cfg, uplink, downlink))
+        run(small_task, cfg)
 
 
-def test_nan_aggregate_trips_divergence_guard(small_task):
+def test_nan_aggregate_trips_divergence_guard(small_task, monkeypatch):
     # Infinite uplink noise of both signs makes the round-1 aggregate NaN;
     # its squared distance must read as infinite so the guard still trips.
     cfg = RunConfig(n_participants=6, rounds=5, local_epochs=2, batch_size=3,
                     seed=0)
+    _noise_free_with(monkeypatch, _constant(math.inf), _constant(0.0))
     with np.errstate(invalid="ignore"), \
             pytest.raises(DivergenceError, match="^round 1: ") as excinfo:
-        run(small_task, cfg, _stub_inputs(small_task, cfg, math.inf, 0.0))
+        run(small_task, cfg)
     traces = excinfo.value.traces
     assert [tr.t for tr in traces] == [1]
     assert traces[0].sq_dist == math.inf
+
+
+# Round 20 of a 32-round block trips the guard (an infinite uplink) or makes
+# a local iterate non-finite (an infinite downlink).  The messages and the
+# traces' digest were captured when each round had its own parameter record.
+@pytest.mark.parametrize("loud, message, rows, digest", [
+    ("uplink", "round 20: squared distance inf exceeded the guard 1.617e+07",
+     20, "aa478d04483473926c048a81daa80f8d8dfaab4a628309ef706063b7ef02970a"),
+    ("downlink", "client 0: non-finite iterate at local step 1", 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+], ids=["guard", "local_iterate"])
+def test_mid_block_divergence_keeps_its_message_and_rows(
+        small_task, monkeypatch, loud, message, rows, digest):
+    cfg = RunConfig(n_participants=3, rounds=40, local_epochs=2, batch_size=3,
+                    seed=3)
+    variances = {"uplink": _constant(0.0), "downlink": _constant(0.0),
+                 loud: lambda t: np.where(t == 20, math.inf, 0.0)}
+    _noise_free_with(monkeypatch, **variances)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
+        run(small_task, cfg)
+    assert str(excinfo.value) == message
+    traces = excinfo.value.traces
+    assert [tr.t for tr in traces] == list(range(1, rows + 1))
+    hashed = hashlib.sha256()
+    for trace in traces:
+        hashed.update(repr(trace.as_row()).encode())
+    assert hashed.hexdigest() == digest
 
 
 def _subset_p_value(picks, population):
@@ -617,6 +653,11 @@ def test_batched_local_sgd_matches_per_client_loop(small_task,
                                               lr.etas(10)[6:]))
     full = local_train(starts, local_steps(small_task, clients, None,
                                            lr.etas(10)[6:]))
+    # Trained in place into ``out``, bit for bit.
+    into = np.empty_like(starts)
+    assert local_train(starts, local_steps(small_task, clients, batches,
+                                           lr.etas(10)[6:]), out=into) is into
+    assert into.tobytes() == sampled.tobytes()
     for i, k in enumerate(clients):
         w_sampled = w_full = starts[i]
         for j in range(1, 5):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisyfed import (ConfigError, LearningRateSchedule, PolicyError,
-                      budget_split, build_policy, diversity_orders,
-                      downlink_power, equal_power_variance,
-                      mdt_downlink_noise, mdt_uplink_variance, mt_full_noise,
-                      mt_partial_noise, reference_diversity_schedule,
-                      uplink_power)
+                      budget_split, build_policy, derive_constants,
+                      diversity_orders, downlink_power, equal_power_variance,
+                      make_task, mdt_downlink_noise, mdt_uplink_variance,
+                      mt_full_noise, mt_partial_noise,
+                      reference_diversity_schedule, uplink_power)
 from noisyfed.errors import ScheduleError
-from noisyfed.policies import DIVERSITY_STAIRCASE_500
+from noisyfed.policies import DIVERSITY_STAIRCASE_500, PRESETS, RoundParams
 
 
 @pytest.fixture
@@ -252,16 +252,114 @@ def test_diversity_energy_tracks_power_control(small_constants):
                                            "rho_downlink": 10.0},
                           small_constants, 6, 3, 3)
     reference = build_policy("power_t2", {}, small_constants, 6, 3, 3)
-    rounds = 300
-    div_energy = sum(policy.round_params(t).energy_ul
-                     for t in range(1, rounds + 1))
-    ref_energy = sum(reference.round_params(t).energy_ul
-                     for t in range(1, rounds + 1))
-    assert ref_energy <= div_energy <= ref_energy + rounds * 10.0
+    rounds = np.arange(1, 301)
+    div_energy = policy.round_params(rounds).energy_ul.sum()
+    ref_energy = reference.round_params(rounds).energy_ul.sum()
+    assert ref_energy <= div_energy <= ref_energy + len(rounds) * 10.0
+
+
+#: Every preset with none of its parameters at the default.
+OFF_DEFAULT = {
+    "noise_free": {},
+    "equal_power": {"snr_db": 7.3},
+    "power_t2": {"distance": 1.7, "pathloss": 3.1, "variance_scale": 1.9},
+    "diversity_t2": {"rho_uplink": 3.3, "rho_downlink": 4.1, "distance": 1.7,
+                     "pathloss": 3.1, "variance_scale": 1.9},
+    "mt_full": {"variance_scale": 1.9},
+    "mt_partial": {"variance_scale": 1.9},
+    "mdt_constant_snr": {"snr_target": 7.5, "variance_scale": 1.9},
+}
+
+
+@pytest.fixture(scope="module")
+def odd_constants():
+    """Constants whose ``gamma + t`` square differently, for 8 rounds of
+    1..500, as numpy's ``x * x`` and as Python's ``x ** 2``."""
+    task = make_task(n_clients=6, dim=6, samples_per_client=12,
+                     heterogeneity=1.0, ridge=0.05, noise_std=4.0, seed=6)
+    return derive_constants(task, batch=3, trajectory_radius=8.0)
+
+
+def _policy(name, constants, **params):
+    # mt_full schedules every client.
+    return build_policy(name, dict(OFF_DEFAULT[name], **params), constants,
+                        6, 6 if name == "mt_full" else 3, 3)
+
+
+def _bits(column):
+    """A column's bit patterns; None stays None."""
+    if column is None:
+        return None
+    return np.asarray(column, dtype=np.float64).view(np.int64).tolist()
+
+
+def _round_by_round(policy, rounds):
+    """The policy's columns as the scalar formulas give them, one Python-int
+    round at a time."""
+    per_round = [policy.round_params(int(t)) for t in rounds]
+    columns = [None if values[0] is None else np.array(values)
+               for values in zip(*per_round)]
+    return RoundParams(*columns[:-1], per_round[0].snr_target)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_round_params_columns_are_the_scalar_formulas(odd_constants, name):
+    policy = _policy(name, odd_constants)
+    rounds = np.arange(1, 501)
+    columns, scalar = policy.round_params(rounds), _round_by_round(policy,
+                                                                   rounds)
+    assert columns.div_ul.dtype == columns.div_dl.dtype == np.int64
+    for field, column, expect in zip(RoundParams._fields, columns, scalar):
+        assert _bits(column) == _bits(expect), field
+
+
+def test_bit_comparison_sees_one_ulp(small_constants):
+    # Negative control: one element a single ulp off fails the comparison
+    # that a relative tolerance of 1e-15 would pass.
+    column = _policy("mt_full", small_constants).round_params(
+        np.arange(1, 501)).downlink_variance
+    moved = column.copy()
+    moved[137] = np.nextafter(moved[137], np.inf)
+    assert np.allclose(moved, column, rtol=1e-15, atol=0.0)
+    assert _bits(moved) != _bits(column)
+
+
+def test_scalar_round_gives_python_numbers(lr):
+    values = (*mt_full_noise(3, 10, lr), *mt_partial_noise(3, 10, 5, lr),
+              mdt_downlink_noise(3, 10, 5, 10.0, lr), uplink_power(3, 5, lr),
+              downlink_power(3, 10, lr, 2.0, 3.0))
+    assert all(type(value) is float for value in values)
+    assert type(diversity_orders(3.2, 1.0)) is int
+
+
+def _excess_by_round(policy, params, t):
+    """Round t's relative excess over its cap, from the scalar helpers."""
+    n, k, lr = policy.n_clients, policy.n_participants, policy.lr
+    down = float(params.downlink_variance[t - 1])
+    if policy.preset.bound == "mdt_constant_snr":
+        return down / mdt_downlink_noise(t, n, k, params.snr_target, lr) - 1.0
+    up = float(params.uplink_variance[t - 1])
+    if policy.preset.bound == "mt_full":
+        cap_up, cap_down = mt_full_noise(t, n, lr)
+        return max(up * n / cap_up, down * n / cap_down) - 1.0
+    cap_up, cap_down = mt_partial_noise(t, n, k, lr)
+    return max(up / cap_up, down / cap_down) - 1.0
+
+
+@pytest.mark.parametrize("name", [name for name, preset in PRESETS.items()
+                                  if preset.bound is not None])
+def test_schedule_excess_is_each_rounds_excess(odd_constants, name):
+    rounds = np.arange(1, 501)
+    for scale in (1.0, 2.0):
+        policy = _policy(name, odd_constants, variance_scale=scale)
+        params = policy.round_params(rounds)
+        assert policy.schedule_excess(rounds, params).tolist() == [
+            _excess_by_round(policy, params, int(t)) for t in rounds]
 
 
 def test_policy_round_params_and_excess(small_constants):
     n, k, epochs = 6, 3, 3
+    rounds = np.arange(1, 100)
     for name, params in (("mt_full", {}), ("mt_partial", {}),
                          ("mdt_constant_snr", {"snr_target": 10.0}),
                          ("power_t2", {}),
@@ -271,13 +369,20 @@ def test_policy_round_params_and_excess(small_constants):
         sampled = n if name == "mt_full" else k
         policy = build_policy(name, params, small_constants, n, sampled,
                               epochs)
-        assert max(policy.schedule_excess(t, policy.round_params(t))
-                   for t in range(1, 100)) <= 1e-9
+        assert policy.schedule_excess(
+            rounds, policy.round_params(rounds)).max() <= 1e-9
         louder = build_policy(name, dict(params, variance_scale=2.0),
                               small_constants, n, sampled, epochs)
         if name != "diversity_t2":
-            assert max(louder.schedule_excess(t, louder.round_params(t))
-                       for t in range(1, 100)) > 0.5
+            assert louder.schedule_excess(
+                rounds, louder.round_params(rounds)).max() > 0.5
+
+
+@pytest.mark.parametrize("name", ["noise_free", "equal_power"])
+def test_unscheduled_preset_has_no_excess(small_constants, name):
+    policy = _policy(name, small_constants)
+    rounds = np.arange(1, 10)
+    assert policy.schedule_excess(rounds, policy.round_params(rounds)) is None
 
 
 def test_build_policy_rejects_unknown(small_constants):
