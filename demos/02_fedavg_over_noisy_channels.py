@@ -34,7 +34,7 @@ for name, params in PRESETS:
                         batch_size=4, mode="MT", policy_name=name,
                         policy_params=params, seed=4000 + s)
         res = run(task, cfg)
-        stack.append(res.sq_dists)
+        stack.append(res.trace.sq_dist)
         energy.append(res.energy_uplink + res.energy_downlink)
     curves[name] = np.mean(stack, axis=0)
     energies[name] = float(np.mean(energy))

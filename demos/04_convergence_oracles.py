@@ -63,7 +63,7 @@ gammas = policy.lr.gamma + np.arange(201)
 print(f"induction constant v = {v:.1f}; numeric recursion stays below "
       f"v/(gamma+t): {bool(np.all(envelope <= v / gammas + 1e-9))}")
 
-stack = [run(task, replace(cfg, seed=900 + s), inputs).sq_dists
+stack = [run(task, replace(cfg, seed=900 + s), inputs).trace.sq_dist
          for s in range(10)]
 mean_sq = np.mean(stack, axis=0)
 print()

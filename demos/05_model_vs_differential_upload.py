@@ -26,7 +26,7 @@ def mean_final(policy_name, params, mode):
                         batch_size=4, mode=mode, policy_name=policy_name,
                         policy_params=params, seed=2500 + s)
         res = run(task, cfg)
-        finals.append(res.traces[-1].sq_dist)
+        finals.append(res.trace.sq_dist[-1])
         uplink_power_spent.append(res.energy_uplink)
     return float(np.mean(finals)), float(np.mean(uplink_power_spent))
 

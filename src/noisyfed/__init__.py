@@ -15,7 +15,7 @@ from .analysis import (OracleReport, RateFit, bound_formula,
 from .channel import (NoiseSpec, SnrMeasurement, add_effective_noise,
                       analog_downlink_receive, analog_uplink_aggregate,
                       measure_global_snr)
-from .engine import (RoundTrace, RunConfig, RunResult, aggregate,
+from .engine import (RunConfig, RunResult, Trace, aggregate,
                      downlink_broadcast, family_inputs, local_steps,
                      local_train, run, sample_clients, uplink_transmit)
 from .errors import (AggregationError, ChannelError, ConfigError,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, traceio
-from .config import load_experiment, parse_experiment
+from .config import check_replicas, load_experiment, parse_experiment
 from .engine import RunConfig, family_inputs, run
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
@@ -98,18 +98,18 @@ def _run_replica(setup, experiment, replica, base_seed, out):
     except (DivergenceError, ChannelError) as exc:
         kind = "channel" if isinstance(exc, ChannelError) else "divergence"
         return {"replica": replica, "kind": kind, "error": str(exc)}, None
-    traces = result.traces
+    trace = result.trace
     if out is not None:
         # Made just before its first file: a directory made a whole run
         # earlier costs each write more on some file systems.
         os.makedirs(out, exist_ok=True)
         traceio.write_trace(
-            os.path.join(out, f"trace_rep{replica:03d}.csv"), traces,
+            os.path.join(out, f"trace_rep{replica:03d}.csv"), trace,
             resolved_config(experiment, result.policy, result.constants,
                             replica, base_seed + replica))
-    return Replica(traces[-1].sq_dist, traces[-1].loss, result.energy_uplink,
+    return Replica(trace.sq_dist[-1], trace.loss[-1], result.energy_uplink,
                    result.energy_downlink, result.diagnostics), np.array(
-        [[tr.sq_dist for tr in traces], [tr.loss for tr in traces]])
+        [trace.sq_dist, trace.loss])
 
 
 class Family(NamedTuple):
@@ -233,6 +233,7 @@ def cmd_run(args):
     _check_overrides(args)
     experiment = load_experiment(args.config)
     if args.replicas is not None:
+        check_replicas(args.replicas, experiment.run["rounds"], "--replicas")
         experiment.replicas = args.replicas
     base_seed = args.seed if args.seed is not None \
         else experiment.run.get("seed", 0)
@@ -446,6 +447,8 @@ def cmd_sweep(args):
         label = f"sweep[{args.axis}={value}]"
         point_exp = parse_experiment(point, source=label)
         if args.replicas is not None:
+            check_replicas(args.replicas, point_exp.run["rounds"],
+                           f"{label}: --replicas")
             point_exp.replicas = args.replicas
         base_seed = args.seed if args.seed is not None \
             else point_exp.run.get("seed", 0)

@@ -8,7 +8,10 @@ rejected with their JSON path; parsing and serialization round-trip losslessly.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .analysis import MIN_FIT_POINTS, default_slope_window
 from .errors import ConfigError
@@ -39,6 +42,10 @@ _RUN_KEYS = {
 _RUN_REQUIRED = ("n_participants", "rounds")
 
 _CHECK_KINDS = ("bound", "slope", "schedule")
+
+#: The most float64 values one array can hold, as numpy counts its bytes in
+#: ``intp``.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -101,6 +108,22 @@ def _check_pair(pair, where):
         raise ConfigError(f"{where}: expected low <= high, got {pair}")
 
 
+def _check_size(where, names, shape):
+    """A float64 array of ``shape``, the counts ``names`` at ``where``, must
+    be one that can exist; a count below 1 is left to its own check."""
+    count = math.prod(shape)
+    if min(shape) >= 1 and count > _MAX_VALUES:
+        raise ConfigError(f"{where}: {' * '.join(names)} is {count} float64 "
+                          f"values, more than one array can hold "
+                          f"({_MAX_VALUES})")
+
+
+def check_replicas(replicas, rounds, where):
+    """A family's ``(2, replicas, rounds)`` squared distances and losses must
+    fit in one array; ``where`` names the replica count."""
+    _check_size(where, ("2", "replicas", "run.rounds"), (2, replicas, rounds))
+
+
 def _parse_checks(node, path, rounds):
     """The checks of a ``rounds``-round experiment.  A slope check's window,
     given or the default, must hold at least ``MIN_FIT_POINTS`` rounds."""
@@ -153,12 +176,23 @@ def parse_experiment(doc, source="<config>"):
         _check_mapping(task_node, _TASK_KEYS, _TASK_REQUIRED, f"{source}.task")
         if "spectrum" in task_node:
             _check_pair(task_node["spectrum"], f"{source}.task.spectrum")
+        for key in ("heterogeneity", "ridge", "noise_std"):
+            # Python's json reads NaN and Infinity; ints may pass the floats.
+            if not abs(task_node.get(key, 0)) <= sys.float_info.max:
+                raise ConfigError(f"{source}.task.{key}: expected a finite "
+                                  f"number, got {task_node[key]!r}")
+        shape = ("n_clients", "samples_per_client", "dim")
+        _check_size(f"{source}.task", shape,
+                    [task_node[key] for key in shape])
         task_params = dict(task_node)
 
-    _check_mapping(doc["run"], _RUN_KEYS, _RUN_REQUIRED, f"{source}.run")
+    run_node = doc["run"]
+    _check_mapping(run_node, _RUN_KEYS, _RUN_REQUIRED, f"{source}.run")
     for part in ("task", "run"):
         if doc[part].get("seed", 0) < 0:
             raise ConfigError(f"{source}.{part}.seed: must be >= 0")
+    _check_size(f"{source}.run", ("rounds", "local_epochs"),
+                (run_node["rounds"], run_node.get("local_epochs", 1)))
 
     policy_node = doc["policy"]
     _check_mapping(policy_node, {"name": str, "params": dict}, ("name",),
@@ -167,6 +201,7 @@ def parse_experiment(doc, source="<config>"):
     replicas = doc.get("replicas", 1)
     if replicas < 1:
         raise ConfigError(f"{source}.replicas: must be >= 1")
+    check_replicas(replicas, run_node["rounds"], f"{source}.replicas")
 
     checks = _parse_checks(doc.get("checks", []), f"{source}.checks",
                            doc["run"]["rounds"])

@@ -10,8 +10,8 @@ that holds its streams and noise: :class:`EffectiveNoise` and
 together.  Rounds run in blocks of ``BLOCK`` (32): what a block needs that
 does not depend on the iterate is prepared first, local SGD's inputs included
 (gathered into buffers allocated once per run), its rounds only advance the
-state and check the divergence guard, and its trace rows (named tuples) and
-iterate-ball maximum are built at its end, each row from its own round
+state and check the divergence guard, and the trace cells it measures and its
+iterate-ball maximum are computed at its end, each cell from its own round
 alone, so the block size changes no output.  The guard and the trajectory
 ball of the gradient bound are fixed, not run options.
 
@@ -25,8 +25,9 @@ client sampling draw round by round.  As rows are keyed by client, a round's
 draws do not depend on which clients were sampled.
 
 The learning rate is indexed on the per-iteration timeline (round t covers
-iterations (t-1)E+1 .. tE); noise and power schedules are indexed by round,
-built once per family as columns, a :class:`Schedule`, for both directions.
+iterations (t-1)E+1 .. tE); noise and power schedules are indexed by round.
+Both are built once per family as columns, a :class:`Schedule`, which also
+holds the trace columns every replica shares.
 """
 
 import math
@@ -34,7 +35,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,28 +61,11 @@ TRAJECTORY_RADIUS_FACTOR = 2.0
 DIVERGENCE_FACTOR = 1e6
 
 
-class RoundTrace(NamedTuple):
-    """Observables recorded after each aggregation round, in the order of
-    the trace file's columns."""
-
-    t: int
-    sq_dist: float
-    loss: float
-    eta: float
-    sigma2_ul: float
-    zeta2_dl: float
-    rho_ul: float
-    rho_dl: float
-    div_ul: int
-    div_dl: int
-    snr_global: float
-    energy_cum: float
-
-    def as_row(self):
-        return tuple(self)
-
-
-TRACE_COLUMNS = RoundTrace._fields
+#: A run's trace: the trace file's columns in order, each a list of Python
+#: ``int`` or ``float`` with an entry per round.
+Trace = namedtuple("Trace", "t sq_dist loss eta sigma2_ul zeta2_dl rho_ul "
+                   "rho_dl div_ul div_dl snr_global energy_cum")
+TRACE_COLUMNS = Trace._fields
 
 
 @dataclass
@@ -123,20 +106,16 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Everything observable from one run: a trace row per round, the
-    models, the energies spent and the trajectory's diagnostics."""
+    """Everything observable from one run: its :class:`Trace`, the models,
+    the energies spent and the trajectory's diagnostics."""
 
-    traces: list
+    trace: Trace
     constants: object
     final_model: np.ndarray
     policy: Policy
     energy_uplink: float
     energy_downlink: float
     diagnostics: dict
-
-    @property
-    def sq_dists(self):
-        return np.array([tr.sq_dist for tr in self.traces])
 
 
 def sample_clients(n_clients, n_participants, rng):
@@ -345,36 +324,33 @@ def downlink_broadcast(w_global, unit, variances):
 
 
 #: A family's schedule: its preset's columns for rounds 1..T
-#: (:meth:`Policy.round_params`); the traced variances, each round's mean over
-#: its rows (None for MDT's uplink, measured round by round); each round's
-#: cumulative energy; and each direction's running energy sums, ``(2, T)``.
-Schedule = namedtuple("Schedule",
-                      "params sigma2_ul zeta2_dl energy_cum spent")
+#: (:meth:`Policy.round_params`); each direction's running energy sums,
+#: ``(2, T)``; the learning rates, ``(T, E)``; and the :class:`Trace` columns
+#: every replica shares, with those a run measures None: ``sq_dist``,
+#: ``loss``, ``snr_global`` and, for MDT's effective-noise uplink, whose
+#: variances follow the differentials sent, ``sigma2_ul``.
+Schedule = namedtuple("Schedule", "params spent etas trace")
 
 
-def _trace_rows(task, schedule, start, records, signals, n_participants,
-                etas):
-    """The :class:`RoundTrace` rows of the rounds from ``start`` on that
-    :func:`run` recorded, as Python ``int`` and ``float`` cells; ``signals``
-    holds each round's sum of uploads and ``etas`` each round's first rate.
-    The loss and SNR columns are computed for the whole block, each row from
-    its own round alone."""
-    sq_dists, models, up_variances = zip(*records)
-    rows = slice(start, start + len(records))
-    sigma2 = _round_means(up_variances, n_participants) \
-        if schedule.sigma2_ul is None else schedule.sigma2_ul[rows]
-    models = np.array(models)
-    losses = task.global_losses(models).tolist()
-    pairs = np.stack([signals, n_participants * models - signals])
-    # Each row's power by its own product, whatever the block's size.
+def _snrs(signals, noises):
+    """Each round's ``snr_global`` from its summed uploads and the sum of
+    their noise, ``(R, d)`` each."""
+    pairs = np.stack([signals, noises])
+    # Each round's power by its own product, whatever the block's size.
     powers = np.matmul(pairs[:, :, None, :], pairs[..., None])[..., 0, 0]
-    snrs = [math.inf if noise == 0.0 else signal / noise
+    return [math.inf if noise == 0.0 else signal / noise
             for signal, noise in zip(*powers.tolist())]
-    return list(map(RoundTrace, range(rows.start + 1, rows.stop + 1),
-                    sq_dists, losses, etas[rows], sigma2,
-                    schedule.zeta2_dl[rows],
-                    *(c[rows].tolist() for c in schedule.params[2:6]), snrs,
-                    schedule.energy_cum[rows]))
+
+
+def _trace(schedule, sq_dist, loss, snr_global, sigma2_ul):
+    """A run's :class:`Trace`: the columns it measured (``sigma2_ul`` None
+    where the schedule holds it) over its schedule's, each cut to the rounds
+    it recorded."""
+    columns = schedule.trace._replace(
+        sq_dist=sq_dist, loss=loss, snr_global=snr_global,
+        sigma2_ul=schedule.trace.sigma2_ul if sigma2_ul is None
+        else sigma2_ul)
+    return Trace(*(column[:len(sq_dist)] for column in columns))
 
 
 # A channel layer: per block, ``prepare(rounds, sampled)`` takes the slice of
@@ -433,14 +409,15 @@ class Analog:
         self.mt = config.mode == "MT"
         self.receivers = task.n_clients
         self.policy = policy
-        self.params = schedule.params
+        trace = schedule.trace
+        self.columns = (trace.rho_ul, trace.rho_dl, trace.div_ul, trace.div_dl)
         self.retries = 0
 
     def prepare(self, rounds, sampled):
         """The block's powers and orders; fades are drawn round by round, as
         a deep fade is redrawn, so a round's count depends on its own."""
         self.rho_ul, self.rho_dl, self.div_ul, self.div_dl = (
-            column[rounds].tolist() for column in self.params[2:6])
+            column[rounds] for column in self.columns)
 
     def downlink(self, i, w, rows, out):
         received, info = analog_downlink_receive(
@@ -486,10 +463,9 @@ def family_inputs(task, config):
             up, rows = params.uplink_variance, config.n_participants
             if config.channel == "analog_physical":     # one row, at 1/rho
                 up, rows = 1.0 / (params.rho_ul * params.div_ul), 1
-        schedule = Schedule(
-            params, None if up is None else _round_means(up, rows),
-            _round_means(params.downlink_variance, config.n_participants),
-            energy_cum, spent)
+        sigma2_ul = None if up is None else _round_means(up, rows)
+        zeta2_dl = _round_means(params.downlink_variance,
+                                config.n_participants)
         # Every run's energy is a float; a scheduled round's fields must be
         # positive floats, where presets without a schedule may be silent.
         leaves = not energy_cum[-1] < math.inf
@@ -507,7 +483,13 @@ def family_inputs(task, config):
         raise ConfigError(
             f"{culprit} policy {policy.name!r} {policy.params()} leaves the "
             f"float range within {config.rounds} rounds")
-    return policy, constants, schedule
+    etas = policy.lr.etas(config.rounds * config.local_epochs).reshape(
+        config.rounds, config.local_epochs)
+    trace = Trace(
+        list(range(1, config.rounds + 1)), None, None, etas[:, 0].tolist(),
+        sigma2_ul, zeta2_dl, *(column.tolist() for column in params[2:6]),
+        None, energy_cum)
+    return policy, constants, Schedule(params, spent, etas, trace)
 
 
 def run(task, config, inputs=None):
@@ -528,8 +510,6 @@ def run(task, config, inputs=None):
 
     everyone = n_participants == n_clients
     rounds = config.rounds
-    etas = policy.lr.etas(rounds * epochs).reshape(rounds, epochs)
-    first_etas = etas[:, 0].tolist()
 
     # One generator per domain and run; only the domains the run uses.
     if not everyone:
@@ -546,7 +526,8 @@ def run(task, config, inputs=None):
     # the channel's noise and local-SGD inputs.  Its rounds then only advance
     # the state; the received and local models (the ball) give the block's
     # signal sums and iterate-ball maximum.
-    traces = []
+    sq_dist, loss, snr_global = [], [], []
+    sigma2_ul = [] if schedule.trace.sigma2_ul is None else None
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_participants, dim))
@@ -568,7 +549,8 @@ def run(task, config, inputs=None):
         batches = None if batch_rng is None else _pick(floyd_sample(
             batch_rng.random((size, epochs, n_clients, batch)),
             task.samples_per_client), sampled)
-        steps = local_steps(task, sampled, batches, etas[block], buffers)
+        steps = local_steps(task, sampled, batches, schedule.etas[block],
+                            buffers)
 
         records = []
         for i, step in enumerate(steps):
@@ -595,16 +577,23 @@ def run(task, config, inputs=None):
         np.multiply(visited, visited, out=visited)
         max_iterate_sq = max(max_iterate_sq,
                              float(np.max(np.sum(visited, axis=-1))))
-        traces += _trace_rows(task, schedule, start, records, signals,
-                              n_participants, first_etas)
+        sq_dists, models, up_variances = zip(*records)
+        models = np.array(models)
+        sq_dist += sq_dists
+        loss += task.global_losses(models).tolist()
+        snr_global += _snrs(signals, n_participants * models - signals)
+        if sigma2_ul is not None:
+            sigma2_ul += _round_means(up_variances, n_participants)
         if sq > guard:
             raise DivergenceError(
                 f"round {start + len(records)}: squared distance {sq:.3e} "
-                f"exceeded the guard {guard:.3e}", traces=traces)
+                f"exceeded the guard {guard:.3e}",
+                trace=_trace(schedule, sq_dist, loss, snr_global, sigma2_ul))
 
     max_iterate_dist = math.sqrt(max_iterate_sq)
     return RunResult(
-        traces=traces, constants=constants, final_model=w, policy=policy,
+        trace=_trace(schedule, sq_dist, loss, snr_global, sigma2_ul),
+        constants=constants, final_model=w, policy=policy,
         energy_uplink=float(schedule.spent[0, -1]),
         energy_downlink=float(schedule.spent[1, -1]),
         diagnostics={"max_iterate_distance": max_iterate_dist,

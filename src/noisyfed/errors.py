@@ -34,8 +34,10 @@ class StatisticalPowerError(NoisyFedError):
 
 
 class DivergenceError(NoisyFedError):
-    """A run blew past its divergence guard; carries the partial trace."""
+    """A run blew past its divergence guard or a local iterate became
+    non-finite; ``trace`` holds the rounds the run completed, the round that
+    tripped the guard included, or None when local training raised."""
 
-    def __init__(self, message, traces=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
-        self.traces = traces if traces is not None else []
+        self.trace = trace

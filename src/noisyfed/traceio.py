@@ -49,12 +49,13 @@ def atomic_write_text(path, text):
         raise
 
 
-def write_trace(path, traces, resolved_config):
-    """Write one replica's rounds plus the full resolved configuration."""
+def write_trace(path, trace, resolved_config):
+    """Write one replica's :class:`engine.Trace`, a row per round, plus the
+    full resolved configuration."""
     lines = [f"# config: {canonical_json(resolved_config)}"]
     lines.append(",".join(TRACE_COLUMNS))
-    # Rows hold Python ints and floats, whose repr is round-trip exact.
-    lines.extend(",".join(map(repr, trace.as_row())) for trace in traces)
+    # Cells are Python ints and floats, whose repr is round-trip exact.
+    lines.extend(",".join(map(repr, row)) for row in zip(*trace))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -77,6 +77,6 @@ def test_traced_analog_run_reports_finite_metrics(tracer, small_task, mode):
         seed=4)
     # The channel hooks read each analog call's copies and retries.
     assert summary["channel.diversity_copies"] == sum(
-        tr.div_ul + tr.div_dl for tr in result.traces)
+        result.trace.div_ul) + sum(result.trace.div_dl)
     assert summary["channel.fade_retries"] \
         == result.diagnostics["fade_retries"]

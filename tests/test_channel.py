@@ -365,8 +365,8 @@ def _diversity_run_digest(task):
                     seed=10)
     result = run(task, cfg)
     digest = hashlib.sha256()
-    for trace in result.traces:
-        digest.update(repr(trace.as_row()).encode())
+    for row in zip(*result.trace):
+        digest.update(repr(row).encode())
     digest.update(result.final_model.tobytes())
     digest.update(str(result.diagnostics["fade_retries"]).encode())
     return digest.hexdigest()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -756,6 +757,61 @@ def test_out_of_range_task_or_policy_value_is_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["heterogeneity", "ridge", "noise_std"])
+def test_non_finite_task_number_is_usage_error(tmp_path, capsys, key, value):
+    # Python's json reads NaN and Infinity.  A NaN ridge was reported as a
+    # non-finite model vector, an infinite one warned first, and a NaN
+    # heterogeneity or noise_std as targets too large.
+    doc = experiment_doc()
+    doc["task"][key] = value
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err \
+        == f"error: {tmp_path / 'exp.json'}.task.{key}: expected a finite " \
+           f"number, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, key, message", [
+    ("run", "rounds", "run: rounds * local_epochs"),
+    ("run", "local_epochs", "run: rounds * local_epochs"),
+    (None, "replicas", "replicas: 2 * replicas * run.rounds"),
+    ("task", "n_clients", "task: n_clients * samples_per_client * dim"),
+    ("task", "samples_per_client", "task: n_clients * samples_per_client"),
+    ("task", "dim", "task: n_clients * samples_per_client * dim"),
+    ("run", "--replicas", "error: --replicas: 2 * replicas * run.rounds"),
+    ("sweep", "--replicas", "error: sweep[run.rounds=5]: --replicas: 2 * "),
+], ids=["rounds", "local_epochs", "replicas", "n_clients",
+        "samples_per_client", "dim", "run_replicas_flag",
+        "sweep_replicas_flag"])
+def test_count_whose_arrays_cannot_exist_is_usage_error(tmp_path, capsys,
+                                                        where, key, message):
+    # Each ended in numpy's "Maximum allowed size exceeded" ValueError, or,
+    # for n_clients, drew clients for far longer than a test may run.
+    huge = 10 ** 30
+    doc = experiment_doc()
+    if where in ("run", "task") and not key.startswith("--"):
+        doc[where][key] = huge
+    elif where is None:
+        doc[key] = huge
+    cfg, out = write_config(tmp_path, doc), str(tmp_path / "o")
+    argv = ["sweep", cfg, "--axis", "run.rounds", "--values", "5"] \
+        if where == "sweep" else ["run", cfg]
+    if key == "--replicas":
+        argv += ["--replicas", str(huge)]
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "more than one array can hold" in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not os.path.exists(out)
 
 
 _POWERS = {"rho_uplink": 2.0, "rho_downlink": 2.0}

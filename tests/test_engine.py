@@ -179,7 +179,7 @@ def test_degenerate_run_equals_plain_gradient_descent():
         w = w - lr.eta(t) * task.client_gradients(w)[0]
     assert np.allclose(result.final_model, w, atol=1e-12)
     opt = task.global_optimum()
-    assert result.traces[-1].sq_dist == pytest.approx(
+    assert result.trace.sq_dist[-1] == pytest.approx(
         float(np.sum((w - opt) ** 2)), abs=1e-12)
 
 
@@ -188,7 +188,7 @@ def test_identical_seeds_identical_traces(small_task):
               mode="MT", policy_name="mt_partial", seed=21)
     a = run(small_task, RunConfig(**kw))
     b = run(small_task, RunConfig(**kw))
-    assert all(x.as_row() == y.as_row() for x, y in zip(a.traces, b.traces))
+    assert a.trace == b.trace
     assert np.array_equal(a.final_model, b.final_model)
 
 
@@ -200,7 +200,7 @@ def test_divergence_guard_aborts_with_partial_trace(small_task):
         run(small_task, cfg)
     # One row per round up to the one that tripped the guard.
     tripped = int(str(excinfo.value).split()[1].rstrip(":"))
-    assert [tr.t for tr in excinfo.value.traces] == list(range(1, tripped + 1))
+    assert excinfo.value.trace.t == list(range(1, tripped + 1))
 
 
 def test_analog_channel_run_converges(small_task):
@@ -208,8 +208,8 @@ def test_analog_channel_run_converges(small_task):
                     mode="MT", channel="analog_physical",
                     policy_name="power_t2", seed=10)
     result = run(small_task, cfg)
-    assert result.traces[-1].sq_dist < result.traces[0].sq_dist
-    assert all(tr.div_ul == 1 for tr in result.traces)
+    assert result.trace.sq_dist[-1] < result.trace.sq_dist[0]
+    assert all(order == 1 for order in result.trace.div_ul)
 
 
 def test_analog_diversity_run_uses_integer_orders(small_task):
@@ -219,10 +219,10 @@ def test_analog_diversity_run_uses_integer_orders(small_task):
                     policy_params={"rho_uplink": 2.0, "rho_downlink": 2.0},
                     seed=10)
     result = run(small_task, cfg)
-    orders = [tr.div_ul for tr in result.traces]
+    orders = result.trace.div_ul
     assert orders == sorted(orders)
     assert orders[-1] > orders[0] >= 1
-    assert result.traces[-1].sq_dist < result.traces[0].sq_dist
+    assert result.trace.sq_dist[-1] < result.trace.sq_dist[0]
 
 
 def test_analog_downlink_pathloss_cancels_power_t2_compensation(small_task):
@@ -237,17 +237,17 @@ def test_analog_downlink_pathloss_cancels_power_t2_compensation(small_task):
 
     near, far = analog(1.0), analog(2.0)
     assert np.array_equal(far.final_model, near.final_model)
-    for a, b in zip(near.traces, far.traces, strict=True):
-        assert (b.sq_dist, b.loss, b.snr_global, b.zeta2_dl) \
-            == (a.sq_dist, a.loss, a.snr_global, a.zeta2_dl)
-        assert b.rho_dl == 4.0 * a.rho_dl
+    a, b = near.trace, far.trace
+    assert (b.sq_dist, b.loss, b.snr_global, b.zeta2_dl) \
+        == (a.sq_dist, a.loss, a.snr_global, a.zeta2_dl)
+    assert b.rho_dl == [4.0 * rho for rho in a.rho_dl]
 
 
 def test_energy_accumulates_monotonically(small_task):
     cfg = RunConfig(n_participants=3, rounds=20, local_epochs=2, batch_size=3,
                     mode="MT", policy_name="power_t2", seed=1)
     result = run(small_task, cfg)
-    energies = [tr.energy_cum for tr in result.traces]
+    energies = result.trace.energy_cum
     assert all(a < b for a, b in zip(energies, energies[1:]))
     assert result.energy_uplink > 0 and result.energy_downlink > 0
 
@@ -256,8 +256,7 @@ def test_trace_rounds_strictly_increasing(small_task):
     cfg = RunConfig(n_participants=3, rounds=12, local_epochs=1, batch_size=3,
                     policy_name="noise_free", seed=0)
     result = run(small_task, cfg)
-    ts = [tr.t for tr in result.traces]
-    assert ts == list(range(1, 13))
+    assert result.trace.t == list(range(1, 13))
 
 
 @pytest.mark.parametrize("channel, policy", [
@@ -267,7 +266,7 @@ def test_given_family_inputs_change_no_bit(small_task, channel, policy):
                     channel=channel, policy_name=policy, seed=4)
     derived = run(small_task, cfg)
     given = run(small_task, cfg, family_inputs(small_task, cfg))
-    assert given.traces == derived.traces
+    assert given.trace == derived.trace
     assert given.final_model.tobytes() == derived.final_model.tobytes()
 
 
@@ -305,9 +304,9 @@ def test_nan_aggregate_trips_divergence_guard(small_task, monkeypatch):
     with np.errstate(invalid="ignore"), \
             pytest.raises(DivergenceError, match="^round 1: ") as excinfo:
         run(small_task, cfg)
-    traces = excinfo.value.traces
-    assert [tr.t for tr in traces] == [1]
-    assert traces[0].sq_dist == math.inf
+    trace = excinfo.value.trace
+    assert trace.t == [1]
+    assert trace.sq_dist == [math.inf]
 
 
 # Round 20 of a 32-round block trips the guard (an infinite uplink) or makes
@@ -329,11 +328,14 @@ def test_mid_block_divergence_keeps_its_message_and_rows(
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
         run(small_task, cfg)
     assert str(excinfo.value) == message
-    traces = excinfo.value.traces
-    assert [tr.t for tr in traces] == list(range(1, rows + 1))
+    # The guard keeps the rounds run; local training raising leaves none.
+    trace = excinfo.value.trace
+    assert (trace is None) == (rows == 0)
+    recorded = [] if trace is None else list(zip(*trace))
+    assert [row[0] for row in recorded] == list(range(1, rows + 1))
     hashed = hashlib.sha256()
-    for trace in traces:
-        hashed.update(repr(trace.as_row()).encode())
+    for row in recorded:
+        hashed.update(repr(row).encode())
     assert hashed.hexdigest() == digest
 
 
@@ -450,8 +452,8 @@ def _layout_results(task, channel):
 def _results_digest(results):
     digest = hashlib.sha256()
     for result in results:
-        for trace in result.traces:
-            digest.update(repr(trace.as_row()).encode())
+        for row in zip(*result.trace):
+            digest.update(repr(row).encode())
         digest.update(result.final_model.tobytes())
         digest.update(str(result.diagnostics["fade_retries"]).encode())
     return digest.hexdigest()
@@ -597,8 +599,7 @@ def _layout_5_mismatches(task):
                        result.final_model.tolist())]
             fields += [(name, old["diagnostics"][name], value)
                        for name, value in result.diagnostics.items()]
-            fields += [(name, list(column), [getattr(tr, name)
-                                             for tr in result.traces])
+            fields += [(name, list(column), getattr(result.trace, name))
                        for name, column in zip(columns, zip(*old["rows"]))]
             for name, before, after in fields:
                 same = np.allclose(before, after, rtol=1e-10, atol=0.0) \

@@ -1,0 +1,79 @@
+"""The comparison and command list of ``tools/same_outputs.py`` on small
+trees; nothing here exports a tree or runs a command."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+FILES = {
+    "run-full_mt-5-w1/trace_rep000.csv": b"t,sq_dist\n1,0.5\n2,0.25\n",
+    "run-full_mt-5-w1/summary.json": b'{"completed": 1}\n',
+    "verify-all.log": b"exit 0\n--- stdout\n12/12 checks passed\n",
+}
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    sys.path.insert(0, str(TOOLS))      # for its import of bench_pairs
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "same_outputs", TOOLS / "same_outputs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(TOOLS))
+    return module
+
+
+def tree(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return str(root)
+
+
+def test_identical_trees_have_no_difference(tmp_path, same_outputs):
+    assert same_outputs.first_difference(
+        tree(tmp_path / "parent", FILES), tree(tmp_path / "change", FILES)) \
+        is None
+
+
+def test_one_changed_byte_is_named_by_file_and_line(tmp_path, same_outputs):
+    changed = dict(FILES)
+    changed["run-full_mt-5-w1/trace_rep000.csv"] = \
+        b"t,sq_dist\n1,0.5\n2,0.26\n"
+    assert same_outputs.first_difference(
+        tree(tmp_path / "parent", FILES), tree(tmp_path / "change", changed)) \
+        == "run-full_mt-5-w1/trace_rep000.csv:3: b'2,0.25\\n' != b'2,0.26\\n'"
+
+
+@pytest.mark.parametrize("drop, expected", [
+    ("verify-all.log", "verify-all.log: only in parent"),
+    (None, "verify-all.log:4: one side ends at line 3"),
+])
+def test_missing_file_or_line_is_a_difference(tmp_path, same_outputs, drop,
+                                              expected):
+    longer = dict(FILES, **{"verify-all.log": FILES["verify-all.log"]
+                            + b"--- stderr\n"})
+    shorter = {k: v for k, v in FILES.items() if k != drop}
+    assert same_outputs.first_difference(
+        tree(tmp_path / "parent", longer if drop is None else FILES),
+        tree(tmp_path / "change", shorter)) == expected
+
+
+def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
+                                                         same_outputs):
+    found = dict(same_outputs.commands(same_outputs.load_workloads(),
+                                       str(tmp_path)))
+    runs = [label for label in found if label.startswith("run-")]
+    assert len(runs) == 3 * 3 * 2
+    assert found["verify-all"][-3:] == ["all", "--seed", "0"]
+    assert sorted(label for label in found if label[:2].isdigit()) == sorted(
+        path.stem for path in (TOOLS.parent / "demos").glob("*.py"))
+    doc = json.loads((tmp_path / "full_mt-5.json").read_text())
+    assert doc["replicas"] == 20 and doc["run"]["seed"] == 100

@@ -38,7 +38,7 @@ def _trace_sha256(path, result):
                 "diagnostics": result.diagnostics,
                 "energy": [result.energy_uplink, result.energy_downlink],
                 "final_model": result.final_model}
-    write_trace(path, result.traces, resolved)
+    write_trace(path, result.trace, resolved)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -54,7 +54,6 @@ def test_trace_file_bytes_match_golden(small_task, tmp_path, channel):
 def test_numpy_scalar_cell_fails_trace_bytes_golden(small_task, tmp_path):
     # Negative control: a cell that leaks as np.float64 reprs differently.
     result = _run(small_task, "effective_noise")
-    result.traces[4] = result.traces[4]._replace(
-        loss=np.float64(result.traces[4].loss))
+    result.trace.loss[4] = np.float64(result.trace.loss[4])
     assert _trace_sha256(tmp_path / "trace.csv", result) \
         != GOLDEN_TRACE_BYTES["effective_noise"]

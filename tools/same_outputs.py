@@ -1,0 +1,150 @@
+"""Check that two trees of the repository give byte-identical outputs.
+
+Run from the root of a checkout:
+
+    python3 tools/same_outputs.py --parent HEAD~1 --change HEAD
+
+Each side is a ``git archive`` copy of its tree-ish (a commit, or the tree
+``git add -A && git write-tree`` gives for work not yet committed), extracted
+without ``__pycache__`` as ``tools/bench_pairs.py`` does.  Each copy runs,
+with ``python -B`` and its own ``src`` on ``PYTHONPATH``:
+
+- ``noisyfed run`` of the ``full_mt``, ``analog_diversity`` and
+  ``partial_mdt`` experiments of ``perfbench/workloads.py`` (read from this
+  checkout, so both sides run the same files) at the workload seeds
+  ``SEEDS``, each with ``--workers 1`` and ``--workers 2``;
+- ``noisyfed verify all --seed 0``;
+- every script in ``demos/``.
+
+Every ``--out`` directory is kept, and each command's exit status, stdout
+and stderr (the copy's path and the output directory's replaced by
+``<tree>`` and ``<out>``) are written next to it.
+The first file, and the first line in it, where the sides differ is
+printed; the exit status is 0 only if everything is identical.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import types
+
+from bench_pairs import ROOT, export, resolve
+
+WORKLOADS = ("full_mt", "analog_diversity", "partial_mdt")
+SEEDS = (5, 13, 31)
+WORKERS = (1, 2)
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` of this checkout, executed from its source
+    so that nothing is written next to it."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    module = types.ModuleType("perfbench_workloads")
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+def commands(workloads, inputs):
+    """``(name, argv)`` of every command a side runs, with the experiment
+    files written to ``inputs``; a relative path in ``argv`` is the copy's,
+    and ``{out}`` stands for the side's output directory."""
+    found = []
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            path = os.path.join(inputs, f"{name}-{seed}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(workloads.experiment(name, seed), fh)
+            for workers in WORKERS:
+                label = f"run-{name}-{seed}-w{workers}"
+                found.append((label, [
+                    "-m", "noisyfed", "run", path, "--workers", str(workers),
+                    "--out", os.path.join("{out}", label)]))
+    found.append(("verify-all", ["-m", "noisyfed", "verify", "all",
+                                 "--seed", "0"]))
+    for demo in sorted(os.listdir(os.path.join(ROOT, "demos"))):
+        if demo.endswith(".py"):
+            found.append((demo[:-3], [os.path.join("demos", demo)]))
+    return found
+
+
+def run_side(copy, out, found):
+    """Run every command in ``copy``, writing its outputs under ``out``."""
+    os.makedirs(out)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.join(copy, "src"))
+    for label, argv in found:
+        argv = [arg.replace("{out}", out) for arg in argv]
+        proc = subprocess.run([sys.executable, "-B", *argv], cwd=copy,
+                              env=env, capture_output=True, text=True)
+        with open(os.path.join(out, f"{label}.log"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(f"exit {proc.returncode}\n--- stdout\n{proc.stdout}"
+                     f"--- stderr\n{proc.stderr}".replace(out, "<out>")
+                     .replace(copy, "<tree>"))
+        print(f"{os.path.basename(out)} {label}: exit {proc.returncode}",
+              flush=True)
+
+
+def first_difference(a, b):
+    """None if the directories ``a`` and ``b`` hold the same files with the
+    same bytes; else the first difference, in sorted path order, as text."""
+    def files(top):
+        return sorted(os.path.relpath(os.path.join(here, name), top)
+                      for here, _, names in os.walk(top) for name in names)
+
+    names_a, names_b = files(a), files(b)
+    if names_a != names_b:
+        only = sorted(set(names_a) ^ set(names_b))[0]
+        side = a if only in names_a else b
+        return f"{only}: only in {os.path.basename(side)}"
+    for name in names_a:
+        with open(os.path.join(a, name), "rb") as fa, \
+                open(os.path.join(b, name), "rb") as fb:
+            lines_a, lines_b = fa.read().splitlines(True), \
+                fb.read().splitlines(True)
+        if lines_a == lines_b:
+            continue
+        for number, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+            if x != y:
+                return f"{name}:{number}: {x!r} != {y!r}"
+        number = min(len(lines_a), len(lines_b)) + 1
+        return f"{name}:{number}: one side ends at line {number - 1}"
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD~1",
+                        help="tree-ish of the parent side")
+    parser.add_argument("--change", default="HEAD",
+                        help="tree-ish of the change side")
+    args = parser.parse_args(argv)
+    refs = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    work = tempfile.mkdtemp(prefix="same-outputs-")
+    try:
+        inputs = os.path.join(work, "inputs")
+        os.makedirs(inputs)
+        found = commands(load_workloads(), inputs)
+        for side, ref in refs.items():
+            export(ref, os.path.join(work, "tree", side))
+            run_side(os.path.join(work, "tree", side),
+                     os.path.join(work, "out", side), found)
+        difference = first_difference(os.path.join(work, "out", "parent"),
+                                      os.path.join(work, "out", "change"))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    if difference:
+        print(f"DIFFERENT {refs['parent']} {refs['change']}: {difference}")
+        return 1
+    print(f"IDENTICAL {refs['parent']} {refs['change']}: {len(found)} "
+          "commands, every output directory, exit status, stdout and stderr")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
