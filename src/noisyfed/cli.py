@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, traceio
-from .config import check_replicas, load_experiment, parse_experiment
+from .config import (check_replicas, check_size, load_experiment,
+                     parse_experiment)
 from .engine import RunConfig, family_inputs, run
 from .errors import (ChannelError, ConfigError, DivergenceError,
                      NoisyFedError, StatisticalPowerError)
@@ -380,6 +381,9 @@ def _theorem_reports(noise_scale, seed):
 
 def cmd_verify(args):
     _check_overrides(args)
+    # The lemma oracles' largest arrays hold every verify client's replicas.
+    check_size("--replicas", ("replicas", "n_clients", "dim"),
+               (args.replicas, VERIFY_TASK["n_clients"], VERIFY_TASK["dim"]))
     reports = []
     if args.scope in ("lemmas", "all"):
         reports.extend(_lemma_reports(args.replicas, args.seed))

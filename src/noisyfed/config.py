@@ -108,7 +108,7 @@ def _check_pair(pair, where):
         raise ConfigError(f"{where}: expected low <= high, got {pair}")
 
 
-def _check_size(where, names, shape):
+def check_size(where, names, shape):
     """A float64 array of ``shape``, the counts ``names`` at ``where``, must
     be one that can exist; a count below 1 is left to its own check."""
     count = math.prod(shape)
@@ -121,7 +121,7 @@ def _check_size(where, names, shape):
 def check_replicas(replicas, rounds, where):
     """A family's ``(2, replicas, rounds)`` squared distances and losses must
     fit in one array; ``where`` names the replica count."""
-    _check_size(where, ("2", "replicas", "run.rounds"), (2, replicas, rounds))
+    check_size(where, ("2", "replicas", "run.rounds"), (2, replicas, rounds))
 
 
 def _parse_checks(node, path, rounds):
@@ -182,8 +182,8 @@ def parse_experiment(doc, source="<config>"):
                 raise ConfigError(f"{source}.task.{key}: expected a finite "
                                   f"number, got {task_node[key]!r}")
         shape = ("n_clients", "samples_per_client", "dim")
-        _check_size(f"{source}.task", shape,
-                    [task_node[key] for key in shape])
+        check_size(f"{source}.task", shape,
+                   [task_node[key] for key in shape])
         task_params = dict(task_node)
 
     run_node = doc["run"]
@@ -191,8 +191,8 @@ def parse_experiment(doc, source="<config>"):
     for part in ("task", "run"):
         if doc[part].get("seed", 0) < 0:
             raise ConfigError(f"{source}.{part}.seed: must be >= 0")
-    _check_size(f"{source}.run", ("rounds", "local_epochs"),
-                (run_node["rounds"], run_node.get("local_epochs", 1)))
+    check_size(f"{source}.run", ("rounds", "local_epochs"),
+               (run_node["rounds"], run_node.get("local_epochs", 1)))
 
     policy_node = doc["policy"]
     _check_mapping(policy_node, {"name": str, "params": dict}, ("name",),

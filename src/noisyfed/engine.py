@@ -8,12 +8,14 @@ averaging.  One round loop serves both channel layers, each behind one class
 that holds its streams and noise: :class:`EffectiveNoise` and
 :class:`Analog`.  A round's sampled clients are one ``(K, d)`` array, trained
 together.  Rounds run in blocks of ``BLOCK`` (32): what a block needs that
-does not depend on the iterate is prepared first, local SGD's inputs included
-(gathered into buffers allocated once per run), its rounds only advance the
-state and check the divergence guard, and the trace cells it measures and its
-iterate-ball maximum are computed at its end, each cell from its own round
-alone, so the block size changes no output.  The guard and the trajectory
-ball of the gradient bound are fixed, not run options.
+does not depend on the iterate is prepared first, local SGD's batch rows and
+scales included, its rounds only advance the state and check the divergence
+guard, and the trace cells it measures and its iterate-ball maximum are
+computed at its end, each cell from its own round alone, so the block size
+changes no output.  Local SGD's data are gathered chunk by chunk within a
+block, as many rounds at a time as ``GATHER_BYTES`` holds, into buffers
+allocated once per run.  The guard and the trajectory ball of the gradient
+bound are fixed, not run options.
 
 Every run starts from the zero model.  Randomness follows stream layout 7
 (:mod:`noisyfed.seeding`): round t reads the t-th block of its domain's
@@ -48,9 +50,12 @@ from .seeding import (DOMAIN_BATCH, DOMAIN_DOWNLINK, DOMAIN_FADE_DOWNLINK,
 from .tasks import derive_constants
 from .vectors import squared_distance
 
-#: Rounds prepared, and later traced, together; few enough that a block's
-#: gathered batch features stay in cache.
+#: Rounds prepared, and later traced, together.
 BLOCK = 32
+#: The bytes of local-SGD data (features and targets) a run gathers at once:
+#: a block's rounds are gathered in chunks of as many as fit, at least one.
+#: Gathering round by round costs ``full_mt`` about 5% of its wall time.
+GATHER_BYTES = 192 * 1024
 
 TRANSMISSION_MODES = ("MT", "MDT")
 CHANNEL_LAYERS = ("effective_noise", "analog_physical")
@@ -84,24 +89,24 @@ class RunConfig:
     policy_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_participants < 1 or self.rounds < 1 or self.local_epochs < 1:
-            raise ConfigError("participants, rounds and local_epochs must be >= 1")
-        if self.mode not in TRANSMISSION_MODES:
-            raise ConfigError(f"mode must be one of {TRANSMISSION_MODES}")
-        if self.channel not in CHANNEL_LAYERS:
-            raise ConfigError(f"channel must be one of {CHANNEL_LAYERS}")
-        if self.distribution not in NOISE_DISTRIBUTIONS:
-            raise ConfigError(
-                f"distribution must be one of {NOISE_DISTRIBUTIONS}")
+        for key in ("n_participants", "rounds", "local_epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"run.{key}: must be >= 1")
+        for key, allowed in (("mode", TRANSMISSION_MODES),
+                             ("channel", CHANNEL_LAYERS),
+                             ("distribution", NOISE_DISTRIBUTIONS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"run.{key}: must be one of {allowed}")
         preset = PRESETS.get(self.policy_name)
         if preset is not None and preset.mode not in (None, self.mode):
-            raise ConfigError(f"policy {self.policy_name!r} needs mode "
-                              f"{preset.mode!r}")
+            raise ConfigError(f"run.mode: policy {self.policy_name!r} needs "
+                              f"mode {preset.mode!r}")
         if self.channel == "analog_physical" \
                 and self.policy_name == "mdt_constant_snr":
             # The analog uplink would send the SNR target as a transmit power.
-            raise ConfigError("policy 'mdt_constant_snr' needs channel "
-                              "'effective_noise', not 'analog_physical'")
+            raise ConfigError("run.channel: policy 'mdt_constant_snr' needs "
+                              "channel 'effective_noise', not "
+                              "'analog_physical'")
 
 
 @dataclass
@@ -149,9 +154,10 @@ def floyd_sample(uniforms, population):
 LocalSteps = namedtuple("LocalSteps",
                         "clients feats targets rates keeps work")
 
-#: What :func:`local_steps` writes: the gathered features and targets of up to
+#: What :func:`local_steps` writes: the gathered features and targets of
 #: ``len(feats)`` rounds and a step's ``(n, B)`` residual and ``(n, d)``
-#: gradient.  :func:`run` allocates them once.
+#: gradient.  :func:`run` allocates them once, for as many rounds as
+#: ``GATHER_BYTES`` holds.
 StepBuffers = namedtuple("StepBuffers", "feats targets work")
 
 
@@ -170,6 +176,38 @@ def _check_range(index, bound, name):
         raise IndexError(f"{name} out of range [0, {bound})")
 
 
+def _plan(task, clients, batches, etas):
+    """What :func:`local_steps` of R rounds, ``(R, n)``, ``(R, E, n, B)`` or
+    None and ``(R, E)``, needs before the gather: the checked flat sample
+    rows, ``(R, E, n, B)`` or ``(R, n, D)``, the scales :func:`_gather`
+    applies, and each round's rates and keeps."""
+    n_clients, samples, _ = task.features.shape
+    _check_range(clients, n_clients, "client")
+    if batches is None:     # shared by every step; the rate is applied apart
+        rows = clients[..., None] * samples + np.arange(samples)
+        scale = np.broadcast_to(np.sqrt(1.0 / samples), (len(etas), 1, 1))
+        rates = etas.tolist()
+    else:
+        _check_range(batches, samples, "batch index")
+        rows = clients[:, None, :, None] * samples + batches
+        scale = np.sqrt(etas / rows.shape[-1])[..., None, None]
+        rates = [[None] * etas.shape[1]] * len(etas)
+    return rows, scale, rates, (1.0 - etas * task.ridge).tolist()
+
+
+def _gather(task, rows, scale, feats, targets):
+    """Gather the task's features and targets at the checked flat ``rows``
+    into ``feats`` and ``targets``, and scale them by ``scale``."""
+    # One flat take costs less than indexing the (N, D, d) stack.  The
+    # indices are checked before: in its default "raise" mode, take gathers
+    # into a temporary and copies that into ``feats``.
+    task.features.reshape(-1, task.dim).take(rows, axis=0, out=feats,
+                                             mode="clip")
+    task.targets.reshape(-1).take(rows, out=targets, mode="clip")
+    targets *= scale
+    feats *= scale[..., None]
+
+
 def local_steps(task, clients, batches, etas, out=None):
     """Prepare one step of mini-batch SGD per rate in ``etas`` for the
     clients of the rows (which may repeat), for :func:`local_train`.
@@ -179,42 +217,25 @@ def local_steps(task, clients, batches, etas, out=None):
     With a leading round axis on all three, ``(R, n)``, ``(R, E, n, B)`` and
     ``(R, E)``, the rounds are gathered in one pass into a list of one
     :class:`LocalSteps` each.  ``out``, :class:`StepBuffers` for R rounds or
-    more, takes the gathered data and the work instead of new arrays.  A
-    client or sample index out of range is an :class:`IndexError`.
+    more, takes the gathered data and the work instead of new arrays; with
+    fewer, the gather raises a ValueError.  A client or sample index out of
+    range is an :class:`IndexError`.
     """
     clients, etas = np.asarray(clients), np.asarray(etas, dtype=np.float64)
     per_round = etas.ndim == 2
     if not per_round:
         clients, etas = clients[None], etas[None]
         batches = None if batches is None else np.asarray(batches)[None]
-    n_clients, samples, dim = task.features.shape
-    _check_range(clients, n_clients, "client")
-    if batches is None:
-        rows = clients[..., None] * samples + np.arange(samples)
-    else:
-        _check_range(batches, samples, "batch index")
-        rows = clients[:, None, :, None] * samples + batches
+    rows, scale, rates, keeps = _plan(task, clients, batches, etas)
     if out is None:
-        out = step_buffers(len(etas), rows.shape[1:], dim)
-    # One flat take costs less than indexing the (N, D, d) stack.  The
-    # indices are checked above: in its default "raise" mode, take gathers
-    # into a temporary and copies that into ``out``.
-    feats = task.features.reshape(-1, dim).take(
-        rows, axis=0, out=out.feats[:len(etas)], mode="clip")
-    targets = task.targets.reshape(-1).take(
-        rows, out=out.targets[:len(etas)], mode="clip")
-    if batches is None:     # shared by every step; the rate is applied apart
-        scale, rates = np.sqrt(1.0 / samples), etas.tolist()
-    else:
-        scale = np.sqrt(etas / rows.shape[-1])[..., None, None]
-        rates = [[None] * etas.shape[1]] * len(etas)
-    targets *= scale
-    feats *= scale[..., None]
+        out = step_buffers(len(etas), rows.shape[1:], task.dim)
+    feats, targets = out.feats[:len(etas)], out.targets[:len(etas)]
+    _gather(task, rows, scale, feats, targets)
     if batches is None:
         feats, targets = (np.broadcast_to(a[:, None], etas.shape + a.shape[1:])
                           for a in (feats, targets))
-    steps = list(map(LocalSteps, clients, feats, targets, rates,
-                     (1.0 - etas * task.ridge).tolist(), repeat(out.work)))
+    steps = list(map(LocalSteps, clients, feats, targets, rates, keeps,
+                     repeat(out.work)))
     return steps if per_round else steps[0]
 
 
@@ -424,7 +445,7 @@ class Analog:
             w, power=self.rho_dl[i], rng=self.down_rng,
             copies=self.div_dl[i], receivers=self.receivers,
             distance=self.policy.distance, pathloss=self.policy.pathloss)
-        # ``rows`` are sampled clients, which local_steps checks; in "raise"
+        # ``rows`` are sampled clients, which _plan checks; in "raise"
         # mode take would gather into a temporary first.
         received.take(rows, axis=0, out=out, mode="clip")
         self.retries += info["retries"]
@@ -445,7 +466,8 @@ def family_inputs(task, config):
     clients, a schedule leaving the positive floats, or energy leaving the
     floats, is a ConfigError."""
     if config.n_participants > task.n_clients:
-        raise ConfigError("participants exceed the number of clients")
+        raise ConfigError(f"run.n_participants: {config.n_participants} "
+                          f"exceeds task.n_clients ({task.n_clients})")
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
     initial_sq = squared_distance(np.zeros(task.dim), task.global_optimum())
@@ -523,17 +545,26 @@ def run(task, config, inputs=None):
     guard = DIVERGENCE_FACTOR * max(initial_sq, 1.0)
 
     # Rounds run in blocks of BLOCK, each prepared first: client selections,
-    # the channel's noise and local-SGD inputs.  Its rounds then only advance
-    # the state; the received and local models (the ball) give the block's
-    # signal sums and iterate-ball maximum.
+    # the channel's noise and local SGD's batch rows and scales.  Its rounds
+    # then only advance the state; the received and local models (the ball)
+    # give the block's signal sums and iterate-ball maximum.
     sq_dist, loss, snr_global = [], [], []
     sigma2_ul = [] if schedule.trace.sigma2_ul is None else None
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_participants, dim))
-    buffers = step_buffers(span, (n_participants, task.samples_per_client)
-                           if batch_rng is None
-                           else (epochs, n_participants, batch), dim)
+    # Local SGD's data are gathered chunk by chunk, as many rounds as
+    # GATHER_BYTES holds, into slots allocated once: a round's mini-batches,
+    # or its clients' full batches, which every step reads.
+    shape = (n_participants, task.samples_per_client) if batch_rng is None \
+        else (epochs, n_participants, batch)
+    chunk = min(span, max(1, GATHER_BYTES // (8 * (dim + 1)
+                                              * math.prod(shape))))
+    buffers = step_buffers(chunk, shape, dim)
+    slots = list(zip(buffers.feats, buffers.targets))
+    if batch_rng is None:
+        slots = [[np.broadcast_to(a, (epochs,) + a.shape) for a in slot]
+                 for slot in slots]
     max_iterate_sq = initial_sq
 
     for start in range(0, rounds, BLOCK):
@@ -549,11 +580,17 @@ def run(task, config, inputs=None):
         batches = None if batch_rng is None else _pick(floyd_sample(
             batch_rng.random((size, epochs, n_clients, batch)),
             task.samples_per_client), sampled)
-        steps = local_steps(task, sampled, batches, schedule.etas[block],
-                            buffers)
+        rows, scale, rates, keeps = _plan(task, sampled, batches,
+                                          schedule.etas[block])
 
         records = []
-        for i, step in enumerate(steps):
+        for i in range(size):
+            if i % chunk == 0:
+                n = min(chunk, size - i)
+                _gather(task, rows[i:i + n], scale[i:i + n],
+                        buffers.feats[:n], buffers.targets[:n])
+            step = LocalSteps(sampled[i], *slots[i % chunk], rates[i],
+                              keeps[i], buffers.work)
             # (1) Downlink broadcast and (2) local SGD, into the ball.
             received, sent = ball[i, :n_participants], ball[i, n_participants:]
             channel.downlink(i, w, sampled[i], received)

@@ -395,18 +395,22 @@ def build_policy(name, params, constants, n_clients, n_participants,
     preset = PRESETS.get(name)
     if preset is None:
         raise ConfigError(
-            f"unknown policy {name!r}; expected one of {tuple(PRESETS)}")
+            f"policy.name: unknown policy {name!r}; expected one of "
+            f"{tuple(PRESETS)}")
     params = dict(params or {})
     unknown = set(params) - set(preset.params)
     if unknown:
-        raise ConfigError(f"unknown policy parameters: {sorted(unknown)}")
+        raise ConfigError(f"policy.params: unknown parameters "
+                          f"{sorted(unknown)}")
     missing = [key for key, default in preset.params.items()
                if default is REQUIRED and key not in params]
     if missing:
-        raise ConfigError(f"policy {name!r} needs parameters {missing}")
+        raise ConfigError(f"policy.params: policy {name!r} needs parameters "
+                          f"{missing}")
     if preset.every_client and n_participants < n_clients:
-        raise ConfigError(f"policy {name!r} needs every client "
-                          f"({n_clients}) to take part; use 'mt_partial'")
+        raise ConfigError(f"run.n_participants: policy {name!r} needs every "
+                          f"client ({n_clients}) to take part; use "
+                          "'mt_partial'")
     values = {key: _checked(key, params.get(key, default))
               for key, default in preset.params.items()}
     if "pathloss" in values:    # distance^pathloss and its inverse: floats
@@ -425,11 +429,11 @@ def _checked(key, value):
     ``snr_db``."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max):
-        raise ConfigError(f"policy parameter {key!r} must be a finite "
-                          f"number, not {value!r}")
+        raise ConfigError(f"policy.params.{key}: must be a finite number, "
+                          f"not {value!r}")
     if key in _POSITIVE and value <= 0:
-        raise ConfigError(f"policy parameter {key!r} must be positive")
+        raise ConfigError(f"policy.params.{key}: must be positive")
     if key == "snr_db" and abs(value) > MAX_DB:
-        raise ConfigError(f"policy parameter 'snr_db' must be within "
+        raise ConfigError(f"policy.params.snr_db: must be within "
                           f"±{MAX_DB} dB, not {value!r}")
     return float(value)

@@ -162,15 +162,18 @@ def make_task(n_clients, dim, samples_per_client, heterogeneity=1.0, ridge=0.1,
     client-specific generating model ``base + heterogeneity * shift_k`` plus
     Gaussian observation noise of standard deviation ``noise_std``.
     """
-    if n_clients < 1 or dim < 1 or samples_per_client < 1:
-        raise ConfigError("n_clients, dim and samples_per_client must be >= 1")
+    for key, count in (("n_clients", n_clients), ("dim", dim),
+                       ("samples_per_client", samples_per_client)):
+        if count < 1:
+            raise ConfigError(f"task.{key}: must be >= 1")
     if samples_per_client < dim:
-        raise ConfigError("need samples_per_client >= dim for orthonormal designs")
+        raise ConfigError(f"task.samples_per_client: must be >= task.dim "
+                          f"({dim}) for orthonormal designs")
     if ridge < 0:
-        raise ConfigError("ridge must be non-negative")
+        raise ConfigError("task.ridge: must be non-negative")
     lo, hi = spectrum
     if not (0 < lo <= hi):
-        raise ConfigError("spectrum bounds must satisfy 0 < lo <= hi")
+        raise ConfigError("task.spectrum: bounds must satisfy 0 < lo <= hi")
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(101,)))
@@ -201,7 +204,8 @@ def minibatch_gradient_variance(task, w, batch):
     batches, ``(N,)``, at ``w`` or at its own row of an ``(N, d)`` array."""
     size = task.samples_per_client
     if not 1 <= batch <= size:
-        raise ConfigError(f"batch must be in [1, {size}]")
+        raise ConfigError(f"run.batch_size: {batch} must be in [1, {size}] "
+                          "(task.samples_per_client)")
     grads = task.features * task._residuals(w)[..., None] \
         + task.ridge * w[..., None, :]
     center = grads.mean(axis=1)
@@ -215,8 +219,9 @@ def derive_constants(task, batch, trajectory_radius):
     if trajectory_radius <= 0:
         raise ConfigError("trajectory_radius must be positive")
     if not 1 <= batch <= task.samples_per_client:
-        raise ConfigError(f"batch {batch} must be in "
-                          f"[1, {task.samples_per_client}]")
+        raise ConfigError(f"run.batch_size: {batch} must be in "
+                          f"[1, {task.samples_per_client}] "
+                          "(task.samples_per_client)")
 
     eigs = np.linalg.eigvalsh(task._data_hessians())
     indefinite = np.flatnonzero(eigs[:, 0] + task.ridge <= 0)

@@ -374,6 +374,18 @@ def test_verify_rejects_tiny_replica_count():
     assert main(["verify", "lemmas", "--replicas", "50"]) == 2
 
 
+@pytest.mark.parametrize("scope", ["lemmas", "all"])
+def test_verify_replica_count_whose_arrays_cannot_exist_is_usage_error(
+        capsys, scope):
+    # It ended in numpy's "Maximum allowed dimension exceeded" ValueError
+    # from the lemma oracles' first draw.  Only a count no array can hold is
+    # tried here.
+    assert main(["verify", scope, "--replicas", str(10 ** 30)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --replicas: replicas * n_clients * dim ")
+    assert "more than one array can hold" in err and err.count("\n") == 1
+
+
 def test_verify_requires_scope():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify"])
@@ -549,11 +561,10 @@ def _count_runs(monkeypatch):
 
 @pytest.mark.parametrize("policy, axis, values, message", [
     ("mt_partial", "run.local_epochs", "1,0",
-     "error: sweep[run.local_epochs=0]: participants, rounds and "
-     "local_epochs must be >= 1"),
+     "error: sweep[run.local_epochs=0]: run.local_epochs: must be >= 1"),
     ("noise_free", "run.n_participants", "3,9",
-     "error: sweep[run.n_participants=9]: participants exceed the number "
-     "of clients"),
+     "error: sweep[run.n_participants=9]: run.n_participants: 9 exceeds "
+     "task.n_clients (6)"),
 ], ids=["local_epochs", "participants"])
 def test_sweep_bad_late_value_runs_no_family(tmp_path, capsys, monkeypatch,
                                              policy, axis, values, message):
@@ -720,7 +731,8 @@ def test_batch_outside_client_dataset_is_usage_error(tmp_path, capsys, batch):
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"error: batch {batch} must be in [1, 12]" in err
+    assert f"error: run.batch_size: {batch} must be in [1, 12] " \
+        "(task.samples_per_client)" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -744,7 +756,7 @@ def _overflowing(case):
 
 @pytest.mark.parametrize("case, message", [
     ("seed", "task.seed: must be >= 0"),
-    ("snr_db", "error: policy parameter 'snr_db' must be within ±3082 dB, "
+    ("snr_db", "error: policy.params.snr_db: must be within ±3082 dB, "
                "not 1e+300"),
     ("ridge", "error: task.ridge: 1e+300 makes the gradient bound overflow"),
 ], ids=["task_seed", "snr_db", "task_ridge"])
@@ -892,8 +904,8 @@ def test_diversity_policy_without_powers_is_usage_error(tmp_path, capsys):
     doc["run"]["channel"] = "analog_physical"
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "error: policy 'diversity_t2' needs parameters ['rho_downlink']" \
-        in capsys.readouterr().err
+    assert "error: policy.params: policy 'diversity_t2' needs parameters " \
+        "['rho_downlink']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, params, key", [
@@ -918,7 +930,7 @@ def test_invalid_policy_parameter_is_usage_error(tmp_path, capsys, name,
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"error: policy parameter {key!r} must" in err
+    assert f"error: policy.params.{key}: must" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -974,7 +986,7 @@ def test_mdt_policy_with_model_upload_is_usage_error(tmp_path, capsys):
                                  "params": {"snr_target": 10.0}})
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "error: policy 'mdt_constant_snr' needs mode 'MDT'" \
+    assert "error: run.mode: policy 'mdt_constant_snr' needs mode 'MDT'" \
         in capsys.readouterr().err
 
 
@@ -983,8 +995,8 @@ def test_mt_full_with_partial_participation_is_usage_error(tmp_path, capsys):
     doc = experiment_doc(policy={"name": "mt_full", "params": {}})
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "error: policy 'mt_full' needs every client (6) to take part; " \
-        "use 'mt_partial'" in capsys.readouterr().err
+    assert "error: run.n_participants: policy 'mt_full' needs every client " \
+        "(6) to take part; use 'mt_partial'" in capsys.readouterr().err
 
 
 def test_mt_full_weights_are_unknown_parameter(tmp_path, capsys):
@@ -995,7 +1007,7 @@ def test_mt_full_weights_are_unknown_parameter(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: unknown policy parameters: ['weights']" in err
+    assert "error: policy.params: unknown parameters ['weights']" in err
     assert "Traceback" not in err
     assert not out.exists()
     # The same experiment without weights still runs.
@@ -1011,7 +1023,7 @@ def test_weighted_mt_full_on_analog_channel_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "error: unknown policy parameters: ['weights']" in err
+    assert "error: policy.params: unknown parameters ['weights']" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
     # mt_full without weights still runs on the analog channel.
@@ -1031,7 +1043,7 @@ def test_mdt_constant_snr_on_analog_channel_is_usage_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: policy 'mdt_constant_snr' needs channel " \
+    assert "error: run.channel: policy 'mdt_constant_snr' needs channel " \
         "'effective_noise', not 'analog_physical'" in err
     assert "Traceback" not in err
     assert not out.exists()

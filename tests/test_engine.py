@@ -572,6 +572,16 @@ def test_trace_block_changes_no_output(small_task, monkeypatch, block):
     _assert_block_changes_nothing(small_task, monkeypatch, block)
 
 
+@pytest.mark.parametrize("budget", [1, 5 * 2016, 2 ** 40])
+def test_gather_budget_changes_no_output(small_task, monkeypatch, budget):
+    # A round of the layout and config runs gathers 2016 bytes of batch data
+    # with K=6 and 1008 with K=3, and 4032 or 2016 of full batches.  Gathers
+    # of one round, of chunks that split the 12-round runs unevenly (5, 10,
+    # 2 or 5 rounds), or of the whole block.
+    monkeypatch.setattr(engine, "GATHER_BYTES", budget)
+    _assert_block_changes_nothing(small_task, monkeypatch, engine.BLOCK)
+
+
 # Every layout run's trace rows, final model and diagnostics at stream layout
 # 5, the layout before the local-SGD rounding changed.  Only the
 # effective-noise runs are compared: layout 7 draws the analog downlink's
@@ -725,6 +735,31 @@ def test_local_steps_gathers_without_a_block_sized_temporary():
     flat = task.features.reshape(-1, task.dim)
     assert _traced_peak(lambda: flat.take(rows, axis=0, out=out.feats,
                                           mode="raise")) >= bound
+
+
+def test_local_steps_rejects_buffers_for_fewer_rounds(small_task):
+    # Two rounds' steps cannot be gathered into one round's buffers.
+    out = engine.step_buffers(1, (3, 12), small_task.dim)
+    with pytest.raises(ValueError):
+        local_steps(small_task, [[0, 1, 2]] * 2, None, [[0.1] * 3] * 2, out)
+
+
+@pytest.mark.parametrize("clients, dim, rounds, batch_size, participants",
+                         [(10, 50, 32, 32, 10), (10, 50, 32, None, 10),
+                          (10, 50, 32, None, 5), (64, 100, 8, None, 1)])
+def test_run_holds_local_sgd_data_within_the_gather_budget(
+        clients, dim, rounds, batch_size, participants):
+    # A 32-round block of the 10-client runs gathers 16.4 MB of batch
+    # features, or of full-batch features with 10 clients (8.2 MB with 5);
+    # the 64 clients' features are 6.6 MB.  A run holds GATHER_BYTES of the
+    # sampled clients' data, or one round if that is more: 0.5 MB or less.
+    task = make_task(n_clients=clients, dim=dim, samples_per_client=128,
+                     seed=3)
+    config = RunConfig(n_participants=participants, rounds=rounds,
+                       local_epochs=4, batch_size=batch_size,
+                       policy_name="noise_free", seed=1)
+    inputs = family_inputs(task, config)
+    assert _traced_peak(lambda: run(task, config, inputs)) < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("client, sample", [(6, 0), (-1, 0), (0, 12),

@@ -4,9 +4,10 @@ A small experiment (6 clients, at most 12 rounds, 2 replicas) has one to
 three of its keys, drawn from ``config._TASK_KEYS``, ``config._RUN_KEYS``,
 the replica count and its preset's ``Preset.params``, set to edge values.
 Whatever the values, the command exits 0, 1 or 2 with no exception escaping;
-a usage error (2) prints one ``error:`` line and leaves no ``--out``
-directory, and a success (0) writes its outputs.  The examples are drawn
-derandomized, so every run of the suite tries the same ones.
+a usage error (2) prints one ``error:`` line, which names a key path, and
+leaves no ``--out`` directory, and a success (0) writes its outputs.  The
+examples are drawn derandomized, so every run of the suite tries the same
+ones.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 from hypothesis import example, given, settings
@@ -34,6 +36,11 @@ EDGES = {int: INTS, (int, float): REALS, (int, type(None)): INTS + (None,),
                "laplace", "x"),
          list: ([1.0, 2.0], [1e-300, 1e300], [0, 1], [2.0, 1.0])}
 WRONG = (None, True, "x", [1.0], {}, 0.5)
+#: A key path: a dotted one of the experiment file (``run.batch_size``,
+#: ``policy.params.snr_db``), a section ended by a colon (``task:``),
+#: ``replicas``, or a command-line option.
+KEY_PATH = re.compile(r"\b(?:(?:task|run|policy)(?:\.\w+)+|(?:task|run):"
+                      r"|replicas)|--\w")
 VALUE_TEXTS = ("0", "-1", "2", "0.5", "1e300", "-1e300", "1e-300", "inf",
                "-inf", "nan", "1e30", "x")
 
@@ -99,6 +106,7 @@ def call(argv_of):
     assert status in (0, 1, 2), status
     if status == 2:
         assert files is None and len(errors) == 1, (files, errors)
+        assert KEY_PATH.search(errors[0]), errors
     return status, files
 
 

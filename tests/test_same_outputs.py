@@ -71,7 +71,17 @@ def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
     found = dict(same_outputs.commands(same_outputs.load_workloads(),
                                        str(tmp_path)))
     runs = [label for label in found if label.startswith("run-")]
-    assert len(runs) == 3 * 3 * 2
+    assert len(runs) == 3 * 3 * 2 + 2 * 2
+    # Full batches with every client and with a sample of them, at seed 5.
+    assert sorted(label for label in runs if "full_batch" in label) == [
+        "run-full_mt-full_batch-5-w1", "run-full_mt-full_batch-5-w2",
+        "run-partial_mdt-full_batch-5-w1", "run-partial_mdt-full_batch-5-w2"]
+    for name, participants in (("full_mt", 10), ("partial_mdt", 5)):
+        doc = json.loads((tmp_path / f"{name}-full_batch-5.json").read_text())
+        assert doc["run"]["batch_size"] is None
+        assert doc["run"]["n_participants"] == participants
+        assert json.loads((tmp_path / f"{name}-5.json").read_text())[
+            "run"]["batch_size"] == 4
     assert found["verify-all"][-3:] == ["all", "--seed", "0"]
     assert sorted(label for label in found if label[:2].isdigit()) == sorted(
         path.stem for path in (TOOLS.parent / "demos").glob("*.py"))

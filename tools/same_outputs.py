@@ -12,7 +12,9 @@ with ``python -B`` and its own ``src`` on ``PYTHONPATH``:
 - ``noisyfed run`` of the ``full_mt``, ``analog_diversity`` and
   ``partial_mdt`` experiments of ``perfbench/workloads.py`` (read from this
   checkout, so both sides run the same files) at the workload seeds
-  ``SEEDS``, each with ``--workers 1`` and ``--workers 2``;
+  ``SEEDS``, and of the ``full_mt`` (every client) and ``partial_mdt`` (a
+  sample of them) experiments with full batches (``run.batch_size`` null)
+  at the first seed, each with ``--workers 1`` and ``--workers 2``;
 - ``noisyfed verify all --seed 0``;
 - every script in ``demos/``.
 
@@ -36,6 +38,9 @@ from bench_pairs import ROOT, export, resolve
 
 WORKLOADS = ("full_mt", "analog_diversity", "partial_mdt")
 SEEDS = (5, 13, 31)
+#: Workloads also run with full batches, at the first seed: one with every
+#: client taking part, one with a sample of them.
+FULL_BATCH = ("full_mt", "partial_mdt")
 WORKERS = (1, 2)
 
 
@@ -54,16 +59,20 @@ def commands(workloads, inputs):
     files written to ``inputs``; a relative path in ``argv`` is the copy's,
     and ``{out}`` stands for the side's output directory."""
     found = []
-    for name in WORKLOADS:
-        for seed in SEEDS:
-            path = os.path.join(inputs, f"{name}-{seed}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(workloads.experiment(name, seed), fh)
-            for workers in WORKERS:
-                label = f"run-{name}-{seed}-w{workers}"
-                found.append((label, [
-                    "-m", "noisyfed", "run", path, "--workers", str(workers),
-                    "--out", os.path.join("{out}", label)]))
+    runs = [(name, seed, "") for name in WORKLOADS for seed in SEEDS] \
+        + [(name, SEEDS[0], "-full_batch") for name in FULL_BATCH]
+    for name, seed, kind in runs:
+        doc = workloads.experiment(name, seed)
+        if kind:
+            doc["run"]["batch_size"] = None
+        path = os.path.join(inputs, f"{name}{kind}-{seed}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for workers in WORKERS:
+            label = f"run-{name}{kind}-{seed}-w{workers}"
+            found.append((label, [
+                "-m", "noisyfed", "run", path, "--workers", str(workers),
+                "--out", os.path.join("{out}", label)]))
     found.append(("verify-all", ["-m", "noisyfed", "verify", "all",
                                  "--seed", "0"]))
     for demo in sorted(os.listdir(os.path.join(ROOT, "demos"))):
