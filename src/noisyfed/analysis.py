@@ -172,7 +172,7 @@ class OracleReport:
                 f"{self.detail}").rstrip()
 
 
-def _require_replicas(replicas):
+def require_replicas(replicas):
     if replicas < _MIN_MC_REPLICAS:
         raise StatisticalPowerError(
             f"need at least {_MIN_MC_REPLICAS} replicas, got {replicas}")
@@ -201,7 +201,7 @@ def aggregation_noise_oracle(n_clients, dim, variances, replicas, rng):
     errors per coordinate) and squared norm ``dim * sum(var) / N^2`` within
     5%.
     """
-    _require_replicas(replicas)
+    require_replicas(replicas)
     variances = np.broadcast_to(np.asarray(variances, dtype=np.float64),
                                 (n_clients,))
     draws = rng.normal(size=(replicas, n_clients, dim)) \
@@ -279,7 +279,7 @@ def differential_upload_oracle(task, w_prev, n_participants, snr_target,
     a ball holding the visited states: twice the start's distance to the
     optimum plus a generous allowance for the broadcast noise.
     """
-    _require_replicas(replicas)
+    require_replicas(replicas)
     n_clients = task.n_clients
     dim = task.dim
     w_prev = np.asarray(w_prev, dtype=np.float64)
@@ -337,7 +337,7 @@ def sgd_one_step_oracle(task, state, lr, iter_index, batch, replicas, rng,
     k on client k): the averaged iterate's expected squared distance to the
     optimum must respect the one-step contraction-plus-noise bound (with
     4-standard-error slack on the Monte-Carlo side)."""
-    _require_replicas(replicas)
+    require_replicas(replicas)
     state = np.atleast_2d(np.asarray(state, dtype=np.float64))
     w_star = constants.opt
     eta = lr.eta(iter_index)

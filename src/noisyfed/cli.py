@@ -230,14 +230,20 @@ def _check_overrides(args):
         raise ConfigError("--workers: must be >= 1")
 
 
+def _overridden(args, experiment, where="--replicas"):
+    """Apply ``--replicas``, named ``where`` in an error, to ``experiment``
+    and return its base seed: ``--seed``, else its ``run.seed``, else 0."""
+    if args.replicas is not None:
+        check_replicas(args.replicas, experiment.run["rounds"], where)
+        experiment.replicas = args.replicas
+    return args.seed if args.seed is not None \
+        else experiment.run.get("seed", 0)
+
+
 def cmd_run(args):
     _check_overrides(args)
     experiment = load_experiment(args.config)
-    if args.replicas is not None:
-        check_replicas(args.replicas, experiment.run["rounds"], "--replicas")
-        experiment.replicas = args.replicas
-    base_seed = args.seed if args.seed is not None \
-        else experiment.run.get("seed", 0)
+    base_seed = _overridden(args, experiment)
     family = run_family(experiment, base_seed, args.workers, out=args.out)
     completed, diverged = family.completed, family.diverged
     reports = _evaluate_checks(experiment, family)
@@ -381,11 +387,17 @@ def _theorem_reports(noise_scale, seed):
 
 def cmd_verify(args):
     _check_overrides(args)
-    # The lemma oracles' largest arrays hold every verify client's replicas.
-    check_size("--replicas", ("replicas", "n_clients", "dim"),
-               (args.replicas, VERIFY_TASK["n_clients"], VERIFY_TASK["dim"]))
     reports = []
     if args.scope in ("lemmas", "all"):
+        # Before any oracle runs; the theorems take no replicas.  The lemma
+        # oracles' largest arrays hold every verify client's replicas.
+        check_size("--replicas", ("replicas", "n_clients", "dim"),
+                   (args.replicas, VERIFY_TASK["n_clients"],
+                    VERIFY_TASK["dim"]))
+        try:
+            analysis.require_replicas(args.replicas)
+        except StatisticalPowerError as exc:
+            raise ConfigError(f"--replicas: {exc}") from None
         reports.extend(_lemma_reports(args.replicas, args.seed))
     lemmas = len(reports)
     if args.scope in ("theorems", "all"):
@@ -450,12 +462,7 @@ def cmd_sweep(args):
             else value
         label = f"sweep[{args.axis}={value}]"
         point_exp = parse_experiment(point, source=label)
-        if args.replicas is not None:
-            check_replicas(args.replicas, point_exp.run["rounds"],
-                           f"{label}: --replicas")
-            point_exp.replicas = args.replicas
-        base_seed = args.seed if args.seed is not None \
-            else point_exp.run.get("seed", 0)
+        base_seed = _overridden(args, point_exp, f"{label}: --replicas")
         key = traceio.canonical_json(point["task"])
         try:
             if key not in tasks:

@@ -5,17 +5,19 @@ of the current global model, local mini-batch SGD at each sampled client,
 noisy uplink of either the full local model (``MT``) or its differential
 against the model the client just received (``MDT``), and server-side
 averaging.  One round loop serves both channel layers, each behind one class
-that holds its streams and noise: :class:`EffectiveNoise` and
-:class:`Analog`.  A round's sampled clients are one ``(K, d)`` array, trained
-together.  Rounds run in blocks of ``BLOCK`` (32): what a block needs that
-does not depend on the iterate is prepared first, local SGD's batch rows and
-scales included, its rounds only advance the state and check the divergence
-guard, and the trace cells it measures and its iterate-ball maximum are
-computed at its end, each cell from its own round alone, so the block size
-changes no output.  Local SGD's data are gathered chunk by chunk within a
-block, as many rounds at a time as ``GATHER_BYTES`` holds, into buffers
-allocated once per run.  The guard and the trajectory ball of the gradient
-bound are fixed, not run options.
+that holds its streams and noise, :class:`EffectiveNoise` and
+:class:`Analog`, and local SGD is behind a third, :class:`LocalSGD`: each is
+prepared once per block and called once per round.  A round's sampled
+clients are one ``(K, d)`` array, trained together.  Rounds run in blocks of
+``BLOCK`` (32): what a block needs that does not depend on the iterate is
+prepared first, local SGD's checked batch rows and scales included, its
+rounds only advance the state and check the divergence guard, and the trace
+cells it measures and its iterate-ball maximum are computed at its end, each
+cell from its own round alone, so the block size changes no output.  Local
+SGD's data are gathered chunk by chunk within a block, as many rounds at a
+time as ``GATHER_BYTES`` holds, into buffers allocated once per run;
+:func:`local_steps` is one round of the same path.  The guard and the
+trajectory ball of the gradient bound are fixed, not run options.
 
 Every run starts from the zero model.  Randomness follows stream layout 7
 (:mod:`noisyfed.seeding`): round t reads the t-th block of its domain's
@@ -36,7 +38,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -146,29 +147,13 @@ def floyd_sample(uniforms, population):
     return np.moveaxis(picks, 0, -1)
 
 
-#: One round's local SGD as :func:`local_steps` prepares it: the client of
-#: each row and, per step, the batch features ``(n, B, d)`` and targets, both
+#: One round's local SGD as :class:`LocalSGD` prepares it: the client of each
+#: row and, per step, the batch features ``(n, B, d)`` and targets, both
 #: scaled by the root of the step's rate over the batch size, the rate left to
 #: apply (None once the scaled data hold it) and ``1 - eta * ridge``; and the
 #: work buffers a step writes, shared by every round.
 LocalSteps = namedtuple("LocalSteps",
                         "clients feats targets rates keeps work")
-
-#: What :func:`local_steps` writes: the gathered features and targets of
-#: ``len(feats)`` rounds and a step's ``(n, B)`` residual and ``(n, d)``
-#: gradient.  :func:`run` allocates them once, for as many rounds as
-#: ``GATHER_BYTES`` holds.
-StepBuffers = namedtuple("StepBuffers", "feats targets work")
-
-
-def step_buffers(rounds, shape, dim):
-    """:class:`StepBuffers` for ``rounds`` rounds whose gathered sample rows
-    have ``shape`` per round: ``(E, n, B)`` mini-batches, or ``(n, D)`` for
-    full batches."""
-    n, size = shape[-2:]
-    return StepBuffers(np.empty((rounds,) + shape + (dim,)),
-                       np.empty((rounds,) + shape),
-                       (np.empty((n, size)), np.empty((n, dim))))
 
 
 def _check_range(index, bound, name):
@@ -176,67 +161,78 @@ def _check_range(index, bound, name):
         raise IndexError(f"{name} out of range [0, {bound})")
 
 
-def _plan(task, clients, batches, etas):
-    """What :func:`local_steps` of R rounds, ``(R, n)``, ``(R, E, n, B)`` or
-    None and ``(R, E)``, needs before the gather: the checked flat sample
-    rows, ``(R, E, n, B)`` or ``(R, n, D)``, the scales :func:`_gather`
-    applies, and each round's rates and keeps."""
-    n_clients, samples, _ = task.features.shape
-    _check_range(clients, n_clients, "client")
-    if batches is None:     # shared by every step; the rate is applied apart
-        rows = clients[..., None] * samples + np.arange(samples)
-        scale = np.broadcast_to(np.sqrt(1.0 / samples), (len(etas), 1, 1))
-        rates = etas.tolist()
-    else:
-        _check_range(batches, samples, "batch index")
-        rows = clients[:, None, :, None] * samples + batches
-        scale = np.sqrt(etas / rows.shape[-1])[..., None, None]
-        rates = [[None] * etas.shape[1]] * len(etas)
-    return rows, scale, rates, (1.0 - etas * task.ridge).tolist()
+class LocalSGD:
+    """Local SGD's data, as the channel layers' noise: per block,
+    ``prepare(clients, batches, etas)`` takes each round's clients (which
+    may repeat), ``(R, n)``, its steps' sample indices, ``(R, E, n, B)``, or
+    None for exact full-batch gradients, and its rates, ``(R, E)``; it checks
+    the indices (one out of range is an :class:`IndexError`) and computes
+    the flat sample rows, scales, rates and keeps.  Per round i, in order,
+    ``steps(i)`` is the round's :class:`LocalSteps`.  The data are gathered
+    chunk by chunk, as many rounds as ``GATHER_BYTES`` holds, at least one,
+    into buffers allocated at the first block; every step of a full-batch
+    round reads the same data."""
+
+    slots = None
+
+    def __init__(self, task):
+        self.task = task
+
+    def prepare(self, clients, batches, etas):
+        task = self.task
+        n_clients, samples, dim = task.features.shape
+        _check_range(clients, n_clients, "client")
+        if batches is None:     # every step's; the rate is applied apart
+            rows = clients[..., None] * samples + np.arange(samples)
+            scale = np.broadcast_to(np.sqrt(1.0 / samples), (len(etas), 1, 1))
+            rates = etas.tolist()
+        else:
+            _check_range(batches, samples, "batch index")
+            rows = clients[:, None, :, None] * samples + batches
+            scale = np.sqrt(etas / rows.shape[-1])[..., None, None]
+            rates = [[None] * etas.shape[1]] * len(etas)
+        self.plan = (clients, rows, scale, rates,
+                     (1.0 - etas * task.ridge).tolist())
+        if self.slots is None:
+            shape = rows.shape[1:]
+            chunk = min(len(etas), max(1, GATHER_BYTES // (
+                8 * (dim + 1) * math.prod(shape))))
+            self.feats = np.empty((chunk,) + shape + (dim,))
+            self.targets = np.empty((chunk,) + shape)
+            self.work = (np.empty(shape[-2:]), np.empty((shape[-2], dim)))
+            self.slots = list(zip(self.feats, self.targets))
+            if batches is None:
+                self.slots = [[np.broadcast_to(a, (etas.shape[1],) + a.shape)
+                               for a in slot] for slot in self.slots]
+
+    def steps(self, i):
+        clients, rows, scale, rates, keeps = self.plan
+        chunk = len(self.slots)
+        if i % chunk == 0:
+            # One flat take costs less than indexing the (N, D, d) stack.
+            # The indices are checked: in its default "raise" mode, take
+            # gathers into a temporary and copies that into ``out``.
+            task, n = self.task, min(chunk, len(rows) - i)
+            feats, targets = self.feats[:n], self.targets[:n]
+            task.features.reshape(-1, task.dim).take(
+                rows[i:i + n], axis=0, out=feats, mode="clip")
+            task.targets.reshape(-1).take(rows[i:i + n], out=targets,
+                                          mode="clip")
+            targets *= scale[i:i + n]
+            feats *= scale[i:i + n, ..., None]
+        return LocalSteps(clients[i], *self.slots[i % chunk], rates[i],
+                          keeps[i], self.work)
 
 
-def _gather(task, rows, scale, feats, targets):
-    """Gather the task's features and targets at the checked flat ``rows``
-    into ``feats`` and ``targets``, and scale them by ``scale``."""
-    # One flat take costs less than indexing the (N, D, d) stack.  The
-    # indices are checked before: in its default "raise" mode, take gathers
-    # into a temporary and copies that into ``feats``.
-    task.features.reshape(-1, task.dim).take(rows, axis=0, out=feats,
-                                             mode="clip")
-    task.targets.reshape(-1).take(rows, out=targets, mode="clip")
-    targets *= scale
-    feats *= scale[..., None]
-
-
-def local_steps(task, clients, batches, etas, out=None):
-    """Prepare one step of mini-batch SGD per rate in ``etas`` for the
-    clients of the rows (which may repeat), for :func:`local_train`.
-
-    ``batches`` holds each step's sample indices, ``(len(etas), n, B)``, or
-    is None for exact full-batch gradients, whose data every step shares.
-    With a leading round axis on all three, ``(R, n)``, ``(R, E, n, B)`` and
-    ``(R, E)``, the rounds are gathered in one pass into a list of one
-    :class:`LocalSteps` each.  ``out``, :class:`StepBuffers` for R rounds or
-    more, takes the gathered data and the work instead of new arrays; with
-    fewer, the gather raises a ValueError.  A client or sample index out of
-    range is an :class:`IndexError`.
-    """
-    clients, etas = np.asarray(clients), np.asarray(etas, dtype=np.float64)
-    per_round = etas.ndim == 2
-    if not per_round:
-        clients, etas = clients[None], etas[None]
-        batches = None if batches is None else np.asarray(batches)[None]
-    rows, scale, rates, keeps = _plan(task, clients, batches, etas)
-    if out is None:
-        out = step_buffers(len(etas), rows.shape[1:], task.dim)
-    feats, targets = out.feats[:len(etas)], out.targets[:len(etas)]
-    _gather(task, rows, scale, feats, targets)
-    if batches is None:
-        feats, targets = (np.broadcast_to(a[:, None], etas.shape + a.shape[1:])
-                          for a in (feats, targets))
-    steps = list(map(LocalSteps, clients, feats, targets, rates, keeps,
-                     repeat(out.work)))
-    return steps if per_round else steps[0]
+def local_steps(task, clients, batches, etas):
+    """One round of :class:`LocalSGD` for the clients of the rows, ``(n,)``,
+    with one step per rate in ``etas``: ``batches`` holds each step's sample
+    indices, ``(len(etas), n, B)``, or is None for full batches."""
+    sgd = LocalSGD(task)
+    sgd.prepare(np.asarray(clients)[None],
+                None if batches is None else np.asarray(batches)[None],
+                np.asarray(etas, dtype=np.float64)[None])
+    return sgd.steps(0)
 
 
 def _sgd(w_start, steps, w, watch=None):
@@ -402,7 +398,7 @@ class EffectiveNoise:
             _pick(self.unit(shape, self.down_rng), sampled),
             self.params.downlink_variance[rounds])
         self.up_noise = _pick(self.unit(shape, self.up_rng), sampled)
-        if self.params.uplink_variance is not None:    # MDT: round by round
+        if self.params.uplink_variance is not None:    # scheduled (MT)
             self.up_noise = _scaled_noise(
                 self.up_noise, self.params.uplink_variance[rounds])
 
@@ -445,7 +441,7 @@ class Analog:
             w, power=self.rho_dl[i], rng=self.down_rng,
             copies=self.div_dl[i], receivers=self.receivers,
             distance=self.policy.distance, pathloss=self.policy.pathloss)
-        # ``rows`` are sampled clients, which _plan checks; in "raise"
+        # ``rows`` are sampled clients, which LocalSGD checks; in "raise"
         # mode take would gather into a temporary first.
         received.take(rows, axis=0, out=out, mode="clip")
         self.retries += info["retries"]
@@ -553,18 +549,7 @@ def run(task, config, inputs=None):
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_participants, dim))
-    # Local SGD's data are gathered chunk by chunk, as many rounds as
-    # GATHER_BYTES holds, into slots allocated once: a round's mini-batches,
-    # or its clients' full batches, which every step reads.
-    shape = (n_participants, task.samples_per_client) if batch_rng is None \
-        else (epochs, n_participants, batch)
-    chunk = min(span, max(1, GATHER_BYTES // (8 * (dim + 1)
-                                              * math.prod(shape))))
-    buffers = step_buffers(chunk, shape, dim)
-    slots = list(zip(buffers.feats, buffers.targets))
-    if batch_rng is None:
-        slots = [[np.broadcast_to(a, (epochs,) + a.shape) for a in slot]
-                 for slot in slots]
+    sgd = LocalSGD(task)
     max_iterate_sq = initial_sq
 
     for start in range(0, rounds, BLOCK):
@@ -580,21 +565,14 @@ def run(task, config, inputs=None):
         batches = None if batch_rng is None else _pick(floyd_sample(
             batch_rng.random((size, epochs, n_clients, batch)),
             task.samples_per_client), sampled)
-        rows, scale, rates, keeps = _plan(task, sampled, batches,
-                                          schedule.etas[block])
+        sgd.prepare(sampled, batches, schedule.etas[block])
 
         records = []
         for i in range(size):
-            if i % chunk == 0:
-                n = min(chunk, size - i)
-                _gather(task, rows[i:i + n], scale[i:i + n],
-                        buffers.feats[:n], buffers.targets[:n])
-            step = LocalSteps(sampled[i], *slots[i % chunk], rates[i],
-                              keeps[i], buffers.work)
             # (1) Downlink broadcast and (2) local SGD, into the ball.
             received, sent = ball[i, :n_participants], ball[i, n_participants:]
             channel.downlink(i, w, sampled[i], received)
-            local_train(received, step, out=sent)
+            local_train(received, sgd.steps(i), out=sent)
 
             # (3) Uplink transmission and (4) aggregation.
             w_next, sigma2 = channel.uplink(i, w, sent, received)

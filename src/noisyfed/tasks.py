@@ -88,12 +88,11 @@ class QuadraticTask:
             + 0.5 * self.ridge * (w[:, None] @ w[..., None])[:, 0, 0]
 
     def global_loss(self, w):
-        residual = self.features @ w - self.targets
-        return float(0.5 * np.vdot(residual, residual) / residual.size
-                     + 0.5 * self.ridge * (w @ w))
+        return float(self.global_losses(w[None])[0])
 
     def global_losses(self, ws):
-        """:meth:`global_loss` at each row of ``ws``, by stacked products,
+        """The global loss, ``mean(r^2) / 2 + ridge ||w||^2 / 2`` over every
+        client's residuals r, at each row w of ``ws``, by stacked products,
         so that a row's value does not depend on the others."""
         residual = np.matmul(self.features.reshape(-1, self.dim),
                              ws[:, :, None])[:, :, 0] - self.targets.ravel()

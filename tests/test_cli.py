@@ -375,6 +375,33 @@ def test_verify_rejects_tiny_replica_count():
 
 
 @pytest.mark.parametrize("scope", ["lemmas", "all"])
+def test_verify_rejects_too_few_replicas_before_any_oracle(
+        capsys, monkeypatch, scope):
+    # The error named no key path and came after the aggregation and
+    # client-sampling oracles had run.
+    called = []
+    for name in ("aggregation_noise_oracle", "client_sampling_oracle",
+                 "differential_upload_oracle", "sgd_one_step_oracle"):
+        monkeypatch.setattr(cli.analysis, name,
+                            lambda *a, name=name, **k: called.append(name))
+    monkeypatch.setattr(cli, "_theorem_reports",
+                        lambda *a: called.append("theorems") or [])
+    assert main(["verify", scope, "--replicas", "9999"]) == 2
+    assert capsys.readouterr().err \
+        == "error: --replicas: need at least 10000 replicas, got 9999\n"
+    assert called == []
+
+
+@pytest.mark.parametrize("replicas", ["9999", str(10 ** 30)])
+def test_verify_theorems_ignore_the_replica_count(monkeypatch, replicas):
+    called = []
+    monkeypatch.setattr(cli, "_theorem_reports",
+                        lambda *a: called.append("theorems") or [])
+    assert main(["verify", "theorems", "--replicas", replicas]) == 0
+    assert called == ["theorems"]
+
+
+@pytest.mark.parametrize("scope", ["lemmas", "all"])
 def test_verify_replica_count_whose_arrays_cannot_exist_is_usage_error(
         capsys, scope):
     # It ended in numpy's "Maximum allowed dimension exceeded" ValueError

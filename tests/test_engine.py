@@ -81,6 +81,57 @@ def test_downlink_variance_matches_schedule():
     assert abs(noise.var() - zeta2) / zeta2 <= 0.05
 
 
+def _noise_z_scores(distribution):
+    """The z of the mean of noise^2 over its scheduled variance against 1,
+    with the standard error from the sample's own spread, per family and
+    direction: the downlink and MT uplink noise that ``EffectiveNoise``
+    prepares for ``run``, block by block, over 200 rounds of a
+    TASK_FULL-shaped task, 40k draws with every client and 20k with 5."""
+    task = make_task(n_clients=10, dim=20, samples_per_client=40,
+                     ridge=0.05, noise_std=32.0, seed=7)
+    rng = np.random.default_rng(5)
+    scores = {}
+    for name, participants in (("mt_full", 10), ("mt_partial", 5)):
+        config = RunConfig(n_participants=participants, rounds=200,
+                           local_epochs=5, batch_size=4, policy_name=name,
+                           distribution=distribution, seed=3)
+        policy, _, schedule = family_inputs(task, config)
+        params = schedule.params
+        channel = engine.EffectiveNoise(config, policy, task, schedule)
+        ratios = {"downlink": [], "uplink": []}
+        for start in range(0, config.rounds, engine.BLOCK):
+            block = slice(start, min(start + engine.BLOCK, config.rounds))
+            sampled = np.array([sample_clients(10, participants, rng)
+                                for _ in range(block.stop - start)])
+            channel.prepare(block, sampled)
+            for key, noise, variance in (
+                    ("downlink", channel.down_noise,
+                     params.downlink_variance),
+                    ("uplink", channel.up_noise, params.uplink_variance)):
+                ratios[key].append(noise ** 2 / variance[block, None, None])
+        for key, blocks in ratios.items():
+            ratio = np.concatenate(blocks, axis=None)
+            scores[name, key] = (ratio.mean() - 1.0) / (
+                ratio.std() / math.sqrt(ratio.size))
+    return scores
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "laplace", "uniform"])
+def test_run_noise_matches_schedule(distribution):
+    # The noise run adds, not downlink_broadcast's: |z| is at most 1.4.
+    scores = _noise_z_scores(distribution)
+    assert len(scores) == 4
+    assert all(abs(z) <= 4.0 for z in scores.values()), scores
+
+
+def test_run_noise_at_twice_the_std_fails_schedule_check(monkeypatch):
+    # Negative control: an engine drawing twice its noise's std.
+    monkeypatch.setattr(engine, "sample_noise",
+                        lambda *a: 2.0 * sample_noise(*a))
+    scores = _noise_z_scores("gaussian")
+    assert all(z > 4.0 for z in scores.values()), scores
+
+
 def test_downlink_clients_independent():
     first, second = _unit_blocks(3, "gaussian", (2, 100_000), 2)
     for a, b in ((first[0], first[1]), (first[0], second[0])):
@@ -715,8 +766,10 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_local_steps_gathers_without_a_block_sized_temporary():
-    # One block of full_mt's shapes: 32 rounds, E=5, N=10, B=4, d=20.
+def test_local_sgd_gathers_without_a_block_sized_temporary(monkeypatch):
+    # One block of full_mt's shapes, gathered in one chunk: 32 rounds, E=5,
+    # N=10, B=4, d=20.
+    monkeypatch.setattr(engine, "GATHER_BYTES", 2 ** 40)
     task = make_task(n_clients=10, dim=20, samples_per_client=40, ridge=0.05,
                      noise_std=32.0, seed=7)
     rounds, epochs, n, batch = 32, 5, 10, 4
@@ -724,24 +777,19 @@ def test_local_steps_gathers_without_a_block_sized_temporary():
     batches = engine.floyd_sample(np.random.default_rng(3).random(
         (rounds, epochs, n, batch)), task.samples_per_client)
     etas = np.full((rounds, epochs), 1e-3)
-    out = engine.step_buffers(rounds, (epochs, n, batch), task.dim)
-    bound = out.feats.nbytes / 4
-    local_steps(task, clients, batches, etas, out)
-    assert _traced_peak(
-        lambda: local_steps(task, clients, batches, etas, out)) < bound
+    sgd = engine.LocalSGD(task)
+    sgd.prepare(clients, batches, etas)
+    bound = sgd.feats.nbytes / 4
+    assert len(sgd.feats) == rounds
+    # The next block's plan and gather reuse the buffers.
+    assert _traced_peak(lambda: (sgd.prepare(clients, batches, etas),
+                                 sgd.steps(0))) < bound
     # Negative control: the same gather in take's default "raise" mode goes
     # through a temporary as large as the buffer.
     rows = clients[:, None, :, None] * task.samples_per_client + batches
     flat = task.features.reshape(-1, task.dim)
-    assert _traced_peak(lambda: flat.take(rows, axis=0, out=out.feats,
+    assert _traced_peak(lambda: flat.take(rows, axis=0, out=sgd.feats,
                                           mode="raise")) >= bound
-
-
-def test_local_steps_rejects_buffers_for_fewer_rounds(small_task):
-    # Two rounds' steps cannot be gathered into one round's buffers.
-    out = engine.step_buffers(1, (3, 12), small_task.dim)
-    with pytest.raises(ValueError):
-        local_steps(small_task, [[0, 1, 2]] * 2, None, [[0.1] * 3] * 2, out)
 
 
 @pytest.mark.parametrize("clients, dim, rounds, batch_size, participants",

@@ -72,6 +72,16 @@ def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
                                        str(tmp_path)))
     runs = [label for label in found if label.startswith("run-")]
     assert len(runs) == 3 * 3 * 2 + 2 * 2
+    # One sweep of full_mt at seed 5 over a mini-batch and the full batch.
+    assert [label for label in found if label.startswith("sweep-")] \
+        == ["sweep-full_mt-5"]
+    sweep = found["sweep-full_mt-5"]
+    assert sweep[:3] == ["-m", "noisyfed", "sweep"]
+    assert sweep[3] == str(tmp_path / "full_mt-5.json")
+    assert sweep[4:] == ["--axis", "run.batch_size", "--values", "4,40",
+                         "--replicas", "2", "--out", "{out}/sweep-full_mt-5"]
+    assert json.loads((tmp_path / "full_mt-5.json").read_text())["task"][
+        "samples_per_client"] == 40
     # Full batches with every client and with a sample of them, at seed 5.
     assert sorted(label for label in runs if "full_batch" in label) == [
         "run-full_mt-full_batch-5-w1", "run-full_mt-full_batch-5-w2",
@@ -87,3 +97,11 @@ def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
         path.stem for path in (TOOLS.parent / "demos").glob("*.py"))
     doc = json.loads((tmp_path / "full_mt-5.json").read_text())
     assert doc["replicas"] == 20 and doc["run"]["seed"] == 100
+
+
+def test_line_counts_name_each_module_and_the_total(tmp_path, same_outputs):
+    copy = tree(tmp_path, {"src/noisyfed/a.py": b"x = 1\ny = 2\n",
+                           "src/noisyfed/b.py": b"z = 3\n",
+                           "src/noisyfed/data.json": b"{}\n"})
+    assert same_outputs.line_counts(copy) == {"a.py": 2, "b.py": 1,
+                                              "total": 3}

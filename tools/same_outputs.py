@@ -15,14 +15,17 @@ with ``python -B`` and its own ``src`` on ``PYTHONPATH``:
   ``SEEDS``, and of the ``full_mt`` (every client) and ``partial_mdt`` (a
   sample of them) experiments with full batches (``run.batch_size`` null)
   at the first seed, each with ``--workers 1`` and ``--workers 2``;
+- ``noisyfed sweep`` of ``full_mt`` at the first seed over the batch sizes
+  4 and 40 (the full batch), with 2 replicas each;
 - ``noisyfed verify all --seed 0``;
 - every script in ``demos/``.
 
 Every ``--out`` directory is kept, and each command's exit status, stdout
 and stderr (the copy's path and the output directory's replaced by
 ``<tree>`` and ``<out>``) are written next to it.
-The first file, and the first line in it, where the sides differ is
-printed; the exit status is 0 only if everything is identical.
+The line count of each side's ``src/noisyfed/*.py`` is printed, then the
+first file, and the first line in it, where the sides differ; the exit
+status is 0 only if everything is identical.
 """
 
 import argparse
@@ -73,6 +76,13 @@ def commands(workloads, inputs):
             found.append((label, [
                 "-m", "noisyfed", "run", path, "--workers", str(workers),
                 "--out", os.path.join("{out}", label)]))
+    # Batch 40 is the full batch: both of local SGD's gathers in a sweep.
+    label = f"sweep-full_mt-{SEEDS[0]}"
+    path = os.path.join(inputs, f"full_mt-{SEEDS[0]}.json")
+    found.append((label, [
+        "-m", "noisyfed", "sweep", path,
+        "--axis", "run.batch_size", "--values", "4,40", "--replicas", "2",
+        "--out", os.path.join("{out}", label)]))
     found.append(("verify-all", ["-m", "noisyfed", "verify", "all",
                                  "--seed", "0"]))
     for demo in sorted(os.listdir(os.path.join(ROOT, "demos"))):
@@ -97,6 +107,19 @@ def run_side(copy, out, found):
                      .replace(copy, "<tree>"))
         print(f"{os.path.basename(out)} {label}: exit {proc.returncode}",
               flush=True)
+
+
+def line_counts(copy):
+    """The lines of each ``src/noisyfed/*.py`` of ``copy``, by name, and
+    their total under ``"total"``."""
+    src = os.path.join(copy, "src", "noisyfed")
+    counts = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                counts[name] = fh.read().count(b"\n")
+    counts["total"] = sum(counts.values())
+    return counts
 
 
 def first_difference(a, b):
@@ -139,14 +162,21 @@ def main(argv=None):
         inputs = os.path.join(work, "inputs")
         os.makedirs(inputs)
         found = commands(load_workloads(), inputs)
+        counts = {}
         for side, ref in refs.items():
             export(ref, os.path.join(work, "tree", side))
+            counts[side] = line_counts(os.path.join(work, "tree", side))
             run_side(os.path.join(work, "tree", side),
                      os.path.join(work, "out", side), found)
         difference = first_difference(os.path.join(work, "out", "parent"),
                                       os.path.join(work, "out", "change"))
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    print(f"{'src/noisyfed lines':24s} {'parent':>7s} {'change':>7s}")
+    for name in sorted(set(counts["parent"]) | set(counts["change"]),
+                       key=lambda name: (name == "total", name)):
+        print(f"{name:24s} " + " ".join(
+            f"{counts[side].get(name, '-'):>7}" for side in counts))
     if difference:
         print(f"DIFFERENT {refs['parent']} {refs['change']}: {difference}")
         return 1
