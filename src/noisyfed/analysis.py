@@ -186,7 +186,7 @@ def local_sgd(task, clients, starts, etas, batch, rng):
     ``batch`` covers it."""
     size = task.samples_per_client
     w = np.broadcast_to(starts, (len(clients), task.dim))
-    if batch >= size:       # exact gradients: every step shares the data
+    if batch >= size:       # exact gradients, from the clients' moments
         return local_train(w, local_steps(task, clients, None, etas))
     for eta in etas:
         w = local_train(w, local_steps(task, clients, floyd_sample(
@@ -283,7 +283,7 @@ def differential_upload_oracle(task, w_prev, n_participants, snr_target,
     n_clients = task.n_clients
     dim = task.dim
     w_prev = np.asarray(w_prev, dtype=np.float64)
-    start = math.sqrt(squared_distance(w_prev, task.global_optimum()))
+    start = math.sqrt(squared_distance(w_prev, task.optimum))
     noise_room = 6.0 * math.sqrt(dim * max(downlink_variance, 1e-12))
     # mu and kappa, and so the rates, do not depend on the radius.
     constants = derive_constants(task, task.samples_per_client,

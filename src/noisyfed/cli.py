@@ -211,12 +211,15 @@ def _evaluate_checks(experiment, family):
             window = tuple(check.get("window", analysis.default_slope_window(
                 len(rounds))))
             lo, hi = check.get("range", (-1.3, -0.7))
-            fit = analysis.fit_rate(rounds, mean_sq, window)
+            detail = f"window={window} range=[{lo},{hi}]"
+            try:
+                slope = analysis.fit_rate(rounds, mean_sq, window).slope
+            except ConfigError as exc:      # a curve with too few points
+                slope, detail = math.nan, f"{detail}: {exc}"
             reports.append(analysis.OracleReport(
-                name="check_slope", passed=lo <= fit.slope <= hi,
-                estimate=fit.slope, reference=0.5 * (lo + hi),
-                tolerance=0.5 * (hi - lo),
-                detail=f"window={window} range=[{lo},{hi}]"))
+                name="check_slope", passed=lo <= slope <= hi,
+                estimate=slope, reference=0.5 * (lo + hi),
+                tolerance=0.5 * (hi - lo), detail=detail))
     return reports
 
 
@@ -228,6 +231,9 @@ def _check_overrides(args):
         raise ConfigError("--seed: must be >= 0")
     if getattr(args, "workers", 1) < 1:
         raise ConfigError("--workers: must be >= 1")
+    if not 0 < getattr(args, "noise_scale", 1.0) < math.inf:
+        raise ConfigError("--noise-scale: must be positive and finite, not "
+                          f"{args.noise_scale!r}")
 
 
 def _overridden(args, experiment, where="--replicas"):

@@ -13,13 +13,13 @@ clients are one ``(K, d)`` array, trained together.  Rounds run in blocks of
 prepared first, local SGD's checked batch rows and scales included, its
 rounds only advance the state and check the divergence guard, and the trace
 cells it measures and its iterate-ball maximum are computed at its end, each
-cell from its own round alone, so the block size changes no output.  Local
-SGD's data are gathered chunk by chunk within a block, as many rounds at a
-time as ``GATHER_BYTES`` holds, into buffers allocated once per run;
-:func:`local_steps` is one round of the same path.  The guard and the
-trajectory ball of the gradient bound are fixed, not run options.
+cell from its own round alone, so the block size changes no output.
+Mini-batches are gathered chunk by chunk within a block, as many rounds as
+``GATHER_BYTES`` holds, into buffers allocated once per run; full batches
+read the clients' moments.  :func:`local_steps` is one round of the same
+path.  The guard and the gradient bound's ball are fixed, not run options.
 
-Every run starts from the zero model.  Randomness follows stream layout 7
+Every run starts from the zero model.  Randomness follows stream layout 8
 (:mod:`noisyfed.seeding`): round t reads the t-th block of its domain's
 stream, with a row for each of the N clients, and a round uses the rows of
 its sampled clients.  Effective noise is a unit-variance ``(N, d)`` block per
@@ -148,10 +148,10 @@ def floyd_sample(uniforms, population):
 
 
 #: One round's local SGD as :class:`LocalSGD` prepares it: the client of each
-#: row and, per step, the batch features ``(n, B, d)`` and targets, both
-#: scaled by the root of the step's rate over the batch size, the rate left to
-#: apply (None once the scaled data hold it) and ``1 - eta * ridge``; and the
-#: work buffers a step writes, shared by every round.
+#: row and, per step, the batch features ``(n, B, d)`` and targets scaled by
+#: the root of the step's rate over the batch size, or a full batch's moments
+#: ``H_k`` and ``b_k``, the rate left to apply (None once the data hold it)
+#: and ``1 - eta * ridge``; and the work buffers a step writes.
 LocalSteps = namedtuple("LocalSteps",
                         "clients feats targets rates keeps work")
 
@@ -168,12 +168,12 @@ class LocalSGD:
     None for exact full-batch gradients, and its rates, ``(R, E)``; it checks
     the indices (one out of range is an :class:`IndexError`) and computes
     the flat sample rows, scales, rates and keeps.  Per round i, in order,
-    ``steps(i)`` is the round's :class:`LocalSteps`.  The data are gathered
-    chunk by chunk, as many rounds as ``GATHER_BYTES`` holds, at least one,
-    into buffers allocated at the first block; every step of a full-batch
-    round reads the same data."""
+    ``steps(i)`` is the round's :class:`LocalSteps`.  Mini-batches are
+    gathered chunk by chunk, as many rounds as ``GATHER_BYTES`` holds, at
+    least one, into buffers allocated at the first block; a full-batch
+    round reads its clients' moments and gathers no sample."""
 
-    slots = None
+    feats = None
 
     def __init__(self, task):
         self.task = task
@@ -182,37 +182,37 @@ class LocalSGD:
         task = self.task
         n_clients, samples, dim = task.features.shape
         _check_range(clients, n_clients, "client")
-        if batches is None:     # every step's; the rate is applied apart
-            rows = clients[..., None] * samples + np.arange(samples)
-            scale = np.broadcast_to(np.sqrt(1.0 / samples), (len(etas), 1, 1))
-            rates = etas.tolist()
-        else:
-            _check_range(batches, samples, "batch index")
-            rows = clients[:, None, :, None] * samples + batches
-            scale = np.sqrt(etas / rows.shape[-1])[..., None, None]
-            rates = [[None] * etas.shape[1]] * len(etas)
-        self.plan = (clients, rows, scale, rates,
-                     (1.0 - etas * task.ridge).tolist())
-        if self.slots is None:
+        keeps = (1.0 - etas * task.ridge).tolist()
+        if batches is None:
+            self.plan = (clients, None, None, etas.tolist(), keeps)
+            return
+        _check_range(batches, samples, "batch index")
+        rows = clients[:, None, :, None] * samples + batches
+        scale = np.sqrt(etas / batches.shape[-1])[..., None, None]
+        rates = [[None] * etas.shape[1]] * len(etas)
+        self.plan = (clients, rows, scale, rates, keeps)
+        if self.feats is None:
             shape = rows.shape[1:]
             chunk = min(len(etas), max(1, GATHER_BYTES // (
                 8 * (dim + 1) * math.prod(shape))))
             self.feats = np.empty((chunk,) + shape + (dim,))
             self.targets = np.empty((chunk,) + shape)
             self.work = (np.empty(shape[-2:]), np.empty((shape[-2], dim)))
-            self.slots = list(zip(self.feats, self.targets))
-            if batches is None:
-                self.slots = [[np.broadcast_to(a, (etas.shape[1],) + a.shape)
-                               for a in slot] for slot in self.slots]
 
     def steps(self, i):
         clients, rows, scale, rates, keeps = self.plan
-        chunk = len(self.slots)
-        if i % chunk == 0:
+        task, picked = self.task, clients[i]
+        if rows is None:    # every step reads the clients' moments
+            steps = len(keeps[i])
+            return LocalSteps(picked, [task.hessians[picked]] * steps,
+                              [task.cross_moments[picked]] * steps, rates[i],
+                              keeps[i], np.empty((2, len(picked), task.dim)))
+        j = i % len(self.feats)
+        if j == 0:
             # One flat take costs less than indexing the (N, D, d) stack.
             # The indices are checked: in its default "raise" mode, take
             # gathers into a temporary and copies that into ``out``.
-            task, n = self.task, min(chunk, len(rows) - i)
+            n = min(len(self.feats), len(rows) - i)
             feats, targets = self.feats[:n], self.targets[:n]
             task.features.reshape(-1, task.dim).take(
                 rows[i:i + n], axis=0, out=feats, mode="clip")
@@ -220,7 +220,7 @@ class LocalSGD:
                                           mode="clip")
             targets *= scale[i:i + n]
             feats *= scale[i:i + n, ..., None]
-        return LocalSteps(clients[i], *self.slots[i % chunk], rates[i],
+        return LocalSteps(picked, self.feats[j], self.targets[j], rates[i],
                           keeps[i], self.work)
 
 
@@ -237,17 +237,18 @@ def local_steps(task, clients, batches, etas):
 
 def _sgd(w_start, steps, w, watch=None):
     """``w``, ``(n, d)``, after the prepared ``steps`` from ``w_start``, each
-    ``w * keep - (a @ w - y) @ a`` in place (``a``, ``y`` scaled by the root
-    of the step's rate over the batch size); with ``watch``, a row, instead
-    the first step (from 1) that leaves that row non-finite."""
+    ``w * keep - (a @ w - y) @ a`` in place for a scaled batch, or ``w *
+    keep - rate * (H_k w - b_k)`` for a full one; with ``watch``, a row,
+    instead the first step (from 1) that leaves that row non-finite."""
     np.copyto(w, w_start)
     residual, grad = steps.work
     for step, (a, y, rate, keep) in enumerate(zip(*steps[1:5]), 1):
         np.matvec(a, w, out=residual)
         residual -= y
-        np.vecmat(residual, a, out=grad)
-        if rate is not None:
-            grad *= rate
+        if rate is None:
+            np.vecmat(residual, a, out=grad)
+        else:               # H_k w - b_k is the gradient
+            np.multiply(residual, rate, out=grad)
         w *= keep
         w -= grad
         if watch is not None and not np.isfinite(w[watch]).all():
@@ -466,7 +467,7 @@ def family_inputs(task, config):
                           f"exceeds task.n_clients ({task.n_clients})")
     batch = config.batch_size if config.batch_size is not None \
         else task.samples_per_client
-    initial_sq = squared_distance(np.zeros(task.dim), task.global_optimum())
+    initial_sq = squared_distance(np.zeros(task.dim), task.optimum)
     radius = TRAJECTORY_RADIUS_FACTOR * max(math.sqrt(initial_sq), 1.0)
     constants = derive_constants(task, batch, radius)
     policy = build_policy(config.policy_name, config.policy_params, constants,

@@ -7,16 +7,17 @@ consecutive block of its stream, with a row for every client, sampled or
 not: the effective-noise downlink and uplink, the mini-batches and the
 analog downlink.  The analog uplink draws its over-the-air sum and client
 sampling one subset per round.  Rows belong to clients, not to execution
-order, which is what makes the all-clients-train / sampled-clients-train
-equivalence exact and lets replicas run in parallel without shared state.
-The verification oracles keep their own longer keys.
+order, so a round's draws do not depend on which clients were sampled, and
+replicas run in parallel without shared state.
+The verification oracles keep their own longer keys.  Layout 8 draws layout
+7's numbers; its loss column and full-batch local SGD read client moments.
 """
 
 import numpy as np
 
 #: Version of the mapping from seeds and keys to draws, written into every
 #: trace header.  Changing the layout changes traces.
-STREAM_LAYOUT = 7
+STREAM_LAYOUT = 8
 
 # Stream domains.  Values are part of the determinism contract: changing them
 # changes every trace.

@@ -29,7 +29,10 @@ _GRAD_TOL_AT_OPT = 1e-8
 
 class QuadraticTask:
     """A federated least-squares problem over equally sized client datasets,
-    held as the stacked ``(N, D, d)`` features and ``(N, D)`` targets."""
+    held as the stacked ``(N, D, d)`` features and ``(N, D)`` targets and as
+    each client's moments, ``hessians`` ``A^T A / D`` and ``cross_moments``
+    ``A^T y / D``, which give ``global_hessian`` (ridge included), the
+    ``optimum`` w* and its loss ``opt_value``."""
 
     def __init__(self, features, targets, ridge):
         features = np.array(features, dtype=np.float64)
@@ -44,36 +47,36 @@ class QuadraticTask:
         self.features = features
         self.targets = targets
         self.n_clients, self.samples_per_client, self.dim = features.shape
+        # Each client's products of its own (D, d) block; sums run in order.
+        transposed, size = features.transpose(0, 2, 1), features.shape[1]
+        self.hessians = np.matmul(transposed, features) / size
+        self.cross_moments = np.matvec(transposed, targets) / size
         # With ridge == 0 a rank-deficient design breaks strong convexity.
         if self.ridge == 0.0:
-            eigs = np.linalg.eigvalsh(self._data_hessians())
+            eigs = np.linalg.eigvalsh(self.hessians)
             deficient = np.flatnonzero(eigs[:, 0] <= 1e-10)
             if deficient.size:
                 raise TaskError(f"client {deficient[0]}: data Hessian is rank "
                                 "deficient and ridge is 0")
-
-    # Each client's value is computed by the products its own (D, d) block
-    # would use, stacked over clients, and sums over clients run in order.
-
-    def _data_hessians(self):
-        """Every client's ``A^T A / D``, ``(N, d, d)``."""
-        a = self.features
-        return np.matmul(a.transpose(0, 2, 1), a) / a.shape[1]
+        self.global_hessian = np.add.reduce(self.hessians) / self.n_clients \
+            + self.ridge * np.eye(self.dim)
+        self.optimum = np.linalg.solve(self.global_hessian, np.add.reduce(
+            self.cross_moments) / self.n_clients)
+        # F* once, from the rows: mean(r^2) / 2 + ridge ||w*||^2 / 2.
+        w = self.optimum
+        residual = features.reshape(-1, self.dim) @ w - targets.ravel()
+        self.opt_value = float(0.5 * (residual @ residual) / residual.size
+                               + 0.5 * self.ridge * (w @ w))
 
     def _residuals(self, w):
         """Every client's ``A w - y``, ``(N, D)``, at ``w`` or at its own
         row of an ``(N, d)`` array."""
         return np.matmul(self.features, w[..., None])[..., 0] - self.targets
 
-    def _transposed_products(self, v):
-        """Every client's ``A^T v / D`` for its row of the ``(N, D)`` ``v``."""
-        a = self.features
-        return np.matmul(a.transpose(0, 2, 1), v[..., None])[..., 0] \
-            / a.shape[1]
-
     def client_gradients(self, w):
-        """Every client's gradient at ``w``, ``(N, d)``."""
-        return self._transposed_products(self._residuals(w)) + self.ridge * w
+        """Every client's gradient, ``(N, d)``, at ``w`` or at its own row."""
+        return np.matvec(self.hessians, w) - self.cross_moments \
+            + self.ridge * w
 
     def global_gradient(self, w):
         return np.add.reduce(self.client_gradients(w)) / self.n_clients
@@ -91,27 +94,18 @@ class QuadraticTask:
         return float(self.global_losses(w[None])[0])
 
     def global_losses(self, ws):
-        """The global loss, ``mean(r^2) / 2 + ridge ||w||^2 / 2`` over every
-        client's residuals r, at each row w of ``ws``, by stacked products,
-        so that a row's value does not depend on the others."""
-        residual = np.matmul(self.features.reshape(-1, self.dim),
-                             ws[:, :, None])[:, :, 0] - self.targets.ravel()
-        squares = (residual[:, None] @ residual[:, :, None])[:, 0, 0]
-        return 0.5 * squares / residual.shape[1] \
-            + 0.5 * self.ridge * (ws[:, None] @ ws[:, :, None])[:, 0, 0]
+        """The global loss at each row w of ``ws``, exactly ``F* + delta^T
+        global_hessian delta / 2`` with ``delta = w - w*``, by stacked
+        products, so that a row's value does not depend on the others."""
+        delta = ws - self.optimum
+        curved = np.matvec(self.global_hessian, delta)
+        return self.opt_value \
+            + 0.5 * (delta[:, None] @ curved[:, :, None])[:, 0, 0]
 
     def client_optima(self):
         """Every client's optimum, ``(N, d)``."""
-        hessians = self._data_hessians() + self.ridge * np.eye(self.dim)
-        return np.linalg.solve(hessians, self._transposed_products(
-            self.targets)[..., None])[..., 0]
-
-    def global_optimum(self):
-        hessian = np.add.reduce(self._data_hessians()) / self.n_clients \
-            + self.ridge * np.eye(self.dim)
-        b = np.add.reduce(self._transposed_products(self.targets)) \
-            / self.n_clients
-        return np.linalg.solve(hessian, b)
+        return np.linalg.solve(self.hessians + self.ridge * np.eye(self.dim),
+                               self.cross_moments[..., None])[..., 0]
 
     def sample_gradient(self, k, w, indices):
         """Gradient of F_k restricted to the given sample rows (plus ridge)."""
@@ -183,10 +177,12 @@ def make_task(n_clients, dim, samples_per_client, heterogeneity=1.0, ridge=0.1,
          rng.normal(size=(dim, dim)), rng.uniform(lo, hi, size=dim),
          rng.normal(size=dim), rng.normal(size=samples_per_client))
         for _ in range(n_clients)]))
-    q = np.linalg.qr(gauss)[0]                           # orthonormal columns
-    rot = np.linalg.qr(rot)[0]
-    features = (q * np.sqrt(samples_per_client * spect)[:, None]) \
-        @ rot.transpose(0, 2, 1)
+    # Orthonormal columns, scaled in place once the draws are freed, so that
+    # the moments the task adds do not raise its peak memory.
+    features = np.linalg.qr(gauss)[0]
+    del gauss
+    features *= np.sqrt(samples_per_client * spect)[:, None]
+    features = features @ np.linalg.qr(rot)[0].transpose(0, 2, 1)
     w_gen = base + heterogeneity * (shift / np.sqrt(dim))
     signal = np.matmul(features, w_gen[..., None])[..., 0]
     noise = noise_std * noise
@@ -217,30 +213,25 @@ def derive_constants(task, batch, trajectory_radius):
     """Compute the smoothness/convexity/heterogeneity constants of a task."""
     if trajectory_radius <= 0:
         raise ConfigError("trajectory_radius must be positive")
-    if not 1 <= batch <= task.samples_per_client:
-        raise ConfigError(f"run.batch_size: {batch} must be in "
-                          f"[1, {task.samples_per_client}] "
-                          "(task.samples_per_client)")
-
-    eigs = np.linalg.eigvalsh(task._data_hessians())
+    sgd_var = tuple(minibatch_gradient_variance(task, task.optimum,
+                                                batch).tolist())
+    eigs = np.linalg.eigvalsh(task.hessians)
     indefinite = np.flatnonzero(eigs[:, 0] + task.ridge <= 0)
     if indefinite.size:
         raise TaskError(f"client {indefinite[0]}: Hessian not positive definite")
     mu = task.ridge + eigs[:, 0].min()
     lipschitz = task.ridge + eigs[:, -1].max()
 
-    w_star = task.global_optimum()
+    w_star = task.optimum
     # The solve is accurate relative to the gradient's scale, ||grad F(0)||.
     scale = float(np.linalg.norm(task.global_gradient(np.zeros(task.dim))))
     grad_norm = float(np.linalg.norm(task.global_gradient(w_star)))
     if not grad_norm <= _GRAD_TOL_AT_OPT * max(1.0, scale):
         raise TaskError(f"global optimum residual gradient {grad_norm:.2e} "
                         f"too large for a gradient scale of {scale:.2e}")
-    f_star = task.global_loss(w_star)
-    gamma_noniid = max(0.0, f_star - float(np.mean(
+    gamma_noniid = max(0.0, task.opt_value - float(np.mean(
         task.client_losses(task.client_optima()))))
 
-    sgd_var = tuple(minibatch_gradient_variance(task, w_star, batch).tolist())
     # The worst per-sample gradient norm over the trajectory ball, squared: a
     # batch gradient is a mean of per-sample ones, so this dominates
     # E||grad F_k(w, batch)||^2 anywhere in the ball.
@@ -260,7 +251,7 @@ def derive_constants(task, batch, trajectory_radius):
     return TaskConstants(
         mu=float(mu), lipschitz=float(lipschitz), kappa=float(lipschitz / mu),
         gamma_noniid=float(gamma_noniid), sgd_var=sgd_var,
-        grad_bound=grad_bound, opt=w_star, opt_value=float(f_star),
+        grad_bound=grad_bound, opt=w_star, opt_value=task.opt_value,
         trajectory_radius=float(trajectory_radius))
 
 

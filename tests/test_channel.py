@@ -210,7 +210,7 @@ def test_mdt_noise_power_decomposes(rng):
 
 
 # ---------------------------------------------------------------------------
-# Byte identity of the analog layer's random-draw order (stream layout 7).
+# Byte identity of the analog layer's random-draw order (stream layouts 7, 8).
 #
 # A fade is its power gain |h|^2, one standard exponential, and a deep one
 # (|h| below the floor) is redrawn, a retransmission.  Both directions draw
@@ -222,8 +222,9 @@ def test_mdt_noise_power_decomposes(rng):
 # functions below restate that order with loops over the elements.  The
 # digests pin outputs, retry counts, every ``ChannelError`` message and
 # where the generator is left afterwards.  GOLDEN_UPLINK and
-# GOLDEN_UPLINK_SILENT were captured at stream layout 4, GOLDEN_DOWNLINK and
-# ``GOLDEN_DIVERSITY_RUN``, which pins a whole engine run, at layout 7.
+# GOLDEN_UPLINK_SILENT were captured at stream layout 4, GOLDEN_DOWNLINK at
+# layout 7, and ``GOLDEN_DIVERSITY_RUN``, which pins a whole engine run and
+# its loss column, at layout 8.
 # ---------------------------------------------------------------------------
 
 GOLDEN_DOWNLINK = \
@@ -233,7 +234,7 @@ GOLDEN_UPLINK = \
 GOLDEN_UPLINK_SILENT = \
     "8c033485dc2c25f5ad344aef5926b357b1febfe0ed023d29f329d063481d0c5e"
 GOLDEN_DIVERSITY_RUN = \
-    "362a47d83a03300994f4a791602c043bf944d17281b7da54ecec4bac243ae83f"
+    "ebbbb8282d28308b89c2ecb66a512d771b22f34ef1e7094de6cedf41e6f468f4"
 
 _GOLDEN_SEEDS = (0, 1, 2)
 _GOLDEN_FLOORS = (0.05, 0.5, 0.9)

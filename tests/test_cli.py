@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import noisyfed
-from noisyfed import (ChannelError, ConfigError, RunConfig, make_task, run,
-                      save_task)
+from noisyfed import (ChannelError, ConfigError, QuadraticTask, RunConfig,
+                      make_task, run, save_task)
 from noisyfed import cli, config, policies
 from noisyfed.cli import main
 from noisyfed.config import load_experiment, parse_experiment
@@ -97,7 +97,7 @@ def test_run_writes_traces_and_summary(tmp_path):
     assert files == ["mean_trace.csv", "summary.json", "trace_rep000.csv",
                      "trace_rep001.csv", "trace_rep002.csv"]
     config, rows = read_trace(out / "trace_rep000.csv")
-    assert config["stream_layout"] == 7
+    assert config["stream_layout"] == 8
     assert config["derived"]["mu"] > 0
     assert config["derived"]["rate_constant"] > 0
     assert [r["t"] for r in rows] == list(range(1, 41))
@@ -297,6 +297,33 @@ def test_failed_check_gives_nonzero_exit(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
+def test_unfittable_slope_check_fails_and_writes_the_summary(tmp_path,
+                                                             capsys):
+    # All-zero targets make the zero start the optimum, so every squared
+    # distance of a noise-free run is exactly 0 and no point can be fitted.
+    # The run ended as a usage error after every replica had run, and wrote
+    # no summary.json.
+    task = make_task(n_clients=4, dim=3, samples_per_client=6, seed=1)
+    task_path = tmp_path / "task.json"
+    save_task(QuadraticTask(task.features, np.zeros_like(task.targets), 0.1),
+              task_path)
+    doc = experiment_doc(task={"file": str(task_path)},
+                         policy={"name": "noise_free", "params": {}})
+    doc["run"]["n_participants"] = 2
+    doc["checks"] = [{"kind": "slope"}]
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["completed"] == 3 and summary["mean_final_sq_dist"] == 0.0
+    [check] = summary["checks"]
+    assert check["name"] == "check_slope" and check["passed"] is False
+    assert check["estimate"] == "nan"
+    assert check["detail"] == ("window=(10, 40) range=[-1.3,-0.7]: rate fit "
+                               "needs at least 10 positive points in window")
+    assert capsys.readouterr().out.startswith(
+        "[FAIL] check_slope: estimate=nan ")
+
+
 def test_verify_lemmas_passes(capsys):
     assert main(["verify", "lemmas", "--replicas", "10000"]) == 0
     out = capsys.readouterr().out
@@ -325,10 +352,10 @@ def test_verify_theorems_negative_control(capsys):
     # The stream layout is named once, before the engine-run estimates, and
     # the tally stays last.
     lines = out.splitlines()
-    assert lines.count("stream layout 7") == 1
+    assert lines.count("stream layout 8") == 1
     first_bound = next(i for i, line in enumerate(lines)
                        if "bound_holds[" in line)
-    assert lines.index("stream layout 7") < first_bound
+    assert lines.index("stream layout 8") < first_bound
     assert lines[-1].endswith(" checks passed")
 
 
@@ -389,6 +416,26 @@ def test_verify_rejects_too_few_replicas_before_any_oracle(
     assert main(["verify", scope, "--replicas", "9999"]) == 2
     assert capsys.readouterr().err \
         == "error: --replicas: need at least 10000 replicas, got 9999\n"
+    assert called == []
+
+
+@pytest.mark.parametrize("scope", ["theorems", "all"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_a_bad_noise_scale_before_any_oracle(
+        capsys, monkeypatch, scope, scale):
+    # The error named policy.params.variance_scale, a key the command line
+    # does not have, and under "all" came after every lemma oracle had run.
+    called = []
+    for name in ("aggregation_noise_oracle", "client_sampling_oracle",
+                 "differential_upload_oracle", "sgd_one_step_oracle"):
+        monkeypatch.setattr(cli.analysis, name,
+                            lambda *a, name=name, **k: called.append(name))
+    monkeypatch.setattr(cli, "_theorem_reports",
+                        lambda *a: called.append("theorems") or [])
+    assert main(["verify", scope, f"--noise-scale={scale}"]) == 2
+    assert capsys.readouterr().err == ("error: --noise-scale: must be "
+                                       f"positive and finite, not "
+                                       f"{float(scale)!r}\n")
     assert called == []
 
 
@@ -1085,7 +1132,7 @@ def test_mdt_constant_snr_on_analog_channel_is_usage_error(tmp_path, capsys):
 # per preset, with the bound and schedule checks where the preset has a
 # schedule: they pin each check's estimate (``schedule_excess`` included),
 # the resolved ``rate_constant`` and ``bound_variant``, the emitted policy
-# parameters and the mean trace.  Captured at stream layout 7, which both
+# parameters and the mean trace.  Captured at stream layout 8, which both
 # files name.
 _PRESET_FAMILIES = {
     "noise_free": ({}, {}),
@@ -1099,26 +1146,26 @@ _PRESET_FAMILIES = {
 }
 GOLDEN_RUN_FILES = {
     "noise_free": (
-        "f0f5dd4de8c9376bcd2c11d8b2d32657ccc0a96e4954353baf9ba82306b8bea1",
-        "eb29878690bb3bbd08187dc8f707f95ea022259eb970b34b8ce32972dde69754"),
+        "912658ef7e91b7a8887df002b0e317f10ada770e4f2291bc7164586452b76afd",
+        "997f29cf1ab1068e4c1e18b6636cacd85a7aaa6e935cba4d738bffc67cf2de1b"),
     "equal_power": (
-        "fe0ba332b9348187908b0682654ff0f47dc396c9db4cfb104310f5ea892d7df0",
-        "a5ce8b8404956656a682498e04a1b2260967d7b24c02cdf50eaa69f777de4e30"),
+        "a354fd7a7fa788013fc45a9522cbaf4cae2cb24b845dabfe39936f94397921a6",
+        "48f8b04b2d56582f898176094a414edded5af46fd454e198ff9a3d558fbddd18"),
     "mt_full": (
-        "20b007a0de1c11fcdc08a143e93a8015973bdacd21824637275a64a3b7e436d5",
-        "151b2e48423e902169989d2f7d17ef3ee356711a45c980ccb475643fbfdf8747"),
+        "d67512e6f35aa54c1dfa6524773958f99255158fc700170b2b75c338e4ecd031",
+        "b426678b858dcf64d0e1074702c431935610ea03b971141384577d6d75b8d644"),
     "mt_partial": (
-        "a6451ce2dc488cbaf9bcc1f2c6000a0492c03f2c3ed0acde0c253a6c3473ed82",
-        "d4ddecba6e38b2f982f678a1e10d77af0ebb8bb67ee11ad0e4e3b3014ccb602c"),
+        "055d97fb84b9b3f1951578fa896afb196a63508b7a3692a850e4f26405c191fd",
+        "b9a7e034477b9ef2427d27a6e1cf49e5a5b929296600f03b91825ce94733e93a"),
     "mdt_constant_snr": (
-        "9d2b86b8526116cd6d8fe9df7f29faad922cc9501d436fe2455466535ad8459a",
-        "5e1321ab905809594d4ff3e7d0c8518438cf0c168ccd3ecc6876348647fbfa9d"),
+        "1f66f542bfa03ae7efe07cbb7f923f538fc9ff38c82446d4544a3ae96499ca52",
+        "9bedf4edecea82931e8a408a4a9ccb7fda0ed66b47359d1b6eb93c1586934962"),
     "power_t2": (
-        "5a41452c10bf3ce7f9af3be6eee78a121c86b02850a87ad32a4a176d36f9de85",
-        "f9bf1afb10c97c482b9fa6486633692324be7f70bee00423cd1454a6e8b49dae"),
+        "2dd5d38e04c58854533a1aab4219dbda42fbe0e7bb5092ff76313e4bbccb7f21",
+        "f042a9616132a6c4fc8b856bb475afc3864ea1f8b3e2f656ef87cd650965229a"),
     "diversity_t2": (
-        "bf31e2e60bb8c74b71f1a60d6469ac47c18787a50061a011ae52d922b3c744f1",
-        "c45f976c692b58f60756323018175bc56861d4ce90ab3429e249266b5a594be2"),
+        "1affbebf95a435b638b1eb952a2079b313f1a6beac9d78d1f0059d825d2a846e",
+        "bede8681044e1830c16afca0fbe435065929924ff7ada71ef35194189a8eda60"),
 }
 
 

@@ -217,6 +217,13 @@ def test_aggregate_matches_mean_oracle(rng):
         aggregate(np.empty((0, 9)))
 
 
+def _row_gradient(task, k, w):
+    """Client k's full-batch gradient at ``w`` from its rows, apart from the
+    moments the engine reads."""
+    a, y = task.features[k], task.targets[k]
+    return a.T @ (a @ w - y) / len(y) + task.ridge * w
+
+
 def test_degenerate_run_equals_plain_gradient_descent():
     task = make_task(n_clients=1, dim=4, samples_per_client=10, ridge=0.2,
                      noise_std=1.0, seed=6)
@@ -227,9 +234,9 @@ def test_degenerate_run_equals_plain_gradient_descent():
     w = np.zeros(4)
     lr = result.policy.lr
     for t in range(1, 41):
-        w = w - lr.eta(t) * task.client_gradients(w)[0]
+        w = w - lr.eta(t) * _row_gradient(task, 0, w)
     assert np.allclose(result.final_model, w, atol=1e-12)
-    opt = task.global_optimum()
+    opt = task.optimum
     assert result.trace.sq_dist[-1] == pytest.approx(
         float(np.sum((w - opt) ** 2)), abs=1e-12)
 
@@ -361,11 +368,12 @@ def test_nan_aggregate_trips_divergence_guard(small_task, monkeypatch):
 
 
 # Round 20 of a 32-round block trips the guard (an infinite uplink) or makes
-# a local iterate non-finite (an infinite downlink).  The messages and the
-# traces' digest were captured when each round had its own parameter record.
+# a local iterate non-finite (an infinite downlink).  The messages were
+# captured when each round had its own parameter record, the guard trace's
+# digest at stream layout 8.
 @pytest.mark.parametrize("loud, message, rows, digest", [
     ("uplink", "round 20: squared distance inf exceeded the guard 1.617e+07",
-     20, "aa478d04483473926c048a81daa80f8d8dfaab4a628309ef706063b7ef02970a"),
+     20, "36cb549a54c095d4791d656b897891b208535abd656581e0ab7bdb1cd68435d2"),
     ("downlink", "client 0: non-finite iterate at local step 1", 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ], ids=["guard", "local_iterate"])
@@ -441,24 +449,26 @@ def test_run_config_rejects_meaningless_combinations():
 
 
 # ---------------------------------------------------------------------------
-# Stream layout 7: one generator per domain and run, round t drawing the t-th
+# Stream layout 8: one generator per domain and run, round t drawing the t-th
 # block of its domain's stream, with a row for every client.  Layout 6 drew
 # the numbers of layout 5, with local SGD and the loss and SNR columns
 # rounded differently; layout 7 draws the effective-noise runs' numbers of
-# layout 6 and combines the analog downlink's copies by MRC.
+# layout 6 and combines the analog downlink's copies by MRC; layout 8 draws
+# layout 7's numbers and computes the loss column and full-batch local SGD
+# from each client's moments.
 #
 # The digests pin the trace rows, final model and fade retries of short runs
 # over every mode, noise distribution and participation level, one digest per
-# channel layer.  The effective-noise digests were captured when layout 6 was
-# introduced, the analog ones when layout 7 was.
+# channel layer, all captured when layout 8 was introduced.
 # ---------------------------------------------------------------------------
 
 GOLDEN_EFFECTIVE_NOISE = \
-    "08819739b5011e5bc73186c8b595c3b3808190af6baee861d756b555b50a3dc5"
+    "91cf7aaa37b69b6293801687bbd8a6b0fe291bd073ec75433aacacf64fb1bc34"
 GOLDEN_ANALOG = \
-    "80066edbd5b7115cb13650f3cdede3318c1a3907f4a7ad8702fb5aa0147c8c15"
+    "5b2cabb925b3d90b165e1a8bfba06963c45286c3218cdc05b6977f3314ceabf9"
 # max_iterate_distance, trajectory_radius, radius_exceeded and fade_retries
-# of the same runs; the effective-noise ones the same at layouts 5 to 7.
+# of the same runs; the effective-noise ones the same at layouts 5 to 8, the
+# analog ones at layouts 7 and 8.
 GOLDEN_DIAGNOSTICS = {
     "effective_noise":
         "e56b8db7b5dcb65d34ce899b82280a0fe529e1d349668caf8e4ccf001a74a361",
@@ -468,13 +478,12 @@ GOLDEN_DIAGNOSTICS = {
 # Every valid (mode, policy) of each channel layer, crossed with K in {6, 3}
 # (mt_full only at K = N) and both batch kinds: 12-round runs at seed 31,
 # hashed as the layout digests are; 48 effective-noise and 44 analog runs.
-# Both digests were captured at stream layout 7, before the schedule became
-# one RoundPolicy per round.
+# Both digests were captured at stream layout 8.
 GOLDEN_CONFIGS = {
     "effective_noise":
-        "9d7fc56b8cc743eb724a4aa2a780d007e6209b2b744e62a79f442889349e428f",
+        "ffe4b68546f30eca12f26ce78edf37ee47a67fdc03e5e8e4dedf82006f481fd6",
     "analog_physical":
-        "9ec222980bfd0bde84291ac2f7f84ea0df24da6d5b85f55d99fc2afbdd02b188",
+        "c1a519eda776db65a5067606fcc63404e1914d9a61c87092a5cb7f92289e6a96",
 }
 
 
@@ -551,8 +560,8 @@ def _diagnostics_digest(task, channel):
     return digest.hexdigest()
 
 
-def test_stream_layout_7_matches_golden(small_task):
-    assert STREAM_LAYOUT == 7
+def test_stream_layout_8_matches_golden(small_task):
+    assert STREAM_LAYOUT == 8
     assert _layout_digest(small_task, "analog_physical") == GOLDEN_ANALOG
 
 
@@ -626,9 +635,9 @@ def test_trace_block_changes_no_output(small_task, monkeypatch, block):
 @pytest.mark.parametrize("budget", [1, 5 * 2016, 2 ** 40])
 def test_gather_budget_changes_no_output(small_task, monkeypatch, budget):
     # A round of the layout and config runs gathers 2016 bytes of batch data
-    # with K=6 and 1008 with K=3, and 4032 or 2016 of full batches.  Gathers
-    # of one round, of chunks that split the 12-round runs unevenly (5, 10,
-    # 2 or 5 rounds), or of the whole block.
+    # with K=6 and 1008 with K=3; full batches gather none.  Gathers of one
+    # round, of chunks that split the 12-round runs unevenly (5 or 10
+    # rounds), or of the whole block.
     monkeypatch.setattr(engine, "GATHER_BYTES", budget)
     _assert_block_changes_nothing(small_task, monkeypatch, engine.BLOCK)
 
@@ -726,14 +735,14 @@ def test_batched_local_sgd_matches_per_client_loop(small_task,
             eta = lr.eta(6 + j)
             w_sampled = w_sampled - eta * small_task.sample_gradient(
                 k, w_sampled, batches[j - 1, i])
-            w_full = w_full - eta * small_task.client_gradients(w_full)[k]
+            w_full = w_full - eta * _row_gradient(small_task, k, w_full)
         np.testing.assert_allclose(sampled[i], w_sampled, rtol=1e-13)
         np.testing.assert_allclose(full[i], w_full, rtol=1e-13)
 
 
 def _first_nonfinite_step(task, client, w, lr, n_steps):
     for j in range(1, n_steps + 1):
-        w = w - lr.eta(j) * task.client_gradients(w)[client]
+        w = w - lr.eta(j) * _row_gradient(task, client, w)
         if not np.all(np.isfinite(w)):
             return j
     return None
@@ -797,10 +806,12 @@ def test_local_sgd_gathers_without_a_block_sized_temporary(monkeypatch):
                           (10, 50, 32, None, 5), (64, 100, 8, None, 1)])
 def test_run_holds_local_sgd_data_within_the_gather_budget(
         clients, dim, rounds, batch_size, participants):
-    # A 32-round block of the 10-client runs gathers 16.4 MB of batch
-    # features, or of full-batch features with 10 clients (8.2 MB with 5);
-    # the 64 clients' features are 6.6 MB.  A run holds GATHER_BYTES of the
-    # sampled clients' data, or one round if that is more: 0.5 MB or less.
+    # A 32-round block of the 10-client mini-batch run gathers 16.4 MB of
+    # batch features; a run holds GATHER_BYTES of them, or one round if that
+    # is more: 0.5 MB or less.  The full-batch runs, whose sampled clients'
+    # rows are 16.4 MB a block with 10 clients (8.2 MB with 5) and whose 64
+    # clients' features are 6.6 MB, read the clients' moments and gather no
+    # sample.
     task = make_task(n_clients=clients, dim=dim, samples_per_client=128,
                      seed=3)
     config = RunConfig(n_participants=participants, rounds=rounds,

@@ -49,7 +49,25 @@ def test_one_changed_byte_is_named_by_file_and_line(tmp_path, same_outputs):
         b"t,sq_dist\n1,0.5\n2,0.26\n"
     assert same_outputs.first_difference(
         tree(tmp_path / "parent", FILES), tree(tmp_path / "change", changed)) \
-        == "run-full_mt-5-w1/trace_rep000.csv:3: b'2,0.25\\n' != b'2,0.26\\n'"
+        == "run-full_mt-5-w1/trace_rep000.csv:3: b'2,0.25\\n' != " \
+        "b'2,0.26\\n'; columns that differ: sq_dist"
+
+
+def test_changed_cells_are_named_by_their_columns(tmp_path, same_outputs):
+    # A trace whose config line and one column differ: the first line names
+    # where, the column names what.
+    trace = b"# config: {}\nt,sq_dist,loss\n1,0.5,2.0\n2,0.25,1.0\n"
+    other = b"# config: {\"stream_layout\": 8}\nt,sq_dist,loss\n" \
+        b"1,0.5,2.5\n2,0.25,1.5\n"
+    name = "run-full_mt-5-w1/trace_rep000.csv"
+    difference = same_outputs.first_difference(
+        tree(tmp_path / "parent", dict(FILES, **{name: trace})),
+        tree(tmp_path / "change", dict(FILES, **{name: other})))
+    assert difference.startswith(f"{name}:1: ")
+    assert difference.endswith("; columns that differ: loss")
+    # Only a CSV file's columns are named, and only cells that differ.
+    assert same_outputs.differing_columns(trace.splitlines(True),
+                                          trace.splitlines(True)) == []
 
 
 @pytest.mark.parametrize("drop, expected", [

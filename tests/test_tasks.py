@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_two_client_optimum_matches_normal_equations():
     h = sum(f.T @ f / 3.0 for f in features) / 2.0 + ridge * np.eye(2)
     b = sum(f.T @ t / 3.0 for f, t in zip(features, targets)) / 2.0
     oracle = np.linalg.inv(h) @ b
-    assert np.allclose(task.global_optimum(), oracle, atol=1e-12)
+    assert np.allclose(task.optimum, oracle, atol=1e-12)
 
 
 def test_rank_deficient_without_ridge_rejected():
@@ -204,11 +205,11 @@ def test_optimum_check_is_relative_to_the_gradient_scale(key, scale):
     # absolute tolerance rejected the exact optimum from about 1e9 on.
     task = make_task(n_clients=6, dim=6, samples_per_client=12, ridge=0.1,
                      seed=5, **{key: scale})
-    w_star = task.global_optimum()
+    w_star = task.optimum
     radius = 2.0 * max(float(np.linalg.norm(w_star)), 1.0)
     assert np.array_equal(derive_constants(task, 3, radius).opt, w_star)
     # Negative control: an optimum off by 1e-6 relative fails the check.
-    task.global_optimum = lambda: w_star * (1.0 + 1e-6)
+    task.optimum = w_star * (1.0 + 1e-6)
     with pytest.raises(TaskError, match="residual gradient"):
         derive_constants(task, 3, radius)
 
@@ -276,6 +277,43 @@ def test_task_arrays_and_constants_match_golden(name):
     assert _arrays_digest(task) == GOLDEN_TASK_ARRAYS[name]
     assert _constants_digest(derive_constants(task, batch, radius)) \
         == GOLDEN_TASK_CONSTANTS[name]
+
+
+def _row_losses(task, ws):
+    """The global loss at each row w of ``ws`` from the rows, as the mean of
+    every client's squared residuals over 2 plus ``ridge ||w||^2 / 2``."""
+    a, y = task.features.reshape(-1, task.dim), task.targets.ravel()
+    return np.array([0.5 * np.mean((a @ w - y) ** 2) + 0.5 * task.ridge * w @ w
+                     for w in ws])
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"noise_std": 1.0, "heterogeneity": 16.0}, {"noise_std": 0.0}],
+    ids=["full", "heterogeneous", "noise_free"])
+def test_global_losses_match_the_rows(overrides):
+    task = make_task(**dict(TASK_FULL, **overrides))
+    rng = np.random.default_rng(4)
+    # At the optimum, near it, at the zero start and far from both.
+    ws = np.vstack([task.optimum, np.zeros(task.dim)] + [
+        task.optimum + scale * rng.normal(size=(8, task.dim))
+        for scale in (1e-6, 1e-2, 1.0, 10.0)])
+    np.testing.assert_allclose(task.global_losses(ws), _row_losses(task, ws),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_global_losses_allocate_no_block_of_residuals():
+    # The rows' form built a (32, N*D) residual and a temporary as large:
+    # 6.5 MB here.  The moments' form needs a few (32, d) arrays.
+    task = make_task(n_clients=100, dim=20, samples_per_client=128, seed=3)
+    ws = np.random.default_rng(0).normal(size=(32, task.dim))
+    residuals = ws.shape[0] * task.n_clients * task.samples_per_client * 8
+    tracemalloc.start()
+    try:
+        task.global_losses(ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < residuals / 16
 
 
 def test_small_task_is_the_verify_task(small_task):

@@ -7,7 +7,7 @@ from noisyfed import RunConfig, run
 from noisyfed.traceio import read_trace, write_trace
 
 # SHA-256 of the whole trace file (config line, header and rows) of one run
-# per channel layer, both captured at stream layout 7.  The effective run
+# per channel layer, both captured at stream layout 8.  The effective run
 # covers full participation under the full-upload schedule, the analog run
 # partial participation with diversity orders under differential upload.
 RUNS = {
@@ -21,9 +21,9 @@ RUNS = {
 }
 GOLDEN_TRACE_BYTES = {
     "effective_noise":
-        "d84e6410fca5e3a21468c5726a1bc7d19a27bbffd695771ddc530696cd10834f",
+        "8803a68e4595f25f046397da3c884af8624853f711af3cc90814fd3b180af941",
     "analog_physical":
-        "f7250d3fab9198c6a90b1dfcc0ca907b151cbf6d3ed901b0ad33adfd4fa8a686",
+        "c56149848c0e9f46db909732fde138265155d028d6aad74df0b83102ee443271",
 }
 
 

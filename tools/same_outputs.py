@@ -24,8 +24,9 @@ Every ``--out`` directory is kept, and each command's exit status, stdout
 and stderr (the copy's path and the output directory's replaced by
 ``<tree>`` and ``<out>``) are written next to it.
 The line count of each side's ``src/noisyfed/*.py`` is printed, then the
-first file, and the first line in it, where the sides differ; the exit
-status is 0 only if everything is identical.
+first file, and the first line in it, where the sides differ, with the
+header names of a CSV file's columns whose cells differ; the exit status is
+0 only if everything is identical.
 """
 
 import argparse
@@ -122,6 +123,18 @@ def line_counts(copy):
     return counts
 
 
+def differing_columns(lines_a, lines_b):
+    """The header names, in header order, of the columns whose cells differ
+    between the rows of two CSV files' lines; ``#`` lines are skipped."""
+    rows_a, rows_b = ([line.rstrip(b"\n").split(b",") for line in lines
+                       if not line.startswith(b"#")]
+                      for lines in (lines_a, lines_b))
+    header = rows_a[0] if rows_a else []
+    differ = {i for row_a, row_b in zip(rows_a[1:], rows_b[1:])
+              for i, (x, y) in enumerate(zip(row_a, row_b)) if x != y}
+    return [header[i].decode() for i in sorted(differ) if i < len(header)]
+
+
 def first_difference(a, b):
     """None if the directories ``a`` and ``b`` hold the same files with the
     same bytes; else the first difference, in sorted path order, as text."""
@@ -143,7 +156,12 @@ def first_difference(a, b):
             continue
         for number, (x, y) in enumerate(zip(lines_a, lines_b), 1):
             if x != y:
-                return f"{name}:{number}: {x!r} != {y!r}"
+                found = f"{name}:{number}: {x!r} != {y!r}"
+                columns = name.endswith(".csv") \
+                    and differing_columns(lines_a, lines_b)
+                if columns:
+                    found += f"; columns that differ: {', '.join(columns)}"
+                return found
         number = min(len(lines_a), len(lines_b)) + 1
         return f"{name}:{number}: one side ends at line {number - 1}"
     return None
