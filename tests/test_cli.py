@@ -1194,3 +1194,26 @@ def test_louder_schedule_fails_run_files_golden(tmp_path):
                                     {"variance_scale": 2}, {})
     golden = GOLDEN_RUN_FILES["mt_partial"]
     assert summary != golden[0] and mean != golden[1]
+
+
+# SHA-256 of sweep.csv of a 12-round, 2-replica equal_power sweep over a
+# fitted point and a diverged one (every cell nan).  Captured at stream
+# layout 8.
+GOLDEN_SWEEP_FILE = \
+    "c055018cce0fe8811eb9fbc61da34a392170661f03d75d8131682c5de3394347"
+
+
+def _sweep_digest(tmp_path):
+    doc = experiment_doc(policy={"name": "equal_power",
+                                 "params": {"snr_db": 10.0}},
+                         replicas=2, checks=[])
+    doc["run"]["rounds"] = 12
+    out = tmp_path / "sw"
+    assert main(["sweep", write_config(tmp_path, doc), "--axis",
+                 "policy.params.snr_db", "--values", "12,-90", "--out",
+                 str(out)]) == 1
+    return hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+
+
+def test_sweep_file_matches_golden(tmp_path):
+    assert _sweep_digest(tmp_path) == GOLDEN_SWEEP_FILE

@@ -89,7 +89,7 @@ def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
     found = dict(same_outputs.commands(same_outputs.load_workloads(),
                                        str(tmp_path)))
     runs = [label for label in found if label.startswith("run-")]
-    assert len(runs) == 3 * 3 * 2 + 2 * 2
+    assert len(runs) == 3 * 3 * 2 + 2 * 2 + 2
     # One sweep of full_mt at seed 5 over a mini-batch and the full batch.
     assert [label for label in found if label.startswith("sweep-")] \
         == ["sweep-full_mt-5"]
@@ -101,9 +101,17 @@ def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
     assert json.loads((tmp_path / "full_mt-5.json").read_text())["task"][
         "samples_per_client"] == 40
     # Full batches with every client and with a sample of them, at seed 5.
-    assert sorted(label for label in runs if "full_batch" in label) == [
+    assert sorted(label for label in runs if "full_batch" in label
+                  and "noise_free" not in label) == [
         "run-full_mt-full_batch-5-w1", "run-full_mt-full_batch-5-w2",
         "run-partial_mdt-full_batch-5-w1", "run-partial_mdt-full_batch-5-w2"]
+    # full_mt noise free, with no check, on mini-batches and full batches.
+    assert sorted(label for label in runs if "noise_free" in label) == [
+        "run-full_mt-noise_free-5-w1", "run-full_mt-noise_free-full_batch-5-w1"]
+    for kind, batch in (("noise_free", 4), ("noise_free-full_batch", None)):
+        doc = json.loads((tmp_path / f"full_mt-{kind}-5.json").read_text())
+        assert doc["policy"] == {"name": "noise_free", "params": {}}
+        assert doc["checks"] == [] and doc["run"]["batch_size"] == batch
     for name, participants in (("full_mt", 10), ("partial_mdt", 5)):
         doc = json.loads((tmp_path / f"{name}-full_batch-5.json").read_text())
         assert doc["run"]["batch_size"] is None

@@ -15,6 +15,9 @@ with ``python -B`` and its own ``src`` on ``PYTHONPATH``:
   ``SEEDS``, and of the ``full_mt`` (every client) and ``partial_mdt`` (a
   sample of them) experiments with full batches (``run.batch_size`` null)
   at the first seed, each with ``--workers 1`` and ``--workers 2``;
+- ``noisyfed run`` of the ``full_mt`` experiment with the ``noise_free``
+  policy and no checks, with mini-batches and with full batches, at the
+  first seed with ``--workers 1``;
 - ``noisyfed sweep`` of ``full_mt`` at the first seed over the batch sizes
   4 and 40 (the full batch), with 2 replicas each;
 - ``noisyfed verify all --seed 0``;
@@ -46,6 +49,8 @@ SEEDS = (5, 13, 31)
 #: client taking part, one with a sample of them.
 FULL_BATCH = ("full_mt", "partial_mdt")
 WORKERS = (1, 2)
+#: Kinds of ``full_mt`` also run noise free, at the first seed on one worker.
+NOISE_FREE = ("-noise_free", "-noise_free-full_batch")
 
 
 def load_workloads():
@@ -63,16 +68,21 @@ def commands(workloads, inputs):
     files written to ``inputs``; a relative path in ``argv`` is the copy's,
     and ``{out}`` stands for the side's output directory."""
     found = []
-    runs = [(name, seed, "") for name in WORKLOADS for seed in SEEDS] \
-        + [(name, SEEDS[0], "-full_batch") for name in FULL_BATCH]
-    for name, seed, kind in runs:
+    runs = [(name, seed, "", WORKERS) for name in WORKLOADS
+            for seed in SEEDS] \
+        + [(name, SEEDS[0], "-full_batch", WORKERS) for name in FULL_BATCH] \
+        + [("full_mt", SEEDS[0], kind, (1,)) for kind in NOISE_FREE]
+    for name, seed, kind, worker_counts in runs:
         doc = workloads.experiment(name, seed)
-        if kind:
+        if kind.endswith("full_batch"):
             doc["run"]["batch_size"] = None
+        if "noise_free" in kind:
+            doc["policy"], doc["checks"] = {"name": "noise_free",
+                                            "params": {}}, []
         path = os.path.join(inputs, f"{name}{kind}-{seed}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for workers in WORKERS:
+        for workers in worker_counts:
             label = f"run-{name}{kind}-{seed}-w{workers}"
             found.append((label, [
                 "-m", "noisyfed", "run", path, "--workers", str(workers),
