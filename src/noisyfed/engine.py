@@ -350,14 +350,15 @@ def downlink_broadcast(w_global, unit, variances):
 Schedule = namedtuple("Schedule", "params spent etas trace")
 
 
-def _snrs(signals, noises):
+def _snrs(signals, noises, quiet):
     """Each round's ``snr_global`` from its summed uploads and the sum of
-    their noise, ``(R, d)`` each."""
+    their noise, ``(R, d)`` each: ``inf`` in a ``quiet`` round, one whose
+    schedule adds no noise, rather than over the rounding of the average."""
     pairs = np.stack([signals, noises])
     # Each round's power by its own product, whatever the block's size.
     powers = np.matmul(pairs[:, :, None, :], pairs[..., None])[..., 0, 0]
-    return [math.inf if noise == 0.0 else signal / noise
-            for signal, noise in zip(*powers.tolist())]
+    return [math.inf if silent or noise == 0.0 else signal / noise
+            for silent, signal, noise in zip(quiet, *powers.tolist())]
 
 
 def _trace(schedule, sq_dist, loss, snr_global, sigma2_ul):
@@ -547,6 +548,11 @@ def run(task, config, inputs=None):
     # give the block's signal sums and iterate-ball maximum.
     sq_dist, loss, snr_global = [], [], []
     sigma2_ul = [] if schedule.trace.sigma2_ul is None else None
+    # A noise-free round schedules no noise either way; MDT's measured
+    # uplink never counts as noise free.
+    quiet = [False] * rounds if sigma2_ul is not None else [
+        up == 0.0 and down == 0.0
+        for up, down in zip(schedule.trace.sigma2_ul, schedule.trace.zeta2_dl)]
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_participants, dim))
@@ -597,7 +603,8 @@ def run(task, config, inputs=None):
         models = np.array(models)
         sq_dist += sq_dists
         loss += task.global_losses(models).tolist()
-        snr_global += _snrs(signals, n_participants * models - signals)
+        snr_global += _snrs(signals, n_participants * models - signals,
+                            quiet[start:])
         if sigma2_ul is not None:
             sigma2_ul += _round_means(up_variances, n_participants)
         if sq > guard:

@@ -317,6 +317,19 @@ def test_trace_rounds_strictly_increasing(small_task):
     assert result.trace.t == list(range(1, 13))
 
 
+@pytest.mark.parametrize("channel, noisy", [
+    ("effective_noise", "mt_full"), ("analog_physical", "power_t2")])
+def test_noise_free_rounds_report_infinite_snr(small_task, channel, noisy):
+    # A noise-free round's SNR is infinite by its schedule, not the uploads'
+    # power over the rounding residue of their average (about 1e32 or inf).
+    cfg = RunConfig(n_participants=6, rounds=12, local_epochs=2,
+                    batch_size=None, channel=channel,
+                    policy_name="noise_free", seed=0)
+    assert run(small_task, cfg).trace.snr_global == [math.inf] * 12
+    result = run(small_task, dataclasses.replace(cfg, policy_name=noisy))
+    assert all(0 < snr < math.inf for snr in result.trace.snr_global)
+
+
 @pytest.mark.parametrize("channel, policy", [
     ("effective_noise", "mt_partial"), ("analog_physical", "power_t2")])
 def test_given_family_inputs_change_no_bit(small_task, channel, policy):
@@ -370,10 +383,10 @@ def test_nan_aggregate_trips_divergence_guard(small_task, monkeypatch):
 # Round 20 of a 32-round block trips the guard (an infinite uplink) or makes
 # a local iterate non-finite (an infinite downlink).  The messages were
 # captured when each round had its own parameter record, the guard trace's
-# digest at stream layout 8.
+# digest at stream layout 8 with its noise-free rounds' snr_global inf.
 @pytest.mark.parametrize("loud, message, rows, digest", [
     ("uplink", "round 20: squared distance inf exceeded the guard 1.617e+07",
-     20, "36cb549a54c095d4791d656b897891b208535abd656581e0ab7bdb1cd68435d2"),
+     20, "36273d1dce15b9b1df51c5968f7360b21f0e4443fddcdaab9bd27257b9719250"),
     ("downlink", "client 0: non-finite iterate at local step 1", 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ], ids=["guard", "local_iterate"])
@@ -478,12 +491,13 @@ GOLDEN_DIAGNOSTICS = {
 # Every valid (mode, policy) of each channel layer, crossed with K in {6, 3}
 # (mt_full only at K = N) and both batch kinds: 12-round runs at seed 31,
 # hashed as the layout digests are; 48 effective-noise and 44 analog runs.
-# Both digests were captured at stream layout 8.
+# Both digests were captured at stream layout 8 with a noise-free round's
+# snr_global inf.
 GOLDEN_CONFIGS = {
     "effective_noise":
-        "ffe4b68546f30eca12f26ce78edf37ee47a67fdc03e5e8e4dedf82006f481fd6",
+        "2d6730a4297492d53ecb52aeccd164503408df4a50aa3857f351472dfce74f2c",
     "analog_physical":
-        "c1a519eda776db65a5067606fcc63404e1914d9a61c87092a5cb7f92289e6a96",
+        "39f3efa8d5d44bd08066a193f6cea0defbe49f6bf7144b65834892489d8bbb68",
 }
 
 
