@@ -74,8 +74,9 @@ def bound_formula(t, mu, kappa, gamma, rate_const, local_epochs, initial_gap):
 
 def convergence_bound(t, policy, constants):
     """Closed-form upper bound on the expected squared distance after round
-    t of a family with ``policy`` and ``constants``."""
-    if t < 0:
+    t, or each round of an array ``t``, of a family with ``policy`` and
+    ``constants``."""
+    if np.min(t) < 0:
         raise ConfigError("round index must be >= 0")
     lr = policy.lr
     return bound_formula(t, lr.mu, lr.kappa, lr.gamma,

@@ -200,9 +200,8 @@ def _evaluate_checks(experiment, family):
                 reference=math.nan, tolerance=0.0,
                 detail="no completed replicas"))
         elif kind == "bound":
-            bounds = np.array([analysis.convergence_bound(
-                int(t), family.policy, family.constants) for t in rounds])
-            ratio = float(np.max(mean_sq / bounds))
+            ratio = float(np.max(mean_sq / analysis.convergence_bound(
+                rounds, family.policy, family.constants)))
             reports.append(analysis.OracleReport(
                 name="check_bound", passed=ratio <= 1.0, estimate=ratio,
                 reference=1.0, tolerance=0.0,

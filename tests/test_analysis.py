@@ -92,6 +92,12 @@ def test_convergence_bound_monotone_and_halving():
               for t in range(0, 4000)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[2000] / values[3993] == pytest.approx(2.0, rel=0.01)
+    # The rounds as one array give the same floats, bit for bit.
+    rounds = np.arange(0.0, 4000)
+    assert convergence_bound(rounds, policy, constants_stub()).tolist() \
+        == values
+    with pytest.raises(ConfigError, match="round index must be >= 0"):
+        convergence_bound(rounds - 1, policy, constants_stub())
 
 
 def test_induction_constant_dominates_recursion():
