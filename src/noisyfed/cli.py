@@ -76,21 +76,12 @@ def resolved_config(experiment, policy, constants, replica, seed):
     return resolved
 
 
-class Replica(NamedTuple):
-    """A completed replica's finals, as its ``summary.json`` entry lists
-    them."""
-
-    final_sq_dist: float
-    final_loss: float
-    energy_uplink: float
-    energy_downlink: float
-    diagnostics: dict
-
-
 def _run_replica(setup, experiment, replica, base_seed, out):
     """Run one replica on its family's :func:`family_setup`; with ``out``,
     write its trace there as soon as it completes.  Returns its
-    :class:`Replica` and its squared distances and losses as a ``(2, T)``
+    ``summary.json`` entry (``replica``, ``seed``, ``final_sq_dist``,
+    ``final_loss``, ``energy_uplink``, ``energy_downlink`` and the run's
+    diagnostics) and its squared distances and losses as a ``(2, T)``
     array, or, for a diverged or failed replica, its ``{"replica", "kind",
     "error"}`` and None."""
     try:
@@ -108,19 +99,21 @@ def _run_replica(setup, experiment, replica, base_seed, out):
             os.path.join(out, f"trace_rep{replica:03d}.csv"), trace,
             resolved_config(experiment, result.policy, result.constants,
                             replica, base_seed + replica))
-    return Replica(trace.sq_dist[-1], trace.loss[-1], result.energy_uplink,
-                   result.energy_downlink, result.diagnostics), np.array(
-        [trace.sq_dist, trace.loss])
+    entry = {"replica": replica, "seed": base_seed + replica,
+             "final_sq_dist": trace.sq_dist[-1], "final_loss": trace.loss[-1],
+             "energy_uplink": result.energy_uplink,
+             "energy_downlink": result.energy_downlink, **result.diagnostics}
+    return entry, np.array([trace.sq_dist, trace.loss])
 
 
 class Family(NamedTuple):
-    """A seed family's outcome, without its traces: the completed replicas
-    as ``(replica, Replica)`` pairs, their squared distances and losses as
-    ``(completed, T)`` arrays, the diverged or failed replicas' entries, the
-    rounds 1..T and the completed replicas' mean per round (empty arrays
-    when none completed), and the policy, constants and
-    :class:`engine.Schedule` (:func:`engine.family_inputs`) that every
-    replica shared."""
+    """A seed family's outcome, without its traces: the completed replicas'
+    ``summary.json`` entries (:func:`_run_replica`), their squared
+    distances and losses as ``(completed, T)`` arrays, the diverged or
+    failed replicas' entries, the rounds 1..T and the completed replicas'
+    mean per round (empty arrays when none completed), and the policy,
+    constants and :class:`engine.Schedule` (:func:`engine.family_inputs`)
+    that every replica shared."""
 
     completed: list
     diverged: list
@@ -165,12 +158,12 @@ def run_family(experiment, base_seed, workers=1, setup=None, out=None):
                                      chunksize=-(-replicas // workers)))
     sq_dist, loss = np.empty((2, replicas, rounds))
     completed, diverged = [], []
-    for replica, (record, columns) in enumerate(outcomes):
+    for record, columns in outcomes:
         if columns is None:
             diverged.append(record)
         else:
             sq_dist[len(completed)], loss[len(completed)] = columns
-            completed.append((replica, record))
+            completed.append(record)
     sq_dist, loss = sq_dist[:len(completed)], loss[:len(completed)]
     means = [a.mean(axis=0) if completed else np.array([])
              for a in (sq_dist, loss)]
@@ -254,32 +247,26 @@ def cmd_run(args):
     reports = _evaluate_checks(experiment, family)
 
     os.makedirs(args.out, exist_ok=True)    # no replica may have made it
-    finals = [{"replica": replica, "seed": base_seed + replica,
-               **dict(zip(Replica._fields[:-1], record)),
-               **record.diagnostics} for replica, record in completed]
     summary = {
         "experiment": experiment.to_dict(),
         "base_seed": base_seed,
-        "completed": len(finals),
+        "completed": len(completed),
         "diverged": diverged,
-        "replicas": finals,
+        "replicas": completed,
+        # With no completed replica, the schedule check has an estimate.
+        "checks": [dataclasses.asdict(r) for r in reports],
     }
     if completed:
-        replica = completed[0][0]
         resolved = resolved_config(experiment, family.policy,
-                                   family.constants, replica,
-                                   base_seed + replica)
-        traceio.write_mean_trace(os.path.join(args.out, "mean_trace.csv"),
-                                 family.rounds, family.mean_sq,
-                                 family.mean_loss, resolved_config=resolved)
+                                   family.constants, completed[0]["replica"],
+                                   completed[0]["seed"])
+        traceio.write_csv(
+            os.path.join(args.out, "mean_trace.csv"),
+            ("t", "mean_sq_dist", "mean_loss"),
+            (range(1, len(family.rounds) + 1), family.mean_sq.tolist(),
+             family.mean_loss.tolist()), resolved)
         summary["resolved"] = resolved
         summary["mean_final_sq_dist"] = float(family.mean_sq[-1])
-    # With no completed replica, the schedule check still has an estimate.
-    summary["checks"] = [
-        {"name": r.name, "passed": r.passed, "estimate": r.estimate,
-         "reference": r.reference, "tolerance": r.tolerance,
-         "detail": r.detail}
-        for r in reports]
 
     traceio.write_json(os.path.join(args.out, "summary.json"), summary)
     for report in reports:
@@ -288,7 +275,7 @@ def cmd_run(args):
         print(f"[WARN] {len(diverged)} replica(s) diverged or failed; "
               "see summary.json")
     if completed:
-        print(f"completed {len(finals)}/{experiment.replicas} replicas; "
+        print(f"completed {len(completed)}/{experiment.replicas} replicas; "
               f"mean final squared distance {summary['mean_final_sq_dist']:.6g}")
     failed = bool(diverged) or any(not r.passed for r in reports)
     return 1 if failed else 0
@@ -477,8 +464,7 @@ def cmd_sweep(args):
             raise ConfigError(f"{label}: {exc}") from None
         points.append((value, point_exp, base_seed, setup))
 
-    lines = [f"# config: {traceio.canonical_json({'experiment': doc, 'axis': args.axis})}",
-             "value,final_sq_dist,slope,total_energy"]
+    rows = []
     failed = False
     print(f"{'value':>12s} {'final_sq_dist':>14s} {'slope':>8s} {'energy':>12s}")
     for value, point_exp, base_seed, setup in points:
@@ -497,10 +483,10 @@ def cmd_sweep(args):
                                           window).slope
             except ConfigError as exc:
                 unfitted = f"slope window {list(window)}: {exc}"
-            energy = float(np.mean([r.energy_uplink + r.energy_downlink
-                                    for _, r in completed]))
+            energy = float(np.mean([r["energy_uplink"] + r["energy_downlink"]
+                                    for r in completed]))
             print(f"{value:>12g} {final:>14.6g} {slope:>8.3f} {energy:>12.6g}")
-        lines.append(f"{value},{final!r},{slope!r},{energy!r}")
+        rows.append((value, final, slope, energy))
         if unfitted:
             print(f"[WARN] {args.axis}={value:g}: {unfitted}")
         if diverged:
@@ -509,8 +495,9 @@ def cmd_sweep(args):
                   f"{point_exp.replicas} replica(s) diverged or failed")
 
     os.makedirs(args.out, exist_ok=True)
-    traceio.atomic_write_text(os.path.join(args.out, "sweep.csv"),
-                              "\n".join(lines) + "\n")
+    traceio.write_csv(os.path.join(args.out, "sweep.csv"),
+                      ("value", "final_sq_dist", "slope", "total_energy"),
+                      zip(*rows), {"experiment": doc, "axis": args.axis})
     return 1 if failed else 0
 
 

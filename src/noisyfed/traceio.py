@@ -1,9 +1,9 @@
-"""Trace persistence: CSV round records with an embedded resolved config.
+"""Run files: CSV tables with an embedded resolved config, and JSON.
 
-Trace files start with ``# config: <canonical json>`` followed by a CSV header
-naming every round field and one row per aggregation round.  Floats are
-written with ``repr`` so identical runs produce byte-identical files; all
-writes are atomic (write to a temp file, then rename).
+Every CSV file a run writes (the traces, ``mean_trace.csv``, ``sweep.csv``)
+comes from :func:`write_csv`: a ``# config: <canonical json>`` line, a
+header, and a row per entry of ``repr`` cells, so identical runs produce
+byte-identical files.  Writes are atomic (a temp file, then a rename).
 """
 
 import json
@@ -49,14 +49,20 @@ def atomic_write_text(path, text):
         raise
 
 
+def write_csv(path, header, columns, config=None):
+    """Write ``columns`` under the ``header`` names, a row per entry, after
+    a ``# config:`` line of ``config`` unless it is None.  Cells should be
+    Python ints and floats, whose repr is round-trip exact."""
+    lines = [] if config is None else [f"# config: {canonical_json(config)}"]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_trace(path, trace, resolved_config):
     """Write one replica's :class:`engine.Trace`, a row per round, plus the
     full resolved configuration."""
-    lines = [f"# config: {canonical_json(resolved_config)}"]
-    lines.append(",".join(TRACE_COLUMNS))
-    # Cells are Python ints and floats, whose repr is round-trip exact.
-    lines.extend(",".join(map(repr, row)) for row in zip(*trace))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, TRACE_COLUMNS, trace, resolved_config)
 
 
 def read_trace(path):
@@ -85,14 +91,3 @@ def write_json(path, payload):
     atomic_write_text(path, json.dumps(jsonable(payload), sort_keys=True,
                                        indent=2) + "\n")
 
-
-def write_mean_trace(path, rounds, mean_sq_dist, mean_loss,
-                     resolved_config=None):
-    lines = []
-    if resolved_config is not None:
-        lines.append(f"# config: {canonical_json(resolved_config)}")
-    lines.append("t,mean_sq_dist,mean_loss")
-    for t, sq, loss in zip(rounds.tolist(), mean_sq_dist.tolist(),
-                           mean_loss.tolist()):
-        lines.append(f"{int(t)},{sq!r},{loss!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -93,8 +93,8 @@ def preset_run(policy_name, params=None):
     completed, diverged, mean_sq, _, _ = seed_family(
         TASK_FULL, policy_name, params, n_participants=10, mode="MT")
     assert not diverged, diverged
-    return mean_sq, float(np.mean([r.energy_uplink + r.energy_downlink
-                                   for _, r in completed]))
+    return mean_sq, float(np.mean([r["energy_uplink"] + r["energy_downlink"]
+                                   for r in completed]))
 
 
 def _rate_criterion(family):

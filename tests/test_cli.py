@@ -14,7 +14,7 @@ import pytest
 import noisyfed
 from noisyfed import (ChannelError, ConfigError, QuadraticTask, RunConfig,
                       make_task, run, save_task)
-from noisyfed import cli, config, policies
+from noisyfed import cli, config, policies, traceio
 from noisyfed.cli import main
 from noisyfed.config import load_experiment, parse_experiment
 from noisyfed.traceio import read_trace
@@ -1217,3 +1217,33 @@ def _sweep_digest(tmp_path):
 
 def test_sweep_file_matches_golden(tmp_path):
     assert _sweep_digest(tmp_path) == GOLDEN_SWEEP_FILE
+
+
+def _rewritten_digest(path, leak=False):
+    """SHA-256 of the CSV file at ``path`` written again by
+    ``traceio.write_csv`` from its config, header and cells; with ``leak``,
+    its last cell as an ``np.float64``."""
+    config_line, header, *lines = path.read_text().splitlines()
+    rows = [[int(cell) if cell.lstrip("-").isdigit() else float(cell)
+             for cell in line.split(",")] for line in lines]
+    if leak:
+        rows[-1][-1] = np.float64(rows[-1][-1])
+    traceio.write_csv(path, header.split(","), zip(*rows),
+                      json.loads(config_line[len("# config: "):]))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["mean_trace.csv", "sweep.csv"])
+def test_numpy_scalar_cell_fails_table_bytes_golden(tmp_path, name):
+    # write_csv gives a golden file's bytes back from its cells; negative
+    # control: one cell that leaks as np.float64 reprs differently.
+    if name == "sweep.csv":
+        _sweep_digest(tmp_path)
+        path, golden = tmp_path / "sw" / name, GOLDEN_SWEEP_FILE
+    else:
+        params, run = _PRESET_FAMILIES["mt_partial"]
+        _family_digests(tmp_path, "mt_partial", params, run)
+        path = tmp_path / "out" / name
+        golden = GOLDEN_RUN_FILES["mt_partial"][1]
+    assert _rewritten_digest(path) == golden
+    assert _rewritten_digest(path, leak=True) != golden
