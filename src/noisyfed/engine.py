@@ -352,8 +352,8 @@ Schedule = namedtuple("Schedule", "params spent etas trace")
 
 def _snrs(signals, noises, quiet):
     """Each round's ``snr_global`` from its summed uploads and the sum of
-    their noise, ``(R, d)`` each: ``inf`` in a ``quiet`` round, one whose
-    schedule adds no noise, rather than over the rounding of the average."""
+    their noise, ``(R, d)`` each; ``inf`` in a ``quiet`` round, whose
+    schedule adds no noise (its noise sum is the average's rounding)."""
     pairs = np.stack([signals, noises])
     # Each round's power by its own product, whatever the block's size.
     powers = np.matmul(pairs[:, :, None, :], pairs[..., None])[..., 0, 0]
@@ -549,10 +549,11 @@ def run(task, config, inputs=None):
     sq_dist, loss, snr_global = [], [], []
     sigma2_ul = [] if schedule.trace.sigma2_ul is None else None
     # A noise-free round schedules no noise either way; MDT's measured
-    # uplink never counts as noise free.
-    quiet = [False] * rounds if sigma2_ul is not None else [
+    # uplink (no scheduled sigma2_ul) never counts as noise free.
+    scheduled_up = schedule.trace.sigma2_ul
+    quiet = [False] * rounds if scheduled_up is None else [
         up == 0.0 and down == 0.0
-        for up, down in zip(schedule.trace.sigma2_ul, schedule.trace.zeta2_dl)]
+        for up, down in zip(scheduled_up, schedule.trace.zeta2_dl)]
     span = min(BLOCK, rounds)
     every = np.broadcast_to(np.arange(n_clients), (span, n_clients))
     ball = np.empty((span, 2 * n_participants, dim))

@@ -90,4 +90,3 @@ def read_trace(path):
 def write_json(path, payload):
     atomic_write_text(path, json.dumps(jsonable(payload), sort_keys=True,
                                        indent=2) + "\n")
-
