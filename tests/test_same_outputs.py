@@ -89,7 +89,7 @@ def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
     found = dict(same_outputs.commands(same_outputs.load_workloads(),
                                        str(tmp_path)))
     runs = [label for label in found if label.startswith("run-")]
-    assert len(runs) == 3 * 3 * 2 + 2 * 2 + 2
+    assert len(runs) == 3 * 3 * 2 + 2 * 2 + 2 + 1
     # One sweep of full_mt at seed 5 over a mini-batch and the full batch.
     assert [label for label in found if label.startswith("sweep-")] \
         == ["sweep-full_mt-5"]
@@ -118,6 +118,11 @@ def test_commands_cover_every_run_family_verify_and_demo(tmp_path,
         assert doc["run"]["n_participants"] == participants
         assert json.loads((tmp_path / f"{name}-5.json").read_text())[
             "run"]["batch_size"] == 4
+    # full_mt with its task read from the one task file of the inputs.
+    doc = json.loads((tmp_path / "full_mt-task_file-5.json").read_text())
+    assert doc["task"] == {"file": str(tmp_path / same_outputs.TASK_FILE)}
+    assert found["run-full_mt-task_file-5-w1"][3] \
+        == str(tmp_path / "full_mt-task_file-5.json")
     assert found["verify-all"][-3:] == ["all", "--seed", "0"]
     assert sorted(label for label in found if label[:2].isdigit()) == sorted(
         path.stem for path in (TOOLS.parent / "demos").glob("*.py"))

@@ -18,6 +18,9 @@ with ``python -B`` and its own ``src`` on ``PYTHONPATH``:
 - ``noisyfed run`` of the ``full_mt`` experiment with the ``noise_free``
   policy and no checks, with mini-batches and with full batches, at the
   first seed with ``--workers 1``;
+- ``noisyfed run`` of the ``full_mt`` experiment at the first seed with
+  ``--workers 1``, its task read from a task file (``TASK_FILE``) that the
+  parent side's ``save_task`` writes once, so both sides read one file;
 - ``noisyfed sweep`` of ``full_mt`` at the first seed over the batch sizes
   4 and 40 (the full batch), with 2 replicas each;
 - ``noisyfed verify all --seed 0``;
@@ -51,6 +54,8 @@ FULL_BATCH = ("full_mt", "partial_mdt")
 WORKERS = (1, 2)
 #: Kinds of ``full_mt`` also run noise free, at the first seed on one worker.
 NOISE_FREE = ("-noise_free", "-noise_free-full_batch")
+#: The file of ``full_mt``'s task, in the inputs directory.
+TASK_FILE = "full_mt-task.json"
 
 
 def load_workloads():
@@ -71,7 +76,8 @@ def commands(workloads, inputs):
     runs = [(name, seed, "", WORKERS) for name in WORKLOADS
             for seed in SEEDS] \
         + [(name, SEEDS[0], "-full_batch", WORKERS) for name in FULL_BATCH] \
-        + [("full_mt", SEEDS[0], kind, (1,)) for kind in NOISE_FREE]
+        + [("full_mt", SEEDS[0], kind, (1,))
+           for kind in (*NOISE_FREE, "-task_file")]
     for name, seed, kind, worker_counts in runs:
         doc = workloads.experiment(name, seed)
         if kind.endswith("full_batch"):
@@ -79,6 +85,8 @@ def commands(workloads, inputs):
         if "noise_free" in kind:
             doc["policy"], doc["checks"] = {"name": "noise_free",
                                             "params": {}}, []
+        if kind == "-task_file":
+            doc["task"] = {"file": os.path.join(inputs, TASK_FILE)}
         path = os.path.join(inputs, f"{name}{kind}-{seed}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
@@ -102,11 +110,25 @@ def commands(workloads, inputs):
     return found
 
 
+def side_env(copy):
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.path.join(copy, "src"))
+
+
+def write_task_file(copy, task, path):
+    """Write the task ``make_task(**task)`` builds to ``path`` with the
+    ``save_task`` of ``copy``."""
+    code = ("import json, sys\n"
+            "from noisyfed.tasks import make_task, save_task\n"
+            "save_task(make_task(**json.loads(sys.argv[1])), sys.argv[2])")
+    subprocess.run([sys.executable, "-B", "-c", code, json.dumps(task), path],
+                   cwd=copy, env=side_env(copy), check=True)
+
+
 def run_side(copy, out, found):
     """Run every command in ``copy``, writing its outputs under ``out``."""
     os.makedirs(out)
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.path.join(copy, "src"))
+    env = side_env(copy)
     for label, argv in found:
         argv = [arg.replace("{out}", out) for arg in argv]
         proc = subprocess.run([sys.executable, "-B", *argv], cwd=copy,
@@ -189,13 +211,18 @@ def main(argv=None):
     try:
         inputs = os.path.join(work, "inputs")
         os.makedirs(inputs)
-        found = commands(load_workloads(), inputs)
+        workloads = load_workloads()
+        found = commands(workloads, inputs)
         counts = {}
         for side, ref in refs.items():
-            export(ref, os.path.join(work, "tree", side))
-            counts[side] = line_counts(os.path.join(work, "tree", side))
-            run_side(os.path.join(work, "tree", side),
-                     os.path.join(work, "out", side), found)
+            copy = os.path.join(work, "tree", side)
+            export(ref, copy)
+            counts[side] = line_counts(copy)
+            if side == "parent":
+                write_task_file(copy,
+                                workloads.experiment("full_mt", SEEDS[0])[
+                                    "task"], os.path.join(inputs, TASK_FILE))
+            run_side(copy, os.path.join(work, "out", side), found)
         difference = first_difference(os.path.join(work, "out", "parent"),
                                       os.path.join(work, "out", "change"))
     finally:
