@@ -40,17 +40,18 @@ from .tasks import derive_constants, load_task, make_task
 
 
 def build_task(experiment):
-    if experiment.task_file:
-        return load_task(experiment.task_file)
-    return make_task(**experiment.task)
+    task = experiment["task"]
+    if "file" in task:
+        return load_task(task["file"])
+    return make_task(**task)
 
 
 def replica_config(experiment, replica, base_seed):
-    run_params = dict(experiment.run)
+    run_params = dict(experiment["run"])
     run_params.pop("seed", None)
     return RunConfig(seed=base_seed + replica,
-                     policy_name=experiment.policy_name,
-                     policy_params=experiment.policy_params,
+                     policy_name=experiment["policy"]["name"],
+                     policy_params=experiment["policy"]["params"],
                      **run_params)
 
 
@@ -60,7 +61,7 @@ def resolved_config(experiment, policy, constants, replica, seed):
         "mu", "lipschitz", "kappa", "gamma_noniid", "grad_bound",
         "opt_value", "trajectory_radius")}
     resolved = {
-        "experiment": experiment.to_dict(),
+        "experiment": experiment,
         "replica": replica,
         "seed": seed,
         "stream_layout": STREAM_LAYOUT,
@@ -145,7 +146,7 @@ def run_family(experiment, base_seed, workers=1, setup=None, out=None):
     runs on a bad configuration.  With ``out``, each replica's trace is
     written there as it completes."""
     setup = setup or family_setup(experiment, base_seed)
-    replicas, rounds = experiment.replicas, experiment.run["rounds"]
+    replicas, rounds = experiment["replicas"], experiment["run"]["rounds"]
     args = (repeat(setup), repeat(experiment), range(replicas),
             repeat(base_seed), repeat(out))
     if workers == 1:
@@ -177,7 +178,7 @@ def _evaluate_checks(experiment, family):
     that round's cap, so it runs even when no replica completed."""
     reports = []
     rounds, mean_sq = family.rounds, family.mean_sq
-    for check in experiment.checks:
+    for check in experiment.get("checks", ()):
         kind = check["kind"]
         if kind == "schedule":
             # The parser allows only schedule-backed presets.
@@ -232,10 +233,10 @@ def _overridden(args, experiment, where="--replicas"):
     """Apply ``--replicas``, named ``where`` in an error, to ``experiment``
     and return its base seed: ``--seed``, else its ``run.seed``, else 0."""
     if args.replicas is not None:
-        check_replicas(args.replicas, experiment.run["rounds"], where)
-        experiment.replicas = args.replicas
+        check_replicas(args.replicas, experiment["run"]["rounds"], where)
+        experiment["replicas"] = args.replicas
     return args.seed if args.seed is not None \
-        else experiment.run.get("seed", 0)
+        else experiment["run"].get("seed", 0)
 
 
 def cmd_run(args):
@@ -248,7 +249,7 @@ def cmd_run(args):
 
     os.makedirs(args.out, exist_ok=True)    # no replica may have made it
     summary = {
-        "experiment": experiment.to_dict(),
+        "experiment": experiment,
         "base_seed": base_seed,
         "completed": len(completed),
         "diverged": diverged,
@@ -275,7 +276,7 @@ def cmd_run(args):
         print(f"[WARN] {len(diverged)} replica(s) diverged or failed; "
               "see summary.json")
     if completed:
-        print(f"completed {len(completed)}/{experiment.replicas} replicas; "
+        print(f"completed {len(completed)}/{experiment['replicas']} replicas; "
               f"mean final squared distance {summary['mean_final_sq_dist']:.6g}")
     failed = bool(diverged) or any(not r.passed for r in reports)
     return 1 if failed else 0
@@ -438,8 +439,7 @@ def _parse_values(text):
 
 def cmd_sweep(args):
     _check_overrides(args)
-    experiment = load_experiment(args.config)
-    doc = experiment.to_dict()
+    doc = load_experiment(args.config)
     node, leaf = _axis_lookup(doc, args.axis)
     values = _parse_values(args.values)
     was_int = isinstance(node[leaf], int) and not isinstance(node[leaf], bool)
@@ -492,7 +492,7 @@ def cmd_sweep(args):
         if diverged:
             failed = True
             print(f"[WARN] {args.axis}={value:g}: {len(diverged)}/"
-                  f"{point_exp.replicas} replica(s) diverged or failed")
+                  f"{point_exp['replicas']} replica(s) diverged or failed")
 
     os.makedirs(args.out, exist_ok=True)
     traceio.write_csv(os.path.join(args.out, "sweep.csv"),

@@ -3,13 +3,14 @@
 An experiment file is a single JSON document describing the task generator (or
 a task file to load), the run configuration, the policy, the replica count,
 and which checks to evaluate on the seed-averaged result.  Unknown keys are
-rejected with their JSON path; parsing and serialization round-trip losslessly.
+rejected with their JSON path.  The parsed experiment is the document itself,
+normalized: ``policy.params`` and ``replicas`` filled in with their defaults,
+``checks`` left out when the file lists none.  Parsing it again gives it back.
 """
 
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,30 +49,6 @@ _CHECK_KINDS = ("bound", "slope", "schedule")
 _MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
-@dataclass
-class Experiment:
-    """Parsed experiment file."""
-
-    task: dict = None
-    task_file: str = None
-    run: dict = field(default_factory=dict)
-    policy_name: str = "noise_free"
-    policy_params: dict = field(default_factory=dict)
-    replicas: int = 1
-    checks: list = field(default_factory=list)
-
-    def to_dict(self):
-        doc = {}
-        doc["task"] = {"file": self.task_file} if self.task_file else dict(self.task)
-        doc["run"] = dict(self.run)
-        doc["policy"] = {"name": self.policy_name,
-                         "params": dict(self.policy_params)}
-        doc["replicas"] = self.replicas
-        if self.checks:
-            doc["checks"] = [dict(c) for c in self.checks]
-        return doc
-
-
 def _type_name(expected):
     if isinstance(expected, tuple):
         return " or ".join(getattr(t, "__name__", str(t)) for t in expected)
@@ -89,8 +66,6 @@ def _check_mapping(node, allowed, required, path):
             raise ConfigError(f"{path}.{key}: missing required key")
     for key, value in node.items():
         expected = allowed[key]
-        if expected is None:
-            continue
         if isinstance(value, bool) and expected is not bool:
             raise ConfigError(f"{path}.{key}: expected {_type_name(expected)}")
         if not isinstance(value, expected):
@@ -158,8 +133,9 @@ def _parse_checks(node, path, rounds):
 
 
 def parse_experiment(doc, source="<config>"):
-    """Validate a JSON document (or path contents already loaded) into an
-    :class:`Experiment`; raises :class:`ConfigError` with the offending path."""
+    """Validate a JSON document (or path contents already loaded) and return
+    it normalized, as new dicts; raises :class:`ConfigError` with the
+    offending path."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
     allowed_top = {"task": dict, "run": dict, "policy": dict,
@@ -167,11 +143,8 @@ def parse_experiment(doc, source="<config>"):
     _check_mapping(doc, allowed_top, ("task", "run", "policy"), source)
 
     task_node = doc["task"]
-    task_file = None
-    task_params = None
     if "file" in task_node:
         _check_mapping(task_node, {"file": str}, ("file",), f"{source}.task")
-        task_file = task_node["file"]
     else:
         _check_mapping(task_node, _TASK_KEYS, _TASK_REQUIRED, f"{source}.task")
         if "spectrum" in task_node:
@@ -184,7 +157,6 @@ def parse_experiment(doc, source="<config>"):
         shape = ("n_clients", "samples_per_client", "dim")
         check_size(f"{source}.task", shape,
                    [task_node[key] for key in shape])
-        task_params = dict(task_node)
 
     run_node = doc["run"]
     _check_mapping(run_node, _RUN_KEYS, _RUN_REQUIRED, f"{source}.run")
@@ -204,7 +176,7 @@ def parse_experiment(doc, source="<config>"):
     check_replicas(replicas, run_node["rounds"], f"{source}.replicas")
 
     checks = _parse_checks(doc.get("checks", []), f"{source}.checks",
-                           doc["run"]["rounds"])
+                           run_node["rounds"])
     for check in checks:
         if check["kind"] in ("bound", "schedule"):
             preset = PRESETS.get(policy_node["name"])
@@ -213,15 +185,13 @@ def parse_experiment(doc, source="<config>"):
                     f"{source}.checks: {check['kind']!r} check needs a "
                     f"schedule-backed policy, not {policy_node['name']!r}")
 
-    return Experiment(
-        task=task_params,
-        task_file=task_file,
-        run=dict(doc["run"]),
-        policy_name=policy_node["name"],
-        policy_params=dict(policy_node.get("params", {})),
-        replicas=replicas,
-        checks=checks,
-    )
+    experiment = {"task": dict(task_node), "run": dict(run_node),
+                  "policy": {"name": policy_node["name"],
+                             "params": dict(policy_node.get("params", {}))},
+                  "replicas": replicas}
+    if checks:
+        experiment["checks"] = checks
+    return experiment
 
 
 def load_experiment(path):

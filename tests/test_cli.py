@@ -51,8 +51,26 @@ def write_config(tmp_path, doc, name="exp.json"):
 def test_parse_round_trips_losslessly():
     doc = experiment_doc()
     exp = parse_experiment(doc)
-    again = parse_experiment(exp.to_dict())
-    assert again.to_dict() == exp.to_dict()
+    assert parse_experiment(exp) == exp
+
+
+def test_parse_fills_defaults_and_drops_empty_checks():
+    doc = experiment_doc(policy={"name": "mt_partial"}, checks=[])
+    del doc["replicas"]
+    exp = parse_experiment(doc)
+    assert exp["policy"] == {"name": "mt_partial", "params": {}}
+    assert exp["replicas"] == 1 and "checks" not in exp
+    assert exp["task"] == doc["task"] and exp["task"] is not doc["task"]
+
+
+def test_empty_task_file_path_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment_doc(task={"file": ""}))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: task file : cannot read (No such file or "
+                   "directory)"]
+    assert not out.exists()
 
 
 def test_unknown_key_reported_with_path():
