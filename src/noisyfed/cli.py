@@ -227,6 +227,9 @@ def _check_overrides(args):
     if not 0 < getattr(args, "noise_scale", 1.0) < math.inf:
         raise ConfigError("--noise-scale: must be positive and finite, not "
                           f"{args.noise_scale!r}")
+    out = getattr(args, "out", None)
+    if out is not None and os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out}: exists and is not a directory")
 
 
 def _overridden(args, experiment, where="--replicas"):
@@ -547,8 +550,8 @@ def main(argv=None):
     except (ConfigError, StatisticalPowerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoisyFedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NoisyFedError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

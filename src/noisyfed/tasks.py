@@ -209,6 +209,7 @@ def minibatch_gradient_variance(task, w, batch):
     return pop_var * (size - batch) / (batch * (size - 1))
 
 
+@np.errstate(over="ignore", invalid="ignore")    # the bound check below
 def derive_constants(task, batch, trajectory_radius):
     """Compute the smoothness/convexity/heterogeneity constants of a task."""
     if trajectory_radius <= 0:

@@ -803,6 +803,55 @@ def test_negative_seed_override_is_usage_error(tmp_path, capsys, command):
     assert "error: --seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
+                                           command):
+    # Before, a run failed with a raw FileExistsError after its first
+    # replica, a sweep after every point.
+    runs = _count_runs(monkeypatch)
+    cfg = write_config(tmp_path, experiment_doc())
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    argv = {"run": ["run", cfg],
+            "sweep": ["sweep", cfg, "--axis", "run.rounds", "--values", "20"]}
+    assert main(argv[command] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out {out}: exists and is not a directory"]
+    assert out.read_text() == "kept\n" and runs == []
+
+
+def test_allocation_beyond_the_address_space_is_one_error_line(tmp_path,
+                                                               capsys):
+    # 12 rounds of 10**16 local steps pass the array-size check, but their
+    # learning rates are 853 PiB, beyond any 64-bit machine's virtual
+    # address space (at most 2**57 bytes), so the allocation fails at once.
+    doc = experiment_doc(checks=[], replicas=1)
+    doc["run"].update(rounds=12, local_epochs=10 ** 16)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: Unable to allocate 853. PiB")
+    assert not out.exists()
+
+
+def test_overflowing_spectrum_is_one_error_line(tmp_path, capsys):
+    # The gradient bound's check reports it; numpy warns of nothing on the
+    # way there.
+    doc = experiment_doc()
+    doc["task"]["spectrum"] = [1, 1e300]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: task: the gradient bound ")
+    assert err[0].endswith("^2 overflows")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("trajectory_radius_factor", 1e100),
                                         ("divergence_factor", 100.0),
                                         ("schedule_on", "iteration")])
