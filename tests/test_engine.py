@@ -632,17 +632,10 @@ def _assert_block_changes_nothing(task, monkeypatch, block):
         assert _configs_digest(task, channel) == GOLDEN_CONFIGS[channel]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 32])
-def test_round_chunk_changes_no_draw(small_task, monkeypatch, chunk):
-    # Draw blocks that split the 12-round runs unevenly (7), round by round
-    # (1) or hold them whole (32).
-    _assert_block_changes_nothing(small_task, monkeypatch, chunk)
-
-
-@pytest.mark.parametrize("block", [1, 5, 12])
-def test_trace_block_changes_no_output(small_task, monkeypatch, block):
-    # Trace blocks that split the 12-round layout runs evenly (1), leave a
-    # partial last block (5) or hold a run whole (12).
+@pytest.mark.parametrize("block", [1, 5, 7, 32])
+def test_round_chunk_changes_no_draw(small_task, monkeypatch, block):
+    # Blocks of rounds that split the 12-round runs round by round (1),
+    # unevenly with a partial last block (5 and 7), or hold them whole (32).
     _assert_block_changes_nothing(small_task, monkeypatch, block)
 
 
