@@ -11,8 +11,9 @@ Subcommands:
   experiment across a numeric axis and tabulate final distance, fitted slope,
   and total energy.
 
-Exit status is 0 iff everything requested passed; 1 on failed checks or
-diverged or failed replicas; 2 on usage or configuration errors.
+Exit status is 0 iff everything requested passed; 1 on failed checks,
+diverged or failed replicas, or a failed allocation; 2 on usage or
+configuration errors.
 """
 
 import argparse

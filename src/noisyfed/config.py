@@ -5,7 +5,8 @@ a task file to load), the run configuration, the policy, the replica count,
 and which checks to evaluate on the seed-averaged result.  Unknown keys are
 rejected with their JSON path.  The parsed experiment is the document itself,
 normalized: ``policy.params`` and ``replicas`` filled in with their defaults,
-``checks`` left out when the file lists none.  Parsing it again gives it back.
+``checks`` left out when the file lists none.  Parsing it again gives it back,
+and the CLI embeds it as the ``experiment`` of the files it writes.
 """
 
 import json
