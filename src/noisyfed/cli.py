@@ -228,9 +228,12 @@ def _check_overrides(args):
     if not 0 < getattr(args, "noise_scale", 1.0) < math.inf:
         raise ConfigError("--noise-scale: must be positive and finite, not "
                           f"{args.noise_scale!r}")
-    out = getattr(args, "out", None)
-    if out is not None and os.path.exists(out) and not os.path.isdir(out):
-        raise ConfigError(f"--out {out}: exists and is not a directory")
+    # The outputs go in the directory --out names, made if it is missing.
+    out = existing = os.path.abspath(getattr(args, "out", "."))
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {args.out}: {existing} is not a directory")
 
 
 def _overridden(args, experiment, where="--replicas"):

@@ -803,20 +803,21 @@ def test_negative_seed_override_is_usage_error(tmp_path, capsys, command):
     assert "error: --seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_out_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
-                                           command):
-    # Before, a run failed with a raw FileExistsError after its first
-    # replica, a sweep after every point.
+                                           command, below):
+    # Before, a run failed with a raw FileExistsError (or, below a file,
+    # NotADirectoryError) after its first replica, a sweep after every point.
     runs = _count_runs(monkeypatch)
     cfg = write_config(tmp_path, experiment_doc())
     out = tmp_path / "out"
     out.write_text("kept\n")
     argv = {"run": ["run", cfg],
             "sweep": ["sweep", cfg, "--axis", "run.rounds", "--values", "20"]}
-    assert main(argv[command] + ["--out", str(out)]) == 2
+    assert main(argv[command] + ["--out", str(out / below)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: --out {out}: exists and is not a directory"]
+        f"error: --out {out / below}: {out} is not a directory"]
     assert out.read_text() == "kept\n" and runs == []
 
 
