@@ -639,6 +639,13 @@ def test_round_chunk_changes_no_draw(small_task, monkeypatch, block):
     _assert_block_changes_nothing(small_task, monkeypatch, block)
 
 
+@pytest.mark.parametrize("block", [1, 12])
+def test_trace_block_changes_no_output(small_task, monkeypatch, block):
+    # Blocks that split the 12-round layout runs evenly (1) or exactly hold
+    # a run whole (12); the partial last block is the [5] case above.
+    _assert_block_changes_nothing(small_task, monkeypatch, block)
+
+
 @pytest.mark.parametrize("budget", [1, 5 * 2016, 2 ** 40])
 def test_gather_budget_changes_no_output(small_task, monkeypatch, budget):
     # A round of the layout and config runs gathers 2016 bytes of batch data
